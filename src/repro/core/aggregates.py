@@ -30,10 +30,12 @@ translation-invariant, the centred first moment is ~0, and every term
 stays at the scale of the true distances. The evaluation methods shift
 the query by the stored centroid on the fly.
 
-The evaluation methods take the query as a plain Python list; the
-refinement engine calls them millions of times per colour map, and
+The scalar evaluation methods take the query as a plain Python list;
+the refinement engine calls them millions of times per colour map, and
 plain-float arithmetic is roughly an order of magnitude faster than
-numpy scalar extraction at ``d <= 3``.
+numpy scalar extraction at ``d <= 3``. The batched ones take a query
+batch as its coordinate columns and build every sum from them with
+elementwise numpy operations.
 """
 
 from __future__ import annotations
@@ -117,8 +119,8 @@ class NodeAggregates:
         self.h = float(h)
         self.c = list(c)
         self.dims = int(dims)
-        # Lazy numpy copies of the moments, built on the first batched
-        # evaluation (the scalar fast paths keep using the plain lists).
+        # Lazy numpy copies of the moments for compiled backends, built
+        # on first use (the numpy paths keep using the plain lists).
         self._arrays: tuple[FloatArray, FloatArray, FloatArray, FloatArray] | None = None
 
     @classmethod
@@ -315,29 +317,87 @@ class NodeAggregates:
             self._arrays = arrays
         return arrays
 
-    def sum_sq_dists_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`sum_sq_dists` for an ``(m, d)`` query batch."""
-        center, a, __, __ = self._moment_arrays()
-        shifted = queries - center
-        q_sq = np.einsum("ij,ij->i", shifted, shifted)
-        value = self.total_weight * q_sq - 2.0 * (shifted @ a) + self.b
+    def _batch_terms(
+        self, columns: Sequence[FloatArray]
+    ) -> tuple[list[FloatArray], list[FloatArray], FloatArray, FloatArray]:
+        """Per-row terms shared by the batched moment sums.
+
+        Returns the centred query columns ``s_j``, their squares,
+        ``||s||^2`` and ``2 s . a`` (the factor 2 folded into ``a``,
+        which scales exactly), each summed over ``j`` in the order of
+        the scalar loops.
+        """
+        center = self.center
+        a = self.a
+        shifted = [column - c for column, c in zip(columns, center)]
+        squares = [s * s for s in shifted]
+        q_sq = squares[0]  # read-only below, so aliasing is harmless at d = 1
+        dot_a2 = shifted[0] * (2.0 * a[0])
+        for j in range(1, self.dims):
+            q_sq = q_sq + squares[j]
+            dot_a2 += shifted[j] * (2.0 * a[j])
+        return shifted, squares, q_sq, dot_a2
+
+    def sq_dist_sum_batch(self, columns: Sequence[FloatArray]) -> FloatArray:
+        """Vectorised :meth:`sum_sq_dists` over query columns.
+
+        ``columns[j]`` holds coordinate ``j`` of every query (for an
+        ``(m, d)`` batch, ``tuple(queries.T)``).
+        """
+        __, __, q_sq, dot_a2 = self._batch_terms(columns)
+        value = q_sq * self.total_weight
+        value -= dot_a2
+        value += self.b
         return np.maximum(value, 0.0, out=value)
 
-    def sum_quartic_dists_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`sum_quartic_dists` for an ``(m, d)`` batch."""
-        center, a, v, c = self._moment_arrays()
-        shifted = queries - center
-        q_sq = np.einsum("ij,ij->i", shifted, shifted)
-        quad_form = np.einsum("ij,jk,ik->i", shifted, c, shifted)
-        value = (
-            self.total_weight * q_sq * q_sq
-            - 4.0 * q_sq * (shifted @ a)
-            - 4.0 * (shifted @ v)
-            + 2.0 * q_sq * self.b
-            + self.h
-            + 4.0 * quad_form
-        )
-        return np.maximum(value, 0.0, out=value)
+    def moment_sums_batch(
+        self, columns: Sequence[FloatArray]
+    ) -> tuple[FloatArray, FloatArray]:
+        """``(sum_sq_dists, sum_quartic_dists)`` over query columns (Lemma 3).
+
+        Both sums share one pass over the centred columns. Terms are
+        added in the order of the scalar methods; the quadratic form
+        ``q^T C q`` uses the symmetric row expansion of the 2-D fast
+        path (``C`` is symmetric), so for ``d = 2`` the results equal
+        the scalar ones bit for bit.
+        """
+        shifted, squares, q_sq, dot_a2 = self._batch_terms(columns)
+        dims = self.dims
+        v = self.v
+        c = self.c
+        weighted_sq = q_sq * self.total_weight
+        sq_sum = weighted_sq - dot_a2
+        sq_sum += self.b
+        np.maximum(sq_sum, 0.0, out=sq_sum)
+
+        # W q^4 - 4 q^2 (q.a) - 4 q.v + 2 q^2 b + h + 4 q^T C q, with the
+        # constant factors folded into the moments (exact power-of-2
+        # scalings).
+        quartic = weighted_sq
+        quartic *= q_sq
+        term = q_sq * dot_a2
+        term *= 2.0
+        quartic -= term
+        np.multiply(shifted[0], 4.0 * v[0], out=term)
+        for j in range(1, dims):
+            term += shifted[j] * (4.0 * v[j])
+        quartic -= term
+        np.multiply(q_sq, 2.0 * self.b, out=term)
+        quartic += term
+        quartic += self.h
+        # Row i contributes c_ii s_i^2 + sum_{j > i} 2 c_ij s_i s_j.
+        form = squares[0] * (4.0 * c[0])
+        for i in range(dims):
+            if i:
+                np.multiply(squares[i], 4.0 * c[i * dims + i], out=term)
+                form += term
+            for j in range(i + 1, dims):
+                np.multiply(shifted[i], shifted[j], out=term)
+                term *= 8.0 * c[i * dims + j]
+                form += term
+        quartic += form
+        np.maximum(quartic, 0.0, out=quartic)
+        return sq_sum, quartic
 
     def sum_quartic_dists(self, q: Sequence[float]) -> float:
         """``sum_i w_i dist(q, p_i)^4`` in O(d^2) time (Lemma 3)."""

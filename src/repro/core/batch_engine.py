@@ -180,7 +180,7 @@ class BatchRefinementEngine:
             raise InvalidParameterError(
                 f"queries must be an (m, d) array, got shape {batch.shape}"
             )
-        m = batch.shape[0]
+        m, dims = batch.shape
         stats.queries += m
         batch_sq = np.einsum("ij,ij->i", batch, batch)
 
@@ -202,16 +202,7 @@ class BatchRefinementEngine:
         root = self.tree.root
         root_lb, root_ub = node_bounds(root, batch, batch_sq)
         stats.node_evaluations += m
-
-        # Per-pixel accumulators, Kahan-compensated exactly as in the
-        # scalar engine (see RefinementEngine._refine for why plain +=
-        # breaks the relative-error contract on low-density pixels).
-        exact_acc = np.zeros(m, dtype=np.float64)
-        exact_comp = np.zeros(m, dtype=np.float64)
-        heap_lb = root_lb.copy()
-        heap_lb_comp = np.zeros(m, dtype=np.float64)
-        heap_ub = root_ub.copy()
-        heap_ub_comp = np.zeros(m, dtype=np.float64)
+        # Full-batch results: a row's entries are final once it retires.
         lb = root_lb.copy()
         ub = root_ub.copy()
 
@@ -225,46 +216,68 @@ class BatchRefinementEngine:
             depth = np.zeros(m, dtype=np.int64)
             steps = tracer.steps
 
+        # Active-row state, compacted: position k of every array below
+        # belongs to batch row ``active[k]``. Retiring rows compacts the
+        # state once, so a frontier pop reads and writes it in place.
+        # Bound providers read a query batch column by column, so the
+        # active queries are kept as a (d, n) array and handed over as
+        # its column-contiguous (n, d) transpose. Accumulators are
+        # Kahan-compensated exactly as in the scalar engine (see
+        # RefinementEngine._refine for why plain += breaks the
+        # relative-error contract on low-density pixels).
         active: IntArray = np.flatnonzero(~stop_rows(lb, ub))
+        n_active = int(active.size)
+        columns = batch.T.take(active, axis=1)
+        active_sq = batch_sq[active]
+        cur_lb = root_lb[active]
+        cur_ub = root_ub[active]
+        exact_acc = np.zeros(n_active, dtype=np.float64)
+        exact_comp = np.zeros(n_active, dtype=np.float64)
+        heap_lb = cur_lb.copy()
+        heap_lb_comp = np.zeros(n_active, dtype=np.float64)
+        heap_ub = cur_ub.copy()
+        heap_ub_comp = np.zeros(n_active, dtype=np.float64)
+
         gap_ordered = self.ordering == "gap"
         counter = 0
         heap: list[tuple[float, int, KDTreeNode, FloatArray, FloatArray]] = []
-        if active.size:
-            priority = (
-                -float((root_ub[active] - root_lb[active]).sum())
-                if gap_ordered
-                else 0.0
-            )
+        if n_active:
+            priority = -float((cur_ub - cur_lb).sum()) if gap_ordered else 0.0
             heap.append((priority, counter, root, root_lb, root_ub))
 
         interrupted = False
-        while heap and active.size:
+        while heap and n_active:
             if cancel is not None:
                 # Frontier memory estimate: each heap entry carries two
-                # full-width float64 rows; a dozen more full-width
-                # accumulator/bookkeeping rows live for the whole batch.
-                memory = (len(heap) * 2 + 12) * m * 8
+                # full-width float64 rows, the batch d + 5 more (queries,
+                # norms, results, root bounds), and the active rows d + 10
+                # compacted ones (queries, norms, interval, accumulators,
+                # row index).
+                memory = ((len(heap) * 2 + dims + 5) * m + (dims + 10) * n_active) * 8
                 if cancel.stop_reason(memory) is not None:
                     interrupted = True
                     break
+            # Frontier entries hold full-width rows, valid on the rows
+            # that were active when they were pushed (a superset of the
+            # current ones, because the active set only shrinks).
+            entry = heappop(heap)
+            node_lb = entry[3][active]
+            node_ub = entry[4][active]
             if gap_ordered:
                 # Lazy priorities: stored gap sums were computed over a
                 # superset of the current active set, so they never
                 # underestimate. Re-score the popped candidate and push
                 # it back if it no longer beats the runner-up.
-                entry = heappop(heap)
                 while heap:
-                    node_lb, node_ub = entry[3], entry[4]
-                    fresh = -float((node_ub[active] - node_lb[active]).sum())
+                    fresh = -float((node_ub - node_lb).sum())
                     if fresh <= heap[0][0]:
                         break
-                    heappush(heap, (fresh, entry[1], entry[2], node_lb, node_ub))
+                    heappush(heap, (fresh, entry[1], entry[2], entry[3], entry[4]))
                     entry = heappop(heap)
-                __, __, node, node_lb, node_ub = entry
-            else:
-                __, __, node, node_lb, node_ub = heappop(heap)
+                    node_lb = entry[3][active]
+                    node_ub = entry[4][active]
+            node = entry[2]
 
-            n_active = int(active.size)
             stats.iterations += n_active
             if tracer is not None:
                 assert depth is not None
@@ -272,109 +285,82 @@ class BatchRefinementEngine:
                 pops += 1
                 tracer.frontier(n_active)
                 if steps:
-                    gap_sum = float((node_ub[active] - node_lb[active]).sum())
                     tracer.batch_step(
                         node=node.node_id,
                         leaf=node.is_leaf,
                         n_active=n_active,
-                        gap_sum=gap_sum,
+                        gap_sum=float((node_ub - node_lb).sum()),
                     )
-            active_q = batch[active]
-            active_sq = batch_sq[active]
             if node.is_leaf:
-                exact = leaf_exact(node, active_q, active_sq)
+                # Leaves get a row-major copy: BLAS sums a one-point
+                # leaf's products in a layout-dependent order.
+                exact = leaf_exact(
+                    node, np.ascontiguousarray(columns.T, dtype=np.float64), active_sq
+                )
                 stats.leaf_evaluations += n_active
                 stats.point_evaluations += node.agg.n * n_active
                 if cancel is not None:
                     cancel.charge(node.agg.n * n_active)
                 if check:
                     for row in range(n_active):
-                        i = int(active[row])
                         check_leaf_containment(
                             float(exact[row]),
-                            float(node_lb[i]),
-                            float(node_ub[i]),
+                            float(node_lb[row]),
+                            float(node_ub[row]),
                             bound=bound_name,
                             node=node.node_id,
-                            query=batch[i],
+                            query=batch[int(active[row])],
                         )
-                # exact_acc[active] += exact (masked Kahan).
-                acc = exact_acc[active]
-                y = exact - exact_comp[active]
-                t = acc + y
-                exact_comp[active] = (t - acc) - y
-                exact_acc[active] = t
-                delta_lb = -node_lb[active]
-                delta_ub = -node_ub[active]
+                exact_acc = _kahan_add(exact_acc, exact_comp, exact)
+                delta_lb = np.negative(node_lb, out=node_lb)
+                delta_ub = np.negative(node_ub, out=node_ub)
             else:
                 left = node.left
                 right = node.right
-                left_lb_a, left_ub_a = node_bounds(left, active_q, active_sq)
-                right_lb_a, right_ub_a = node_bounds(right, active_q, active_sq)
+                queries_a = columns.T
+                left_lb, left_ub = node_bounds(left, queries_a, active_sq)
+                right_lb, right_ub = node_bounds(right, queries_a, active_sq)
                 stats.node_evaluations += 2 * n_active
-                # Frontier entries carry full-width arrays; rows outside
-                # the evaluation-time active set stay zero and are never
-                # read, because the active set only shrinks.
-                left_lb = np.zeros(m, dtype=np.float64)
-                left_ub = np.zeros(m, dtype=np.float64)
-                right_lb = np.zeros(m, dtype=np.float64)
-                right_ub = np.zeros(m, dtype=np.float64)
-                left_lb[active] = left_lb_a
-                left_ub[active] = left_ub_a
-                right_lb[active] = right_lb_a
-                right_ub[active] = right_ub_a
-                counter += 1
-                priority = (
-                    -float((left_ub_a - left_lb_a).sum())
-                    if gap_ordered
-                    else float(counter)
-                )
-                heappush(heap, (priority, counter, left, left_lb, left_ub))
-                counter += 1
-                priority = (
-                    -float((right_ub_a - right_lb_a).sum())
-                    if gap_ordered
-                    else float(counter)
-                )
-                heappush(heap, (priority, counter, right, right_lb, right_ub))
-                delta_lb = left_lb_a + right_lb_a - node_lb[active]
-                delta_ub = left_ub_a + right_ub_a - node_ub[active]
-
-            # heap_lb[active] += delta_lb; heap_ub[active] += delta_ub
-            # (masked Kahan).
-            acc = heap_lb[active]
-            y = delta_lb - heap_lb_comp[active]
-            t = acc + y
-            heap_lb_comp[active] = (t - acc) - y
-            heap_lb[active] = t
-            acc = heap_ub[active]
-            y = delta_ub - heap_ub_comp[active]
-            t = acc + y
-            heap_ub_comp[active] = (t - acc) - y
-            heap_ub[active] = t
+                for child, child_lb, child_ub in (
+                    (left, left_lb, left_ub),
+                    (right, right_lb, right_ub),
+                ):
+                    counter += 1
+                    priority = (
+                        -float((child_ub - child_lb).sum())
+                        if gap_ordered
+                        else float(counter)
+                    )
+                    # Rows outside the active set are never read (the
+                    # active set only shrinks), so they stay unset.
+                    full_lb = np.empty(m, dtype=np.float64)
+                    full_ub = np.empty(m, dtype=np.float64)
+                    full_lb[active] = child_lb
+                    full_ub[active] = child_ub
+                    heappush(heap, (priority, counter, child, full_lb, full_ub))
+                delta_lb = left_lb + right_lb
+                delta_lb -= node_lb
+                delta_ub = left_ub + right_ub
+                delta_ub -= node_ub
+            heap_lb = _kahan_add(heap_lb, heap_lb_comp, delta_lb)
+            heap_ub = _kahan_add(heap_ub, heap_ub_comp, delta_ub)
 
             # Intersect the fresh enclosure with the previous one (both
             # valid — see the scalar engine), then collapse any interval
             # that rounding pushed inside-out.
-            new_lb = exact_acc[active] + heap_lb[active]
-            new_ub = exact_acc[active] + heap_ub[active]
-            cur_lb = lb[active]
-            cur_ub = ub[active]
-            if check:
-                prev_lb = cur_lb.copy()
-                prev_ub = cur_ub.copy()
-            cur_lb = np.maximum(cur_lb, new_lb)
-            cur_ub = np.minimum(cur_ub, new_ub)
+            prev_lb = cur_lb
+            prev_ub = cur_ub
+            cur_lb = exact_acc + heap_lb
+            np.maximum(prev_lb, cur_lb, out=cur_lb)
+            cur_ub = exact_acc + heap_ub
+            np.minimum(prev_ub, cur_ub, out=cur_ub)
             crossed = cur_ub < cur_lb
             if crossed.any():
                 mid = 0.5 * (cur_lb[crossed] + cur_ub[crossed])
                 cur_lb[crossed] = mid
                 cur_ub[crossed] = mid
-            lb[active] = cur_lb
-            ub[active] = cur_ub
             if check:
                 for row in range(n_active):
-                    i = int(active[row])
                     check_monotone_tightening(
                         float(prev_lb[row]),
                         float(prev_ub[row]),
@@ -382,25 +368,45 @@ class BatchRefinementEngine:
                         float(cur_ub[row]),
                         bound=bound_name,
                         node=node.node_id,
-                        query=batch[i],
+                        query=batch[int(active[row])],
                     )
 
             stopped = stop_rows(cur_lb, cur_ub)
             if stopped.any():
-                active = active[~stopped]
+                retired = active[stopped]
+                lb[retired] = cur_lb[stopped]
+                ub[retired] = cur_ub[stopped]
+                keep = np.flatnonzero(~stopped)
+                active = active[keep]
+                n_active = int(active.size)
+                columns = columns.take(keep, axis=1)
+                active_sq = active_sq[keep]
+                cur_lb = cur_lb[keep]
+                cur_ub = cur_ub[keep]
+                exact_acc = exact_acc[keep]
+                exact_comp = exact_comp[keep]
+                heap_lb = heap_lb[keep]
+                heap_lb_comp = heap_lb_comp[keep]
+                heap_ub = heap_ub[keep]
+                heap_ub_comp = heap_ub_comp[keep]
 
-        if active.size and not interrupted:
-            # Frontier drained with pixels still active: they are fully
-            # refined, so the density is the exact leaf sum; drop the
-            # (tiny) residual left in the drained heap accumulators.
-            # (Boundary-tight τ decisions are canonicalised by
-            # query_tau_batch via exhausted_exact, not here, so εKDV
-            # batches never pay an extra full pass. An *interrupted*
-            # loop must keep the interval form instead — its frontier
-            # still holds bound mass, so collapsing to the partial leaf
-            # sum would understate the density.)
-            lb[active] = exact_acc[active]
-            ub[active] = exact_acc[active]
+        if n_active:
+            if interrupted:
+                lb[active] = cur_lb
+                ub[active] = cur_ub
+            else:
+                # Frontier drained with pixels still active: they are
+                # fully refined, so the density is the exact leaf sum;
+                # drop the (tiny) residual left in the drained heap
+                # accumulators. (Boundary-tight τ decisions are
+                # canonicalised by query_tau_batch via exhausted_exact,
+                # not here, so εKDV batches never pay an extra full
+                # pass. An *interrupted* loop must keep the interval
+                # form instead — its frontier still holds bound mass,
+                # so collapsing to the partial leaf sum would understate
+                # the density.)
+                lb[active] = exact_acc
+                ub[active] = exact_acc
         if tracer is None:
             return lb, ub, None
         observation: dict[str, Any] = {
@@ -644,3 +650,12 @@ class BatchRefinementEngine:
             raise InvalidParameterError(f"tau must be finite, got {shifted!r}")
         lb, ub = self._tau_refined(queries, shifted, cancel)
         return lb + float(offset), ub + float(offset)
+
+
+def _kahan_add(acc: FloatArray, comp: FloatArray, delta: FloatArray) -> FloatArray:
+    """Compensated ``acc + delta``: returns the new sum, updates ``comp`` in place."""
+    y = delta - comp
+    total = acc + y
+    np.subtract(total, acc, out=comp)
+    comp -= y
+    return total

@@ -262,11 +262,13 @@ class BoundProvider(ABC):
         self, node: KDTreeNode, queries: FloatArray
     ) -> tuple[FloatArray, FloatArray]:
         """Vectorised :meth:`x_interval` for an ``(m, d)`` query batch."""
-        min_sq = node.rect.min_sq_dist_batch(queries)
-        max_sq = node.rect.max_sq_dist_batch(queries)
-        if self.kernel.uses_squared_distance:
-            return self.gamma * min_sq, self.gamma * max_sq
-        return self.gamma * np.sqrt(min_sq), self.gamma * np.sqrt(max_sq)
+        xmin, xmax = node.rect.sq_dist_range_batch(tuple(queries.T))
+        if not self.kernel.uses_squared_distance:
+            np.sqrt(xmin, out=xmin)
+            np.sqrt(xmax, out=xmax)
+        xmin *= self.gamma
+        xmax *= self.gamma
+        return xmin, xmax
 
     def __repr__(self) -> str:
         return (

@@ -106,7 +106,7 @@ class LinearBoundProvider(BoundProvider):
         width = xmax - xmin
         degenerate = width <= _DEGENERATE_WIDTH
         safe_width = np.where(degenerate, 1.0, width)
-        x_sum = self.gamma * agg.sum_sq_dists_batch(queries)
+        x_sum = self.gamma * agg.sq_dist_sum_batch(tuple(queries.T))
         t = np.clip(x_sum / n, xmin, xmax)
         exp_t = np.exp(-np.minimum(t, EXP_NEG_XMAX))
         lower = self.weight * exp_t * ((1.0 + t) * n - x_sum)

@@ -44,10 +44,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.bounds.base import BoundProvider, EXP_NEG_XMAX
+from repro.core.bounds.base import BoundProvider
 
 if TYPE_CHECKING:
-    from repro._types import BoundPair, FloatArray, KernelLike, PointLike
+    from repro._types import BoolArray, BoundPair, FloatArray, KernelLike, PointLike
     from repro.index.kdtree import KDTreeNode
 
 __all__ = ["QuadraticBoundProvider"]
@@ -203,62 +203,141 @@ class QuadraticBoundProvider(BoundProvider):
     ) -> tuple[FloatArray, FloatArray]:
         """Vectorised :meth:`node_bounds` over an ``(m, d)`` query batch.
 
-        Mirrors the scalar formulas row-wise; the degenerate-interval and
-        tangent-line fallbacks become masks. ``x`` arguments to ``exp``
-        are clamped at :data:`~repro.core.bounds.base.EXP_NEG_XMAX` so
-        far-away nodes underflow to 0 without warnings (the scalar path
-        gets this for free from ``math.exp``).
+        Mirrors the scalar formulas row-wise, term for term. Each query
+        column is read once into the node's distance interval and its
+        moment sums (Lemma 3); column-contiguous ``queries`` (``queries.T``
+        C-contiguous) make those reads unit-stride. Every intermediate is
+        updated in place, and the rare degenerate-interval and
+        tangent-line rows are patched by masked assignment. ``x``
+        arguments to ``exp`` are clamped at
+        :data:`~repro.core.bounds.base.EXP_NEG_XMAX` (the Gaussian
+        profile) so far-away nodes underflow to 0 without warnings (the
+        scalar path gets this for free from ``math.exp``).
         """
         agg = node.agg
         n = agg.total_weight
-        weight = self.weight
         m = queries.shape[0]
-        if n <= 0.0:
+        if n <= 0.0 or m == 0:
             return (
                 np.zeros(m, dtype=np.float64),
                 np.zeros(m, dtype=np.float64),
             )
         gamma = self.gamma
-        rect = node.rect
-        if self.kernel.uses_squared_distance:
-            xmin = gamma * rect.min_sq_dist_batch(queries)
-            xmax = gamma * rect.max_sq_dist_batch(queries)
-        else:  # pragma: no cover - provider is Gaussian-only
-            xmin, xmax = self.x_interval_batch(node, queries)
-        exp_xmin = np.exp(-np.minimum(xmin, EXP_NEG_XMAX))
-        exp_xmax = np.exp(-np.minimum(xmax, EXP_NEG_XMAX))
-        scale = weight * n
-        baseline_lower = scale * exp_xmax
-        baseline_upper = scale * exp_xmin
+        weight = self.weight
+        columns = tuple(queries.T)
+        xmin, xmax = node.rect.sq_dist_range_batch(columns)
+        xmin *= gamma
+        xmax *= gamma
+        x_sum, x2_sum = agg.moment_sums_batch(columns)
+        x_sum *= gamma
+        x2_sum *= gamma * gamma
+        exp_neg = self.kernel.profile  # Gaussian: exp(-x), clamped
+        exp_xmin = exp_neg(xmin)
+        exp_xmax = exp_neg(xmax)
         width = xmax - xmin
-        degenerate = width <= _DEGENERATE_WIDTH
-        safe_width = np.where(degenerate, 1.0, width)
-        x_sum = gamma * agg.sum_sq_dists_batch(queries)
-        x2_sum = gamma * gamma * agg.sum_quartic_dists_batch(queries)
+        # Degenerate rows return the baseline pair (patched in at the
+        # end); a unit width keeps their closed forms finite meanwhile.
+        degenerate: BoolArray | None = None
+        safe_width = width
+        if width.min() <= _DEGENERATE_WIDTH:
+            degenerate = width <= _DEGENERATE_WIDTH
+            safe_width = width.copy()
+            safe_width[degenerate] = 1.0
 
-        au = (exp_xmin - (safe_width + 1.0) * exp_xmax) / (safe_width * safe_width)
-        bu = (exp_xmax - exp_xmin) / safe_width - au * (xmin + xmax)
-        cu = (exp_xmin * xmax - exp_xmax * xmin) / safe_width + au * xmin * xmax
-        upper = weight * (au * x2_sum + bu * x_sum + cu * n)
+        # Upper: endpoints interpolation + optimal curvature (Theorem 1),
+        # evaluated in place in the scalar path's operation order:
+        #   au = (e^-xmin - (w + 1) e^-xmax) / w^2
+        #   bu = (e^-xmax - e^-xmin) / w - au (xmin + xmax)
+        #   cu = (e^-xmin xmax - e^-xmax xmin) / w + au xmin xmax
+        #   upper = weight (au sum x^2 + bu sum x + cu n)
+        au = safe_width + 1.0
+        au *= exp_xmax
+        np.subtract(exp_xmin, au, out=au)
+        au /= safe_width * safe_width
 
+        bu = exp_xmax - exp_xmin
+        bu /= safe_width
+        term = xmin + xmax
+        term *= au
+        bu -= term
+
+        cu = exp_xmin * xmax
+        np.multiply(exp_xmax, xmin, out=term)
+        cu -= term
+        cu /= safe_width
+        np.multiply(au, xmin, out=term)
+        term *= xmax
+        cu += term
+
+        upper = au * x2_sum
+        bu *= x_sum
+        upper += bu
+        cu *= n
+        upper += cu
+        upper *= weight
+
+        # Lower: tangent at t, through (xmax, exp(-xmax)) (Section 4.3):
+        #   al = (e^-xmax + (xmax - 1 - t) e^-t) / gap^2
+        #   bl = -e^-t - 2 t al
+        #   cl = (1 + t) e^-t + t^2 al
+        #   lower = weight (al sum x^2 + bl sum x + cl n)
         if self.tangent == "mean":
-            t = np.clip(x_sum / n, xmin, xmax)
+            t = x_sum / n
+            np.maximum(t, xmin, out=t)
+            np.minimum(t, xmax, out=t)
         else:
-            t = 0.5 * (xmin + xmax)
+            t = xmin + xmax
+            t *= 0.5
         gap = xmax - t
-        exp_t = np.exp(-np.minimum(t, EXP_NEG_XMAX))
-        use_line = (gap <= _DEGENERATE_WIDTH) | (gap <= _MIN_GAP_FRACTION * width)
-        line_lower = weight * exp_t * ((1.0 + t) * n - x_sum)
-        safe_gap = np.where(use_line, 1.0, gap)
-        al = (exp_xmax + (xmax - 1.0 - t) * exp_t) / (safe_gap * safe_gap)
-        bl = -exp_t - 2.0 * t * al
-        cl = (1.0 + t) * exp_t + t * t * al
-        parabola_lower = weight * (al * x2_sum + bl * x_sum + cl * n)
-        lower = np.where(use_line, line_lower, parabola_lower)
+        exp_t = exp_neg(t)
+        # Tangent-line rows (see node_bounds): gap below the larger of
+        # the absolute and the width-relative floor.
+        np.multiply(width, _MIN_GAP_FRACTION, out=term)
+        np.maximum(term, _DEGENERATE_WIDTH, out=term)
+        line = gap <= term
+        line_lower: FloatArray | None = None
+        if line.any():
+            t_line = t[line]
+            line_lower = (weight * exp_t[line]) * ((1.0 + t_line) * n - x_sum[line])
+            gap[line] = 1.0
 
+        al = xmax - 1.0
+        al -= t
+        al *= exp_t
+        al += exp_xmax
+        gap *= gap
+        al /= gap
+
+        bl = t * 2.0
+        bl *= al
+        bl += exp_t
+        np.negative(bl, out=bl)
+
+        cl = t + 1.0
+        cl *= exp_t
+        np.multiply(t, t, out=term)
+        term *= al
+        cl += term
+
+        lower = al * x2_sum
+        bl *= x_sum
+        lower += bl
+        cl *= n
+        lower += cl
+        lower *= weight
+        if line_lower is not None:
+            lower[line] = line_lower
+
+        # Intersect with the always-valid baseline interval.
+        scale = weight * n
+        baseline_upper = exp_xmin
+        baseline_upper *= scale
+        baseline_lower = exp_xmax
+        baseline_lower *= scale
         np.minimum(upper, baseline_upper, out=upper)
         np.maximum(lower, baseline_lower, out=lower)
         np.minimum(lower, upper, out=lower)
-        lower = np.where(degenerate, baseline_lower, lower)
-        upper = np.where(degenerate, baseline_upper, upper)
+        if degenerate is not None:
+            lower[degenerate] = baseline_lower[degenerate]
+            upper[degenerate] = baseline_upper[degenerate]
         return lower, upper

@@ -79,10 +79,6 @@ class Ball:
             total += delta * delta
         return math.sqrt(total)
 
-    def _center_dist_batch(self, queries: FloatArray) -> FloatArray:
-        shifted = queries - self.center
-        return np.sqrt(np.einsum("ij,ij->i", shifted, shifted))
-
     def min_sq_dist(self, query: Sequence[float]) -> float:
         """Minimum squared distance from ``query`` to the ball."""
         gap = self._center_dist(query) - self.radius
@@ -95,15 +91,28 @@ class Ball:
         reach = self._center_dist(query) + self.radius
         return reach * reach
 
-    def min_sq_dist_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`min_sq_dist` for an ``(m, d)`` query batch."""
-        gap = np.maximum(self._center_dist_batch(queries) - self.radius, 0.0)
-        return gap * gap
+    def sq_dist_range_batch(
+        self, columns: Sequence[FloatArray]
+    ) -> tuple[FloatArray, FloatArray]:
+        """Vectorised ``(min_sq_dist, max_sq_dist)`` over a query batch.
 
-    def max_sq_dist_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`max_sq_dist` for an ``(m, d)`` query batch."""
-        reach = self._center_dist_batch(queries) + self.radius
-        return reach * reach
+        ``columns[j]`` holds coordinate ``j`` of every query (for an
+        ``(m, d)`` batch, ``tuple(queries.T)``); each is read once.
+        """
+        center = self._center_list
+        dist = columns[0] - center[0]
+        dist *= dist
+        for j in range(1, self.dims):
+            delta = columns[j] - center[j]
+            delta *= delta
+            dist += delta
+        np.sqrt(dist, out=dist)
+        reach = dist + self.radius
+        reach *= reach
+        dist -= self.radius
+        np.maximum(dist, 0.0, out=dist)
+        dist *= dist
+        return dist, reach
 
     def distance_interval(self, query: Sequence[float]) -> tuple[float, float]:
         """``(min_dist, max_dist)`` — plain (non-squared) distances."""

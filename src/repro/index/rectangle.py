@@ -105,12 +105,6 @@ class Rectangle:
             total += delta * delta
         return total
 
-    def min_sq_dist_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`min_sq_dist` for an ``(m, d)`` query batch."""
-        outside = np.maximum(self.low - queries, 0.0)
-        np.maximum(outside, queries - self.high, out=outside)
-        return np.einsum("ij,ij->i", outside, outside)
-
     def max_sq_dist(self, query: Sequence[float]) -> float:
         """Maximum squared Euclidean distance from ``query`` to the box.
 
@@ -153,10 +147,24 @@ class Rectangle:
             total += delta * delta
         return total
 
-    def max_sq_dist_batch(self, queries: FloatArray) -> FloatArray:
-        """Vectorised :meth:`max_sq_dist` for an ``(m, d)`` query batch."""
-        farthest = np.maximum(np.abs(queries - self.low), np.abs(queries - self.high))
-        return np.einsum("ij,ij->i", farthest, farthest)
+    def sq_dist_range_batch(
+        self, columns: Sequence[FloatArray]
+    ) -> tuple[FloatArray, FloatArray]:
+        """Vectorised ``(min_sq_dist, max_sq_dist)`` over a query batch.
+
+        ``columns[j]`` holds coordinate ``j`` of every query (for an
+        ``(m, d)`` batch, ``tuple(queries.T)``); each is read once for
+        both distances. Per axis the terms, and their summation order,
+        are those of the scalar methods.
+        """
+        low = self._low_list
+        high = self._high_list
+        min_sq, max_sq = _axis_sq_dists(columns[0], low[0], high[0])
+        for j in range(1, self.dims):
+            near, far = _axis_sq_dists(columns[j], low[j], high[j])
+            min_sq += near
+            max_sq += far
+        return min_sq, max_sq
 
     def distance_interval(self, query: Sequence[float]) -> tuple[float, float]:
         """Return ``(min_dist, max_dist)`` — plain (non-squared) distances."""
@@ -168,3 +176,17 @@ class Rectangle:
 
     def __repr__(self) -> str:
         return f"Rectangle(low={self.low.tolist()}, high={self.high.tolist()})"
+
+
+def _axis_sq_dists(column: FloatArray, low: float, high: float) -> tuple[FloatArray, FloatArray]:
+    """Squared nearest and farthest distances to ``[low, high]`` along one axis."""
+    below = low - column  # > 0 where the query lies below the box
+    above = column - high  # > 0 where it lies above
+    # Farthest face: max(q - low, high - q) = -min(below, above).
+    far = np.minimum(below, above)
+    far *= far
+    # Nearest point: the positive one of below/above, else 0 (inside).
+    np.maximum(below, above, out=below)
+    np.maximum(below, 0.0, out=below)
+    below *= below
+    return below, far

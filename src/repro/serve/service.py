@@ -302,6 +302,7 @@ class TileService:
         self._active_lock = threading.Lock()
         self._vmax: Dict[str, float] = {}
         self._vmax_lock = threading.Lock()
+        self._vmax_flight: SingleFlight[str, float] = SingleFlight()
         self._stale: LRUCache[TileKey, bytes] = LRUCache(
             max_bytes=int(self.config.stale_cache_bytes),
             ttl_s=self.config.stale_ttl_s,
@@ -903,8 +904,15 @@ class TileService:
         zoom levels) colour consistently instead of each tile
         normalising to its own maximum. Cached per versioned id;
         deterministic, so every server instance agrees on tile bytes.
+        Concurrent first requests share one probe (single-flight per
+        versioned id).
         """
         key = entry.versioned_id()
+        vmax, __ = self._vmax_flight.do(key, lambda: self._probe_vmax(entry, key))
+        return vmax
+
+    def _probe_vmax(self, entry: DatasetEntry, key: str) -> float:
+        """The cached range for ``key``, probing and caching it on a miss."""
         with self._vmax_lock:
             cached = self._vmax.get(key)
         if cached is not None:

@@ -218,6 +218,67 @@ class TestTileService:
         assert len(set(results)) == 1
         assert service.metrics.counter("tiles.renders").value == renders_before + 1
 
+    def test_colour_range_probe_runs_once_for_concurrent_first_tiles(
+        self, small_points, monkeypatch
+    ):
+        from repro.serve import RenderConfig
+        from repro.serve.registry import DatasetEntry
+
+        svc = TileService(
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=16, eps=0.1, workers=2, deadline_ms=None)
+            )
+        )
+        try:
+            svc.registry.register("crime", small_points)
+            probes = []
+            probe_lock = threading.Lock()
+            original = DatasetEntry.coarse_density
+
+            def slow_probe(entry, centers):
+                with probe_lock:
+                    probes.append(entry.versioned_id())
+                # Hold the probe open long enough that the second first
+                # tile arrives while it runs.
+                threading.Event().wait(0.3)
+                return original(entry, centers)
+
+            monkeypatch.setattr(DatasetEntry, "coarse_density", slow_probe)
+            used = []
+            entry_vmax = svc._entry_vmax
+
+            def recording_vmax(entry):
+                value = entry_vmax(entry)
+                with probe_lock:
+                    used.append(value)
+                return value
+
+            monkeypatch.setattr(svc, "_entry_vmax", recording_vmax)
+            barrier = threading.Barrier(2)
+            tiles = []
+
+            def worker(x, y):
+                barrier.wait(timeout=10.0)
+                data, info = svc.get_tile("crime", 1, x, y)
+                with probe_lock:
+                    tiles.append((info["cache"], data))
+
+            threads = [
+                threading.Thread(target=worker, args=(0, 0)),
+                threading.Thread(target=worker, args=(1, 1)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+
+            assert len(tiles) == 2 and all(cache == "miss" for cache, __ in tiles)
+            assert probes == [svc.registry.get("crime").versioned_id()]
+            assert len(used) == 2 and used[0] == used[1]
+        finally:
+            svc.close()
+
     def test_backpressure_rejects_when_queue_full(self, small_points):
         svc = TileService(
             config=ServiceConfig(tile_px=32, workers=1, queue_limit=2)
