@@ -7,12 +7,12 @@ differs — so any timing gap is pure engine overhead. The batched path
 should stay several times faster than scalar; ``tools/bench_report.py``
 records the canonical numbers in ``BENCH_engine.json``.
 
-The parallel-scaling group sweeps worker count x executor x compute
-backend over the same tiled workload. Worker counts and executors
-change only *where* each tile batch runs, never what it computes, so
-every parametrisation asserts the image equals the single-worker
-render bit for bit. Unavailable backends (numba without the ``[perf]``
-extra) are skipped, not failed.
+The parallel-scaling group sweeps worker count x compute backend over
+the same tiled workload (one worker renders in-process, two or more on
+the process pool). Worker counts change only *where* each tile batch
+runs, never what it computes, so every parametrisation asserts the
+image equals the single-worker render bit for bit. Unavailable
+backends (numba without the ``[perf]`` extra) are skipped, not failed.
 """
 
 import numpy as np
@@ -26,16 +26,15 @@ DATASETS = ("crime", "home")
 EPS = 0.01
 MODES = ("scalar", "tiled", "tiled-workers")
 SCALING_WORKERS = (1, 2, 4, 8)
-SCALING_EXECUTORS = ("thread", "process")
 SCALING_BACKENDS = ("numpy", "numba")
 
 
-def _render_kwargs(mode):
+def _options(mode):
     if mode == "scalar":
-        return {}
+        return RenderOptions()
     if mode == "tiled":
-        return {"tile_size": 64}
-    return {"tile_size": 64, "workers": 4}
+        return RenderOptions(tile_size=64)
+    return RenderOptions(tile_size=64, workers=4)
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
@@ -44,12 +43,9 @@ def test_eps_engine_batching(benchmark, dataset, mode):
     renderer = get_renderer(dataset)
     prepare(renderer, "quad")
     benchmark.group = f"engine batching eps {dataset} eps={EPS}"
+    request = RenderRequest.for_eps(EPS, "quad", options=_options(mode))
     image = benchmark.pedantic(
-        renderer.render_eps,
-        args=(EPS, "quad"),
-        kwargs=_render_kwargs(mode),
-        rounds=2,
-        iterations=1,
+        renderer.render, args=(request,), rounds=2, iterations=1
     )
     assert image.shape == (renderer.grid.height, renderer.grid.width)
     assert np.all(np.isfinite(image)) and np.all(image >= 0.0)
@@ -63,12 +59,9 @@ def test_tau_engine_batching(benchmark, dataset, mode):
     mu, sigma = renderer.density_stats()
     tau = max(mu + 0.1 * sigma, np.finfo(np.float64).tiny)
     benchmark.group = f"engine batching tau {dataset}"
+    request = RenderRequest.for_tau(tau, "quad", options=_options(mode))
     mask = benchmark.pedantic(
-        renderer.render_tau,
-        args=(tau, "quad"),
-        kwargs=_render_kwargs(mode),
-        rounds=2,
-        iterations=1,
+        renderer.render, args=(request,), rounds=2, iterations=1
     )
     # The threshold decision is schedule-independent: every mode must
     # reproduce the exact-density mask pixel for pixel.
@@ -76,22 +69,19 @@ def test_tau_engine_batching(benchmark, dataset, mode):
 
 
 @pytest.mark.parametrize("backend", SCALING_BACKENDS)
-@pytest.mark.parametrize("executor", SCALING_EXECUTORS)
 @pytest.mark.parametrize("workers", SCALING_WORKERS)
-def test_eps_parallel_scaling(benchmark, workers, executor, backend):
+def test_eps_parallel_scaling(benchmark, workers, backend):
     if backend not in available_backends():
         pytest.skip(f"compute backend {backend!r} not installed ([perf] extra)")
     renderer = get_renderer("crime")
     prepare(renderer, "quad")
     benchmark.group = f"parallel scaling eps crime eps={EPS} backend={backend}"
-    options = RenderOptions(
-        tile_size=64, workers=workers, executor=executor, backend=backend
-    )
+    options = RenderOptions(tile_size=64, workers=workers, backend=backend)
     request = RenderRequest.for_eps(EPS, "quad", options=options)
     image = benchmark.pedantic(
         renderer.render, args=(request,), rounds=2, iterations=1
     )
-    # Executors and worker counts move tile batches between threads or
+    # Worker counts move tile batches between the parent and pool
     # processes without changing their contents, so the parallel image
     # must equal the single-worker one bit for bit.
     single = RenderOptions(tile_size=64, workers=1, backend=backend)

@@ -15,9 +15,8 @@ helper, the :class:`KDVRenderer` / :class:`RenderRequest` /
 :class:`ServiceConfig` serving stack (with its nested config groups
 and sharded registry), and the data/method/kernel registries. Anything
 not re-exported here — and any ``repro.compat`` shim — is internal and
-may change without notice; the legacy ``render_eps`` / ``render_tau``
-execution-keyword forms are deprecated and will be removed in repro
-2.0 (see ``docs/api.md``).
+may change without notice. Execution knobs live on ``RenderOptions`` and
+service knobs on ``ServiceConfig``'s groups (see ``docs/api.md``).
 
 Quickstart
 ----------
@@ -60,7 +59,7 @@ from repro.visual.streaming import StreamingKDV
 if TYPE_CHECKING:
     from repro._types import PointLike
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 
 def render(

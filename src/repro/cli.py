@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=_positive_int,
         default=None,
-        help="render tiles on this many worker threads",
+        help="render tiles on this many worker processes (2 or more use "
+        "the process pool)",
     )
     render.add_argument(
         "--deadline-ms",
@@ -217,13 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--render-workers",
         type=_positive_int,
         default=None,
-        help="tile-render worker count per request (default: single-threaded)",
-    )
-    serve_render.add_argument(
-        "--render-executor",
-        choices=["thread", "process"],
-        default=None,
-        help="run tile renders on threads or a supervised process pool",
+        help="tile-render worker processes per request; 2 or more render "
+        "on a supervised process pool (default: in-process)",
     )
     serve_render.add_argument(
         "--backend",
@@ -475,7 +471,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             deadline_ms=args.deadline_ms,
             workers=args.workers,
             render_workers=args.render_workers,
-            executor=args.render_executor,
             backend=args.backend,
             max_zoom=args.max_zoom,
         ),

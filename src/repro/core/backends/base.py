@@ -46,15 +46,11 @@ class ComputeBackend(ABC):
 
     Backends are stateless flyweights: one instance serves every engine
     and every provider, and all per-dataset state stays on the provider
-    and the tree nodes. ``releases_gil`` advertises whether the hot
-    loops run outside the CPython GIL (compiled backends), which the
-    renderer uses to decide whether thread workers can scale.
+    and the tree nodes.
     """
 
     #: Registry name (``"numpy"``, ``"numba"``, ...).
     name: str = "abstract"
-    #: Whether the batched kernels run without holding the GIL.
-    releases_gil: bool = False
 
     @classmethod
     @abstractmethod

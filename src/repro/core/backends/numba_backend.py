@@ -7,7 +7,7 @@ The hot loops are written as plain-Python, njit-compatible functions
 :data:`~repro.core.bounds.base.EXP_NEG_XMAX`, same degenerate-width and
 tangent-line fallbacks, same baseline intersection. When numba is
 installed (the ``[perf]`` extra) they are compiled with
-``nogil=True`` so thread workers scale; without numba the backend
+``nogil=True``; without numba the backend
 reports unavailable and :func:`repro.core.backends.resolve_backend`
 falls back to numpy — but the ``*_impl`` functions remain importable
 pure Python, which is how the parity tests exercise these formulas even
@@ -238,7 +238,6 @@ class NumbaBackend(ComputeBackend):
     """JIT-compiled Gaussian/QUAD kernels; numpy delegation elsewhere."""
 
     name = "numba"
-    releases_gil = True
 
     def __init__(self, force: bool = False) -> None:
         # ``force`` lets tests run the un-jitted pure-Python kernels on

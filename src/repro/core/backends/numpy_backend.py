@@ -26,7 +26,6 @@ class NumpyBackend(ComputeBackend):
     """Vectorised numpy evaluation — always available, GIL-bound."""
 
     name = "numpy"
-    releases_gil = False
 
     @classmethod
     def available(cls) -> bool:

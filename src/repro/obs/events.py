@@ -43,7 +43,7 @@ schema):
     ``attempt``, ``worker``.
 ``recovery``
     One recovery action of the resilient tile runner: ``action``
-    (``retry``/``give-up``/``quarantine``/``cancel``), plus ``tile``,
+    (``retry``/``give-up``/``cancel``), plus ``tile``,
     ``worker``, ``attempt`` and ``reason`` where applicable.
 """
 

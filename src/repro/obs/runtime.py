@@ -24,7 +24,9 @@ Programmatic control: :func:`set_tracer` installs/uninstalls a tracer
 explicitly, and :func:`trace_to` scopes one around a block::
 
     with trace_to("render.jsonl") as tracer:
-        renderer.render_eps(0.01, "quad", tile_size=64)
+        renderer.render(
+            RenderRequest.for_eps(0.01, options=RenderOptions(tile_size=64))
+        )
     # events are on disk; tracer.summary() has the aggregates
 """
 

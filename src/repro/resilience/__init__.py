@@ -12,15 +12,14 @@ a first-class, well-defined outcome instead of a stack trace:
   :class:`RenderOutcome`, the structured description of a partial
   render (best-so-far per-pixel ``(LB, UB)`` envelopes, resolved-pixel
   fraction, worst residual gap, stop reason);
-* :mod:`repro.resilience.retry` — :class:`RetryPolicy` (exponential
-  backoff, per-worker quarantine) and the transient/fatal error
-  taxonomy;
+* :mod:`repro.resilience.retry` — :class:`RetryPolicy` (attempts and
+  exponential backoff) and the transient/fatal error taxonomy;
 * :mod:`repro.resilience.checkpoint` — :class:`TileLedger`, the
   completed-tile checkpoint a killed render resumes from;
 * :mod:`repro.resilience.faults` — deterministic seeded fault
   injectors (``REPRO_FAULTS=``) so every degradation path above is
   exercised in CI;
-* :mod:`repro.resilience.runner` — the resilient tile loop gluing the
+* :mod:`repro.resilience.runner` — the in-process tile loop gluing the
   pieces together for :class:`repro.visual.kdv.KDVRenderer`;
 * :mod:`repro.resilience.supervisor` — :class:`PoolSupervisor` (rebuild
   policy for broken process pools — backoff-capped, storm-bounded) and

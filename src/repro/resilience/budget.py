@@ -45,7 +45,7 @@ STOP_MEMORY = "memory"
 STOP_CANCELLED = "cancelled"
 #: ``KeyboardInterrupt`` (Ctrl-C) was converted into cancellation.
 STOP_INTERRUPT = "keyboard-interrupt"
-#: Tiles failed permanently (retries exhausted / workers quarantined).
+#: Tiles failed permanently (retries exhausted).
 STOP_TILE_FAILURES = "tile-failures"
 
 
@@ -140,7 +140,8 @@ class CancellationToken:
     a fresh one per render (``budget.token()``).
 
     Thread safety: :meth:`cancel` / :meth:`charge` / :meth:`stop_reason`
-    may race across the renderer's worker threads. All races are benign
+    may race across threads (a pool render's cancel watcher, a server's
+    request threads sharing a token). All races are benign
     — the latch is a single attribute store, and the eval counter is
     advisory (a lost increment delays the trip by one tile at worst) —
     so no lock sits on the per-pop hot path.

@@ -6,7 +6,7 @@ This module injects four fault kinds into the tile runner:
 
 ========================  ==================================================
 ``worker_crash``          The tile evaluation raises (transient) before any
-                          work happens — exercises retry and quarantine.
+                          work happens — exercises retry.
 ``slow_tile``             The tile sleeps ``slow_ms`` before evaluating —
                           exercises deadlines and latency accounting.
 ``nan_bounds``            The tile's returned envelopes are poisoned with
@@ -31,9 +31,9 @@ This module injects four fault kinds into the tile runner:
 ========================  ==================================================
 
 The process-level kinds are executed *inside worker processes* by
-:mod:`repro.visual.executors` (the thread tile runner ignores them);
-:meth:`FaultPlan.partition_process` splits a mixed plan into its
-process-level and thread-level halves so each runner injects only the
+:mod:`repro.visual.executors` (the in-process tile runner ignores
+them); :meth:`FaultPlan.partition_process` splits a mixed plan into its
+process-level and in-process halves so each executor injects only the
 kinds it owns.
 
 Injection is **deterministic**: each (kind, tile, attempt) triple rolls
@@ -105,7 +105,7 @@ FAULT_KINDS: Dict[str, int] = {
 }
 
 #: Kinds executed inside worker *processes* (real process death / delay)
-#: rather than by the thread tile runner's injector.
+#: rather than by the in-process tile runner's injector.
 PROCESS_FAULT_KINDS = frozenset(
     {FAULT_WORKER_KILL, FAULT_POOL_BREAK, FAULT_SLOW_RESPONSE}
 )
@@ -229,19 +229,21 @@ class FaultPlan:
         return not self.rates
 
     def partition_process(self) -> Tuple["FaultPlan", "FaultPlan"]:
-        """Split into ``(process_plan, thread_plan)`` halves.
+        """Split into ``(process_plan, in_process_plan)`` halves.
 
         Process-level kinds (:data:`PROCESS_FAULT_KINDS`) are injected
         inside worker processes by the process tile executor; everything
-        else belongs to the thread runner's :class:`FaultInjector`. Both
+        else belongs to the in-process runner's :class:`FaultInjector`. Both
         halves keep the seed and ``slow_ms``, so a kind fires for the
         same (tile, attempt) regardless of which runner rolls it.
         """
         process = {k: r for k, r in self.rates.items() if k in PROCESS_FAULT_KINDS}
-        thread = {k: r for k, r in self.rates.items() if k not in PROCESS_FAULT_KINDS}
+        in_process = {
+            k: r for k, r in self.rates.items() if k not in PROCESS_FAULT_KINDS
+        }
         return (
             FaultPlan(process, seed=self.seed, slow_ms=self.slow_ms),
-            FaultPlan(thread, seed=self.seed, slow_ms=self.slow_ms),
+            FaultPlan(in_process, seed=self.seed, slow_ms=self.slow_ms),
         )
 
     def as_dict(self) -> Dict[str, object]:

@@ -38,7 +38,7 @@ class DegradedResult:
     tiles_total / tiles_completed / tiles_failed:
         Tile accounting; ``tiles_failed`` lists tiles whose retries were
         exhausted (each as ``{"tile": i, "error": str}``).
-    retries / faults_injected / quarantined_workers:
+    retries / faults_injected:
         Recovery accounting from the tile runner.
     elapsed_s:
         Wall-clock seconds of the online (render) stage.
@@ -56,7 +56,6 @@ class DegradedResult:
         "tiles_failed",
         "retries",
         "faults_injected",
-        "quarantined_workers",
         "elapsed_s",
         "budget",
     )
@@ -73,7 +72,6 @@ class DegradedResult:
         tiles_failed: Optional[List[Dict[str, Any]]] = None,
         retries: int = 0,
         faults_injected: int = 0,
-        quarantined_workers: Optional[List[int]] = None,
         elapsed_s: float = 0.0,
         budget: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -86,9 +84,6 @@ class DegradedResult:
         self.tiles_failed = list(tiles_failed) if tiles_failed else []
         self.retries = int(retries)
         self.faults_injected = int(faults_injected)
-        self.quarantined_workers = (
-            list(quarantined_workers) if quarantined_workers else []
-        )
         self.elapsed_s = float(elapsed_s)
         self.budget = budget
 
@@ -112,7 +107,6 @@ class DegradedResult:
             "tiles_failed": self.tiles_failed,
             "retries": self.retries,
             "faults_injected": self.faults_injected,
-            "quarantined_workers": self.quarantined_workers,
             "elapsed_s": round(self.elapsed_s, 6),
             "budget": self.budget,
         }

@@ -10,7 +10,7 @@ mean the computation itself is wrong — retrying would just fail again,
 or worse, mask a soundness bug — so they propagate immediately.
 
 :func:`is_transient` encodes that taxonomy; :class:`RetryPolicy` says
-how hard to try (attempts, exponential backoff, per-worker quarantine).
+how hard to try (attempts, exponential backoff).
 """
 
 from __future__ import annotations
@@ -66,12 +66,7 @@ class RetryPolicy:
         ``min(backoff_s * backoff_factor**(k-1), max_backoff_s)``
         before re-running. Tile recomputation is CPU-bound and local,
         so the defaults are short — backoff exists to let a transiently
-        wedged worker thread drain, not to be polite to a server.
-    quarantine_after:
-        Consecutive transient failures on one worker before it is
-        quarantined (taken out of the pool). Only meaningful with
-        multiple workers; a single worker is never quarantined because
-        that would abandon the render.
+        wedged tile drain, not to be polite to a server.
     """
 
     __slots__ = (
@@ -79,7 +74,6 @@ class RetryPolicy:
         "backoff_s",
         "backoff_factor",
         "max_backoff_s",
-        "quarantine_after",
     )
 
     def __init__(
@@ -88,7 +82,6 @@ class RetryPolicy:
         backoff_s: float = 0.01,
         backoff_factor: float = 2.0,
         max_backoff_s: float = 0.25,
-        quarantine_after: int = 3,
     ) -> None:
         if int(max_attempts) < 1:
             raise InvalidParameterError(
@@ -100,15 +93,10 @@ class RetryPolicy:
             raise InvalidParameterError(
                 f"backoff_factor must be >= 1, got {backoff_factor!r}"
             )
-        if int(quarantine_after) < 1:
-            raise InvalidParameterError(
-                f"quarantine_after must be >= 1, got {quarantine_after!r}"
-            )
         self.max_attempts = int(max_attempts)
         self.backoff_s = float(backoff_s)
         self.backoff_factor = float(backoff_factor)
         self.max_backoff_s = float(max_backoff_s)
-        self.quarantine_after = int(quarantine_after)
 
     def delay(self, attempt: int) -> float:
         """Backoff seconds before retry number ``attempt`` (1-based)."""
@@ -122,5 +110,5 @@ class RetryPolicy:
     def __repr__(self) -> str:
         return (
             f"RetryPolicy(max_attempts={self.max_attempts}, "
-            f"backoff_s={self.backoff_s}, quarantine_after={self.quarantine_after})"
+            f"backoff_s={self.backoff_s})"
         )

@@ -1,13 +1,14 @@
-"""The resilient tile loop: retries, quarantine, cancellation, faults.
+"""The in-process tile loop: retries, cancellation, faults.
 
-:func:`run_tiles` is the engine room of the anytime renderer. It drains
-a deterministic work list of pixel-index tiles through caller-supplied
-hooks (evaluate / store / completeness test), while providing the
-guarantees the resilience layer promises:
+:func:`run_tiles` is the in-process executor of the tile driver
+(:meth:`repro.visual.kdv.KDVRenderer.render`). It drains a
+deterministic work list of pixel-index tiles, one at a time, through
+caller-supplied hooks (evaluate / store / completeness test), while
+providing the guarantees the resilience layer promises:
 
 * **Cancellation** — the :class:`~repro.resilience.budget.CancellationToken`
   is polled before every tile is taken *and* inside the refinement
-  engines (per frontier pop), so a tripped token stops the run at the
+  engine (per frontier pop), so a tripped token stops the run at the
   next consistent point; tiles already evaluated keep their valid
   best-so-far envelopes.
 * **Retries** — transiently failed tiles (see
@@ -15,10 +16,6 @@ guarantees the resilience layer promises:
   exponential backoff up to the policy's attempt limit; tile evaluation
   is deterministic and side-effect-free, so a retried tile produces
   bit-identical values to a run that never failed.
-* **Quarantine** — a worker thread with ``quarantine_after``
-  *consecutive* transient failures is retired (its tile is requeued at
-  the same attempt number — the worker is blamed, not the tile). A
-  single-worker run never quarantines, which would abandon the render.
 * **Fatal errors** — non-transient failures
   (:class:`~repro.errors.InvariantViolation`, bad parameters) propagate
   immediately; retrying them would mask soundness bugs.
@@ -30,14 +27,17 @@ guarantees the resilience layer promises:
   a NaN-poisoned result is caught by the runner's output sanity check
   and retried clean.
 
+Without a retry policy the loop recovers nothing: the first exception,
+``KeyboardInterrupt`` included, propagates unchanged and no further
+tile starts — the fail-fast contract of strict renders.
+
 Results are written through ``store`` into caller-owned arrays indexed
-by absolute pixel position, so completion order (which retries and
-threading perturb) cannot affect the final image bits.
+by absolute pixel position, so completion order (which retries
+perturb) cannot affect the final image bits.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from typing import (
@@ -71,7 +71,6 @@ _Task = Tuple[int, "IntArray", int]
 EvaluateFn = Callable[[Any, "IntArray"], Tuple["FloatArray", "FloatArray"]]
 StoreFn = Callable[[int, "IntArray", "FloatArray", "FloatArray"], None]
 CompleteFn = Callable[["FloatArray", "FloatArray"], bool]
-MakeEngineFn = Callable[[int], Any]
 
 
 class TileRunReport:
@@ -89,8 +88,8 @@ class TileRunReport:
         Tiles whose retries were exhausted, as ``{tile: error string}``.
     unprocessed:
         Tiles never taken off the queue (cancellation hit first).
-    retries / quarantined / faults_injected:
-        Recovery accounting; ``quarantined`` lists retired worker ids.
+    retries / faults_injected:
+        Recovery accounting.
     elapsed_s:
         Wall-clock seconds of the drain loop.
     """
@@ -101,7 +100,6 @@ class TileRunReport:
         "failed",
         "unprocessed",
         "retries",
-        "quarantined",
         "faults_injected",
         "elapsed_s",
     )
@@ -112,7 +110,6 @@ class TileRunReport:
         self.failed: Dict[int, str] = {}
         self.unprocessed: List[int] = []
         self.retries = 0
-        self.quarantined: List[int] = []
         self.faults_injected = 0
         self.elapsed_s = 0.0
 
@@ -139,17 +136,16 @@ def run_tiles(
     evaluate: EvaluateFn,
     store: StoreFn,
     tile_complete: CompleteFn,
-    make_engine: MakeEngineFn,
+    engine: Any,
     *,
     token: CancellationToken,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultInjector] = None,
     tracer: Optional[Tracer] = None,
-    workers: Optional[int] = None,
     skip: Optional[Set[int]] = None,
     op: str = "eps",
 ) -> TileRunReport:
-    """Drain ``tiles`` through ``evaluate``/``store`` resiliently.
+    """Drain ``tiles`` through ``evaluate``/``store``, one tile at a time.
 
     Parameters
     ----------
@@ -168,29 +164,26 @@ def run_tiles(
     tile_complete:
         ``tile_complete(lower, upper) -> bool`` — whether every pixel
         reached its stopping rule (the ledger-eligibility test).
-    make_engine:
-        ``make_engine(worker_id) -> engine`` — one engine per worker
-        (engines are not thread-safe across workers).
-    token / retry / faults / tracer:
+    engine:
+        Handed to ``evaluate`` with every tile.
+    token / faults / tracer:
         Cancellation token (required; pass an un-budgeted
-        ``CancellationToken()`` for "only explicit cancel"), retry
-        policy (default :class:`RetryPolicy`), optional fault injector
-        and tracer.
-    workers:
-        ``None`` or ``<= 1`` for the sequential loop; otherwise that
-        many threads.
+        ``CancellationToken()`` for "only explicit cancel"), optional
+        fault injector and tracer.
+    retry:
+        Policy for transient tile failures. ``None`` recovers nothing:
+        the first exception (``KeyboardInterrupt`` included) propagates
+        unchanged and no further tile starts.
     skip:
         Tile indices to leave untouched (checkpoint resume).
     op:
         Label for trace events (``"eps"`` / ``"tau"``).
     """
-    policy = retry if retry is not None else RetryPolicy()
     token.start()
     queue: Deque[_Task] = deque()
     for index, pixels in enumerate(tiles):
-        if skip is not None and index in skip:
-            continue
-        queue.append((index, pixels, 1))
+        if skip is None or index not in skip:
+            queue.append((index, pixels, 1))
 
     report = TileRunReport()
     start = time.perf_counter()
@@ -199,84 +192,6 @@ def run_tiles(
         if tracer is not None:
             tracer.recovery(action=action, **fields)
 
-    def attempt_tile(
-        engine: Any, tile: int, pixels: IntArray, attempt: int, worker: int
-    ) -> Tuple[FloatArray, FloatArray]:
-        if faults is not None:
-            faults.before(tile, attempt, worker)
-        lower, upper = evaluate(engine, pixels)
-        if faults is not None:
-            lower, upper = faults.after(tile, attempt, lower, upper, worker)
-        if not _sane(lower, upper):
-            raise TransientTileError(
-                f"tile {tile}: non-finite bound envelope from provider"
-            )
-        return lower, upper
-
-    if workers is None or workers <= 1:
-        _run_sequential(
-            queue, evaluate, store, tile_complete, make_engine,
-            token=token, policy=policy, report=report,
-            attempt_tile=attempt_tile, recovery=recovery, tracer=tracer, op=op,
-        )
-    else:
-        _run_threaded(
-            queue, store, tile_complete, make_engine, int(workers),
-            token=token, policy=policy, report=report,
-            attempt_tile=attempt_tile, recovery=recovery, tracer=tracer, op=op,
-        )
-
-    report.unprocessed = sorted(task[0] for task in queue)
-    if faults is not None:
-        report.faults_injected = faults.injected
-    report.elapsed_s = time.perf_counter() - start
-    return report
-
-
-def _give_up_or_requeue(
-    queue: Deque[_Task],
-    task: _Task,
-    err: BaseException,
-    policy: RetryPolicy,
-    report: TileRunReport,
-    recovery: Callable[..., None],
-) -> None:
-    """Transient-failure bookkeeping shared by both loops.
-
-    Caller must hold whatever lock guards ``queue`` and ``report``.
-    """
-    tile, pixels, attempt = task
-    if attempt >= policy.max_attempts:
-        report.failed[tile] = f"{type(err).__name__}: {err}"
-        recovery(
-            action="give-up", tile=tile, attempt=attempt,
-            reason=type(err).__name__,
-        )
-    else:
-        report.retries += 1
-        recovery(
-            action="retry", tile=tile, attempt=attempt,
-            reason=type(err).__name__,
-        )
-        queue.append((tile, pixels, attempt + 1))
-
-
-def _run_sequential(
-    queue: Deque[_Task],
-    evaluate: EvaluateFn,
-    store: StoreFn,
-    tile_complete: CompleteFn,
-    make_engine: MakeEngineFn,
-    *,
-    token: CancellationToken,
-    policy: RetryPolicy,
-    report: TileRunReport,
-    attempt_tile: Callable[..., Tuple[FloatArray, FloatArray]],
-    recovery: Callable[..., None],
-    tracer: Optional[Tracer],
-    op: str,
-) -> None:
-    engine = make_engine(0)
     while queue:
         if token.stop_reason() is not None:
             break
@@ -284,19 +199,41 @@ def _run_sequential(
         tile, pixels, attempt = task
         tile_start = time.perf_counter()
         try:
-            lower, upper = attempt_tile(engine, tile, pixels, attempt, 0)
+            if faults is not None:
+                faults.before(tile, attempt)
+            lower, upper = evaluate(engine, pixels)
+            if faults is not None:
+                lower, upper = faults.after(tile, attempt, lower, upper)
+            if not _sane(lower, upper):
+                raise TransientTileError(
+                    f"tile {tile}: non-finite bound envelope from provider"
+                )
         except KeyboardInterrupt:
+            if retry is None:
+                raise
             token.cancel(STOP_INTERRUPT)
             recovery(action="cancel", reason=STOP_INTERRUPT)
             queue.appendleft(task)
             break
         except Exception as err:
-            if not is_transient(err):
+            if retry is None or not is_transient(err):
                 raise
-            delay = policy.delay(attempt)
-            if delay > 0.0 and attempt < policy.max_attempts:
+            if attempt >= retry.max_attempts:
+                report.failed[tile] = f"{type(err).__name__}: {err}"
+                recovery(
+                    action="give-up", tile=tile, attempt=attempt,
+                    reason=type(err).__name__,
+                )
+                continue
+            delay = retry.delay(attempt)
+            if delay > 0.0:
                 time.sleep(delay)
-            _give_up_or_requeue(queue, task, err, policy, report, recovery)
+            report.retries += 1
+            recovery(
+                action="retry", tile=tile, attempt=attempt,
+                reason=type(err).__name__,
+            )
+            queue.append((tile, pixels, attempt + 1))
             continue
         store(tile, pixels, lower, upper)
         if tile_complete(lower, upper):
@@ -309,121 +246,8 @@ def _run_sequential(
                 seconds=time.perf_counter() - tile_start, worker=0, op=op,
             )
 
-
-def _run_threaded(
-    queue: Deque[_Task],
-    store: StoreFn,
-    tile_complete: CompleteFn,
-    make_engine: MakeEngineFn,
-    nworkers: int,
-    *,
-    token: CancellationToken,
-    policy: RetryPolicy,
-    report: TileRunReport,
-    attempt_tile: Callable[..., Tuple[FloatArray, FloatArray]],
-    recovery: Callable[..., None],
-    tracer: Optional[Tracer],
-    op: str,
-) -> None:
-    cond = threading.Condition()
-    inflight = [0]
-    alive = [nworkers]
-    fatal: List[BaseException] = []
-
-    def worker(worker_id: int) -> None:
-        engine = make_engine(worker_id)
-        consecutive = 0
-        while True:
-            with cond:
-                while not queue and inflight[0] > 0 and not fatal:
-                    cond.wait(0.05)
-                if fatal or not queue or token.stop_reason() is not None:
-                    cond.notify_all()
-                    return
-                task = queue.popleft()
-                inflight[0] += 1
-            tile, pixels, attempt = task
-            tile_start = time.perf_counter()
-            try:
-                lower, upper = attempt_tile(
-                    engine, tile, pixels, attempt, worker_id
-                )
-            except BaseException as err:
-                if isinstance(err, KeyboardInterrupt):
-                    token.cancel(STOP_INTERRUPT)
-                    recovery(action="cancel", reason=STOP_INTERRUPT)
-                    with cond:
-                        inflight[0] -= 1
-                        queue.appendleft(task)
-                        cond.notify_all()
-                    return
-                if not is_transient(err):
-                    with cond:
-                        inflight[0] -= 1
-                        fatal.append(err)
-                        cond.notify_all()
-                    return
-                consecutive += 1
-                if consecutive >= policy.quarantine_after and alive[0] > 1:
-                    # Blame the worker, not the tile: requeue at the
-                    # same attempt number and retire this thread.
-                    with cond:
-                        inflight[0] -= 1
-                        alive[0] -= 1
-                        report.quarantined.append(worker_id)
-                        report.retries += 1
-                        queue.append(task)
-                        cond.notify_all()
-                    recovery(
-                        action="quarantine", worker=worker_id, tile=tile,
-                        reason=type(err).__name__,
-                    )
-                    return
-                delay = policy.delay(attempt)
-                if delay > 0.0 and attempt < policy.max_attempts:
-                    time.sleep(delay)
-                with cond:
-                    inflight[0] -= 1
-                    _give_up_or_requeue(
-                        queue, task, err, policy, report, recovery
-                    )
-                    cond.notify_all()
-                continue
-            consecutive = 0
-            store(tile, pixels, lower, upper)
-            complete = tile_complete(lower, upper)
-            with cond:
-                inflight[0] -= 1
-                if complete:
-                    report.completed.append(tile)
-                else:
-                    report.partial.append(tile)
-                cond.notify_all()
-            if tracer is not None:
-                tracer.tile(
-                    index=tile, rows=int(len(pixels)),
-                    seconds=time.perf_counter() - tile_start,
-                    worker=worker_id, op=op,
-                )
-
-    threads = [
-        threading.Thread(
-            target=worker, args=(i,), name=f"repro-tile-{i}", daemon=True
-        )
-        for i in range(nworkers)
-    ]
-    for thread in threads:
-        thread.start()
-    try:
-        for thread in threads:
-            while thread.is_alive():
-                thread.join(0.1)
-    except KeyboardInterrupt:
-        token.cancel(STOP_INTERRUPT)
-        recovery(action="cancel", reason=STOP_INTERRUPT)
-        with cond:
-            cond.notify_all()
-        for thread in threads:
-            thread.join()
-    if fatal:
-        raise fatal[0]
+    report.unprocessed = sorted(task[0] for task in queue)
+    if faults is not None:
+        report.faults_injected = faults.injected
+    report.elapsed_s = time.perf_counter() - start
+    return report

@@ -1,12 +1,10 @@
-"""Service configuration: nested knob groups with a flat-kwarg shim.
+"""Service configuration: four frozen knob groups.
 
-:class:`ServiceConfig` began life as one flat frozen dataclass; by PR 9
-it had accumulated 20 knobs spanning four unrelated concerns. This
-module restructures it into four frozen groups —
+:class:`ServiceConfig` bundles four frozen groups —
 
 * :class:`RenderConfig` — what a tile render looks like and how it
-  executes (tile size, default ε/τ, colormap, deadline, worker pools,
-  executor/backend selection, zoom ceiling);
+  executes (tile size, default ε/τ, colormap, deadline, request and
+  render worker counts, backend selection, zoom ceiling);
 * :class:`CacheConfig` — byte budgets and TTL of the three-level
   :class:`~repro.cache.tiles.TileCache`;
 * :class:`ResilienceConfig` — the degrade-don't-fail surface
@@ -14,14 +12,8 @@ module restructures it into four frozen groups —
 * :class:`ShardingConfig` — horizontal scale-out: how many spatial
   shards each registered dataset is split into.
 
-Back-compat contract: ``ServiceConfig(tile_px=32, eps=0.1, ...)`` with
-the historical flat keywords still works — the kwargs are routed into
-their groups and a single :class:`DeprecationWarning` is emitted per
-process (warn *once*: config objects are built in test loops and
-sweeps, and a warning per construction would drown real ones). Every
-flat name also remains readable (``config.eps``, ``config.queue_limit``
-...) as a silent property alias, because read access is not the
-deprecated part — flat *construction* is.
+Callers build and read the groups themselves
+(``ServiceConfig(render=RenderConfig(eps=0.1))``, ``config.render.eps``).
 
 ``to_dict()`` / ``from_dict()`` round-trip the nested shape, and
 ``from_env()`` builds a config from ``REPRO_SERVE_<GROUP>_<FIELD>``
@@ -33,9 +25,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import warnings
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Mapping, Optional
 
 from repro.errors import InvalidParameterError
 from repro.serve.tiles import DEFAULT_TILE_PX
@@ -54,10 +45,10 @@ class RenderConfig:
     """What a served tile render looks like and how it executes.
 
     ``workers`` sizes the *request* pool (threads running plan/cache/
-    encode); ``render_workers`` + ``executor`` + ``backend`` shape each
-    render itself: ``render_workers=N`` with ``executor="process"``
-    drains every tile render through the fitted method's shared-memory
-    process pool (true parallelism past the GIL), and ``backend``
+    encode); ``render_workers`` + ``backend`` shape each render itself:
+    ``render_workers=N`` with ``N >= 2`` drains every tile render
+    through the fitted method's shared-memory process pool (parallelism
+    past the GIL), ``None`` or ``1`` renders in-process, and ``backend``
     selects the compute backend (``None`` defers to ``REPRO_BACKEND``).
     Cache keys are unaffected — every executor/backend combination
     produces bit-identical tile bytes.
@@ -70,7 +61,6 @@ class RenderConfig:
     deadline_ms: Optional[float] = 10_000.0
     workers: int = 4
     render_workers: Optional[int] = None
-    executor: Optional[str] = None
     backend: Optional[str] = None
     max_zoom: int = 18
 
@@ -82,10 +72,6 @@ class RenderConfig:
         if self.render_workers is not None and int(self.render_workers) < 1:
             raise InvalidParameterError(
                 f"render_workers must be >= 1, got {self.render_workers!r}"
-            )
-        if self.executor not in (None, "thread", "process"):
-            raise InvalidParameterError(
-                f"executor must be 'thread' or 'process', got {self.executor!r}"
             )
         if int(self.max_zoom) < 0:
             raise InvalidParameterError(
@@ -191,31 +177,6 @@ class ShardingConfig:
             )
 
 
-#: Flat legacy keyword -> (group attribute, field name on the group).
-_FLAT_FIELD_MAP: Dict[str, Tuple[str, str]] = {
-    "tile_px": ("render", "tile_px"),
-    "eps": ("render", "eps"),
-    "tau": ("render", "tau"),
-    "colormap": ("render", "colormap"),
-    "deadline_ms": ("render", "deadline_ms"),
-    "workers": ("render", "workers"),
-    "render_workers": ("render", "render_workers"),
-    "executor": ("render", "executor"),
-    "backend": ("render", "backend"),
-    "max_zoom": ("render", "max_zoom"),
-    "png_cache_bytes": ("cache", "png_bytes"),
-    "aux_cache_bytes": ("cache", "aux_bytes"),
-    "cache_ttl_s": ("cache", "ttl_s"),
-    "queue_limit": ("resilience", "queue_limit"),
-    "degraded_serving": ("resilience", "degraded_serving"),
-    "stale_cache_bytes": ("resilience", "stale_bytes"),
-    "stale_ttl_s": ("resilience", "stale_ttl_s"),
-    "breaker_threshold": ("resilience", "breaker_threshold"),
-    "breaker_reset_s": ("resilience", "breaker_reset_s"),
-    "drain_s": ("resilience", "drain_s"),
-    "shards": ("sharding", "shards"),
-}
-
 _GROUP_TYPES: Dict[str, type] = {
     "render": RenderConfig,
     "cache": CacheConfig,
@@ -223,36 +184,12 @@ _GROUP_TYPES: Dict[str, type] = {
     "sharding": ShardingConfig,
 }
 
-#: One-shot latch for the flat-kwarg deprecation warning (config objects
-#: are built in loops; one warning per process is signal, N is noise).
-_flat_kwargs_warned = False
 
-
-def _reset_flat_kwargs_warning() -> None:
-    """Re-arm the one-shot flat-kwarg warning (test hook)."""
-    global _flat_kwargs_warned
-    _flat_kwargs_warned = False
-
-
-def _warn_flat_kwargs(names: Tuple[str, ...]) -> None:
-    global _flat_kwargs_warned
-    if _flat_kwargs_warned:
-        return
-    _flat_kwargs_warned = True
-    warnings.warn(
-        f"ServiceConfig({', '.join(names)}=...): flat keywords are deprecated "
-        "and will be removed in repro 2.0; pass nested groups instead, e.g. "
-        "ServiceConfig(render=RenderConfig(...), resilience=ResilienceConfig(...)) "
-        "(see docs/api.md)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
+@dataclass(frozen=True)
 class ServiceConfig:
     """Tunables of a :class:`~repro.serve.service.TileService`.
 
-    Canonical construction is by nested group::
+    Built from nested groups; each omitted group takes its defaults::
 
         ServiceConfig(
             render=RenderConfig(tile_px=256, eps=0.05),
@@ -260,85 +197,21 @@ class ServiceConfig:
             resilience=ResilienceConfig(queue_limit=32),
             sharding=ShardingConfig(shards=4),
         )
-
-    The historical flat keywords (``tile_px=...``, ``eps=...``,
-    ``queue_limit=...``, ...) are accepted as a deprecation shim: each is
-    routed into its group and a single :class:`DeprecationWarning` is
-    emitted per process. Mixing a group object with a flat keyword that
-    targets the same group is rejected — there would be no well-defined
-    winner. All flat names remain readable as properties.
     """
 
-    __slots__ = ("render", "cache", "resilience", "sharding", "_frozen")
+    render: RenderConfig = field(default_factory=RenderConfig)
+    cache: CacheConfig = field(default_factory=CacheConfig)
+    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
+    sharding: ShardingConfig = field(default_factory=ShardingConfig)
 
-    def __init__(
-        self,
-        render: Optional[RenderConfig] = None,
-        cache: Optional[CacheConfig] = None,
-        resilience: Optional[ResilienceConfig] = None,
-        sharding: Optional[ShardingConfig] = None,
-        **flat: Any,
-    ) -> None:
-        unknown = sorted(set(flat) - set(_FLAT_FIELD_MAP))
-        if unknown:
-            raise InvalidParameterError(
-                f"unknown ServiceConfig keyword(s): {', '.join(unknown)}"
-            )
-        groups: Dict[str, Any] = {
-            "render": render,
-            "cache": cache,
-            "resilience": resilience,
-            "sharding": sharding,
-        }
-        overrides: Dict[str, Dict[str, Any]] = {name: {} for name in _GROUP_TYPES}
-        for key in sorted(flat):
-            group_name, field_name = _FLAT_FIELD_MAP[key]
-            if groups[group_name] is not None:
-                raise InvalidParameterError(
-                    f"ServiceConfig: flat keyword {key!r} conflicts with the "
-                    f"{group_name}= group object; set {field_name!r} on the "
-                    "group instead"
-                )
-            overrides[group_name][field_name] = flat[key]
-        if flat:
-            _warn_flat_kwargs(tuple(sorted(flat)))
+    def __post_init__(self) -> None:
         for name, group_type in _GROUP_TYPES.items():
-            if groups[name] is None:
-                groups[name] = group_type(**overrides[name])
-            elif not isinstance(groups[name], group_type):
+            group = getattr(self, name)
+            if not isinstance(group, group_type):
                 raise InvalidParameterError(
                     f"ServiceConfig {name}= expects a {group_type.__name__}, "
-                    f"got {type(groups[name]).__name__}"
+                    f"got {type(group).__name__}"
                 )
-        object.__setattr__(self, "render", groups["render"])
-        object.__setattr__(self, "cache", groups["cache"])
-        object.__setattr__(self, "resilience", groups["resilience"])
-        object.__setattr__(self, "sharding", groups["sharding"])
-        object.__setattr__(self, "_frozen", True)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if getattr(self, "_frozen", False):
-            raise AttributeError(f"ServiceConfig is immutable; cannot set {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ServiceConfig):
-            return NotImplemented
-        return (
-            self.render == other.render
-            and self.cache == other.cache
-            and self.resilience == other.resilience
-            and self.sharding == other.sharding
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.render, self.cache, self.resilience, self.sharding))
-
-    def __repr__(self) -> str:
-        return (
-            f"ServiceConfig(render={self.render!r}, cache={self.cache!r}, "
-            f"resilience={self.resilience!r}, sharding={self.sharding!r})"
-        )
 
     def replace(self, **changes: Any) -> "ServiceConfig":
         """A copy with whole groups replaced (``render=``, ``cache=``, ...)."""
@@ -347,9 +220,7 @@ class ServiceConfig:
             raise InvalidParameterError(
                 f"ServiceConfig.replace takes group names only, got {', '.join(bad)}"
             )
-        groups = {name: getattr(self, name) for name in _GROUP_TYPES}
-        groups.update(changes)
-        return ServiceConfig(**groups)
+        return dataclasses.replace(self, **changes)
 
     # -- serialisation -------------------------------------------------------
 
@@ -391,102 +262,16 @@ class ServiceConfig:
         groups: Dict[str, Any] = {}
         for name, group_type in _GROUP_TYPES.items():
             values: Dict[str, Any] = {}
-            for field in fields(group_type):
-                variable = f"REPRO_SERVE_{name.upper()}_{field.name.upper()}"
+            for group_field in fields(group_type):
+                variable = f"REPRO_SERVE_{name.upper()}_{group_field.name.upper()}"
                 raw = env.get(variable)
                 if raw is None:
                     continue
-                values[field.name] = _parse_env_value(
-                    variable, raw, field.default
+                values[group_field.name] = _parse_env_value(
+                    variable, raw, group_field.default
                 )
             groups[name] = group_type(**values)
         return cls(**groups)
-
-    # -- flat read aliases (silent; flat *construction* is the shim) ---------
-
-    @property
-    def tile_px(self) -> int:
-        return self.render.tile_px
-
-    @property
-    def eps(self) -> float:
-        return self.render.eps
-
-    @property
-    def tau(self) -> Optional[float]:
-        return self.render.tau
-
-    @property
-    def colormap(self) -> str:
-        return self.render.colormap
-
-    @property
-    def deadline_ms(self) -> Optional[float]:
-        return self.render.deadline_ms
-
-    @property
-    def workers(self) -> int:
-        return self.render.workers
-
-    @property
-    def render_workers(self) -> Optional[int]:
-        return self.render.render_workers
-
-    @property
-    def executor(self) -> Optional[str]:
-        return self.render.executor
-
-    @property
-    def backend(self) -> Optional[str]:
-        return self.render.backend
-
-    @property
-    def max_zoom(self) -> int:
-        return self.render.max_zoom
-
-    @property
-    def png_cache_bytes(self) -> int:
-        return self.cache.png_bytes
-
-    @property
-    def aux_cache_bytes(self) -> int:
-        return self.cache.aux_bytes
-
-    @property
-    def cache_ttl_s(self) -> Optional[float]:
-        return self.cache.ttl_s
-
-    @property
-    def queue_limit(self) -> int:
-        return self.resilience.queue_limit
-
-    @property
-    def degraded_serving(self) -> bool:
-        return self.resilience.degraded_serving
-
-    @property
-    def stale_cache_bytes(self) -> int:
-        return self.resilience.stale_bytes
-
-    @property
-    def stale_ttl_s(self) -> Optional[float]:
-        return self.resilience.stale_ttl_s
-
-    @property
-    def breaker_threshold(self) -> int:
-        return self.resilience.breaker_threshold
-
-    @property
-    def breaker_reset_s(self) -> float:
-        return self.resilience.breaker_reset_s
-
-    @property
-    def drain_s(self) -> float:
-        return self.resilience.drain_s
-
-    @property
-    def shards(self) -> int:
-        return self.sharding.shards
 
 
 def _parse_env_value(variable: str, raw: str, default: Any) -> Any:

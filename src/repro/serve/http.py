@@ -47,6 +47,7 @@ import asyncio
 import functools
 import json
 import re
+import time
 import urllib.parse
 from typing import Any, Dict, Optional
 
@@ -60,7 +61,7 @@ from repro.errors import (
     UnknownNameError,
     WorkerPoolBrokenError,
 )
-from repro.serve.service import TileService
+from repro.serve.service import TilePlan, TileService
 
 __all__ = ["TileServer", "run_server"]
 
@@ -262,6 +263,7 @@ class TileServer:
 
     async def _tile(self, match: "re.Match[str]", params: Dict[str, str]) -> bytes:
         service = self.service
+        start = time.perf_counter()
         try:
             options = {
                 "eps": _parse_float(params, "eps"),
@@ -290,11 +292,17 @@ class TileServer:
                 str(error.args[0] if error.args else error),
             )
 
+        data = service.lookup_png(plan)
+        try:
+            return await self._serve_planned(plan, data)
+        finally:
+            service.finish_request(start)
+
+    async def _serve_planned(self, plan: TilePlan, data: Optional[bytes]) -> bytes:
+        """Answer a planned tile request given its L1 lookup result."""
+        service = self.service
         home_shard = plan.home_shard if plan.shards > 1 else None
-        service.metrics.counter("tiles.requests").add(1)
-        data = service.cached_png(plan)
         if data is not None:
-            service.metrics.counter("tiles.l1_hits").add(1)
             return self._png_response(
                 data, plan.png_key[2], "hit", shard=home_shard
             )
@@ -303,10 +311,8 @@ class TileServer:
             # Degrade-don't-fail: a full queue (or a draining service)
             # serves the last known-good bytes when it has them — the
             # stale lookup is a dictionary read, safe on the event loop.
-            stale = service.stale_png(plan)
+            stale = service.overload_png(plan)
             if stale is not None:
-                service.metrics.counter("tiles.stale_served").add(1)
-                service.metrics.counter("tiles.degraded_served").add(1)
                 return self._png_response(
                     stale, plan.png_key[2], "stale",
                     degraded=("stale", "overloaded"),

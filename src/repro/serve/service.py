@@ -8,8 +8,9 @@ and tests drive it directly. One tile request flows through:
    derives the tile's :class:`~repro.visual.grid.PixelGrid`, builds the
    canonical :class:`~repro.visual.request.RenderRequest` and computes
    the three cache keys (PNG / density / root-bounds levels).
-2. **L1 lookup** — :meth:`TileService.cached_png` is a dictionary-cheap
-   check the HTTP layer runs on the event loop itself, so warm tiles
+2. **L1 lookup** — :meth:`TileService.lookup_png` counts the request
+   and runs the dictionary-cheap :meth:`TileService.cached_png` check,
+   which the HTTP layer does on the event loop itself, so warm tiles
    never wait behind cold renders in the worker pool.
 3. **Render** — :meth:`TileService.render_tile` runs on the worker
    pool, deduplicated per PNG key by a
@@ -38,6 +39,9 @@ and tests drive it directly. One tile request flows through:
 
 Every cache event and request/render latency is mirrored into a
 :class:`~repro.obs.metrics.MetricsRegistry` exposed at ``/stats``.
+:meth:`TileService.get_tile` and the HTTP layer share the request
+bookkeeping (:meth:`lookup_png`, :meth:`overload_png`,
+:meth:`finish_request`), so their counters cannot drift apart.
 
 Renders always run the anytime tiled path with a fixed internal batch
 partition (`RENDER_TILE_SIZE`), so the bytes a request produces are
@@ -281,9 +285,9 @@ class TileService:
         self.config = config if config is not None else ServiceConfig()
         self.metrics = MetricsRegistry()
         self.cache = TileCache(
-            png_bytes=self.config.png_cache_bytes,
-            aux_bytes=self.config.aux_cache_bytes,
-            ttl_s=self.config.cache_ttl_s,
+            png_bytes=self.config.cache.png_bytes,
+            aux_bytes=self.config.cache.aux_bytes,
+            ttl_s=self.config.cache.ttl_s,
             metrics=self.metrics,
         )
         self._owns_registry = registry is None
@@ -297,21 +301,22 @@ class TileService:
             )
         )
         self._flight: SingleFlight[TileKey, bytes] = SingleFlight()
-        self._slots = threading.BoundedSemaphore(int(self.config.queue_limit))
+        resilience = self.config.resilience
+        self._slots = threading.BoundedSemaphore(int(resilience.queue_limit))
         self._active = 0
         self._active_lock = threading.Lock()
         self._vmax: Dict[str, float] = {}
         self._vmax_lock = threading.Lock()
         self._vmax_flight: SingleFlight[str, float] = SingleFlight()
         self._stale: LRUCache[TileKey, bytes] = LRUCache(
-            max_bytes=int(self.config.stale_cache_bytes),
-            ttl_s=self.config.stale_ttl_s,
+            max_bytes=int(resilience.stale_bytes),
+            ttl_s=resilience.stale_ttl_s,
         )
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._breakers_lock = threading.Lock()
         self._closing = False
         self.pool = ThreadPoolExecutor(
-            max_workers=int(self.config.workers), thread_name_prefix="repro-tile"
+            max_workers=int(self.config.render.workers), thread_name_prefix="repro-tile"
         )
         self.started_at = time.time()
 
@@ -339,7 +344,7 @@ class TileService:
         """Claim a render slot or raise :class:`ServiceOverloadedError`."""
         if not self.try_acquire_slot():
             raise ServiceOverloadedError(
-                f"render queue full ({self.config.queue_limit} slots); retry later"
+                f"render queue full ({self.config.resilience.queue_limit} slots); retry later"
             )
 
     def release_slot(self) -> None:
@@ -383,11 +388,11 @@ class TileService:
         back is renderable.
         """
         entry = self.registry.get(dataset)
-        z, x, y = validate_tile(z, x, y, max_zoom=self.config.max_zoom)
-        grid = tile_grid(entry.base_grid, z, x, y, self.config.tile_px)
+        z, x, y = validate_tile(z, x, y, max_zoom=self.config.render.max_zoom)
+        grid = tile_grid(entry.base_grid, z, x, y, self.config.render.tile_px)
         method_name = str(method if method is not None else entry.method).lower()
         colormap_name = str(
-            colormap if colormap is not None else self.config.colormap
+            colormap if colormap is not None else self.config.render.colormap
         ).lower()
         get_colormap(colormap_name)  # fail fast on unknown names (400, not 500)
         # Tier + shard routing: the entry answers with one renderer per
@@ -407,8 +412,8 @@ class TileService:
             request = RenderRequest.for_tau(
                 float(tau), method_name, grid=grid, tier=tier_tag
             )
-        elif eps is not None or self.config.tau is None:
-            eps_requested = float(eps if eps is not None else self.config.eps)
+        elif eps is not None or self.config.render.tau is None:
+            eps_requested = float(eps if eps is not None else self.config.render.eps)
             if tier_tag is not None:
                 if eps_requested <= routing.delta_z:
                     raise InvalidParameterError(
@@ -423,7 +428,7 @@ class TileService:
             )
         else:
             request = RenderRequest.for_tau(
-                float(self.config.tau), method_name, grid=grid, tier=tier_tag
+                float(self.config.render.tau), method_name, grid=grid, tier=tier_tag
             )
         fitted = renderer.get_method(method_name)
         indexed = isinstance(fitted, IndexedMethod)
@@ -437,9 +442,8 @@ class TileService:
             RenderOptions(
                 tile_size=RENDER_TILE_SIZE,
                 anytime=True,
-                workers=self.config.render_workers,
-                executor=self.config.executor,
-                backend=self.config.backend,
+                workers=self.config.render.render_workers,
+                backend=self.config.render.backend,
             )
             if indexed
             else RenderOptions()
@@ -477,7 +481,7 @@ class TileService:
             resolved=resolved,
             colormap=colormap_name,
             deadline_ms=(
-                deadline_ms if deadline_ms is not None else self.config.deadline_ms
+                deadline_ms if deadline_ms is not None else self.config.render.deadline_ms
             ),
             indexed=indexed,
             renderer=renderer,
@@ -492,6 +496,43 @@ class TileService:
     def cached_png(self, plan: TilePlan) -> Optional[bytes]:
         """L1 lookup only — cheap enough for the HTTP event loop."""
         return self.cache.get_png(plan.png_key)
+
+    # -- request bookkeeping (shared by get_tile and the HTTP layer) --------
+
+    def lookup_png(self, plan: TilePlan) -> Optional[bytes]:
+        """Count one planned tile request; return its L1 bytes, if any.
+
+        Every request that gets past planning starts here and ends in
+        :meth:`finish_request`, whatever its outcome.
+        """
+        self.metrics.counter("tiles.requests").add(1)
+        data = self.cached_png(plan)
+        if data is not None:
+            self.metrics.counter("tiles.l1_hits").add(1)
+        return data
+
+    def overload_png(self, plan: TilePlan) -> Optional[bytes]:
+        """Stale bytes for a request the full render queue turned away.
+
+        A dictionary read, safe on the event loop; a served stale tile
+        is counted like every other degraded response.
+        """
+        stale = self.stale_png(plan)
+        if stale is not None:
+            self._degraded_info("stale", "overloaded")
+        return stale
+
+    def finish_request(self, start: float) -> float:
+        """Record the latency of a request begun at ``start``; return it.
+
+        ``start`` is a :func:`time.perf_counter` reading taken before
+        planning, so ``tiles.request_s`` covers plan, lookup and render.
+        """
+        elapsed = time.perf_counter() - start
+        self.metrics.histogram("tiles.request_s", DEFAULT_SECONDS_BOUNDS).observe(
+            elapsed
+        )
+        return elapsed
 
     def render_tile(self, plan: TilePlan) -> bytes:
         """Render (or join the in-flight render of) one planned tile.
@@ -541,7 +582,7 @@ class TileService:
         try:
             data = self.render_tile(plan)
         except DeadlineExceededError as error:
-            if self.config.degraded_serving and error.partial_values is not None:
+            if self.config.resilience.degraded_serving and error.partial_values is not None:
                 values = np.asarray(error.partial_values)
                 partial = self._encode(plan, values)
                 self.metrics.counter("tiles.partial_served").add(1)
@@ -562,7 +603,7 @@ class TileService:
             if stale is not None:
                 return stale, self._degraded_info("stale", "render_failed")
             raise
-        if self.config.degraded_serving:
+        if self.config.resilience.degraded_serving:
             self._stale.put(plan.stale_key, data, size_bytes=len(data))
         return data, {"degraded": None}
 
@@ -573,7 +614,7 @@ class TileService:
         queue-full fallback); returns nothing when ``degraded_serving``
         is off.
         """
-        if not self.config.degraded_serving:
+        if not self.config.resilience.degraded_serving:
             return None
         return self._stale.get(plan.stale_key)
 
@@ -589,8 +630,8 @@ class TileService:
             breaker = self._breakers.get(dataset_id)
             if breaker is None:
                 breaker = CircuitBreaker(
-                    failure_threshold=int(self.config.breaker_threshold),
-                    reset_timeout_s=float(self.config.breaker_reset_s),
+                    failure_threshold=int(self.config.resilience.breaker_threshold),
+                    reset_timeout_s=float(self.config.resilience.breaker_reset_s),
                     on_transition=self._on_breaker_transition,
                 )
                 self._breakers[dataset_id] = breaker
@@ -607,25 +648,24 @@ class TileService:
         """Plan + serve one tile; returns ``(png, info)``.
 
         The synchronous convenience the HTTP layer mirrors (it splits
-        the same steps across the event loop and worker pool). ``info``
-        carries the cache disposition (``"hit"`` / ``"miss"``), the
-        versioned dataset id, the request fingerprint, and — under the
-        overload policy — the degradation marker (``info["degraded"]``
-        is ``None`` for full-quality tiles).
+        the same steps across the event loop and worker pool, with the
+        same bookkeeping calls). ``info`` carries the cache disposition
+        (``"hit"`` / ``"miss"``), the versioned dataset id, the request
+        fingerprint, and — under the overload policy — the degradation
+        marker (``info["degraded"]`` is ``None`` for full-quality tiles).
         """
         start = time.perf_counter()
-        self.metrics.counter("tiles.requests").add(1)
         plan = self.plan_tile(dataset, z, x, y, **params)
         degrade_info: Dict[str, Any] = {"degraded": None}
-        data = self.cached_png(plan)
-        if data is not None:
-            disposition = "hit"
-            self.metrics.counter("tiles.l1_hits").add(1)
-        else:
-            disposition = "miss"
-            data, degrade_info = self.serve_tile(plan)
-        elapsed = time.perf_counter() - start
-        self.metrics.histogram("tiles.request_s", DEFAULT_SECONDS_BOUNDS).observe(elapsed)
+        data = self.lookup_png(plan)
+        try:
+            if data is not None:
+                disposition = "hit"
+            else:
+                disposition = "miss"
+                data, degrade_info = self.serve_tile(plan)
+        finally:
+            elapsed = self.finish_request(start)
         info = {
             "cache": disposition,
             "dataset": plan.versioned_id,
@@ -1002,6 +1042,7 @@ class TileService:
         from repro.visual.executors import pool_supervision_totals
 
         totals = pool_supervision_totals()
+        render = self.config.render
 
         for dataset_id in self.registry.ids():
             try:
@@ -1017,12 +1058,12 @@ class TileService:
             "metrics": self.metrics.as_dict(),
             "load": {
                 "active_requests": self.active_requests,
-                "queue_limit": int(self.config.queue_limit),
+                "queue_limit": int(self.config.resilience.queue_limit),
                 "in_flight_renders": self._flight.in_flight(),
             },
             "resilience": {
                 "draining": self._closing,
-                "degraded_serving": bool(self.config.degraded_serving),
+                "degraded_serving": bool(self.config.resilience.degraded_serving),
                 "breakers": breakers,
                 "pools": pools,
                 # Live pools only count their own lifetime; the process
@@ -1036,20 +1077,19 @@ class TileService:
                 },
             },
             "config": {
-                "tile_px": int(self.config.tile_px),
-                "eps": float(self.config.eps),
-                "tau": None if self.config.tau is None else float(self.config.tau),
-                "colormap": self.config.colormap,
-                "deadline_ms": self.config.deadline_ms,
-                "workers": int(self.config.workers),
+                "tile_px": int(render.tile_px),
+                "eps": float(render.eps),
+                "tau": None if render.tau is None else float(render.tau),
+                "colormap": render.colormap,
+                "deadline_ms": render.deadline_ms,
+                "workers": int(render.workers),
                 "render_workers": (
                     None
-                    if self.config.render_workers is None
-                    else int(self.config.render_workers)
+                    if render.render_workers is None
+                    else int(render.render_workers)
                 ),
-                "executor": self.config.executor,
-                "backend": self.config.backend,
-                "max_zoom": int(self.config.max_zoom),
+                "backend": render.backend,
+                "max_zoom": int(render.max_zoom),
                 "sharding": {
                     "shards": int(self.config.sharding.shards),
                     "min_points_per_shard": int(
@@ -1071,7 +1111,7 @@ class TileService:
         mid-render by the shutdown.
         """
         self._closing = True
-        deadline = time.monotonic() + max(0.0, float(self.config.drain_s))
+        deadline = time.monotonic() + max(0.0, float(self.config.resilience.drain_s))
         while time.monotonic() < deadline:
             if self.active_requests == 0 and self._flight.in_flight() == 0:
                 break

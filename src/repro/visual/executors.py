@@ -1,9 +1,9 @@
 """Process-pool tile executor — true parallel rendering past the GIL.
 
-The thread-tiled paths in :mod:`repro.visual.kdv` interleave rather than
-parallelise when the compute backend holds the GIL (the numpy reference
-backend does; the whole refinement loop is Python + small-batch numpy).
-:class:`ProcessTileExecutor` escapes that by draining tiles into worker
+The in-process tile executor of :mod:`repro.visual.kdv` runs on one
+core: the numpy reference backend holds the GIL through the whole
+refinement loop (Python + small-batch numpy). :class:`ProcessTileExecutor`
+is the tile driver's second executor: it drains tiles into worker
 *processes*:
 
 * the fitted kd-tree is published **once** into POSIX shared memory
@@ -14,7 +14,7 @@ backend does; the whole refinement loop is Python + small-batch numpy).
   spec and answers tiles with a private
   :class:`~repro.core.batch_engine.BatchRefinementEngine` — the same
   engine, bounds and backend dispatch as in-process rendering, so tile
-  values are **bit-identical** to the sequential/thread paths;
+  envelopes are **bit-identical** to the in-process executor's;
 * per-tile :class:`~repro.core.engine.QueryStats` travel back as plain
   dicts and are merged through the usual ``QueryStats.merge`` ledger;
   the parent re-emits ``tile`` trace events into the ambient obs sinks
@@ -50,8 +50,6 @@ import threading
 import time
 import weakref
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
-
-import numpy as np
 
 from repro.contracts.runtime import invariants_enabled, set_invariants
 from repro.core.backends import resolve_backend
@@ -135,9 +133,8 @@ class ProcessRunOutcome:
     Attributes
     ----------
     payloads:
-        ``{tile_index: payload}`` for every tile whose worker returned —
-        values/mask arrays in strict mode, ``(lower, upper)`` envelope
-        pairs in bounds mode. Tiles a tripped token cut short still
+        ``{tile_index: (lower, upper)}`` envelope pairs for every tile
+        whose worker returned. Tiles a tripped token cut short still
         appear here (their envelopes are valid, just looser).
     errors:
         ``{tile_index: exception}`` for tiles whose worker raised. The
@@ -145,7 +142,7 @@ class ProcessRunOutcome:
         true type.
     cancelled:
         Tile indices whose worker observed the cancellation slot and
-        returned early (a subset of ``payloads`` keys in bounds mode).
+        returned early (a subset of ``payloads`` keys).
     unrun:
         Tile indices never executed (future cancelled before start, or
         the pool broke underneath them).
@@ -178,7 +175,7 @@ class ProcessRunOutcome:
     )
 
     def __init__(self) -> None:
-        self.payloads: dict[int, Any] = {}
+        self.payloads: dict[int, tuple[FloatArray, FloatArray]] = {}
         self.errors: dict[int, BaseException] = {}
         self.cancelled: set[int] = set()
         self.unrun: set[int] = set()
@@ -248,13 +245,12 @@ def _run_tile(
     centers: FloatArray,
     op: str,
     params: dict[str, float],
-    bounds: bool,
     slot: Optional[int],
     check: bool,
     fault_spec: Optional[dict[str, Any]] = None,
     attempt: int = 1,
-) -> tuple[int, Any, dict[str, int], float, bool, int]:
-    """Refine one tile in a worker; returns a picklable result tuple."""
+) -> tuple[int, tuple[FloatArray, FloatArray], dict[str, int], float, bool, int]:
+    """Refine one tile's envelopes in a worker; returns a picklable tuple."""
     from repro.core.batch_engine import BatchRefinementEngine
 
     _inject_process_faults(fault_spec, index, attempt)
@@ -274,19 +270,11 @@ def _run_tile(
         token.start()
     start = time.perf_counter()
     if op == "eps":
-        if bounds:
-            payload: Any = engine.query_eps_bounds(
-                centers, params["eps"], atol=params["atol"], cancel=token
-            )
-        else:
-            payload = engine.query_eps_batch(
-                centers, params["eps"], atol=params["atol"], cancel=token
-            )
+        payload = engine.query_eps_bounds(
+            centers, params["eps"], atol=params["atol"], cancel=token
+        )
     else:
-        if bounds:
-            payload = engine.query_tau_bounds(centers, params["tau"], cancel=token)
-        else:
-            payload = engine.query_tau_batch(centers, params["tau"], cancel=token)
+        payload = engine.query_tau_bounds(centers, params["tau"], cancel=token)
     seconds = time.perf_counter() - start
     was_cancelled = bool(token is not None and token.triggered)
     return index, payload, stats.as_dict(), seconds, was_cancelled, os.getpid()
@@ -475,13 +463,12 @@ class ProcessTileExecutor:
         *,
         op: str,
         params: dict[str, float],
-        bounds: bool,
         token: CancellationToken | None = None,
         tracer: Any = None,
         on_result: Any = None,
         faults: FaultPlan | None = None,
     ) -> ProcessRunOutcome:
-        """Drain ``jobs`` through the worker pool; never raises Ctrl-C.
+        """Drain ``jobs``' envelopes through the worker pool; never raises Ctrl-C.
 
         Tiles are submitted all at once and drain from the pool's shared
         call queue — idle workers steal the next tile, so an uneven tile
@@ -494,7 +481,7 @@ class ProcessTileExecutor:
         * ``tile`` trace events re-emit in the parent with stable
           ordinal worker ids (pids map to 0..N-1 in first-seen order);
         * ``on_result(index, payload)`` runs in submission-completion
-          order when given (the anytime path's ``store``).
+          order when given (the tile driver's ``store``).
 
         A ``KeyboardInterrupt`` during collection cancels the token,
         trips the cancellation slot (workers stop at their next frontier
@@ -502,7 +489,7 @@ class ProcessTileExecutor:
         ones — their best-so-far envelopes are collected and no process
         is orphaned. The interrupt is reported on the outcome rather
         than re-raised, because strict and anytime callers disagree on
-        what to do with it.
+        what to do with it (as they do about tile errors).
 
         When the pool **breaks** (a worker died abruptly — OOM killer,
         segfault, injected ``worker_kill``), supervision kicks in: the
@@ -558,7 +545,6 @@ class ProcessTileExecutor:
                                     job.centers,
                                     op,
                                     params,
-                                    bounds,
                                     slot,
                                     check,
                                     fault_spec,
@@ -616,9 +602,7 @@ class ProcessTileExecutor:
                                 if tracer is not None:
                                     tracer.tile(
                                         index=index,
-                                        rows=int(payload[0].shape[0])
-                                        if bounds
-                                        else int(np.shape(payload)[0]),
+                                        rows=int(payload[0].shape[0]),
                                         seconds=seconds,
                                         worker=worker_id,
                                         op=op,

@@ -10,12 +10,11 @@ online stages.
 :meth:`KDVRenderer.render` is the single entrypoint: it consumes a
 frozen :class:`~repro.visual.request.RenderRequest` (what to render)
 carrying :class:`~repro.visual.request.RenderOptions` (how to run it).
-The historical ``render_eps`` / ``render_tau`` /
-``render_eps_anytime`` / ``render_tau_anytime`` signatures remain as
-thin shims over it; passing execution keywords (``tile_size``,
-``workers``, ``trace``, ``budget``, ...) through the ε/τ shims emits a
-:class:`DeprecationWarning` — those belong on ``RenderOptions`` now
-(see ``docs/api.md`` for the mapping table).
+Every tiled render, strict or anytime, runs through one tile driver
+with two executors: in-process, or the method's process pool when
+``workers >= 2``. The bare ``render_eps(eps, method, atol=)`` and
+``render_tau(tau, method)`` forms are shorthands for a request with
+default options (see ``docs/api.md``).
 """
 
 from __future__ import annotations
@@ -23,13 +22,13 @@ from __future__ import annotations
 import hashlib
 import time
 import warnings
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
 from repro.contracts.runtime import invariants_enabled
 from repro.core import stopping
-from repro.core.backends import resolve_backend
 from repro.core.engine import QueryStats
 from repro.core.exact import exact_density
 from repro.core.kernels import get_kernel
@@ -39,20 +38,20 @@ from repro.methods.base import IndexedMethod, Method
 from repro.methods.registry import create_method
 from repro.obs.runtime import current_tracer, trace_to
 from repro.resilience.budget import (
+    STOP_INTERRUPT,
     STOP_TILE_FAILURES,
-    Budget,
     CancellationToken,
 )
 from repro.resilience.checkpoint import TileLedger
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.result import DegradedResult, RenderOutcome
 from repro.resilience.retry import RetryPolicy, TransientTileError
-from repro.resilience.runner import run_tiles
+from repro.resilience.runner import TileRunReport, run_tiles
 from repro.utils.validation import check_points, check_positive
 from repro.visual.colormap import get_colormap, two_color_map
 from repro.visual.grid import PixelGrid
 from repro.visual.image import write_png
-from repro.visual.request import OP_EPS, OP_TAU, RenderOptions, RenderRequest
+from repro.visual.request import OP_EPS, RenderOptions, RenderRequest
 
 if TYPE_CHECKING:
     import os
@@ -63,6 +62,7 @@ if TYPE_CHECKING:
     from repro.core.batch_engine import BatchRefinementEngine
     from repro.obs.sinks import TraceSink
     from repro.visual.colormap import Colormap
+    from repro.visual.executors import ProcessTileExecutor
 
     #: Anything ``repro.obs.sinks.resolve_sink`` accepts as a trace target.
     TraceTarget = TraceSink | Callable[[Mapping[str, Any]], object] | str | Path | None
@@ -79,45 +79,6 @@ DEFAULT_TAU_OFFSETS = (-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3)
 #: give ~4k-pixel batches — wide enough to amortise per-node Python
 #: overhead, small enough that retired pixels stop costing quickly.
 DEFAULT_TILE_SIZE = 64
-
-#: One-shot latch for the GIL-bound thread-worker warning below.
-_gil_warning_emitted = False
-
-
-def _reset_gil_warning() -> None:
-    """Re-arm the one-shot thread-scaling warning (test hook)."""
-    global _gil_warning_emitted
-    _gil_warning_emitted = False
-
-
-def _maybe_warn_gil_threads(workers: int, backend_name: str | None) -> None:
-    """Warn (once) that thread workers cannot scale a GIL-bound backend.
-
-    The reference numpy backend holds the GIL through the whole
-    refinement loop, so ``workers=N`` threads *interleave* rather than
-    parallelise — the engine benchmark measures 2.78 s for a 4-thread
-    tiled render that takes 2.37 s single-threaded (the threads only add
-    scheduling overhead). Emitted once per process so render sweeps are
-    not drowned in repeats.
-    """
-    global _gil_warning_emitted
-    if _gil_warning_emitted:
-        return
-    backend = resolve_backend(backend_name)
-    if backend.releases_gil:
-        return
-    _gil_warning_emitted = True
-    warnings.warn(
-        f"workers={workers} with the GIL-bound {backend.name!r} backend runs "
-        "tiles on threads that cannot execute in parallel: the engine "
-        "benchmark measures 2.78 s for a 4-thread tiled render vs 2.37 s "
-        "single-threaded. Pass RenderOptions(executor='process') for real "
-        "parallelism, or install the [perf] extra and select the 'numba' "
-        "backend (REPRO_BACKEND=numba), whose kernels release the GIL",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
 
 class KDVRenderer:
     """Render kernel density colour maps over a pixel grid.
@@ -221,166 +182,6 @@ class KDVRenderer:
             self._exact_image = self.grid.to_image(values)
         return self._exact_image
 
-    def _render_tiled(
-        self,
-        fitted: IndexedMethod,
-        evaluate: Callable[[BatchRefinementEngine, FloatArray], np.ndarray],
-        dtype: type,
-        tile_size: int | tuple[int, int],
-        workers: int | None,
-        op: str,
-        params: dict[str, float] | None = None,
-        executor: str | None = None,
-        backend: str | None = None,
-    ) -> np.ndarray:
-        """Evaluate every tile through a batched engine; return flat values.
-
-        Sequential by default (one shared engine, unified stats); with
-        ``workers=N`` the tiles drain from a shared deque into ``N``
-        threads, each refining with a private engine and private
-        :class:`~repro.core.engine.QueryStats`, or — with
-        ``executor="process"`` — into ``N`` worker *processes* through
-        the method's cached
-        :class:`~repro.visual.executors.ProcessTileExecutor` (same tile
-        partition, bit-identical values, no GIL contention). Tiles write
-        disjoint slices of the output, so no synchronisation of the
-        value array is needed.
-
-        Error handling is all-or-nothing: the first tile that raises
-        sets a shared cancel flag (so the remaining workers stop
-        draining instead of finishing a partial image), the exception
-        propagates to the caller, and **no** per-worker stats are merged
-        into the method's ledger — a retried render therefore cannot
-        double-count the work of workers that had already succeeded.
-        The process branch keeps the same contract: a failed or
-        interrupted run raises before any stats merge.
-        """
-        tracer = current_tracer()
-        render_start = time.perf_counter()
-        centers = self.grid.centers()
-        out = np.empty(self.grid.num_pixels, dtype=dtype)
-        tile_list = list(self.grid.tiles(tile_size))
-        if executor == "process" and workers is not None:
-            assert params is not None
-            from repro.visual.executors import TileJob
-
-            pool = fitted.process_executor(int(workers), backend)
-            jobs = [
-                TileJob(index, tile, centers[tile])
-                for index, tile in enumerate(tile_list)
-            ]
-            outcome = pool.run(
-                jobs, op=op, params=params, bounds=False, tracer=tracer
-            )
-            if outcome.keyboard_interrupt:
-                raise KeyboardInterrupt
-            if outcome.errors:
-                raise outcome.errors[min(outcome.errors)]
-            for index, tile in enumerate(tile_list):
-                out[tile] = outcome.payloads[index]
-            fitted.stats.merge(outcome.stats)
-            if tracer is not None:
-                ordinals = sorted(outcome.worker_seconds)
-                tracer.render(
-                    op=op,
-                    pixels=self.grid.num_pixels,
-                    tiles=len(tile_list),
-                    workers=pool.workers,
-                    seconds=time.perf_counter() - render_start,
-                    worker_busy=[outcome.worker_seconds[i] for i in ordinals],
-                )
-            return out
-        if workers is None or int(workers) <= 1:
-            engine = (
-                fitted.batch_engine
-                if backend is None
-                else fitted.make_batch_engine(fitted.stats, backend=backend)
-            )
-            assert engine is not None
-            for index, tile in enumerate(tile_list):
-                tile_start = time.perf_counter()
-                out[tile] = evaluate(engine, centers[tile])
-                if tracer is not None:
-                    tracer.tile(
-                        index=index,
-                        rows=int(tile.shape[0]),
-                        seconds=time.perf_counter() - tile_start,
-                        worker=0,
-                        op=op,
-                    )
-            if tracer is not None:
-                tracer.render(
-                    op=op,
-                    pixels=self.grid.num_pixels,
-                    tiles=len(tile_list),
-                    workers=1,
-                    seconds=time.perf_counter() - render_start,
-                )
-            return out
-
-        from collections import deque
-        from concurrent.futures import ThreadPoolExecutor
-        from threading import Event
-
-        _maybe_warn_gil_threads(
-            int(workers), backend if backend is not None else fitted.backend
-        )
-        pending = deque(enumerate(tile_list))
-        cancel = Event()
-
-        def drain(worker_id: int) -> tuple[QueryStats, float]:
-            stats = QueryStats()
-            engine = fitted.make_batch_engine(stats, backend=backend)
-            busy = 0.0
-            while not cancel.is_set():
-                try:
-                    index, tile = pending.popleft()
-                except IndexError:
-                    break
-                tile_start = time.perf_counter()
-                try:
-                    out[tile] = evaluate(engine, centers[tile])
-                except BaseException:
-                    cancel.set()
-                    raise
-                seconds = time.perf_counter() - tile_start
-                busy += seconds
-                if tracer is not None:
-                    tracer.tile(
-                        index=index,
-                        rows=int(tile.shape[0]),
-                        seconds=seconds,
-                        worker=worker_id,
-                        op=op,
-                    )
-            return stats, busy
-
-        workers = int(workers)
-        results: list[tuple[QueryStats, float]] = []
-        first_error: BaseException | None = None
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(drain, worker_id) for worker_id in range(workers)]
-            for future in futures:
-                try:
-                    results.append(future.result())
-                except BaseException as error:  # collected, re-raised below
-                    if first_error is None:
-                        first_error = error
-        if first_error is not None:
-            raise first_error
-        for stats, __ in results:
-            fitted.stats.merge(stats)
-        if tracer is not None:
-            tracer.render(
-                op=op,
-                pixels=self.grid.num_pixels,
-                tiles=len(tile_list),
-                workers=workers,
-                seconds=time.perf_counter() - render_start,
-                worker_busy=[busy for __, busy in results],
-            )
-        return out
-
     def _tiled_method(self, method: str | Method, operation: str) -> IndexedMethod:
         """Resolve ``method`` for tiled rendering (index-based only)."""
         fitted = self.get_method(method)
@@ -390,36 +191,6 @@ class KDVRenderer:
             )
         fitted._require(operation)
         return fitted
-
-    def _resilience_engaged(
-        self,
-        tile_size: int | tuple[int, int] | None,
-        workers: int | None,
-        budget: Budget | None,
-        cancel: CancellationToken | None,
-        resume_from: str | os.PathLike[str] | None,
-        checkpoint: str | os.PathLike[str] | None,
-        faults: FaultsLike,
-        retry: RetryPolicy | None,
-    ) -> bool:
-        """Whether a render call opted into the resilient anytime path.
-
-        Opt-in is explicit: any resilience keyword, or — for renders
-        that are already tiled — a fault plan in the ``REPRO_FAULTS``
-        environment (the CI chaos hook). Plain renders are untouched,
-        so the default paths stay bit-identical to previous releases,
-        and the strict tiled path keeps its all-or-nothing error
-        propagation for callers that rely on it.
-        """
-        if any(
-            value is not None
-            for value in (budget, cancel, resume_from, checkpoint, faults, retry)
-        ):
-            return True
-        if tile_size is None and workers is None:
-            return False
-        plan = FaultPlan.from_env()
-        return plan is not None and not plan.empty
 
     # -- unified entrypoint --------------------------------------------------
 
@@ -439,11 +210,20 @@ class KDVRenderer:
         * ``options.anytime=True`` returns the full
           :class:`~repro.resilience.result.RenderOutcome` instead.
 
+        A request with all-default options renders every pixel in one
+        batch through the method's own ``batch_eps``/``batch_tau``. Any
+        of ``tile_size``, ``workers``, ``backend``, ``anytime`` or a
+        resilience option sends it through the tile driver
+        (:meth:`_render_anytime_impl`): in-process, or over the method's
+        process pool when ``workers >= 2``. A strict render (not
+        ``anytime``) is the same run followed by a raise when tiles were
+        lost; with no resilience option and no ``REPRO_FAULTS`` plan it
+        fails fast — the first tile exception propagates with its own
+        type and ``fitted.stats`` is left unchanged.
+
         A request targeting a different ``grid`` renders through a
         shared-index clone (:meth:`with_grid`), so viewport/tile
-        requests pay no extra index build. Semantics of the individual
-        paths (plain, strict tiled, resilient anytime) are exactly those
-        documented on the legacy wrappers.
+        requests pay no extra index build.
         """
         resolved = request.resolve(self)
         options = resolved.options
@@ -457,166 +237,72 @@ class KDVRenderer:
     def _render_resolved(
         self, request: RenderRequest
     ) -> FloatArray | BoolArray | RenderOutcome:
-        target = self if request.grid is self.grid else self.with_grid(request.grid)
-        if request.op == OP_EPS:
-            return target._render_eps_resolved(request)
-        return target._render_tau_resolved(request)
-
-    def _render_eps_resolved(
-        self, request: RenderRequest
-    ) -> FloatArray | RenderOutcome:
+        if request.grid is not self.grid:
+            return self.with_grid(request.grid)._render_resolved(request)
         options = request.options
-        assert request.eps is not None and request.atol is not None
-        eps = float(request.eps)
-        atol = float(request.atol)
-        method = request.method
-        if options.anytime or self._resilience_engaged(
-            options.tile_size, options.workers, options.budget, options.cancel,
-            options.resume_from, options.checkpoint, options.faults, options.retry,
-        ):
-            fitted = self._tiled_method(method, "eps")
-            outcome = self._render_anytime(
-                fitted, "eps", eps=eps, atol=atol, tau=None,
-                tile_size=options.tile_size, workers=options.workers,
-                budget=options.budget, cancel=options.cancel,
-                resume_from=options.resume_from, checkpoint=options.checkpoint,
-                faults=options.faults, retry=options.retry,
-                executor=options.executor, backend=options.backend,
+        op = request.op
+        if op == OP_EPS:
+            assert request.eps is not None and request.atol is not None
+            params = {"eps": float(request.eps), "atol": float(request.atol)}
+        else:
+            assert request.tau is not None
+            params = {"tau": float(request.tau)}
+        fail_fast = not (options.anytime or options.resilience_engaged)
+        if fail_fast:
+            if (
+                options.tile_size is None
+                and options.workers is None
+                and options.backend is None
+            ):
+                return self._render_plain(request.method, op, params)
+            # The CI chaos hook: a REPRO_FAULTS plan makes every tiled
+            # render resilient.
+            plan = FaultPlan.from_env()
+            fail_fast = plan is None or plan.empty
+        fitted = self._tiled_method(request.method, op)
+        tracer = current_tracer()
+        with nullcontext() if tracer is None else tracer.method_scope(fitted.name):
+            outcome = self._render_anytime_impl(
+                fitted, op, params, options, fail_fast=fail_fast, tracer=tracer
             )
-            if options.anytime:
-                return outcome
-            degraded = outcome.degraded
-            if degraded is not None and degraded.reason == STOP_TILE_FAILURES:
-                raise TransientTileError(
-                    f"eps render lost {len(degraded.tiles_failed)} tile(s) "
-                    "after retries; render with anytime=True for the partial "
-                    "envelopes"
-                )
+        if options.anytime:
+            return outcome
+        degraded = outcome.degraded
+        if degraded is not None and degraded.reason == STOP_TILE_FAILURES:
+            raise TransientTileError(
+                f"{op} render lost {len(degraded.tiles_failed)} tile(s) "
+                "after retries; render with anytime=True for the partial "
+                "envelopes"
+            )
+        if op == OP_EPS:
             return outcome.image
-        if (
-            options.tile_size is None
-            and options.workers is None
-            and options.backend is None
-            and options.executor is None
-        ):
-            fitted = self.get_method(method)
-            tracer = current_tracer()
-            start = time.perf_counter()
-            values = fitted.batch_eps(self.grid.centers(), eps, atol=atol)
-            if tracer is not None:
-                with tracer.method_scope(fitted.name):
-                    tracer.render(
-                        op="eps",
-                        pixels=self.grid.num_pixels,
-                        tiles=0,
-                        workers=1,
-                        seconds=time.perf_counter() - start,
-                    )
-            return self.grid.to_image(values)
-        tiled = self._tiled_method(method, "eps")
+        mask: BoolArray = outcome.image.astype(bool)
+        return mask
 
-        def evaluate(engine: BatchRefinementEngine, tile: FloatArray) -> np.ndarray:
-            return engine.query_eps_batch(tile, eps, atol=atol)
-
-        values = self._render_with_scope(
-            tiled,
-            evaluate,
-            np.float64,
-            DEFAULT_TILE_SIZE if options.tile_size is None else options.tile_size,
-            options.workers,
-            "eps",
-            params={"eps": eps, "atol": atol},
-            executor=options.executor,
-            backend=options.backend,
-        )
-        if invariants_enabled() and tiled.deterministic_guarantee:
-            tiled._check_eps_agreement(self.grid.centers(), values, eps, atol)
+    def _render_plain(
+        self, method: str | Method, op: str, params: dict[str, float]
+    ) -> FloatArray | BoolArray:
+        """Every pixel in one batch through the method's own batch query."""
+        fitted = self.get_method(method)
+        tracer = current_tracer()
+        start = time.perf_counter()
+        centers = self.grid.centers()
+        if op == OP_EPS:
+            values = fitted.batch_eps(centers, params["eps"], atol=params["atol"])
+        else:
+            values = fitted.batch_tau(centers, params["tau"])
+        if tracer is not None:
+            with tracer.method_scope(fitted.name):
+                tracer.render(
+                    op=op,
+                    pixels=self.grid.num_pixels,
+                    tiles=0,
+                    workers=1,
+                    seconds=time.perf_counter() - start,
+                )
         return self.grid.to_image(values)
 
-    def _render_tau_resolved(
-        self, request: RenderRequest
-    ) -> BoolArray | RenderOutcome:
-        options = request.options
-        assert request.tau is not None
-        tau = float(request.tau)
-        method = request.method
-        if options.anytime or self._resilience_engaged(
-            options.tile_size, options.workers, options.budget, options.cancel,
-            options.resume_from, options.checkpoint, options.faults, options.retry,
-        ):
-            fitted = self._tiled_method(method, "tau")
-            outcome = self._render_anytime(
-                fitted, "tau", eps=None, atol=None, tau=tau,
-                tile_size=options.tile_size, workers=options.workers,
-                budget=options.budget, cancel=options.cancel,
-                resume_from=options.resume_from, checkpoint=options.checkpoint,
-                faults=options.faults, retry=options.retry,
-                executor=options.executor, backend=options.backend,
-            )
-            if options.anytime:
-                return outcome
-            degraded = outcome.degraded
-            if degraded is not None and degraded.reason == STOP_TILE_FAILURES:
-                raise TransientTileError(
-                    f"tau render lost {len(degraded.tiles_failed)} tile(s) "
-                    "after retries; render with anytime=True for the partial "
-                    "envelopes"
-                )
-            mask: BoolArray = outcome.image.astype(bool)
-            return mask
-        if (
-            options.tile_size is None
-            and options.workers is None
-            and options.backend is None
-            and options.executor is None
-        ):
-            fitted = self.get_method(method)
-            tracer = current_tracer()
-            start = time.perf_counter()
-            plain_mask = fitted.batch_tau(self.grid.centers(), tau)
-            if tracer is not None:
-                with tracer.method_scope(fitted.name):
-                    tracer.render(
-                        op="tau",
-                        pixels=self.grid.num_pixels,
-                        tiles=0,
-                        workers=1,
-                        seconds=time.perf_counter() - start,
-                    )
-            return self.grid.to_image(plain_mask)
-        tiled = self._tiled_method(method, "tau")
-
-        def evaluate(engine: BatchRefinementEngine, tile: FloatArray) -> np.ndarray:
-            return engine.query_tau_batch(tile, tau)
-
-        tiled_mask = self._render_with_scope(
-            tiled,
-            evaluate,
-            np.bool_,
-            DEFAULT_TILE_SIZE if options.tile_size is None else options.tile_size,
-            options.workers,
-            "tau",
-            params={"tau": tau},
-            executor=options.executor,
-            backend=options.backend,
-        )
-        return self.grid.to_image(tiled_mask)
-
-    # -- legacy wrappers -----------------------------------------------------
-
-    def _warn_legacy_kwargs(self, name: str, **kwargs: Any) -> None:
-        """Deprecation shim: execution kwargs moved to ``RenderOptions``."""
-        used = sorted(key for key, value in kwargs.items() if value is not None)
-        if used:
-            warnings.warn(
-                f"KDVRenderer.{name}({', '.join(used)}=...): passing execution "
-                "keywords here is deprecated and will be removed in repro 2.0; "
-                "put them on RenderOptions and call "
-                "KDVRenderer.render(RenderRequest(...)) instead "
-                "(see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
+    # -- bare ε/τ wrappers ----------------------------------------------------
 
     def render_eps(
         self,
@@ -624,23 +310,12 @@ class KDVRenderer:
         method: str | Method = "quad",
         *,
         atol: float | None = None,
-        tile_size: int | tuple[int, int] | None = None,
-        workers: int | None = None,
-        trace: TraceTarget = None,
-        budget: Budget | None = None,
-        cancel: CancellationToken | None = None,
-        resume_from: str | os.PathLike[str] | None = None,
-        checkpoint: str | os.PathLike[str] | None = None,
-        faults: FaultsLike = None,
-        retry: RetryPolicy | None = None,
     ) -> FloatArray:
         """εKDV colour-map values, shape ``(height, width)``.
 
-        Thin wrapper over :meth:`render`; the bare
-        ``render_eps(eps, method)`` form is stable, but every
-        execution keyword below is deprecated here — put it on
-        :class:`~repro.visual.request.RenderOptions` instead (a
-        :class:`DeprecationWarning` is emitted when one is passed).
+        Shorthand for ``render(RenderRequest.for_eps(eps, method,
+        atol=atol))``; execution options (tiling, workers, budgets, ...)
+        go on :class:`~repro.visual.request.RenderOptions`.
 
         ``atol`` defaults to a vanishing fraction of a single point's
         weight (``1e-9 * w``), which caps the work spent on pixels whose
@@ -648,228 +323,23 @@ class KDVRenderer:
         floating-point floor inherent to incremental refinement — while
         leaving the ``(1 ± eps)`` contract intact everywhere a pixel is
         visibly coloured.
-
-        Passing ``tile_size`` and/or ``workers`` opts into tiled
-        rendering through the batched engine
-        (:class:`~repro.core.batch_engine.BatchRefinementEngine`):
-        row-major pixel tiles are refined whole-batch-at-a-time, and
-        ``workers=N`` spreads tiles over ``N`` threads with per-worker
-        statistics merged back into :attr:`IndexedMethod.stats`.
-        Requires an index-based method; per-pixel answers keep the exact
-        same ``(1 ± eps)`` contract as the scalar path.
-
-        ``trace`` scopes a tracer around just this render (see
-        :func:`repro.obs.trace_to`): pass a JSONL path, a
-        :class:`~repro.obs.sinks.TraceSink`, or a callable receiving
-        each event dict. Independent of the ambient ``REPRO_TRACE``.
-
-        Any resilience keyword (``budget`` / ``cancel`` /
-        ``resume_from`` / ``checkpoint`` / ``faults`` / ``retry`` — see
-        :meth:`render_eps_anytime`) routes through the anytime tiled
-        path and returns its best-so-far image; a render degraded by
-        unrecovered tile failures raises
-        :class:`~repro.resilience.retry.TransientTileError` instead of
-        silently returning an image with unfinished tiles. Render with
-        ``RenderOptions(anytime=True)`` when the degradation metadata
-        and per-pixel envelopes are wanted.
         """
-        self._warn_legacy_kwargs(
-            "render_eps", tile_size=tile_size, workers=workers, trace=trace,
-            budget=budget, cancel=cancel, resume_from=resume_from,
-            checkpoint=checkpoint, faults=faults, retry=retry,
+        image: FloatArray = self.render(  # type: ignore[assignment]
+            RenderRequest.for_eps(eps, method, atol=atol)
         )
-        request = RenderRequest(
-            op=OP_EPS, eps=eps, method=method, atol=atol,
-            options=RenderOptions(
-                tile_size=tile_size, workers=workers, trace=trace,
-                budget=budget, cancel=cancel, resume_from=resume_from,
-                checkpoint=checkpoint, faults=faults, retry=retry,
-            ),
-        )
-        image: FloatArray = self.render(request)  # type: ignore[assignment]
         return image
 
-    def render_tau(
-        self,
-        tau: float,
-        method: str | Method = "quad",
-        *,
-        tile_size: int | tuple[int, int] | None = None,
-        workers: int | None = None,
-        trace: TraceTarget = None,
-        budget: Budget | None = None,
-        cancel: CancellationToken | None = None,
-        resume_from: str | os.PathLike[str] | None = None,
-        checkpoint: str | os.PathLike[str] | None = None,
-        faults: FaultsLike = None,
-        retry: RetryPolicy | None = None,
-    ) -> BoolArray:
+    def render_tau(self, tau: float, method: str | Method = "quad") -> BoolArray:
         """τKDV hotspot mask, boolean, shape ``(height, width)``.
 
-        Thin wrapper over :meth:`render`, with the same deprecation
-        shim as :meth:`render_eps`: the bare ``render_tau(tau, method)``
-        form is stable, execution keywords warn. ``tile_size`` /
-        ``workers`` opt into tiled batched rendering and ``trace``
-        scopes a tracer around the render, exactly as in
-        :meth:`render_eps`. The resilience keywords likewise route
-        through the anytime path; pixels a tripped budget left
-        undecided render conservatively as cold.
+        Shorthand for ``render(RenderRequest.for_tau(tau, method))``.
         """
-        self._warn_legacy_kwargs(
-            "render_tau", tile_size=tile_size, workers=workers, trace=trace,
-            budget=budget, cancel=cancel, resume_from=resume_from,
-            checkpoint=checkpoint, faults=faults, retry=retry,
+        mask: BoolArray = self.render(  # type: ignore[assignment]
+            RenderRequest.for_tau(tau, method)
         )
-        request = RenderRequest(
-            op=OP_TAU, tau=tau, method=method,
-            options=RenderOptions(
-                tile_size=tile_size, workers=workers, trace=trace,
-                budget=budget, cancel=cancel, resume_from=resume_from,
-                checkpoint=checkpoint, faults=faults, retry=retry,
-            ),
-        )
-        mask: BoolArray = self.render(request)  # type: ignore[assignment]
         return mask
 
-    def _render_with_scope(
-        self,
-        fitted: IndexedMethod,
-        evaluate: Callable[[BatchRefinementEngine, FloatArray], np.ndarray],
-        dtype: type,
-        tile_size: int | tuple[int, int],
-        workers: int | None,
-        op: str,
-        params: dict[str, float] | None = None,
-        executor: str | None = None,
-        backend: str | None = None,
-    ) -> np.ndarray:
-        """:meth:`_render_tiled` with the method name attached to events."""
-        tracer = current_tracer()
-        if tracer is None:
-            return self._render_tiled(
-                fitted, evaluate, dtype, tile_size, workers, op,
-                params=params, executor=executor, backend=backend,
-            )
-        with tracer.method_scope(fitted.name):
-            return self._render_tiled(
-                fitted, evaluate, dtype, tile_size, workers, op,
-                params=params, executor=executor, backend=backend,
-            )
-
-    # -- anytime (resilient) rendering ---------------------------------------
-
-    def render_eps_anytime(
-        self,
-        eps: float = 0.01,
-        method: str | Method = "quad",
-        *,
-        atol: float | None = None,
-        tile_size: int | tuple[int, int] | None = None,
-        workers: int | None = None,
-        budget: Budget | None = None,
-        cancel: CancellationToken | None = None,
-        resume_from: str | os.PathLike[str] | None = None,
-        checkpoint: str | os.PathLike[str] | None = None,
-        faults: FaultsLike = None,
-        retry: RetryPolicy | None = None,
-        trace: TraceTarget = None,
-    ) -> RenderOutcome:
-        """εKDV as an anytime render: best-so-far envelopes, never a hang.
-
-        Runs the tiled batched refinement under the resilience layer
-        (:mod:`repro.resilience`) and returns a
-        :class:`~repro.resilience.result.RenderOutcome`: the midpoint
-        image, the per-pixel ``(LB, UB)`` envelope images (always
-        satisfying ``LB <= F <= UB``), the resolved-pixel mask, and —
-        when the render stopped early — structured
-        :class:`~repro.resilience.result.DegradedResult` metadata.
-
-        Parameters beyond :meth:`render_eps`:
-
-        budget:
-            A :class:`~repro.resilience.budget.Budget` (wall-clock
-            deadline, kernel-evaluation cap, memory cap). When it trips,
-            refinement stops cooperatively at the next frontier pop and
-            unresolved pixels keep their current envelopes.
-        cancel:
-            An externally owned
-            :class:`~repro.resilience.budget.CancellationToken`
-            (overrides ``budget``'s token; pass ``budget`` via
-            ``CancellationToken(budget)`` in that case).
-        resume_from:
-            Path of a checkpoint written by ``checkpoint=``; completed
-            tiles are loaded instead of recomputed. The checkpoint
-            signature must match this render exactly
-            (:class:`~repro.errors.CheckpointError` otherwise), and the
-            resumed image is bit-identical to an uninterrupted run.
-        checkpoint:
-            Path to write the completed-tile ledger to (written on
-            success, cancellation, and fatal errors alike).
-        faults:
-            Fault injection: a
-            :class:`~repro.resilience.faults.FaultInjector`, a
-            :class:`~repro.resilience.faults.FaultPlan`, or a spec
-            string (``"worker_crash:0.05,..."``). Defaults to the
-            ``REPRO_FAULTS`` environment plan.
-        retry:
-            :class:`~repro.resilience.retry.RetryPolicy` for transient
-            tile failures (default: 4 attempts, exponential backoff,
-            quarantine after 3 consecutive failures per worker).
-
-        A run with no budget, no faults and no failures is bit-identical
-        to ``render_eps(..., tile_size=..., workers=...)``.
-
-        Thin wrapper over :meth:`render` with
-        ``RenderOptions(anytime=True)``.
-        """
-        request = RenderRequest(
-            op=OP_EPS, eps=eps, method=method, atol=atol,
-            options=RenderOptions(
-                tile_size=tile_size, workers=workers, trace=trace,
-                budget=budget, cancel=cancel, resume_from=resume_from,
-                checkpoint=checkpoint, faults=faults, retry=retry,
-                anytime=True,
-            ),
-        )
-        outcome: RenderOutcome = self.render(request)  # type: ignore[assignment]
-        return outcome
-
-    def render_tau_anytime(
-        self,
-        tau: float,
-        method: str | Method = "quad",
-        *,
-        tile_size: int | tuple[int, int] | None = None,
-        workers: int | None = None,
-        budget: Budget | None = None,
-        cancel: CancellationToken | None = None,
-        resume_from: str | os.PathLike[str] | None = None,
-        checkpoint: str | os.PathLike[str] | None = None,
-        faults: FaultsLike = None,
-        retry: RetryPolicy | None = None,
-        trace: TraceTarget = None,
-    ) -> RenderOutcome:
-        """τKDV as an anytime render (see :meth:`render_eps_anytime`).
-
-        The outcome image is the boolean hot mask ``LB >= τ``:
-        conservative under degradation, since a pixel whose interval
-        still straddles ``τ`` renders cold until proven hot. The
-        resolved mask marks pixels whose decision is certain.
-
-        Thin wrapper over :meth:`render` with
-        ``RenderOptions(anytime=True)``.
-        """
-        request = RenderRequest(
-            op=OP_TAU, tau=tau, method=method,
-            options=RenderOptions(
-                tile_size=tile_size, workers=workers, trace=trace,
-                budget=budget, cancel=cancel, resume_from=resume_from,
-                checkpoint=checkpoint, faults=faults, retry=retry,
-                anytime=True,
-            ),
-        )
-        outcome: RenderOutcome = self.render(request)  # type: ignore[assignment]
-        return outcome
+    # -- the tile driver -----------------------------------------------------
 
     def _render_signature(
         self,
@@ -884,6 +354,8 @@ class KDVRenderer:
         values (dataset, kernel, bandwidth, grid geometry, method and
         its options, operation parameters, and the tile partitioning
         that defines tile indices), so resuming across them is safe.
+        It hashes the whole point array, so only renders that write or
+        resume a checkpoint build it.
         """
         return {
             "format": "repro-render-v1",
@@ -915,27 +387,25 @@ class KDVRenderer:
 
     def _run_tiles_process(
         self,
-        fitted: IndexedMethod,
+        pool: ProcessTileExecutor,
         tile_list: list[IntArray],
         centers: FloatArray,
         op: str,
         params: dict[str, float],
         *,
         skip: set[int] | None,
-        workers: int,
-        backend: str | None,
         token: CancellationToken,
         tracer: Any,
         store: Callable[[int, IntArray, FloatArray, FloatArray], None],
         tile_complete: Callable[[FloatArray, FloatArray], bool],
-        worker_stats: list[QueryStats],
-        faults: FaultPlan | None = None,
-    ) -> Any:
-        """Anytime tile drain over the method's process pool.
+        stats: QueryStats,
+        faults: FaultPlan | None,
+        fail_fast: bool,
+    ) -> tuple[TileRunReport, list[float]]:
+        """The pool executor: drain the tiles over the method's process pool.
 
-        The process-executor counterpart of
-        :func:`repro.resilience.runner.run_tiles` for the (no retry)
-        configuration: tiles drain from the pool's shared queue,
+        The pool counterpart of :func:`repro.resilience.runner.run_tiles`
+        (without retries): tiles drain from the pool's shared queue,
         envelopes stream back through ``store`` as they complete, and
         the parent token's latch (deadline, kernel budget, Ctrl-C)
         propagates to the workers through the shared cancellation slot —
@@ -943,19 +413,19 @@ class KDVRenderer:
         ``(LB, UB)``, never as failures. ``faults`` (the process-level
         half of a fault plan) executes inside the workers; a worker a
         fault kills triggers the executor's supervised pool
-        rebuild-and-replay. Returns the same
-        :class:`~repro.resilience.runner.TileRunReport` shape the thread
-        runner produces, so degradation metadata is uniform.
+        rebuild-and-replay. With ``fail_fast`` the lowest-indexed tile's
+        exception (or a Ctrl-C) is re-raised before any stats merge.
+
+        Returns the :class:`~repro.resilience.runner.TileRunReport` the
+        in-process runner produces, plus each pool worker's busy
+        seconds (``0.0`` for a worker that ran no tile).
         """
-        from repro.resilience.budget import STOP_INTERRUPT
-        from repro.resilience.runner import TileRunReport
         from repro.visual.executors import TileJob
 
         run_start = time.perf_counter()
-        pool = fitted.process_executor(int(workers), backend)
         jobs = [
-            TileJob(index, tile_list[index], centers[tile_list[index]])
-            for index in range(len(tile_list))
+            TileJob(index, pixels, centers[pixels])
+            for index, pixels in enumerate(tile_list)
             if skip is None or index not in skip
         ]
 
@@ -964,10 +434,15 @@ class KDVRenderer:
             store(index, tile_list[index], lo, up)
 
         outcome = pool.run(
-            jobs, op=op, params=params, bounds=True, token=token,
-            tracer=tracer, on_result=on_result, faults=faults,
+            jobs, op=op, params=params, token=token, tracer=tracer,
+            on_result=on_result, faults=faults,
         )
-        worker_stats.append(outcome.stats)
+        if fail_fast:
+            if outcome.keyboard_interrupt:
+                raise KeyboardInterrupt
+            if outcome.errors:
+                raise outcome.errors[min(outcome.errors)]
+        stats.merge(outcome.stats)
         if outcome.keyboard_interrupt and tracer is not None:
             tracer.recovery(action="cancel", reason=STOP_INTERRUPT)
         report = TileRunReport()
@@ -984,91 +459,68 @@ class KDVRenderer:
             else:
                 report.unprocessed.append(index)
         report.elapsed_s = time.perf_counter() - run_start
-        return report
-
-    def _render_anytime(
-        self,
-        fitted: IndexedMethod,
-        op: str,
-        *,
-        eps: float | None,
-        atol: float | None,
-        tau: float | None,
-        tile_size: int | tuple[int, int] | None,
-        workers: int | None,
-        budget: Budget | None,
-        cancel: CancellationToken | None,
-        resume_from: str | os.PathLike[str] | None,
-        checkpoint: str | os.PathLike[str] | None,
-        faults: FaultsLike,
-        retry: RetryPolicy | None,
-        executor: str | None = None,
-        backend: str | None = None,
-    ) -> RenderOutcome:
-        """Shared anytime ε/τ implementation over the resilient runner."""
-        tracer = current_tracer()
-        if tracer is not None:
-            with tracer.method_scope(fitted.name):
-                return self._render_anytime_impl(
-                    fitted, op, eps=eps, atol=atol, tau=tau,
-                    tile_size=tile_size, workers=workers, budget=budget,
-                    cancel=cancel, resume_from=resume_from,
-                    checkpoint=checkpoint, faults=faults, retry=retry,
-                    executor=executor, backend=backend, tracer=tracer,
-                )
-        return self._render_anytime_impl(
-            fitted, op, eps=eps, atol=atol, tau=tau, tile_size=tile_size,
-            workers=workers, budget=budget, cancel=cancel,
-            resume_from=resume_from, checkpoint=checkpoint, faults=faults,
-            retry=retry, executor=executor, backend=backend, tracer=None,
-        )
+        seconds = outcome.worker_seconds
+        busy = [
+            seconds.get(worker, 0.0)
+            for worker in range(max(pool.workers, len(seconds)))
+        ]
+        return report, busy
 
     def _render_anytime_impl(
         self,
         fitted: IndexedMethod,
         op: str,
+        params: dict[str, float],
+        options: RenderOptions,
         *,
-        eps: float | None,
-        atol: float | None,
-        tau: float | None,
-        tile_size: int | tuple[int, int] | None,
-        workers: int | None,
-        budget: Budget | None,
-        cancel: CancellationToken | None,
-        resume_from: str | os.PathLike[str] | None,
-        checkpoint: str | os.PathLike[str] | None,
-        faults: FaultsLike,
-        retry: RetryPolicy | None,
-        executor: str | None,
-        backend: str | None,
+        fail_fast: bool,
         tracer: Any,
     ) -> RenderOutcome:
+        """The one tile driver behind every tiled render, strict or anytime.
+
+        Every pixel starts at the root node's ``(LB, UB)`` envelope, then
+        the tiles refine through one of two executors: in-process
+        (:func:`~repro.resilience.runner.run_tiles`, sequential) or, with
+        ``workers >= 2``, the method's cached
+        :class:`~repro.visual.executors.ProcessTileExecutor`. Both write
+        disjoint slices of the same envelope arrays, so the answers are
+        bit-identical across executors, and a complete render equals the
+        strict one.
+
+        ``fail_fast`` (a strict render with no resilience option) runs
+        without retries: the first tile exception propagates with its
+        own type, no further in-process tile starts, and the render's
+        work is not merged into ``fitted.stats``. Otherwise transient
+        tile errors retry under ``options.retry`` (default
+        :class:`~repro.resilience.retry.RetryPolicy`), and the work that
+        ran is merged even when the render stops early. ``retry=`` and
+        the in-process fault kinds are features of the in-process
+        runner, so a ``workers >= 2`` render that carries them runs
+        in-process, with a warning.
+        """
         start = time.perf_counter()
         centers = self.grid.centers()
         n_pixels = self.grid.num_pixels
-        if tile_size is None:
-            tile_size = DEFAULT_TILE_SIZE
-        tile_shape = (
-            (int(tile_size), int(tile_size))
-            if np.isscalar(tile_size)
-            else (int(tile_size[0]), int(tile_size[1]))  # type: ignore[index]
+        tile_size = (
+            DEFAULT_TILE_SIZE if options.tile_size is None else options.tile_size
         )
         tile_list = list(self.grid.tiles(tile_size))
         n_tiles = len(tile_list)
-        n_workers = None if workers is None else int(workers)
+        backend = options.backend
+        budget = options.budget
 
-        token = cancel
+        token = options.cancel
         if token is None:
             token = budget.token() if budget is not None else CancellationToken()
         token.start()
 
+        faults = options.faults
         injector: FaultInjector | None
         if isinstance(faults, FaultInjector):
             injector = faults
         else:
-            plan: FaultPlan | None
             if isinstance(faults, FaultPlan):
-                plan = faults
+                plan: FaultPlan | None = faults
             elif isinstance(faults, str):
                 plan = FaultPlan.parse(faults)
             else:
@@ -1079,22 +531,40 @@ class KDVRenderer:
                 else None
             )
 
-        # The initial envelope is the root node's bounds over every
-        # pixel: valid before any refinement runs, so even a render
-        # cancelled on its very first tile returns LB <= F <= UB
-        # everywhere.
-        engine0 = (
-            fitted.batch_engine
-            if backend is None
-            else fitted.make_batch_engine(fitted.stats, backend=backend)
-        )
-        assert engine0 is not None
-        lower, upper = engine0.root_envelope(centers)
+        pool: ProcessTileExecutor | None = None
+        process_faults: FaultPlan | None = None
+        workers = 1 if options.workers is None else int(options.workers)
+        if workers >= 2:
+            if injector is not None and options.retry is None:
+                # Process-level fault kinds (worker_kill / pool_break /
+                # slow_response) execute *inside* worker processes, so a
+                # plan made only of those stays on the pool — that is
+                # what lets CI chaos-test the supervised pool for real.
+                proc_plan, in_process_plan = injector.plan.partition_process()
+                if in_process_plan.empty:
+                    process_faults = None if proc_plan.empty else proc_plan
+                    injector = None
+            if injector is not None or options.retry is not None:
+                warnings.warn(
+                    "retry= and the in-process fault kinds (worker_crash, "
+                    "slow_tile, nan_bounds, oom) are features of the "
+                    f"in-process tile runner; this workers={workers} render "
+                    "runs in-process instead of on the process pool "
+                    "(process-level fault kinds alone — worker_kill, "
+                    "pool_break, slow_response — keep the pool)",
+                    RuntimeWarning,
+                    stacklevel=4,
+                )
+            else:
+                pool = fitted.process_executor(workers, backend)
+
+        stats = QueryStats()
+        engine = fitted.make_batch_engine(stats, backend=backend)
+        lower, upper = engine.root_envelope(centers)
         completed_flags = np.zeros(n_tiles, dtype=bool)
 
-        if op == "eps":
-            assert eps is not None and atol is not None
-            params = {"eps": eps, "atol": atol}
+        if op == OP_EPS:
+            eps, atol = params["eps"], params["atol"]
             one_plus_eps = 1.0 + eps
 
             def evaluate(
@@ -1108,8 +578,7 @@ class KDVRenderer:
                 return stopping.eps_stop_mask(lo, up, one_plus_eps, 0.0, atol)
 
         else:
-            assert tau is not None
-            params = {"tau": tau}
+            tau = params["tau"]
 
             def evaluate(
                 engine: BatchRefinementEngine, pixels: IntArray
@@ -1119,10 +588,18 @@ class KDVRenderer:
             def resolved_rows(lo: FloatArray, up: FloatArray) -> BoolArray:
                 return stopping.tau_stop_mask(lo, up, tau)
 
-        signature = self._render_signature(fitted, op, params, tile_shape)
+        signature: dict[str, Any] | None = None
+        if options.checkpoint is not None or options.resume_from is not None:
+            tile_shape = (
+                (int(tile_size), int(tile_size))
+                if np.isscalar(tile_size)
+                else (int(tile_size[0]), int(tile_size[1]))  # type: ignore[index]
+            )
+            signature = self._render_signature(fitted, op, params, tile_shape)
         skip: set[int] | None = None
-        if resume_from is not None:
-            ledger = TileLedger.load(resume_from)
+        if options.resume_from is not None:
+            assert signature is not None
+            ledger = TileLedger.load(options.resume_from)
             ledger.require_signature(signature)
             skip = ledger.completed_tiles()
             for index in skip:
@@ -1142,73 +619,43 @@ class KDVRenderer:
         def tile_complete(lo: FloatArray, up: FloatArray) -> bool:
             return bool(resolved_rows(lo, up).all())
 
-        worker_stats: list[QueryStats] = []
-
-        def make_engine(worker_id: int) -> BatchRefinementEngine:
-            if n_workers is None or n_workers <= 1:
-                assert engine0 is not None
-                return engine0
-            stats = QueryStats()
-            worker_stats.append(stats)
-            return fitted.make_batch_engine(stats, backend=backend)
-
-        use_process = executor == "process" and n_workers is not None
-        process_faults: FaultPlan | None = None
-        if use_process and injector is not None and retry is None:
-            # Process-level fault kinds (worker_kill / pool_break /
-            # slow_response) execute *inside* worker processes, so a
-            # plan made only of those stays on the process path — that
-            # is what lets CI chaos-test the supervised pool for real.
-            proc_plan, thread_plan = injector.plan.partition_process()
-            if thread_plan.empty:
-                process_faults = None if proc_plan.empty else proc_plan
-                injector = None
-        if use_process and (injector is not None or retry is not None):
-            warnings.warn(
-                "thread-level faults/retry are features of the thread tile "
-                "runner; executor='process' falls back to thread workers "
-                "for this render (process-level fault kinds alone — "
-                "worker_kill/pool_break/slow_response — keep the process "
-                "path)",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-            use_process = False
-        if not use_process and n_workers is not None and n_workers > 1:
-            _maybe_warn_gil_threads(
-                n_workers, backend if backend is not None else fitted.backend
-            )
-
-        report = None
+        busy: list[float] | None = None
+        merge_stats = not fail_fast
         try:
-            if use_process:
-                report = self._run_tiles_process(
-                    fitted, tile_list, centers, op, params, skip=skip,
-                    workers=n_workers, backend=backend, token=token,
-                    tracer=tracer, store=store, tile_complete=tile_complete,
-                    worker_stats=worker_stats, faults=process_faults,
+            if pool is not None:
+                report, busy = self._run_tiles_process(
+                    pool, tile_list, centers, op, params, skip=skip,
+                    token=token, tracer=tracer, store=store,
+                    tile_complete=tile_complete, stats=stats,
+                    faults=process_faults, fail_fast=fail_fast,
                 )
             else:
+                retry = options.retry
+                if retry is None and not fail_fast:
+                    retry = RetryPolicy()
                 report = run_tiles(
-                    tile_list, evaluate, store, tile_complete, make_engine,
+                    tile_list, evaluate, store, tile_complete, engine,
                     token=token, retry=retry, faults=injector, tracer=tracer,
-                    workers=n_workers, skip=skip, op=op,
+                    skip=skip, op=op,
                 )
+            merge_stats = True
         finally:
-            # Stats merge unconditionally (unlike the strict tiled
-            # path's all-or-nothing merge): partial work is this path's
-            # deliverable, so the ledger must account for it. The
-            # checkpoint is written even when a fatal error propagates,
-            # so completed tiles survive a crash.
-            for stats in worker_stats:
+            # A resilient render merges the work that ran even when a
+            # fatal error propagates (partial work is its deliverable);
+            # a fail-fast one merges only on success. The checkpoint is
+            # written either way, so completed tiles survive a crash.
+            if merge_stats:
                 fitted.stats.merge(stats)
-            if checkpoint is not None:
-                TileLedger(signature, lower, upper, completed_flags).save(checkpoint)
+            if options.checkpoint is not None:
+                assert signature is not None
+                TileLedger(signature, lower, upper, completed_flags).save(
+                    options.checkpoint
+                )
 
-        if op == "eps":
+        if op == OP_EPS:
             values: np.ndarray = 0.5 * (lower + upper)
         else:
-            values = stopping.tau_hot_mask(lower, tau)  # type: ignore[arg-type]
+            values = stopping.tau_hot_mask(lower, params["tau"])
         resolved_mask = resolved_rows(lower, upper)
         resolved = int(resolved_mask.sum())
         if resolved == n_pixels:
@@ -1218,7 +665,7 @@ class KDVRenderer:
 
         if token.triggered:
             reason: str | None = token.reason
-        elif report.failed or report.partial or report.unprocessed:
+        elif not report.all_completed:
             reason = STOP_TILE_FAILURES
         else:
             reason = None
@@ -1244,27 +691,27 @@ class KDVRenderer:
                 ],
                 retries=report.retries,
                 faults_injected=report.faults_injected,
-                quarantined_workers=report.quarantined,
                 elapsed_s=elapsed,
                 budget=budget_dict,
             )
         elif (
-            op == "eps"
+            op == OP_EPS
             and invariants_enabled()
             and fitted.deterministic_guarantee
         ):
-            # Complete anytime renders honour the same eps-agreement
-            # contract check as the strict tiled path.
-            assert eps is not None and atol is not None
-            fitted._check_eps_agreement(centers, values, eps, atol)
+            # A complete render honours the eps-agreement contract check.
+            fitted._check_eps_agreement(
+                centers, values, params["eps"], params["atol"]
+            )
 
         if tracer is not None:
             tracer.render(
                 op=op,
                 pixels=n_pixels,
                 tiles=n_tiles,
-                workers=n_workers if n_workers is not None else 1,
+                workers=1 if pool is None else pool.workers,
                 seconds=elapsed,
+                worker_busy=busy,
             )
 
         return RenderOutcome(
@@ -1274,7 +721,9 @@ class KDVRenderer:
             resolved=self.grid.to_image(resolved_mask),
             degraded=degraded,
             stats=None,
-            checkpoint_path=None if checkpoint is None else str(checkpoint),
+            checkpoint_path=(
+                None if options.checkpoint is None else str(options.checkpoint)
+            ),
         )
 
     # -- interactive viewport operations ------------------------------------

@@ -10,7 +10,7 @@ This module splits that surface into two frozen dataclasses:
   stable :meth:`~RenderRequest.fingerprint` — the cache key of the tile
   service (:mod:`repro.serve`).
 * :class:`RenderOptions` — *how* the render runs: tiling, worker
-  threads, tracing, budgets and the rest of the resilience surface.
+  processes, tracing, budgets and the rest of the resilience surface.
   With the single exception of ``tile_size`` (see below), options never
   change the rendered values, only cost, observability and degradation
   behaviour — which is exactly why they stay out of the fingerprint.
@@ -25,9 +25,7 @@ the cache. ``workers`` does not: tiles are refined independently, and
 the same partition gives bit-identical values at any worker count.
 
 :meth:`KDVRenderer.render(request) <repro.visual.kdv.KDVRenderer.render>`
-is the single entrypoint consuming these; the historical
-``render_eps`` / ``render_tau`` signatures remain as thin shims (see
-``docs/api.md`` for the full mapping table).
+is the single entrypoint consuming these (see ``docs/api.md``).
 """
 
 from __future__ import annotations
@@ -98,7 +96,8 @@ class RenderOptions:
         through the batched engine. The only option that participates
         in :meth:`RenderRequest.fingerprint` (see the module docstring).
     workers:
-        Worker threads draining the tile queue.
+        ``N >= 2`` drains the tiles over the method's process pool of
+        ``N`` workers; ``None`` or ``1`` renders in-process.
     trace:
         Scoped trace target (see :func:`repro.obs.trace_to`).
     budget:
@@ -122,11 +121,6 @@ class RenderOptions:
         ``"numba"``); ``None`` inherits the method's backend (itself
         defaulting to ``REPRO_BACKEND`` or the numpy reference). Out of
         the fingerprint: every backend is bit-identical by contract.
-    executor:
-        ``"thread"`` (default) or ``"process"`` for tiled/anytime
-        renders with ``workers > 1``. Process workers escape the GIL —
-        see ``docs/performance.md`` for when each wins. Out of the
-        fingerprint: tile values are bit-identical either way.
     """
 
     tile_size: Union[int, Tuple[int, int], None] = None
@@ -140,16 +134,11 @@ class RenderOptions:
     retry: Optional["RetryPolicy"] = None
     anytime: bool = False
     backend: Optional[str] = None
-    executor: Optional[str] = None
 
     def __post_init__(self) -> None:
         _normalize_tile_size(self.tile_size)  # validates
         if self.workers is not None and int(self.workers) < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {self.workers!r}")
-        if self.executor not in (None, "thread", "process"):
-            raise InvalidParameterError(
-                f"executor must be 'thread' or 'process', got {self.executor!r}"
-            )
 
     def replace(self, **changes: Any) -> "RenderOptions":
         """A copy with the given fields replaced."""

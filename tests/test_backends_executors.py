@@ -6,9 +6,12 @@ kernels run un-jitted, the ``publish_tree``/``attach_tree`` lifecycle
 (including leak-free teardown), the :class:`ProcessTileExecutor`
 contract (per-tile bit-identity, stats merge, cancellation, idempotent
 close), and the renderer-facing plumbing (``RenderOptions`` validation,
-the thread-worker GIL warning, ``ServiceConfig`` knobs).
+in-process vs pool parity, failing tiles on the pool, the in-process
+fallback, ``ServiceConfig`` knobs).
 """
 
+import dataclasses
+import multiprocessing
 import sys
 import warnings
 from pathlib import Path
@@ -224,16 +227,15 @@ def test_process_executor_values_match_sequential_per_tile(renderer):
     fitted = renderer.get_method("quad")
     jobs = _tile_jobs(renderer)
     with fitted.process_executor(2) as pool:
-        outcome = pool.run(
-            jobs, op="eps", params={"eps": 0.05, "atol": 0.0}, bounds=False
-        )
+        outcome = pool.run(jobs, op="eps", params={"eps": 0.05, "atol": 0.0})
     assert not outcome.errors and not outcome.unrun and not outcome.cancelled
     assert sorted(outcome.payloads) == [job.index for job in jobs]
     for job in jobs:
-        reference = fitted.make_batch_engine().query_eps_batch(
+        reference = fitted.make_batch_engine().query_eps_bounds(
             job.centers, 0.05, atol=0.0
         )
-        np.testing.assert_array_equal(outcome.payloads[job.index], reference)
+        np.testing.assert_array_equal(outcome.payloads[job.index][0], reference[0])
+        np.testing.assert_array_equal(outcome.payloads[job.index][1], reference[1])
 
 
 def test_process_executor_merges_worker_stats(renderer):
@@ -244,11 +246,9 @@ def test_process_executor_merges_worker_stats(renderer):
     sequential = QueryStats()
     engine = fitted.make_batch_engine(sequential)
     for job in jobs:
-        engine.query_eps_batch(job.centers, 0.05, atol=0.0)
+        engine.query_eps_bounds(job.centers, 0.05, atol=0.0)
     with fitted.process_executor(2) as pool:
-        outcome = pool.run(
-            jobs, op="eps", params={"eps": 0.05, "atol": 0.0}, bounds=False
-        )
+        outcome = pool.run(jobs, op="eps", params={"eps": 0.05, "atol": 0.0})
     assert outcome.stats.as_dict() == sequential.as_dict()
     assert len(outcome.worker_seconds) >= 1
 
@@ -265,7 +265,6 @@ def test_process_executor_precancelled_token_runs_nothing(renderer):
             jobs,
             op="eps",
             params={"eps": 0.05, "atol": 0.0},
-            bounds=True,
             token=token,
         )
     # Every tile either never ran or came back flagged cancelled with a
@@ -344,89 +343,166 @@ def test_method_caches_and_closes_executors(renderer):
 
 
 def test_render_options_rejects_unknown_executor():
-    with pytest.raises(InvalidParameterError):
-        RenderOptions(executor="greenlet")
-
-
-def test_render_options_accepts_backend_and_executor():
-    options = RenderOptions(tile_size=4, workers=2, executor="process", backend="numpy")
-    assert options.executor == "process"
-    assert options.backend == "numpy"
+    # workers=N selects the executor; there is no executor option left.
+    assert "executor" not in {f.name for f in dataclasses.fields(RenderOptions)}
+    with pytest.raises(TypeError):
+        RenderOptions(executor="process")
 
 
 def test_backend_and_executor_do_not_change_fingerprint(renderer):
     """Execution knobs must not fragment the serve-layer cache."""
     plain = RenderRequest.for_eps(
-        0.05, "quad", options=RenderOptions(tile_size=4, workers=2)
+        0.05, "quad", options=RenderOptions(tile_size=4)
     ).resolve(renderer)
     tuned = RenderRequest.for_eps(
         0.05,
         "quad",
-        options=RenderOptions(
-            tile_size=4, workers=2, executor="process", backend="numpy"
-        ),
+        options=RenderOptions(tile_size=4, workers=2, backend="numpy"),
     ).resolve(renderer)
     assert plain.fingerprint() == tuned.fingerprint()
 
 
-def test_gil_warning_emitted_once_for_threaded_numpy(renderer):
-    from repro.visual import kdv as kdv_module
+def test_strict_pool_render_matches_in_process_render(renderer):
+    in_process_opts = RenderOptions(tile_size=4)
+    pool_opts = RenderOptions(tile_size=4, workers=2)
+    try:
+        for request in (
+            RenderRequest.for_eps(0.05, "quad"),
+            RenderRequest.for_tau(0.02, "quad"),
+        ):
+            in_process = renderer.render(request.replace(options=in_process_opts))
+            pooled = renderer.render(request.replace(options=pool_opts))
+            np.testing.assert_array_equal(in_process, pooled)
+    finally:
+        renderer.get_method("quad").close_executors()
 
-    kdv_module._reset_gil_warning()
+
+def test_anytime_pool_render_matches_in_process_render(renderer):
+    in_process_opts = RenderOptions(tile_size=4, anytime=True)
+    pool_opts = RenderOptions(tile_size=4, workers=2, anytime=True)
+    try:
+        in_process = renderer.render(
+            RenderRequest.for_eps(0.05, "quad", options=in_process_opts)
+        )
+        pooled = renderer.render(
+            RenderRequest.for_eps(0.05, "quad", options=pool_opts)
+        )
+        np.testing.assert_array_equal(in_process.image, pooled.image)
+        np.testing.assert_array_equal(in_process.lower, pooled.lower)
+        np.testing.assert_array_equal(in_process.upper, pooled.upper)
+        assert not in_process.degraded and not pooled.degraded
+    finally:
+        renderer.get_method("quad").close_executors()
+
+
+#: A monkeypatch reaches pool workers only when they fork after it.
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patch reaches pool workers only through fork",
+)
+
+
+class _TileBoom(ValueError):
+    """An ordinary (non-repro) tile failure raised inside a pool worker."""
+
+
+def _fail_one_tile(monkeypatch, renderer, tile_size):
+    """Patch the engine so the grid's tile 1 raises, in every worker.
+
+    With the fork start method a patch made before the pool starts
+    reaches the workers; the failing tile is recognised by its first
+    query row.
+    """
+    from repro.core.batch_engine import BatchRefinementEngine
+
+    target = renderer.grid.centers()[list(renderer.grid.tiles(tile_size))[1]][0]
+    original = BatchRefinementEngine.query_eps_bounds
+
+    def flaky(self, queries, *args, **kwargs):
+        if np.array_equal(queries[0], target):
+            raise _TileBoom("tile 1 fails")
+        return original(self, queries, *args, **kwargs)
+
+    monkeypatch.setattr(BatchRefinementEngine, "query_eps_bounds", flaky)
+
+
+@needs_fork
+def test_strict_pool_render_reraises_tile_error_and_keeps_stats(
+    renderer, monkeypatch
+):
+    monkeypatch.delenv("REPRO_MP_START", raising=False)
+    fitted = renderer.get_method("quad")
+    fitted.close_executors()
+    _fail_one_tile(monkeypatch, renderer, 4)
+    before = fitted.stats.as_dict()
     options = RenderOptions(tile_size=4, workers=2)
-    with pytest.warns(RuntimeWarning, match="GIL-bound"):
-        renderer.render(RenderRequest.for_eps(0.1, "quad", options=options))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        renderer.render(RenderRequest.for_eps(0.1, "quad", options=options))
-
-
-def test_gil_warning_not_emitted_for_process_executor(renderer):
-    from repro.visual import kdv as kdv_module
-
-    kdv_module._reset_gil_warning()
-    options = RenderOptions(tile_size=4, workers=2, executor="process")
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            renderer.render(RenderRequest.for_eps(0.1, "quad", options=options))
+        with pytest.raises(_TileBoom, match="tile 1 fails"):
+            renderer.render(RenderRequest.for_eps(0.05, "quad", options=options))
+        assert fitted.stats.as_dict() == before
     finally:
-        renderer.get_method("quad").close_executors()
+        fitted.close_executors()
 
 
-def test_strict_process_render_matches_thread_render(renderer):
-    thread_opts = RenderOptions(tile_size=4, workers=2)
-    process_opts = RenderOptions(tile_size=4, workers=2, executor="process")
-    try:
-        thread_img = renderer.render(
-            RenderRequest.for_eps(0.05, "quad", options=thread_opts)
+@needs_fork
+def test_anytime_pool_render_lists_failed_tile(renderer, monkeypatch):
+    monkeypatch.delenv("REPRO_MP_START", raising=False)
+    fitted = renderer.get_method("quad")
+    fitted.close_executors()
+    reference = renderer.render(
+        RenderRequest.for_eps(
+            0.05, "quad", options=RenderOptions(tile_size=4, anytime=True)
         )
-        process_img = renderer.render(
-            RenderRequest.for_eps(0.05, "quad", options=process_opts)
-        )
-        np.testing.assert_array_equal(thread_img, process_img)
-    finally:
-        renderer.get_method("quad").close_executors()
-
-
-def test_anytime_process_render_matches_thread_render(renderer):
-    thread_opts = RenderOptions(tile_size=4, workers=2, anytime=True)
-    process_opts = RenderOptions(
-        tile_size=4, workers=2, executor="process", anytime=True
     )
+    _fail_one_tile(monkeypatch, renderer, 4)
+    options = RenderOptions(tile_size=4, workers=2, anytime=True)
     try:
-        thread_out = renderer.render(
-            RenderRequest.for_eps(0.05, "quad", options=thread_opts)
+        outcome = renderer.render(
+            RenderRequest.for_eps(0.05, "quad", options=options)
         )
-        process_out = renderer.render(
-            RenderRequest.for_eps(0.05, "quad", options=process_opts)
-        )
-        np.testing.assert_array_equal(thread_out.image, process_out.image)
-        np.testing.assert_array_equal(thread_out.lower, process_out.lower)
-        np.testing.assert_array_equal(thread_out.upper, process_out.upper)
-        assert not thread_out.degraded and not process_out.degraded
     finally:
-        renderer.get_method("quad").close_executors()
+        fitted.close_executors()
+    degraded = outcome.degraded
+    assert degraded is not None
+    assert [entry["tile"] for entry in degraded.tiles_failed] == [1]
+    assert "tile 1 fails" in degraded.tiles_failed[0]["error"]
+    failed = np.zeros(renderer.grid.num_pixels, dtype=bool)
+    failed[list(renderer.grid.tiles(4))[1]] = True
+    failed = renderer.grid.to_image(failed)
+    assert np.all(outcome.lower <= outcome.upper)
+    # Every other tile carries the in-process render's envelopes.
+    np.testing.assert_array_equal(outcome.lower[~failed], reference.lower[~failed])
+    np.testing.assert_array_equal(outcome.upper[~failed], reference.upper[~failed])
+
+
+def test_retry_with_workers_runs_in_process_with_warning(renderer):
+    from repro.resilience.retry import RetryPolicy
+
+    fitted = renderer.get_method("quad")
+    options = RenderOptions(tile_size=4, workers=2, retry=RetryPolicy())
+    with pytest.warns(RuntimeWarning, match="runs in-process"):
+        image = renderer.render(RenderRequest.for_eps(0.05, "quad", options=options))
+    assert fitted.executor_health() == []  # no pool was started
+    reference = renderer.render(
+        RenderRequest.for_eps(0.05, "quad", options=RenderOptions(tile_size=4))
+    )
+    np.testing.assert_array_equal(image, reference)
+
+
+def test_ball_tree_with_workers_raises_before_any_tile(monkeypatch):
+    from repro.core.batch_engine import BatchRefinementEngine
+
+    renderer = KDVRenderer(make_points(), resolution=(12, 10), index="ball")
+    ran = []
+    monkeypatch.setattr(
+        BatchRefinementEngine,
+        "query_eps_bounds",
+        lambda self, *args, **kwargs: ran.append(1),
+    )
+    options = RenderOptions(tile_size=4, workers=2)
+    with pytest.raises(InvalidParameterError):
+        renderer.render(RenderRequest.for_eps(0.05, "quad", options=options))
+    assert ran == []
 
 
 def test_anytime_process_deadline_degrades_with_valid_envelope():
@@ -437,7 +513,6 @@ def test_anytime_process_deadline_degrades_with_valid_envelope():
     options = RenderOptions(
         tile_size=8,
         workers=2,
-        executor="process",
         anytime=True,
         budget=Budget(deadline_s=1e-4),
     )
@@ -451,14 +526,15 @@ def test_anytime_process_deadline_degrades_with_valid_envelope():
 
 
 def test_service_config_exposes_executor_knobs():
-    from repro.serve.service import ServiceConfig
+    from repro.serve.service import RenderConfig, ServiceConfig
 
-    config = ServiceConfig(render_workers=2, executor="process", backend="numpy")
-    assert config.render_workers == 2
+    config = ServiceConfig(render=RenderConfig(render_workers=2, backend="numpy"))
+    assert config.render.render_workers == 2
+    assert config.render.backend == "numpy"
+    with pytest.raises(TypeError):
+        RenderConfig(executor="process")
     with pytest.raises(InvalidParameterError):
-        ServiceConfig(executor="greenlet")
-    with pytest.raises(InvalidParameterError):
-        ServiceConfig(render_workers=0)
+        RenderConfig(render_workers=0)
 
 
 # -- custom linter: backend-dispatch rule ------------------------------------

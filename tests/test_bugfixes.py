@@ -19,6 +19,7 @@ from repro.core.exact import exact_density
 from repro.errors import InvalidParameterError
 from repro.methods.registry import create_method
 from repro.visual.kdv import KDVRenderer
+from repro.visual.request import RenderOptions, RenderRequest
 
 
 def small_points(n=300, seed=3):
@@ -113,15 +114,22 @@ class TestTauBoundary:
 
 
 class TestWorkerPoolErrors:
+    """Strict tiled renders fail fast on the in-process tile driver."""
+
     def make_renderer(self):
         return KDVRenderer(small_points(), resolution=(16, 12), leaf_size=64)
+
+    @staticmethod
+    def render_tiled(renderer, tile_size):
+        options = RenderOptions(tile_size=tile_size)
+        return renderer.render(RenderRequest.for_eps(0.05, "quad", options=options))
 
     def test_tile_error_propagates(self, monkeypatch):
         from repro.core.batch_engine import BatchRefinementEngine
 
         renderer = self.make_renderer()
         fitted = renderer.get_method("quad")
-        original = BatchRefinementEngine.query_eps_batch
+        original = BatchRefinementEngine.query_eps_bounds
         calls = {"n": 0}
 
         def flaky(self, queries, eps, **kwargs):
@@ -130,32 +138,36 @@ class TestWorkerPoolErrors:
                 raise RuntimeError("tile exploded")
             return original(self, queries, eps, **kwargs)
 
-        monkeypatch.setattr(BatchRefinementEngine, "query_eps_batch", flaky)
+        monkeypatch.setattr(BatchRefinementEngine, "query_eps_bounds", flaky)
         fitted.stats.reset()
         with pytest.raises(RuntimeError, match="tile exploded"):
-            renderer.render_eps(0.05, "quad", tile_size=4, workers=2)
+            self.render_tiled(renderer, 4)
 
     def test_no_stats_merged_on_failure(self, monkeypatch):
         from repro.core.batch_engine import BatchRefinementEngine
 
         renderer = self.make_renderer()
         fitted = renderer.get_method("quad")
-        original = BatchRefinementEngine.query_eps_batch
+        original = BatchRefinementEngine.query_eps_bounds
+        calls = {"n": 0}
 
-        def always_fail(self, queries, eps, **kwargs):
-            raise RuntimeError("boom")
+        def fail_third(self, queries, eps, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise RuntimeError("boom")
+            return original(self, queries, eps, **kwargs)
 
-        monkeypatch.setattr(BatchRefinementEngine, "query_eps_batch", always_fail)
+        monkeypatch.setattr(BatchRefinementEngine, "query_eps_bounds", fail_third)
         fitted.stats.reset()
         with pytest.raises(RuntimeError):
-            renderer.render_eps(0.05, "quad", tile_size=4, workers=3)
-        # All-or-nothing: the failed render must not leak partial
-        # per-worker stats into the method's ledger.
+            self.render_tiled(renderer, 4)
+        # All-or-nothing: the two tiles refined before the failure must
+        # not leak their work into the method's ledger.
         assert fitted.stats.as_dict() == {
             key: 0 for key in fitted.stats.as_dict()
         }
-        monkeypatch.setattr(BatchRefinementEngine, "query_eps_batch", original)
-        image = renderer.render_eps(0.05, "quad", tile_size=4, workers=2)
+        monkeypatch.setattr(BatchRefinementEngine, "query_eps_bounds", original)
+        image = self.render_tiled(renderer, 4)
         direct = renderer.render_eps(0.05, "quad")
         exact = renderer.render_exact()
         assert np.all(np.abs(image - exact) <= 0.05 * exact + 1e-9 * renderer.weight)
@@ -172,12 +184,12 @@ class TestWorkerPoolErrors:
             calls["n"] += 1
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(BatchRefinementEngine, "query_eps_batch", always_fail)
+        monkeypatch.setattr(BatchRefinementEngine, "query_eps_bounds", always_fail)
         with pytest.raises(RuntimeError):
-            renderer.render_eps(0.05, "quad", tile_size=2, workers=2)
-        # 16x12 grid at tile_size=2 is 48 tiles; with the cancel flag
-        # each worker fails its first tile and stops draining.
-        assert calls["n"] <= 4
+            self.render_tiled(renderer, 2)
+        # 16x12 grid at tile_size=2 is 48 tiles; the first failure ends
+        # the render before any further tile starts.
+        assert calls["n"] == 1
 
 
 class TestZOrderSampleCache:

@@ -177,25 +177,58 @@ def test_scalar_batch_tau_masks_identical_at_boundary(
         np.testing.assert_array_equal(scalar_mask[safe], (truths >= threshold)[safe])
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(params=dataset_strategy, workers=st.sampled_from([2, 3]))
-def test_worker_stats_merge_matches_single_worker(params, workers):
-    """Merged per-worker QueryStats equal the single-worker totals.
+@pytest.fixture(scope="module")
+def pool_renderers():
+    """Two fitted renderers whose process pools live for the whole module.
 
-    The per-tile work of the batched engine is deterministic and
-    scheduling-independent, so however tiles are distributed over
-    workers the merged ledger must equal a sequential run's.
+    A pool forks workers and publishes the kd-tree once per fitted
+    method, so the pool properties draw render parameters over these
+    fixed datasets instead of forking a pool per Hypothesis example.
     """
     from repro.visual.kdv import KDVRenderer
 
-    points = make_points(params)
-    renderer = KDVRenderer(points, resolution=(10, 8), leaf_size=16)
+    renderers = [
+        KDVRenderer(
+            make_points(
+                {"seed": seed, "n": n, "cluster_scale": scale, "offset": offset}
+            ),
+            resolution=(10, 8),
+            leaf_size=16,
+        )
+        for seed, n, scale, offset in ((3, 90, 0.3, -40.0), (11, 120, 1.5, 7.0))
+    ]
+    yield renderers
+    for renderer in renderers:
+        renderer.get_method("quad").close_executors()
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    which=st.integers(0, 1),
+    tile_size=st.integers(2, 6),
+    eps=st.sampled_from([0.01, 0.05, 0.2]),
+)
+def test_worker_stats_merge_matches_single_worker(pool_renderers, which, tile_size, eps):
+    """Merged per-worker QueryStats equal the single-worker totals.
+
+    The per-tile work of the batched engine is deterministic and
+    scheduling-independent, so however tiles are distributed over the
+    pool's workers the merged ledger must equal an in-process run's.
+    """
+    from repro.visual.request import RenderOptions, RenderRequest
+
+    renderer = pool_renderers[which]
     fitted = renderer.get_method("quad")
+    request = RenderRequest.for_eps(eps, "quad")
     fitted.stats.reset()
-    sequential = renderer.render_eps(0.05, "quad", tile_size=4)
+    sequential = renderer.render(
+        request.replace(options=RenderOptions(tile_size=tile_size))
+    )
     baseline = fitted.stats.as_dict()
     fitted.stats.reset()
-    parallel = renderer.render_eps(0.05, "quad", tile_size=4, workers=workers)
+    parallel = renderer.render(
+        request.replace(options=RenderOptions(tile_size=tile_size, workers=2))
+    )
     assert fitted.stats.as_dict() == baseline
     np.testing.assert_array_equal(sequential, parallel)
 
@@ -264,47 +297,46 @@ def test_backend_tau_masks_bit_identical(params, quantile, boundary):
     np.testing.assert_array_equal(numpy_mask, numba_mask)
 
 
-@settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(params=dataset_strategy, eps=st.sampled_from([0.05, 0.2]))
-def test_thread_process_executor_parity(params, eps):
-    """Thread and process tile executors render bit-identical images.
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    which=st.integers(0, 1),
+    eps=st.sampled_from([0.05, 0.2]),
+    quantile=st.floats(0.1, 0.9),
+    boundary=st.booleans(),
+)
+def test_in_process_pool_executor_parity(pool_renderers, which, eps, quantile, boundary):
+    """The in-process and pool executors render bit-identical answers.
 
     The tile partition fixes each engine batch, so moving tiles between
-    threads and worker processes must not change a single bit of the
-    ε image or the τ mask — and the merged per-worker stats ledgers
-    must agree with the thread run's totals.
+    the parent process and the pool's workers must not change a single
+    bit of the ε image, its envelopes or the τ mask — even for a τ
+    sitting exactly on a pixel's density — and the merged per-worker
+    stats ledger must equal the in-process run's.
     """
-    from repro.visual.kdv import KDVRenderer
     from repro.visual.request import RenderOptions, RenderRequest
 
-    points = make_points(params)
-    renderer = KDVRenderer(points, resolution=(10, 8), leaf_size=16)
+    renderer = pool_renderers[which]
     fitted = renderer.get_method("quad")
-    try:
-        thread_opts = RenderOptions(tile_size=4, workers=2)
-        process_opts = RenderOptions(tile_size=4, workers=2, executor="process")
-        fitted.stats.reset()
-        thread_img = renderer.render(
-            RenderRequest.for_eps(eps, "quad", options=thread_opts)
-        )
-        thread_stats = fitted.stats.as_dict()
-        fitted.stats.reset()
-        process_img = renderer.render(
-            RenderRequest.for_eps(eps, "quad", options=process_opts)
-        )
-        np.testing.assert_array_equal(thread_img, process_img)
-        assert fitted.stats.as_dict() == thread_stats
+    in_process = RenderOptions(tile_size=4, anytime=True)
+    pooled = RenderOptions(tile_size=4, workers=2, anytime=True)
+    fitted.stats.reset()
+    local = renderer.render(RenderRequest.for_eps(eps, "quad", options=in_process))
+    local_stats = fitted.stats.as_dict()
+    fitted.stats.reset()
+    remote = renderer.render(RenderRequest.for_eps(eps, "quad", options=pooled))
+    assert fitted.stats.as_dict() == local_stats
+    for field in ("image", "lower", "upper", "resolved"):
+        np.testing.assert_array_equal(getattr(local, field), getattr(remote, field))
 
-        tau = float(np.median(renderer.render_exact()))
-        thread_mask = renderer.render(
-            RenderRequest.for_tau(tau, "quad", options=thread_opts)
-        )
-        process_mask = renderer.render(
-            RenderRequest.for_tau(tau, "quad", options=process_opts)
-        )
-        np.testing.assert_array_equal(thread_mask, process_mask)
-    finally:
-        fitted.close_executors()
+    exact = renderer.render_exact()
+    tau = float(exact.flat[0]) if boundary else float(np.quantile(exact, quantile))
+    local_mask = renderer.render(
+        RenderRequest.for_tau(tau, "quad", options=in_process.replace(anytime=False))
+    )
+    remote_mask = renderer.render(
+        RenderRequest.for_tau(tau, "quad", options=pooled.replace(anytime=False))
+    )
+    np.testing.assert_array_equal(local_mask, remote_mask)
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -4,9 +4,10 @@ Pins down the three contracts the tile service is built on:
 
 * fingerprint correctness — value-shaping fields split the key,
   execution knobs (except ``tile_size``) do not;
-* ``render(request)`` is bit-identical to the legacy keyword surface;
-* the legacy shims emit :class:`DeprecationWarning` only when the
-  deprecated execution kwargs are actually used.
+* ``render(request)`` is bit-identical to the bare ``render_eps`` /
+  ``render_tau`` shorthands;
+* the shorthands stay silent and take no execution keywords (those
+  live on :class:`RenderOptions`).
 """
 
 from __future__ import annotations
@@ -165,14 +166,6 @@ class TestRenderEntrypoint:
         legacy = renderer.render_tau(tau_value)
         np.testing.assert_array_equal(via_request, legacy)
 
-    def test_tiled_request_matches_legacy_kwargs(self, renderer):
-        via_request = renderer.render(
-            RenderRequest.for_eps(0.02, options=RenderOptions(tile_size=16))
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = renderer.render_eps(0.02, tile_size=16)
-        np.testing.assert_array_equal(via_request, legacy)
-
     def test_anytime_returns_outcome(self, renderer):
         outcome = renderer.render(
             RenderRequest.for_eps(
@@ -189,31 +182,29 @@ class TestRenderEntrypoint:
 
 
 class TestDeprecationShim:
-    def test_bare_legacy_calls_stay_silent(self, renderer):
+    """The bare ``render_eps`` / ``render_tau`` shorthands."""
+
+    def test_bare_legacy_calls_stay_silent(self, renderer, tau_value):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             renderer.render_eps(0.05)
+            renderer.render_tau(tau_value)
 
-    def test_execution_kwargs_warn(self, renderer):
-        with pytest.warns(DeprecationWarning, match="tile_size"):
+    def test_execution_kwargs_rejected(self, renderer, tau_value):
+        with pytest.raises(TypeError, match="tile_size"):
             renderer.render_eps(0.05, tile_size=16)
+        with pytest.raises(TypeError, match="tile_size"):
+            renderer.render_tau(tau_value, tile_size=16)
+        assert not hasattr(renderer, "render_eps_anytime")
+        assert not hasattr(renderer, "render_tau_anytime")
 
-    def test_workers_kwarg_warns(self, renderer, tau_value):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            renderer.render_tau(tau_value, tile_size=16, workers=2)
-
-    def test_anytime_wrappers_do_not_warn(self, renderer):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            outcome = renderer.render_eps_anytime(0.05, tile_size=16)
-        assert isinstance(outcome, RenderOutcome)
+    def test_workers_kwarg_rejected(self, renderer, tau_value):
+        with pytest.raises(TypeError, match="workers"):
+            renderer.render_eps(0.05, workers=2)
+        with pytest.raises(TypeError, match="workers"):
+            renderer.render_tau(tau_value, workers=2)
 
     def test_shim_result_equals_request_result(self, renderer):
-        with pytest.warns(DeprecationWarning):
-            legacy = renderer.render_eps(0.03, "quad", tile_size=16, workers=2)
-        via_request = renderer.render(
-            RenderRequest.for_eps(
-                0.03, "quad", options=RenderOptions(tile_size=16, workers=2)
-            )
-        )
+        legacy = renderer.render_eps(0.03, "quad", atol=0.0)
+        via_request = renderer.render(RenderRequest.for_eps(0.03, "quad", atol=0.0))
         np.testing.assert_array_equal(legacy, via_request)

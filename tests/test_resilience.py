@@ -7,8 +7,6 @@ Covers the PR's acceptance criteria end to end:
   brute-force exact density;
 * injected worker crashes are retried until the render completes with an
   image bit-identical to the fault-free run;
-* a worker with repeated consecutive failures is quarantined without
-  losing its tile;
 * checkpoint/resume reproduces the uninterrupted image bit-for-bit and
   rejects mismatched signatures;
 * the CLI writes the partial image plus a ``.degraded.json`` sidecar.
@@ -16,7 +14,6 @@ Covers the PR's acceptance criteria end to end:
 
 import json
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -39,11 +36,17 @@ from repro.resilience import (
     run_tiles,
 )
 from repro.visual.kdv import KDVRenderer
+from repro.visual.request import RenderOptions, RenderRequest
 
 
 def small_points(n=400, seed=11):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, 2)) * [1.0, 0.6]
+
+
+def tiled(renderer, request, **options):
+    """``request`` rendered through the tile driver with ``options``."""
+    return renderer.render(request.replace(options=RenderOptions(**options)))
 
 
 @pytest.fixture
@@ -142,8 +145,9 @@ class TestFaultPlan:
 
 class TestDeadlinePartialRender:
     def test_envelope_contains_exact_density(self, renderer):
-        outcome = renderer.render_eps_anytime(
-            0.05, tile_size=8, budget=Budget(max_kernel_evals=2500)
+        outcome = tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, budget=Budget(max_kernel_evals=2500), anytime=True,
         )
         assert not outcome.complete
         degraded = outcome.degraded
@@ -161,8 +165,9 @@ class TestDeadlinePartialRender:
         assert (exact <= outcome.upper + 1e-12).all()
 
     def test_degraded_sidecar_schema(self, renderer):
-        outcome = renderer.render_eps_anytime(
-            0.05, tile_size=8, budget=Budget(max_kernel_evals=2500)
+        outcome = tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, budget=Budget(max_kernel_evals=2500), anytime=True,
         )
         payload = outcome.degraded.as_dict()
         encoded = json.loads(json.dumps(payload))
@@ -173,18 +178,22 @@ class TestDeadlinePartialRender:
     def test_tau_partial_is_conservatively_cold(self, renderer):
         mu, sigma = renderer.density_stats()
         tau = mu + 0.1 * sigma
-        outcome = renderer.render_tau_anytime(
-            tau, tile_size=8, budget=Budget(max_kernel_evals=2000)
+        outcome = tiled(
+            renderer, RenderRequest.for_tau(tau),
+            tile_size=8, budget=Budget(max_kernel_evals=2000), anytime=True,
         )
-        reference = renderer.render_tau(tau, tile_size=8)
+        reference = tiled(renderer, RenderRequest.for_tau(tau), tile_size=8)
         partial = outcome.image.astype(bool)
         # Undecided pixels render cold: no false positives vs the
         # complete reference mask.
         assert not (partial & ~reference).any()
 
     def test_anytime_complete_matches_strict_path(self, renderer):
-        strict = renderer.render_eps(0.05, tile_size=8)
-        outcome = renderer.render_eps_anytime(0.05, tile_size=8)
+        strict = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
+        outcome = tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, anytime=True,
+        )
         assert outcome.complete
         assert np.array_equal(outcome.image, strict)
         assert bool(np.asarray(outcome.resolved).all())
@@ -192,22 +201,28 @@ class TestDeadlinePartialRender:
 
 class TestFaultRecovery:
     def test_worker_crashes_recovered_bit_identical(self, renderer):
-        reference = renderer.render_eps(0.05, tile_size=8)
-        outcome = renderer.render_eps_anytime(
-            0.05, tile_size=8, workers=3,
-            faults="worker_crash:0.05,nan_bounds:0.05,seed:3",
-        )
+        reference = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
+        # In-process fault kinds run on the in-process runner even when
+        # workers asks for the pool.
+        with pytest.warns(RuntimeWarning, match="runs in-process"):
+            outcome = tiled(
+                renderer, RenderRequest.for_eps(0.05),
+                tile_size=8, workers=3, anytime=True,
+                faults="worker_crash:0.05,nan_bounds:0.05,seed:3",
+            )
         assert outcome.complete
         assert np.array_equal(outcome.image, reference)
 
     def test_fault_env_engages_tiled_render(self, renderer, monkeypatch):
-        reference = renderer.render_eps(0.05, tile_size=8)
+        reference = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash:0.1,seed:1")
-        assert np.array_equal(renderer.render_eps(0.05, tile_size=8), reference)
+        faulted = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
+        assert np.array_equal(faulted, reference)
 
     def test_exhausted_retries_surface_failed_tiles(self, renderer):
-        outcome = renderer.render_eps_anytime(
-            0.05, tile_size=8,
+        outcome = tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, anytime=True,
             faults="worker_crash:1.0,seed:0",
             retry=RetryPolicy(max_attempts=2, backoff_s=0.0001),
         )
@@ -217,48 +232,12 @@ class TestFaultRecovery:
         assert degraded.tiles_failed
         # The strict facade raises instead of returning a partial image.
         with pytest.raises(TransientTileError):
-            renderer.render_eps(
-                0.05, tile_size=8,
+            tiled(
+                renderer, RenderRequest.for_eps(0.05),
+                tile_size=8,
                 faults="worker_crash:1.0,seed:0",
                 retry=RetryPolicy(max_attempts=2, backoff_s=0.0001),
             )
-
-    def test_quarantine_retires_bad_worker(self):
-        tiles = [np.array([i], dtype=np.intp) for i in range(8)]
-        lower = np.zeros(8)
-        upper = np.zeros(8)
-        bad_worker = []
-        lock = threading.Lock()
-
-        def make_engine(worker_id):
-            return worker_id
-
-        def evaluate(engine, pixels):
-            with lock:
-                if not bad_worker:
-                    bad_worker.append(engine)
-            if engine == bad_worker[0]:
-                raise TransientTileError("injected persistent failure")
-            values = pixels.astype(np.float64)
-            return values, values + 1.0
-
-        def store(index, pixels, lo, up):
-            lower[pixels] = lo
-            upper[pixels] = up
-
-        report = run_tiles(
-            tiles, evaluate, store, lambda lo, up: True, make_engine,
-            token=CancellationToken(),
-            retry=RetryPolicy(
-                max_attempts=10, backoff_s=0.0001, quarantine_after=2
-            ),
-            workers=3,
-        )
-        assert report.all_completed
-        assert bad_worker[0] in report.quarantined
-        expected = np.arange(8, dtype=np.float64)
-        assert np.array_equal(lower, expected)
-        assert np.array_equal(upper, expected + 1.0)
 
     def test_fatal_error_propagates(self):
         tiles = [np.array([0], dtype=np.intp)]
@@ -275,16 +254,18 @@ class TestFaultRecovery:
 
 class TestCheckpointResume:
     def test_resume_bit_identical(self, renderer, tmp_path):
-        reference = renderer.render_eps(0.05, tile_size=8)
+        reference = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
         ckpt = tmp_path / "render.npz"
-        partial = renderer.render_eps_anytime(
-            0.05, tile_size=8,
+        partial = tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, anytime=True,
             budget=Budget(max_kernel_evals=4000), checkpoint=str(ckpt),
         )
         assert not partial.complete
         ledger = TileLedger.load(ckpt)
-        resumed = renderer.render_eps_anytime(
-            0.05, tile_size=8, resume_from=str(ckpt)
+        resumed = tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, resume_from=str(ckpt), anytime=True,
         )
         assert resumed.complete
         assert np.array_equal(resumed.image, reference)
@@ -297,11 +278,47 @@ class TestCheckpointResume:
 
     def test_signature_mismatch_rejected(self, renderer, tmp_path):
         ckpt = tmp_path / "render.npz"
-        renderer.render_eps_anytime(0.05, tile_size=8, checkpoint=str(ckpt))
+        tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, checkpoint=str(ckpt), anytime=True,
+        )
         with pytest.raises(CheckpointError):
-            renderer.render_eps_anytime(0.04, tile_size=8, resume_from=str(ckpt))
+            tiled(
+                renderer, RenderRequest.for_eps(0.04),
+                tile_size=8, resume_from=str(ckpt), anytime=True,
+            )
         with pytest.raises(CheckpointError):
-            renderer.render_tau_anytime(0.01, tile_size=8, resume_from=str(ckpt))
+            tiled(
+                renderer, RenderRequest.for_tau(0.01),
+                tile_size=8, resume_from=str(ckpt), anytime=True,
+            )
+
+    def test_signature_built_only_for_checkpoints(
+        self, renderer, tmp_path, monkeypatch
+    ):
+        # The signature hashes every point; renders that neither write
+        # nor resume a checkpoint must not pay for it.
+        calls = []
+        original = KDVRenderer._render_signature
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[1])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(KDVRenderer, "_render_signature", spy)
+        tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
+        tiled(renderer, RenderRequest.for_tau(0.01), tile_size=8, anytime=True)
+        assert calls == []
+        ckpt = str(tmp_path / "render.npz")
+        tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, anytime=True, checkpoint=ckpt,
+        )
+        tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, anytime=True, resume_from=ckpt,
+        )
+        assert calls == ["eps", "eps"]
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "corrupt.npz"
@@ -311,8 +328,9 @@ class TestCheckpointResume:
 
     def test_checkpoint_written_on_fault_giveup(self, renderer, tmp_path):
         ckpt = tmp_path / "render.npz"
-        outcome = renderer.render_eps_anytime(
-            0.05, tile_size=8, checkpoint=str(ckpt),
+        outcome = tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, anytime=True, checkpoint=str(ckpt),
             faults="worker_crash:0.4,seed:5",
             retry=RetryPolicy(max_attempts=2, backoff_s=0.0001),
         )
@@ -322,12 +340,13 @@ class TestCheckpointResume:
         assert len(completed) == outcome.degraded.tiles_completed
         # Resume finishes the failed tiles and converges to the
         # fault-free image.
-        resumed = renderer.render_eps_anytime(
-            0.05, tile_size=8, resume_from=str(ckpt)
+        resumed = tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, resume_from=str(ckpt), anytime=True,
         )
         assert resumed.complete
         assert np.array_equal(
-            resumed.image, renderer.render_eps(0.05, tile_size=8)
+            resumed.image, tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
         )
 
 

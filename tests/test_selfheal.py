@@ -38,7 +38,13 @@ from repro.resilience.supervisor import (
     PoolSupervisor,
     default_pool_supervisor,
 )
-from repro.serve import ServiceConfig, TileServer, TileService
+from repro.serve import (
+    RenderConfig,
+    ResilienceConfig,
+    ServiceConfig,
+    TileServer,
+    TileService,
+)
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -206,9 +212,7 @@ def _process_render(renderer, faults=None):
     request = RenderRequest(
         op="eps",
         eps=0.1,
-        options=RenderOptions(
-            tile_size=8, workers=2, executor="process", anytime=True, faults=faults
-        ),
+        options=RenderOptions(tile_size=8, workers=2, anytime=True, faults=faults),
     )
     return renderer.render(request)
 
@@ -255,12 +259,8 @@ class TestSupervisedRecovery:
 def svc(small_points):
     service = TileService(
         config=ServiceConfig(
-            tile_px=32,
-            eps=0.1,
-            workers=2,
-            deadline_ms=None,
-            breaker_threshold=2,
-            breaker_reset_s=0.05,
+            render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None),
+            resilience=ResilienceConfig(breaker_threshold=2, breaker_reset_s=0.05),
         )
     )
     service.registry.register("crime", small_points)
@@ -270,7 +270,9 @@ def svc(small_points):
 
 class TestDegradeLadder:
     def test_partial_served_on_deadline_and_never_cached(self, small_points):
-        service = TileService(config=ServiceConfig(tile_px=48, eps=0.001, workers=1))
+        service = TileService(
+            config=ServiceConfig(render=RenderConfig(tile_px=48, eps=0.001, workers=1))
+        )
         try:
             service.registry.register("crime", small_points)
             plan = service.plan_tile("crime", 0, 0, 0, deadline_ms=1e-6)
@@ -309,8 +311,8 @@ class TestDegradeLadder:
     def test_degraded_serving_off_keeps_strict_semantics(self, small_points, monkeypatch):
         service = TileService(
             config=ServiceConfig(
-                tile_px=32, eps=0.1, workers=2, deadline_ms=None,
-                degraded_serving=False,
+                render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None),
+                resilience=ResilienceConfig(degraded_serving=False),
             )
         )
         try:
@@ -338,7 +340,7 @@ class TestDegradeLadder:
 
         monkeypatch.setattr(svc, "_compute_values", boom)
         # Failures degrade to stale while the breaker counts them...
-        for _ in range(svc.config.breaker_threshold):
+        for _ in range(svc.config.resilience.breaker_threshold):
             data, info = svc.serve_tile(svc.plan_tile("crime", 1, 0, 0))
             assert data == fresh and info["degraded"] == "stale"
         breaker = svc._breaker("crime")
@@ -350,7 +352,7 @@ class TestDegradeLadder:
         assert svc.metrics.counter("breaker.to_open").value == 1
         # After the reset timeout the probe render closes the circuit.
         monkeypatch.setattr(svc, "_compute_values", real_compute)
-        time.sleep(svc.config.breaker_reset_s + 0.01)
+        time.sleep(svc.config.resilience.breaker_reset_s + 0.01)
         data, info = svc.serve_tile(svc.plan_tile("crime", 1, 0, 0))
         assert info == {"degraded": None}
         assert breaker.state == BREAKER_CLOSED
@@ -361,7 +363,7 @@ class TestDegradeLadder:
             raise RuntimeError("render exploded")
 
         monkeypatch.setattr(svc, "_compute_values", boom)
-        for _ in range(svc.config.breaker_threshold):
+        for _ in range(svc.config.resilience.breaker_threshold):
             with pytest.raises(RuntimeError):
                 svc.serve_tile(svc.plan_tile("crime", 1, 1, 0))
         with pytest.raises(CircuitOpenError, match="breaker is open"):
@@ -371,7 +373,7 @@ class TestDegradeLadder:
     def test_client_errors_do_not_trip_the_breaker(self, svc):
         from repro.errors import UnknownNameError
 
-        for _ in range(svc.config.breaker_threshold + 1):
+        for _ in range(svc.config.resilience.breaker_threshold + 1):
             with pytest.raises(UnknownNameError):
                 svc.plan_tile("crime", 1, 0, 0, colormap="no-such-map")
             with pytest.raises(InvalidParameterError):
@@ -401,7 +403,8 @@ class TestDrainOnClose:
     def test_close_waits_for_in_flight_renders(self, small_points, monkeypatch):
         service = TileService(
             config=ServiceConfig(
-                tile_px=32, eps=0.1, workers=2, deadline_ms=None, drain_s=5.0
+                render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None),
+                resilience=ResilienceConfig(drain_s=5.0),
             )
         )
         service.registry.register("crime", small_points)
@@ -430,7 +433,7 @@ class TestDrainOnClose:
         # close() must not yank resources from under the in-flight
         # render: it drains first, and the render completes cleanly.
         assert result["data"].startswith(PNG_SIGNATURE)
-        assert drained_after < service.config.drain_s
+        assert drained_after < service.config.resilience.drain_s
         assert service.draining
         assert not service.try_acquire_slot()  # draining admits nothing new
         assert service.metrics.counter("tiles.rejected").value >= 1
@@ -447,7 +450,9 @@ def _fetch(url, path):
 class TestHttpErrorContract:
     def test_error_matrix_and_degradation_headers(self, small_points, monkeypatch):
         svc = TileService(
-            config=ServiceConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None),
+            )
         )
         svc.registry.register("crime", small_points)
 

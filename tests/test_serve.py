@@ -27,6 +27,8 @@ from repro.errors import (
 )
 from repro.serve import (
     DatasetRegistry,
+    RenderConfig,
+    ResilienceConfig,
     ServiceConfig,
     TileServer,
     TileService,
@@ -41,7 +43,9 @@ PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 @pytest.fixture(scope="module")
 def service(small_points):
     svc = TileService(
-        config=ServiceConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+        config=ServiceConfig(
+            render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None),
+        )
     )
     svc.registry.register("crime", small_points)
     yield svc
@@ -140,7 +144,9 @@ class TestTileService:
         warm, _ = service.get_tile("crime", 1, 1, 0)
         # A fresh service with an empty cache must produce the same bytes.
         fresh = TileService(
-            config=ServiceConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None),
+            )
         )
         try:
             fresh.registry.register("crime", small_points)
@@ -221,7 +227,6 @@ class TestTileService:
     def test_colour_range_probe_runs_once_for_concurrent_first_tiles(
         self, small_points, monkeypatch
     ):
-        from repro.serve import RenderConfig
         from repro.serve.registry import DatasetEntry
 
         svc = TileService(
@@ -281,7 +286,10 @@ class TestTileService:
 
     def test_backpressure_rejects_when_queue_full(self, small_points):
         svc = TileService(
-            config=ServiceConfig(tile_px=32, workers=1, queue_limit=2)
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=32, workers=1),
+                resilience=ResilienceConfig(queue_limit=2),
+            )
         )
         try:
             assert svc.try_acquire_slot() and svc.try_acquire_slot()
@@ -297,7 +305,9 @@ class TestTileService:
             svc.close()
 
     def test_deadline_trips_and_nothing_is_cached(self, small_points):
-        svc = TileService(config=ServiceConfig(tile_px=48, eps=0.001, workers=1))
+        svc = TileService(
+            config=ServiceConfig(render=RenderConfig(tile_px=48, eps=0.001, workers=1))
+        )
         try:
             svc.registry.register("crime", small_points)
             plan = svc.plan_tile("crime", 0, 0, 0, deadline_ms=1e-6)
@@ -347,10 +357,66 @@ class TestTileService:
         json.dumps(stats)  # must be JSON-serialisable for /stats
 
 
+def _request_bookkeeping(svc):
+    """The per-request counters and latency count a service recorded."""
+    metrics = svc.metrics.as_dict()
+    counters = {
+        name: value
+        for name, value in metrics["counters"].items()
+        if name in ("tiles.requests", "tiles.l1_hits", "tiles.renders")
+    }
+    latency = metrics["histograms"].get("tiles.request_s", {"count": 0})
+    return counters, latency["count"]
+
+
 class TestHttpServer:
+    def test_http_requests_keep_get_tile_bookkeeping(self, small_points):
+        """HTTP tile requests record what the same get_tile calls record."""
+        paths = ["/tile/crime/1/0/1.png"] * 3 + ["/tile/crime/1/1/1.png"]
+        config = ServiceConfig(
+            render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+        )
+        direct = TileService(config=config)
+        served = TileService(config=config)
+        try:
+            direct.registry.register("crime", small_points)
+            served.registry.register("crime", small_points)
+            for path in paths:
+                z, x, y = (int(part) for part in path[12:-4].split("/"))
+                direct.get_tile("crime", z, x, y)
+
+            def fetch(url):
+                with urllib.request.urlopen(url, timeout=30) as response:
+                    return response.status
+
+            async def scenario():
+                server = await TileServer(served, port=0).start()
+                loop = asyncio.get_running_loop()
+                try:
+                    for path in paths:
+                        status = await loop.run_in_executor(
+                            None, fetch, server.url + path
+                        )
+                        assert status == 200
+                finally:
+                    await server.stop()
+
+            asyncio.run(scenario())
+            counters, latencies = _request_bookkeeping(served)
+            assert latencies == len(paths)
+            assert counters == {
+                "tiles.requests": 4, "tiles.l1_hits": 2, "tiles.renders": 2,
+            }
+            assert (counters, latencies) == _request_bookkeeping(direct)
+        finally:
+            direct.close()
+            served.close()
+
     def test_end_to_end(self, small_points):
         svc = TileService(
-            config=ServiceConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None)
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=32, eps=0.1, workers=2, deadline_ms=None),
+            )
         )
         svc.registry.register("crime", small_points)
 

@@ -1,14 +1,10 @@
-"""Tests for the nested ServiceConfig groups and the flat-kwarg shim.
+"""Tests for the nested ServiceConfig groups.
 
-Covers canonical nested construction, the deprecated flat-keyword path
-(routing, warn-once semantics, conflict rejection), the silent flat
-read aliases, validation errors, and the ``to_dict`` / ``from_dict`` /
-``from_env`` round trips.
+Covers nested construction, rejection of flat keywords, validation
+errors, and the ``to_dict`` / ``from_dict`` / ``from_env`` round trips.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -20,7 +16,6 @@ from repro.serve import (
     ServiceConfig,
     ShardingConfig,
 )
-from repro.serve.config import _FLAT_FIELD_MAP, _reset_flat_kwargs_warning
 
 
 class TestNestedConstruction:
@@ -66,63 +61,13 @@ class TestNestedConstruction:
 
 
 class TestFlatKwargShim:
-    def test_flat_kwargs_route_into_groups(self):
-        _reset_flat_kwargs_warning()
-        with pytest.deprecated_call():
-            config = ServiceConfig(
-                tile_px=32,
-                eps=0.1,
-                queue_limit=7,
-                png_cache_bytes=1024,
-                shards=3,
-            )
-        assert config.render.tile_px == 32
-        assert config.render.eps == 0.1
-        assert config.resilience.queue_limit == 7
-        assert config.cache.png_bytes == 1024
-        assert config.sharding.shards == 3
-
-    def test_every_flat_name_routes_and_aliases(self):
-        _reset_flat_kwargs_warning()
-        sentinel_by_field = {
-            "tile_px": 33, "eps": 0.07, "tau": 0.5, "colormap": "magma",
-            "deadline_ms": 123.0, "workers": 2, "render_workers": 3,
-            "executor": "thread", "backend": "numpy", "max_zoom": 9,
-            "png_cache_bytes": 2048, "aux_cache_bytes": 4096,
-            "cache_ttl_s": 9.0, "queue_limit": 5, "degraded_serving": False,
-            "stale_cache_bytes": 512, "stale_ttl_s": 11.0,
-            "breaker_threshold": 2, "breaker_reset_s": 1.5, "drain_s": 0.5,
-            "shards": 2,
-        }
-        assert set(sentinel_by_field) == set(_FLAT_FIELD_MAP)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            config = ServiceConfig(**sentinel_by_field)
-        for flat_name, expected in sentinel_by_field.items():
-            group_name, field_name = _FLAT_FIELD_MAP[flat_name]
-            assert getattr(getattr(config, group_name), field_name) == expected
-            # the silent read alias mirrors the nested field
-            assert getattr(config, flat_name) == expected
-
-    def test_warns_once_per_process(self):
-        _reset_flat_kwargs_warning()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ServiceConfig(eps=0.1)
-            ServiceConfig(eps=0.2)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro 2.0" in str(deprecations[0].message)
-
-    def test_flat_kwarg_conflicting_with_group_rejected(self):
-        with pytest.raises(InvalidParameterError, match="conflicts"):
-            ServiceConfig(render=RenderConfig(), eps=0.1)
-
     def test_unknown_kwarg_rejected(self):
-        with pytest.raises(InvalidParameterError, match="unknown"):
+        # Only the four groups are keywords; flat names are unknown.
+        with pytest.raises(TypeError, match="nope"):
             ServiceConfig(nope=1)
+        with pytest.raises(TypeError, match="eps"):
+            ServiceConfig(eps=0.1)
+        assert not hasattr(ServiceConfig(), "eps")
 
 
 class TestValidation:
@@ -133,8 +78,6 @@ class TestValidation:
             RenderConfig(workers=0)
         with pytest.raises(InvalidParameterError):
             RenderConfig(render_workers=0)
-        with pytest.raises(InvalidParameterError):
-            RenderConfig(executor="greenlet")
         with pytest.raises(InvalidParameterError):
             CacheConfig(png_bytes=0)
         with pytest.raises(InvalidParameterError):

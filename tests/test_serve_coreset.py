@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.serve.registry import CoresetTier, DatasetRegistry
-from repro.serve.service import ServiceConfig, TileService
+from repro.serve.service import RenderConfig, ServiceConfig, TileService
 from repro.serve.tiles import zoom_cell_size
 from repro.visual.grid import PixelGrid
 
@@ -24,7 +24,9 @@ PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 @pytest.fixture()
 def coreset_service(small_points):
     svc = TileService(
-        config=ServiceConfig(tile_px=24, eps=0.05, workers=1, deadline_ms=None)
+        config=ServiceConfig(
+            render=RenderConfig(tile_px=24, eps=0.05, workers=1, deadline_ms=None),
+        )
     )
     svc.registry.register(
         "crime", small_points, coreset_zoom=2, coreset_delta_cap=0.01, leaf_size=32

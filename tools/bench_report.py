@@ -50,10 +50,9 @@ FULL_WORKLOAD = {"n": 8000, "resolution": (320, 240)}
 #: CI-sized workload: same shape, seconds instead of minutes.
 SMOKE_WORKLOAD = {"n": 1500, "resolution": (80, 60)}
 
-#: Worker counts swept by the parallel-scaling section.
+#: Worker counts swept by the parallel-scaling section: 1 renders
+#: in-process, 2 or more on the method's process pool.
 SCALING_WORKERS = (1, 2, 4, 8)
-#: Executors swept by the parallel-scaling section.
-SCALING_EXECUTORS = ("thread", "process")
 
 
 def _timed_best(fn: Callable[[], Any], repeats: int) -> tuple[Any, float]:
@@ -79,17 +78,18 @@ def _parallel_scaling(
     tile_size: int,
     repeats: int,
 ) -> dict[str, Any]:
-    """Sweep workers x executor x backend over the εKDV render.
+    """Sweep worker count x backend over the εKDV render.
 
-    Per-tile refinement is bit-identical across executors and worker
-    counts by construction (the tile partition fixes each batch), so
-    besides timing the sweep doubles as a cross-executor equality
-    check against the single-thread tiled image, and — once per
-    backend x executor — a τ-mask identity check against the scalar
-    schedule. Numbers are recorded as measured: on a single-core
-    runner the thread legs cannot exceed 1x and the process legs pay
-    pool and serialisation overhead, so sub-1x speedups are expected
-    and are not a failure.
+    ``workers=1`` runs the in-process executor; 2, 4 and 8 run the
+    method's process pool. Per-tile refinement is bit-identical across
+    executors and worker counts by construction (the tile partition
+    fixes each batch), so besides timing the sweep doubles as a
+    cross-executor equality check against the in-process tiled image,
+    and — once per backend — a τ-mask identity check of a 4-worker pool
+    render against the scalar schedule. Numbers are recorded as
+    measured: pool legs pay fork, shared-memory and serialisation
+    overhead and cannot beat ``os.cpu_count()`` workers, so sub-1x
+    speedups on small runners are expected and are not a failure.
     """
     import numpy as np
 
@@ -98,7 +98,6 @@ def _parallel_scaling(
 
     section: dict[str, Any] = {
         "workers_swept": list(SCALING_WORKERS),
-        "executors_swept": list(SCALING_EXECUTORS),
         "cpu_count": os.cpu_count(),
         "numba_available": numba_available(),
         "backends": {},
@@ -112,45 +111,38 @@ def _parallel_scaling(
         reference, base_seconds = _timed_best(lambda: render_eps(single), repeats)
         rows = []
         ok = True
-        for executor in SCALING_EXECUTORS:
-            for workers in SCALING_WORKERS:
-                options = RenderOptions(
-                    tile_size=tile_size, workers=workers,
-                    executor=executor, backend=backend,
-                )
-                image, seconds = _timed_best(lambda: render_eps(options), repeats)
-                error = np.abs(image - exact)
-                within = bool(np.all(error <= eps * exact + atol))
-                identical = bool(np.array_equal(image, reference))
-                ok = ok and within and identical
-                speedup = base_seconds / seconds if seconds > 0 else 0.0
-                rows.append({
-                    "executor": executor,
-                    "workers": workers,
-                    "seconds": round(seconds, 6),
-                    "speedup_vs_single_thread": round(speedup, 3),
-                    "parallel_efficiency": round(speedup / workers, 3),
-                    "identical_to_single_thread": identical,
-                    "within_envelope": within,
-                })
-                print(
-                    f"  scaling {backend:<6s} {executor:<8s} workers={workers} "
-                    f"{seconds:8.3f}s  ({speedup:5.2f}x)"
-                )
-        tau_masks = {}
-        for executor in SCALING_EXECUTORS:
+        for workers in SCALING_WORKERS:
             options = RenderOptions(
-                tile_size=tile_size, workers=4, executor=executor, backend=backend
+                tile_size=tile_size, workers=workers, backend=backend
             )
-            mask = renderer.render(
-                RenderRequest.for_tau(tau, "quad", options=options)
+            image, seconds = _timed_best(lambda: render_eps(options), repeats)
+            error = np.abs(image - exact)
+            within = bool(np.all(error <= eps * exact + atol))
+            identical = bool(np.array_equal(image, reference))
+            ok = ok and within and identical
+            speedup = base_seconds / seconds if seconds > 0 else 0.0
+            executor = "pool" if workers >= 2 else "in-process"
+            rows.append({
+                "executor": executor,
+                "workers": workers,
+                "seconds": round(seconds, 6),
+                "speedup_vs_single_thread": round(speedup, 3),
+                "parallel_efficiency": round(speedup / workers, 3),
+                "identical_to_single_thread": identical,
+                "within_envelope": within,
+            })
+            print(
+                f"  scaling {backend:<6s} {executor:<10s} workers={workers} "
+                f"{seconds:8.3f}s  ({speedup:5.2f}x)"
             )
-            tau_masks[executor] = bool(np.array_equal(mask, scalar_mask))
-            ok = ok and tau_masks[executor]
+        options = RenderOptions(tile_size=tile_size, workers=4, backend=backend)
+        mask = renderer.render(RenderRequest.for_tau(tau, "quad", options=options))
+        tau_identical = bool(np.array_equal(mask, scalar_mask))
+        ok = ok and tau_identical
         section["backends"][backend] = {
             "single_thread_seconds": round(base_seconds, 6),
             "eps": rows,
-            "tau_masks_identical": tau_masks,
+            "tau_masks_identical": tau_identical,
             "all_identical_and_within_envelope": ok,
         }
 
@@ -317,7 +309,6 @@ def run_benchmark(
     workers: int = 4,
     repeats: int = 1,
     trace: bool = True,
-    executor: str | None = None,
     backend: str | None = None,
     scaling: bool = True,
     pyramid_n: int | None = None,
@@ -339,7 +330,7 @@ def run_benchmark(
     atol = 1e-9 * renderer.weight
     tiled = RenderOptions(tile_size=tile_size, backend=backend)
     tiled_workers = RenderOptions(
-        tile_size=tile_size, workers=workers, executor=executor, backend=backend
+        tile_size=tile_size, workers=workers, backend=backend
     )
 
     def measure(label: str, fn: Callable[[], Any]) -> tuple[Any, dict[str, Any]]:
@@ -450,7 +441,6 @@ def run_benchmark(
             "workers": workers,
             "repeats": repeats,
             "seed": seed,
-            "executor": executor,
             "backend": backend,
         },
         "environment": {
@@ -500,10 +490,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--eps", type=float, default=0.01)
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--tile-size", type=int, default=64)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument(
-        "--executor", choices=("thread", "process"), default=None,
-        help="tile executor for the workers measurement (default: thread)",
+        "--workers", type=int, default=4,
+        help="worker count of the workers measurement; 2 or more renders "
+        "on the process pool",
     )
     parser.add_argument(
         "--backend", default=None,
@@ -521,8 +511,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--no-scaling", action="store_true",
-        help="skip the parallel-scaling sweep "
-        "(workers x executor x backend)",
+        help="skip the parallel-scaling sweep (workers x backend)",
     )
     parser.add_argument(
         "--no-trace", action="store_true",
@@ -545,7 +534,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         repeats=args.repeats,
         trace=not args.no_trace,
-        executor=args.executor,
         backend=args.backend,
         scaling=not args.no_scaling,
         pyramid_n=(

@@ -424,10 +424,8 @@ def _check_silent_except(
         )
 
 
-#: Legacy entrypoints forbidden inside the serve package.
-_LEGACY_RENDER_CALLS = frozenset(
-    {"render_eps", "render_tau", "render_eps_anytime", "render_tau_anytime"}
-)
+#: Shorthand entrypoints forbidden inside the serve package.
+_LEGACY_RENDER_CALLS = frozenset({"render_eps", "render_tau"})
 
 
 def _serve_scoped(path: Path) -> bool:

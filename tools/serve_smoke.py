@@ -172,7 +172,6 @@ async def _run_chaos() -> None:
                 eps=0.05,
                 workers=4,
                 render_workers=2,
-                executor="process",
             ),
             resilience=ResilienceConfig(breaker_reset_s=0.5),
         )
