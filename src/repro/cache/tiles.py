@@ -11,16 +11,20 @@ fingerprint (or a :func:`partial_fingerprint` of it):
 * **density** — the rendered value array *before* colour mapping. Its
   digest omits the colormap, so re-colouring a tile (day/night styles,
   τ restyling) is a cache hit that skips the whole refinement.
-* **bounds** — the root-node ``(LB, UB)`` envelope of the tile's pixel
-  batch. Its digest omits ε, τ, the operation *and* the colormap —
-  root bounds depend only on dataset, method, kernel, bandwidth and
-  tile geometry — so one evaluation is reused across every parameter
-  sweep over the same viewport. A tile whose root envelope already
-  decides the answer (all pixels ε-converged, or uniformly hot/cold at
-  τ) is served without touching the refinement engine at all, and the
-  short-circuit is bit-identical to the full render because the batch
-  engine starts from exactly these root bounds and refines only
-  still-active rows.
+* **bounds** — the tightest sound per-pixel ``(LB, UB)`` envelope any
+  complete render of the tile's grid has produced: the root-node bounds
+  at first, intersected in place with each complete render's final
+  envelope (so readers that mutate an entry copy it first). Its
+  digest omits ε, τ, the operation, the tile partition *and* the
+  colormap — every such render bounds the same density (dataset, tier,
+  method, kernel, bandwidth, grid) — so one entry serves every
+  parameter sweep over the same viewport. Only τ tiles read it: pixels
+  it settles beyond the tie guard keep its decision, and the tile
+  driver refines just the rest — bit-identical to direct τ refinement,
+  since a settled τ decision does not depend on the refinement
+  schedule. ε tiles never start from it: a narrowed start would change
+  which rows retire when, and so the ε bytes. They render from root
+  bounds and narrow the entry afterwards.
 
 Every level is LRU with its own byte budget and optional TTL.
 :meth:`TileCache.invalidate_dataset` drops all three levels for one
@@ -72,9 +76,9 @@ def partial_fingerprint(
     The value-level cache keys are *broader* than the full request
     fingerprint: the density level drops nothing but excludes the
     colormap from ``extra``, and the bounds level additionally drops
-    ``op`` / ``eps`` / ``tau`` / ``atol`` / ``tile_size`` because root
-    envelopes are parameter-independent. Dropping a field a level's
-    value genuinely depends on would serve wrong tiles, so the drop
+    ``op`` / ``eps`` / ``tau`` / ``atol`` / ``tile_size`` because every
+    render's envelope bounds the same density. Dropping a field a
+    level's value genuinely depends on would serve wrong tiles, so the drop
     lists live next to the code that proves independence
     (:meth:`TileCache` docstring), not with callers.
     """
@@ -88,7 +92,7 @@ def partial_fingerprint(
 
 
 class TileCache:
-    """Three-level LRU cache (PNG bytes / density arrays / root bounds).
+    """Three-level LRU cache (PNG bytes / density arrays / bound envelopes).
 
     Parameters
     ----------
@@ -184,13 +188,13 @@ class TileCache:
     def get_bounds(
         self, key: TileKey
     ) -> Optional[Tuple["FloatArray", "FloatArray"]]:
-        """Cached root-node ``(LB, UB)`` envelope, or ``None``."""
+        """Cached per-pixel ``(LB, UB)`` envelope, or ``None``."""
         return self._tracked("bounds", lambda: self._bounds.get(key))
 
     def put_bounds(
         self, key: TileKey, envelope: Tuple["FloatArray", "FloatArray"]
     ) -> None:
-        """Cache a root-node ``(LB, UB)`` envelope."""
+        """Cache (or replace) a per-pixel ``(LB, UB)`` envelope."""
         self._tracked("bounds", lambda: self._bounds.put(key, envelope))
 
     # -- invalidation ------------------------------------------------------

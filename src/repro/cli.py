@@ -276,13 +276,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve_sharding = serve.add_argument_group(
-        "sharding", "spatial scale-out of registered datasets"
+        "sharding", "per-tile circuit-breaker buckets of registered datasets"
     )
     serve_sharding.add_argument(
         "--shards",
         type=_positive_int,
         default=1,
-        help="spatial shards per dataset (kd-tree partition; 1 = monolithic)",
+        help=(
+            "circuit-breaker shards per dataset: each tile hashes to one "
+            "(X-Shard); rendering is the same at every count (1 = unsharded)"
+        ),
     )
     serve_sharding.add_argument(
         "--min-points-per-shard",
@@ -496,10 +499,9 @@ def _command_serve(args: argparse.Namespace) -> int:
         name, n, seed = _parse_dataset_spec(spec)
         points = load_dataset(name, n=n, seed=seed)
         service.registry.register(name, points, method=args.method)
-        shards = getattr(service.registry.get(name), "shard_count", 1)
         print(
             f"repro serve: registered {name!r} (n={n}, seed={seed}, "
-            f"shards={shards})"
+            f"shards={service.registry.get(name).shards})"
         )
     run_server(service, host=args.host, port=args.port)
     return 0

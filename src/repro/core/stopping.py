@@ -62,6 +62,7 @@ __all__ = [
     "TAU_TIE_GUARD",
     "tau_decision_is_tight",
     "tau_tight_mask",
+    "tau_settled_mask",
 ]
 
 #: The relative ``(1 ± eps)`` test fired.
@@ -184,4 +185,19 @@ def tau_tight_mask(lb: FloatArray, ub: FloatArray, tau: float) -> BoolArray:
     scale = np.maximum(np.maximum(np.abs(lb), np.abs(ub)), max(abs(tau), 1e-300))
     margin = np.where(lb >= tau, lb - tau, tau - ub)
     result: BoolArray = margin <= TAU_TIE_GUARD * scale
+    return result
+
+
+def tau_settled_mask(lb: FloatArray, ub: FloatArray, tau: float) -> BoolArray:
+    """Rows an enclosing envelope decides under every refinement schedule.
+
+    A certain decision whose margin clears :data:`TAU_TIE_GUARD` is the
+    canonical ``F >= tau`` whatever schedule produced the envelope, so
+    such a pixel needs no refinement. A tight margin, or an interval
+    that rounding turned inside-out (intersecting two envelopes can),
+    leaves the pixel open.
+    """
+    result: BoolArray = (
+        tau_stop_mask(lb, ub, tau) & ~tau_tight_mask(lb, ub, tau) & (lb <= ub)
+    )
     return result

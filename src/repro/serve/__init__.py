@@ -7,12 +7,12 @@ The serving stack, bottom-up:
 * :mod:`repro.serve.registry` — datasets loaded, validated and indexed
   exactly once, shared across requests, versioned on append;
 * :mod:`repro.serve.service` — request planning, the three-level
-  :class:`~repro.cache.TileCache` (PNG bytes / density arrays / root
-  bound envelopes), single-flight render dedup, worker pool,
+  :class:`~repro.cache.TileCache` (PNG bytes / density arrays / bound
+  envelopes), single-flight render dedup, worker pool,
   backpressure and deadline handling;
-* :mod:`repro.serve.sharding` — spatial scale-out: datasets split into
-  K kd-tree shards with per-shard indexes/coresets/pools, summed at
-  serve time with the QUAD guarantee intact;
+* :mod:`repro.serve.sharding` — per-tile circuit-breaker buckets: a
+  dataset registered with K shards routes each tile to one of K
+  breakers (and an ``X-Shard`` header) while rendering exactly as K = 1;
 * :mod:`repro.serve.http` — a stdlib-asyncio HTTP front end exposing
   ``GET /tile/{dataset}/{z}/{x}/{y}.png`` and ``GET /stats``.
 
@@ -33,14 +33,9 @@ from repro.serve.config import (
     ShardingConfig,
 )
 from repro.serve.http import TileServer, run_server
-from repro.serve.registry import DatasetEntry, DatasetRegistry, ShardRouting
+from repro.serve.registry import DatasetEntry, DatasetRegistry
 from repro.serve.service import TilePlan, TileService
-from repro.serve.sharding import (
-    ShardedDatasetEntry,
-    ShardedDatasetRegistry,
-    kd_partition,
-    rendezvous_shard,
-)
+from repro.serve.sharding import ShardedDatasetRegistry, rendezvous_shard
 from repro.serve.tiles import (
     DEFAULT_TILE_PX,
     MAX_ZOOM,
@@ -58,14 +53,11 @@ __all__ = [
     "RenderConfig",
     "ResilienceConfig",
     "ServiceConfig",
-    "ShardRouting",
-    "ShardedDatasetEntry",
     "ShardedDatasetRegistry",
     "ShardingConfig",
     "TilePlan",
     "TileServer",
     "TileService",
-    "kd_partition",
     "rendezvous_shard",
     "run_server",
     "tile_count",

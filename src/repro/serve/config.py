@@ -9,8 +9,8 @@
   :class:`~repro.cache.tiles.TileCache`;
 * :class:`ResilienceConfig` — the degrade-don't-fail surface
   (backpressure queue, stale cache, circuit breakers, drain);
-* :class:`ShardingConfig` — horizontal scale-out: how many spatial
-  shards each registered dataset is split into.
+* :class:`ShardingConfig` — how many circuit-breaker shards each
+  registered dataset's tiles spread over.
 
 Callers build and read the groups themselves
 (``ServiceConfig(render=RenderConfig(eps=0.1))``, ``config.render.eps``).
@@ -152,15 +152,15 @@ class ResilienceConfig:
 
 @dataclass(frozen=True)
 class ShardingConfig:
-    """Horizontal scale-out: spatial sharding of registered datasets.
+    """Per-tile circuit-breaker buckets of registered datasets.
 
-    ``shards=K`` splits each dataset registered through the service into
-    K spatial shards by kd-tree subtree, each with its own index,
-    coreset tiers and render pools; served tiles sum the per-shard
-    partial densities with the per-shard coreset error folded into ε so
-    the QUAD guarantee is preserved exactly (see docs/serving.md).
-    ``min_points_per_shard`` caps the effective shard count on small
-    datasets so no shard ends up empty or degenerate.
+    ``shards=K`` spreads each dataset's tiles over K rendezvous-hashed
+    shards: a tile's home shard owns its circuit breaker and names
+    itself in ``X-Shard``. The dataset keeps one index, one coreset
+    pyramid and one set of cache keys, so tiles render the same bytes,
+    with the same guarantee, at every K (see docs/serving.md).
+    ``min_points_per_shard`` caps the effective shard count at
+    ``n // min_points_per_shard`` on small datasets.
     """
 
     shards: int = 1

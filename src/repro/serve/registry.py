@@ -27,8 +27,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -42,7 +41,7 @@ if TYPE_CHECKING:
     from repro._types import FloatArray, PointLike
     from repro.visual.grid import PixelGrid
 
-__all__ = ["CoresetTier", "DatasetEntry", "DatasetRegistry", "ShardRouting"]
+__all__ = ["CoresetTier", "DatasetEntry", "DatasetRegistry"]
 
 #: Default normalised coreset error budget per zoom (``delta_z``);
 #: must stay well below typical request ``eps`` (0.05 by default in
@@ -88,27 +87,6 @@ class CoresetTier:
         }
 
 
-@dataclass(frozen=True)
-class ShardRouting:
-    """How one tile zoom renders against an entry: which renderers, what fold.
-
-    The single-entry case has one renderer (exact or the zoom's coreset
-    tier); a :class:`~repro.serve.sharding.ShardedDatasetEntry` returns
-    one renderer per spatial shard, in fixed shard-index order, with the
-    per-shard coreset errors already combined into one ``delta_z`` (the
-    summed tile folds the *combined* bound into ε once — see
-    docs/serving.md). ``delta_z`` is 0.0 on the exact path.
-    """
-
-    renderers: Tuple[KDVRenderer, ...]
-    tier_tag: Optional[str]
-    delta_z: float
-
-    @property
-    def shards(self) -> int:
-        return len(self.renderers)
-
-
 def _close_renderer_methods(renderer: KDVRenderer) -> None:
     """Shut down process pools cached on a renderer's fitted methods."""
     for fitted in renderer._methods.values():
@@ -124,6 +102,12 @@ class DatasetEntry:
     The entry's ``renderer`` is fitted over the dataset's base viewport;
     tile requests derive per-tile grids from it via ``with_grid`` clones
     that share the fitted method objects.
+
+    ``shards`` (set by :class:`~repro.serve.sharding.ShardedDatasetRegistry`)
+    splits the tiles into that many rendezvous-hashed buckets, each with
+    its own circuit breaker (:attr:`shard_ids`) and ``X-Shard`` header.
+    It never changes what a tile renders: every shard count serves the
+    same index, coreset pyramid, cache keys and bytes.
     """
 
     def __init__(
@@ -136,11 +120,14 @@ class DatasetEntry:
         coreset_zoom: Optional[int] = None,
         coreset_delta_cap: float = DEFAULT_CORESET_DELTA_CAP,
         coreset_tile_px: int = DEFAULT_CORESET_TILE_PX,
+        shards: int = 1,
     ) -> None:
         if coreset_zoom is not None and int(coreset_zoom) < 1:
             raise InvalidParameterError(
                 f"coreset_zoom must be >= 1 (or None to disable), got {coreset_zoom!r}"
             )
+        if int(shards) < 1:
+            raise InvalidParameterError(f"shards must be >= 1, got {shards!r}")
         if not float(coreset_delta_cap) > 0.0:
             raise InvalidParameterError(
                 f"coreset_delta_cap must be > 0, got {coreset_delta_cap!r}"
@@ -153,6 +140,7 @@ class DatasetEntry:
         self.coreset_zoom = None if coreset_zoom is None else int(coreset_zoom)
         self.coreset_delta_cap = float(coreset_delta_cap)
         self.coreset_tile_px = int(coreset_tile_px)
+        self.shards = int(shards)
         self._gamma_given = gamma_given
         self._lock = threading.RLock()
         self._coreset_tiers: Dict[int, CoresetTier] = self._build_coreset_tiers()
@@ -212,20 +200,12 @@ class DatasetEntry:
         with self._lock:
             return self._coreset_tiers.get(int(zoom))
 
-    def tile_routes(self, zoom: int) -> ShardRouting:
-        """The renderers (and folded coreset error) serving ``zoom``.
-
-        The monolithic entry routes to exactly one renderer — the
-        zoom's coreset tier below the threshold, the exact renderer
-        otherwise. Sharded entries override this with one renderer per
-        shard.
-        """
-        tier = self.coreset_tier(zoom)
-        if tier is None:
-            return ShardRouting((self.renderer,), None, 0.0)
-        return ShardRouting(
-            (tier.renderer,), f"coreset-z{tier.zoom}", float(tier.delta_z)
-        )
+    @property
+    def shard_ids(self) -> List[str]:
+        """Circuit-breaker ids in shard order (the bare id when unsharded)."""
+        if self.shards == 1:
+            return [self.dataset_id]
+        return [f"{self.dataset_id}#s{index}" for index in range(self.shards)]
 
     def coarse_density(self, centers: "FloatArray") -> "FloatArray":
         """Exact density at ``centers`` — the colour-normalisation probe.
@@ -354,9 +334,9 @@ class DatasetEntry:
         return reports
 
     def as_dict(self) -> Dict[str, Any]:
-        """Entry snapshot for ``/stats``."""
+        """Entry snapshot for ``/stats`` (plus ``sharding`` when sharded)."""
         with self._lock:
-            return {
+            snapshot = {
                 "id": self.dataset_id,
                 "version": self.version,
                 "n": int(self.points.shape[0]),
@@ -377,6 +357,9 @@ class DatasetEntry:
                     ],
                 },
             }
+        if self.shards > 1:
+            snapshot["sharding"] = {"shards": self.shards}
+        return snapshot
 
     def __repr__(self) -> str:
         return (
@@ -428,6 +411,36 @@ class DatasetRegistry:
         existing id raises — use :meth:`append` to grow a dataset, or
         :meth:`remove` first.
         """
+        return self._register(
+            dataset_id,
+            points,
+            shards=1,
+            kernel=kernel,
+            gamma=gamma,
+            method=method,
+            grid=grid,
+            coreset_zoom=coreset_zoom,
+            coreset_delta_cap=coreset_delta_cap,
+            coreset_tile_px=coreset_tile_px,
+            method_options=method_options,
+        )
+
+    def _register(
+        self,
+        dataset_id: str,
+        points: "PointLike",
+        *,
+        shards: int,
+        kernel: Any,
+        gamma: Optional[float],
+        method: str,
+        grid: Optional["PixelGrid"],
+        coreset_zoom: Optional[int],
+        coreset_delta_cap: float,
+        coreset_tile_px: int,
+        method_options: Dict[str, Any],
+    ) -> DatasetEntry:
+        """Build, store and warm one entry (shared by the registries)."""
         dataset_id = str(dataset_id)
         if not dataset_id or "/" in dataset_id:
             raise InvalidParameterError(
@@ -444,6 +457,7 @@ class DatasetRegistry:
             coreset_zoom=coreset_zoom,
             coreset_delta_cap=coreset_delta_cap,
             coreset_tile_px=coreset_tile_px,
+            shards=shards,
         )
         with self._lock:
             if dataset_id in self._entries:

@@ -15,11 +15,15 @@ and tests drive it directly. One tile request flows through:
 3. **Render** — :meth:`TileService.render_tile` runs on the worker
    pool, deduplicated per PNG key by a
    :class:`~repro.utils.cache.SingleFlight` (a thundering herd of
-   identical tile requests does one render), consults the density and
-   bounds cache levels, renders through the one
-   ``KDVRenderer.render(request)`` entrypoint under a per-request
-   :class:`~repro.resilience.budget.Budget` deadline, and never caches
-   a degraded result: a tripped deadline raises
+   identical tile requests does one render), consults the density
+   level, and renders through the one ``KDVRenderer.render(request)``
+   entrypoint — one tile-driver run on one renderer at every shard
+   count — under a per-request
+   :class:`~repro.resilience.budget.Budget` deadline. A τ tile starts
+   from the bounds level, the tightest envelope earlier complete
+   renders of its grid left, and refines only the pixels that
+   envelope leaves open; every complete render narrows that entry.
+   A degraded result is never cached: a tripped deadline raises
    :class:`~repro.errors.DeadlineExceededError` (HTTP 504).
 4. **Backpressure** — admission control is a counting semaphore over
    render slots (:meth:`try_acquire_slot`); when the bounded queue is
@@ -61,7 +65,6 @@ import numpy as np
 
 from repro.cache.tiles import TileCache, TileKey, partial_fingerprint
 from repro.core import stopping
-from repro.core.exact import exact_density
 from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
@@ -85,7 +88,6 @@ from repro.serve.config import (
 )
 from repro.serve.registry import DatasetEntry, DatasetRegistry
 from repro.serve.sharding import (
-    TAU_SHARD_REF_EPS,
     ShardedDatasetRegistry,
     rendezvous_shard,
     tile_extent_key,
@@ -132,16 +134,10 @@ class TilePlan:
     (in which case ``resolved.tier`` carries the tier tag and
     ``tier_delta_z`` the folded error bound).
 
-    Sharded entries route to ``shard_renderers`` (one per spatial
-    shard, fixed order; ``renderer`` is then shard 0's): the tile sums
-    per-shard partial densities, each shard render described by the one
-    shared ``shard_request`` (an ε request whose atol is split ``/K``)
-    and cached under its own per-shard density/bounds keys. Every key
-    of a sharded plan mixes the shard count into its fingerprint, so a
-    resharded dataset can never alias old cache entries; a one-shard
-    plan's keys are byte-identical to the historical unsharded ones.
-    ``home_shard`` is the tile's rendezvous-hashed affinity shard,
-    whose circuit breaker (``breaker_id``) owns this tile's renders.
+    ``shards`` is the entry's shard count and ``home_shard`` the tile's
+    rendezvous-hashed bucket, whose circuit breaker (``breaker_id``)
+    owns this tile's renders. Neither enters a cache key: every shard
+    count renders the same bytes.
     """
 
     entry: DatasetEntry
@@ -153,32 +149,20 @@ class TilePlan:
     indexed: bool
     renderer: "KDVRenderer"
     tier_delta_z: Optional[float] = None
-    shard_renderers: Tuple["KDVRenderer", ...] = ()
-    shard_request: Optional[RenderRequest] = None
+    shards: int = 1
     home_shard: int = 0
     png_key: TileKey = field(init=False)
     density_key: TileKey = field(init=False)
     bounds_key: TileKey = field(init=False)
     stale_key: TileKey = field(init=False)
-    shard_density_keys: Tuple[TileKey, ...] = field(init=False)
-    shard_bounds_keys: Tuple[TileKey, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         dataset_id = self.entry.dataset_id
         z, x, y = self.tile
-        shards = self.shards
         base_extra: Dict[str, Any] = {
             "dataset": self.versioned_id,
             "tile": [z, x, y],
         }
-        stale_extra: Dict[str, Any] = {
-            "dataset": dataset_id,
-            "tile": [z, x, y],
-            "colormap": self.colormap,
-        }
-        if shards > 1:
-            base_extra["shards"] = shards
-            stale_extra["shards"] = shards
         self.png_key = (
             dataset_id,
             "png",
@@ -191,7 +175,9 @@ class TilePlan:
         self.stale_key = (
             dataset_id,
             "stale",
-            self.resolved.fingerprint(extra=stale_extra),
+            self.resolved.fingerprint(
+                extra={"dataset": dataset_id, "tile": [z, x, y], "colormap": self.colormap}
+            ),
         )
         self.density_key = (
             dataset_id,
@@ -207,35 +193,6 @@ class TilePlan:
                 extra=base_extra,
             ),
         )
-        if shards > 1:
-            assert self.shard_request is not None
-            density_keys = []
-            bounds_keys = []
-            for index in range(shards):
-                shard_extra = {**base_extra, "shard": index}
-                density_keys.append(
-                    (
-                        dataset_id,
-                        "density",
-                        partial_fingerprint(self.shard_request, extra=shard_extra),
-                    )
-                )
-                bounds_keys.append(
-                    (
-                        dataset_id,
-                        "bounds",
-                        partial_fingerprint(
-                            self.shard_request,
-                            drop=("op", "eps", "tau", "atol", "tile_size"),
-                            extra=shard_extra,
-                        ),
-                    )
-                )
-            self.shard_density_keys = tuple(density_keys)
-            self.shard_bounds_keys = tuple(bounds_keys)
-        else:
-            self.shard_density_keys = ()
-            self.shard_bounds_keys = ()
 
     @property
     def op(self) -> str:
@@ -243,22 +200,15 @@ class TilePlan:
         return self.resolved.op
 
     @property
-    def shards(self) -> int:
-        """How many spatial shards this tile sums over (1 = unsharded)."""
-        return len(self.shard_renderers) or 1
-
-    @property
     def breaker_id(self) -> str:
         """The circuit breaker owning this tile's renders.
 
-        The dataset id itself for monolithic entries; the tile's
+        The dataset id itself for unsharded entries; the tile's
         rendezvous home shard (``"<dataset>#s<i>"``) for sharded ones,
         so a poisoned spatial region trips one shard's breaker instead
         of blacking out the whole dataset.
         """
-        if self.shards > 1:
-            return f"{self.entry.dataset_id}#s{self.home_shard}"
-        return self.entry.dataset_id
+        return self.entry.shard_ids[self.home_shard]
 
 
 class TileService:
@@ -395,34 +345,30 @@ class TileService:
             colormap if colormap is not None else self.config.render.colormap
         ).lower()
         get_colormap(colormap_name)  # fail fast on unknown names (400, not 500)
-        # Tier + shard routing: the entry answers with one renderer per
-        # spatial shard for this zoom (one renderer, period, for
-        # monolithic entries). Below the coreset threshold those are
-        # tier renderers and routing.delta_z carries the *combined*
-        # coreset error, folded into eps once for the whole summed tile
+        # Below the coreset threshold the zoom's tier renders the tile
+        # and its error bound delta_z is folded into eps
         # (eps_effective = eps - delta_z, docs/bounds.md); zoom >=
         # coreset_zoom falls through to exact QUAD. tau renders route
         # unchanged — masks can flip only where |F - tau| <= delta_abs.
-        routing = entry.tile_routes(z)
-        shards = routing.shards
-        renderer = routing.renderers[0]
-        tier_tag = routing.tier_tag
-        tier_delta_z = routing.delta_z if tier_tag is not None else None
+        tier = entry.coreset_tier(z)
+        renderer = entry.renderer if tier is None else tier.renderer
+        tier_tag = None if tier is None else f"coreset-z{tier.zoom}"
+        tier_delta_z = None if tier is None else float(tier.delta_z)
         if tau is not None:
             request = RenderRequest.for_tau(
                 float(tau), method_name, grid=grid, tier=tier_tag
             )
         elif eps is not None or self.config.render.tau is None:
             eps_requested = float(eps if eps is not None else self.config.render.eps)
-            if tier_tag is not None:
-                if eps_requested <= routing.delta_z:
+            if tier_delta_z is not None:
+                if eps_requested <= tier_delta_z:
                     raise InvalidParameterError(
                         f"eps={eps_requested} is not achievable at zoom {z}: the "
-                        f"coreset tier's error bound delta_z={routing.delta_z:.6g} "
+                        f"coreset tier's error bound delta_z={tier_delta_z:.6g} "
                         "consumes the whole budget; request a larger eps or "
                         "register with a smaller coreset_delta_cap"
                     )
-                eps_requested -= routing.delta_z
+                eps_requested -= tier_delta_z
             request = RenderRequest.for_eps(
                 eps_requested, method_name, grid=grid, tier=tier_tag
             )
@@ -433,11 +379,6 @@ class TileService:
         fitted = renderer.get_method(method_name)
         indexed = isinstance(fitted, IndexedMethod)
         fitted._require(request.op)
-        if shards > 1 and request.op == OP_TAU:
-            # Sharded tau tiles pre-decide pixels from summed per-shard
-            # eps bounds before the exact fallback, so the method must
-            # support the eps operation too.
-            fitted._require(OP_EPS)
         options = (
             RenderOptions(
                 tile_size=RENDER_TILE_SIZE,
@@ -449,31 +390,12 @@ class TileService:
             else RenderOptions()
         )
         resolved = request.replace(options=options).resolve(renderer)
-        shard_request: Optional[RenderRequest] = None
-        home_shard = 0
-        if shards > 1:
-            home_shard = rendezvous_shard(
-                entry.dataset_id, shards, tile_extent_key(grid)
-            )
-            if resolved.op == OP_EPS:
-                # Each shard renders the folded eps with the absolute
-                # floor split K ways; summing the per-shard contracts
-                # |F_s_hat - F_s| <= eps*F_s + atol/K reproduces the
-                # unsharded envelope |F_hat - F| <= eps*F + atol.
-                assert resolved.atol is not None
-                shard_request = resolved.replace(atol=float(resolved.atol) / shards)
-            else:
-                # tau has no accuracy knob, so shards render a
-                # reference-eps density whose summed bounds decide the
-                # mask (exact fallback for the undecided sliver).
-                shard_request = RenderRequest.for_eps(
-                    TAU_SHARD_REF_EPS,
-                    method_name,
-                    grid=grid,
-                    tier=tier_tag,
-                    atol=(1e-9 * float(renderer.weight)) / shards,
-                    options=options,
-                ).resolve(renderer)
+        shards = entry.shards
+        home_shard = (
+            rendezvous_shard(entry.dataset_id, shards, tile_extent_key(grid))
+            if shards > 1
+            else 0
+        )
         return TilePlan(
             entry=entry,
             versioned_id=entry.versioned_id(),
@@ -486,8 +408,7 @@ class TileService:
             indexed=indexed,
             renderer=renderer,
             tier_delta_z=tier_delta_z,
-            shard_renderers=routing.renderers if shards > 1 else (),
-            shard_request=shard_request,
+            shards=shards,
             home_shard=home_shard,
         )
 
@@ -719,187 +640,60 @@ class TileService:
     def _compute_values(self, plan: TilePlan) -> np.ndarray:
         """The tile's value array (density image or τ mask), full quality.
 
-        Tries the cached root-bounds envelope first: when it already
-        resolves every pixel, the answer is assembled straight from the
-        bounds — bit-identical to the engine's output, because the
-        batched engine starts from these exact root bounds and refines
-        only rows the stopping test leaves active (an all-stopped batch
-        is returned untouched).
+        ε tiles always render from root bounds: a start narrowed by an
+        earlier render would change their bytes. A τ tile starts from
+        the grid's L3 envelope — root bounds, or the tightest envelope
+        earlier complete renders of the grid left there. When that
+        envelope settles every pixel the mask is read straight off it;
+        otherwise the tile driver refines only the pixels it leaves
+        open. Both equal direct τ refinement bit for bit, because a τ
+        decision settled beyond the tie guard does not depend on the
+        refinement schedule (:func:`~repro.core.stopping.tau_settled_mask`).
         """
         resolved = plan.resolved
+        if not plan.indexed or resolved.op == OP_EPS:
+            return self._render_full(plan)
         grid = resolved.grid
-        assert grid is not None
-        if plan.shards > 1:
-            return self._compute_values_sharded(plan)
-        if plan.indexed:
-            envelope = self.cache.get_bounds(plan.bounds_key)
-            if envelope is None:
-                fitted = plan.renderer.get_method(resolved.method)
-                assert isinstance(fitted, IndexedMethod)
-                engine = fitted.batch_engine
-                if engine is not None:
-                    envelope = engine.root_envelope(grid.centers())
-                    self.cache.put_bounds(plan.bounds_key, envelope)
-            if envelope is not None:
-                shortcut = self._from_envelope(resolved, envelope)
-                if shortcut is not None:
-                    self.metrics.counter("tiles.bounds_shortcircuit").add(1)
-                    return np.asarray(grid.to_image(shortcut))
-        return self._render_full(plan)
-
-    def _from_envelope(
-        self, resolved: RenderRequest, envelope: Tuple["FloatArray", "FloatArray"]
-    ) -> Optional[np.ndarray]:
-        """Flat tile values decided by root bounds alone, else ``None``."""
+        assert grid is not None and resolved.tau is not None
+        tau = float(resolved.tau)
+        envelope = self.cache.get_bounds(plan.bounds_key)
+        if envelope is None:
+            fitted = plan.renderer.get_method(resolved.method)
+            assert isinstance(fitted, IndexedMethod) and fitted.batch_engine is not None
+            envelope = fitted.batch_engine.root_envelope(grid.centers())
+            self.cache.put_bounds(plan.bounds_key, envelope)
         lower, upper = envelope
-        if resolved.op == OP_TAU:
-            tau = float(resolved.tau)  # type: ignore[arg-type]
-            if bool(stopping.tau_stop_mask(lower, upper, tau).all()):
-                return np.asarray(stopping.tau_hot_mask(lower, tau))
-            return None
-        eps = float(resolved.eps)  # type: ignore[arg-type]
-        atol = float(resolved.atol)  # type: ignore[arg-type]
-        if bool(stopping.eps_stop_mask(lower, upper, 1.0 + eps, 0.0, atol).all()):
-            return 0.5 * (lower + upper)
-        return None
+        if bool(stopping.tau_settled_mask(lower, upper, tau).all()):
+            self.metrics.counter("tiles.bounds_shortcircuit").add(1)
+            return np.asarray(grid.to_image(stopping.tau_hot_mask(lower, tau)))
+        return self._render_full(plan, envelope)
 
-    def _compute_values_sharded(self, plan: TilePlan) -> np.ndarray:
-        """Sum K per-shard partial densities into one guaranteed tile.
-
-        Every shard renders the shared ``shard_request`` (each hitting
-        its own density/bounds cache levels and per-shard root-bounds
-        shortcut) and the partial images are summed in fixed shard
-        order — deterministic bytes for a given shard count. ε tiles
-        return the sum directly: per-shard contracts at atol/K sum to
-        the exact unsharded envelope (docs/serving.md). τ tiles decide
-        each pixel from the summed reference-ε bounds via the τ
-        stopping rule and finish the undecided sliver with summed
-        per-shard exact density, so the mask matches the unsharded mask
-        wherever τ is not within floating-point noise of the density.
-
-        The deadline budget applies per shard render; a shard that
-        trips it raises without partial values — one shard's partial
-        envelope is not a valid tile for the summed dataset.
-        """
-        resolved = plan.resolved
-        grid = resolved.grid
-        shard_request = plan.shard_request
-        assert grid is not None and shard_request is not None
-        budget = (
-            Budget.from_deadline_ms(plan.deadline_ms)
-            if plan.deadline_ms is not None
-            else None
-        )
-        total: Optional[np.ndarray] = None
-        for index in range(plan.shards):
-            values = self._shard_density(plan, index, budget)
-            total = np.asarray(values) if total is None else total + values
-        assert total is not None
-        if resolved.op == OP_EPS:
-            return total
-        # tau hybrid: each shard value v_s obeys
-        # |v_s - F_s| <= eps_ref * F_s + atol/K, so the summed value v
-        # brackets the true density F by
-        #   (v - atol) / (1 + eps_ref) <= F <= (v + atol) / (1 - eps_ref).
-        flat = total.reshape(-1)
-        eps_ref = float(shard_request.eps)  # type: ignore[arg-type]
-        atol_total = float(shard_request.atol) * plan.shards  # type: ignore[arg-type]
-        lower = np.maximum((flat - atol_total) / (1.0 + eps_ref), 0.0)
-        upper = (flat + atol_total) / (1.0 - eps_ref)
-        tau = float(resolved.tau)  # type: ignore[arg-type]
-        decided = np.asarray(stopping.tau_stop_mask(lower, upper, tau))
-        hot = np.asarray(stopping.tau_hot_mask(lower, tau))
-        undecided = ~decided
-        if bool(undecided.any()):
-            centers = np.asarray(grid.centers())[undecided]
-            exact: Optional[np.ndarray] = None
-            for renderer in plan.shard_renderers:
-                part = exact_density(
-                    renderer.points,
-                    centers,
-                    renderer.kernel,
-                    renderer.gamma,
-                    renderer.weight,
-                    point_weights=renderer.point_weights,
-                )
-                exact = np.asarray(part) if exact is None else exact + part
-            assert exact is not None
-            hot[undecided] = np.asarray(stopping.tau_hot_mask(exact, tau))
-            self.metrics.counter("tiles.shard_tau_exact_pixels").add(
-                int(undecided.sum())
-            )
-        return np.asarray(grid.to_image(hot))
-
-    def _shard_density(
-        self, plan: TilePlan, index: int, budget: Optional[Budget]
-    ) -> np.ndarray:
-        """One shard's partial-density image (cache → bounds → render)."""
-        key = plan.shard_density_keys[index]
-        cached = self.cache.get_density(key)
-        if cached is not None:
-            return cached
-        renderer = plan.shard_renderers[index]
-        request = plan.shard_request
-        assert request is not None
-        grid = request.grid
-        assert grid is not None
-        values: Optional[np.ndarray] = None
-        if plan.indexed:
-            bounds_key = plan.shard_bounds_keys[index]
-            envelope = self.cache.get_bounds(bounds_key)
-            if envelope is None:
-                fitted = renderer.get_method(str(request.method))
-                if isinstance(fitted, IndexedMethod):
-                    engine = fitted.batch_engine
-                    if engine is not None:
-                        envelope = engine.root_envelope(grid.centers())
-                        self.cache.put_bounds(bounds_key, envelope)
-            if envelope is not None:
-                shortcut = self._from_envelope(request, envelope)
-                if shortcut is not None:
-                    self.metrics.counter("tiles.bounds_shortcircuit").add(1)
-                    values = np.asarray(grid.to_image(shortcut))
-        if values is None:
-            values = self._render_request(
-                renderer, request, plan, budget, attach_partial=False
-            )
-        self.cache.put_density(key, values)
-        return values
-
-    def _render_full(self, plan: TilePlan) -> np.ndarray:
-        """Render through ``KDVRenderer.render`` under the deadline budget."""
-        budget = (
-            Budget.from_deadline_ms(plan.deadline_ms)
-            if plan.deadline_ms is not None
-            else None
-        )
-        return self._render_request(
-            plan.renderer, plan.resolved, plan, budget, attach_partial=True
-        )
-
-    def _render_request(
+    def _render_full(
         self,
-        renderer: "KDVRenderer",
-        resolved: RenderRequest,
         plan: TilePlan,
-        budget: Optional[Budget],
-        *,
-        attach_partial: bool,
+        envelope: Optional[Tuple["FloatArray", "FloatArray"]] = None,
     ) -> np.ndarray:
-        """One render of ``resolved`` against ``renderer`` under ``budget``.
+        """Render through ``KDVRenderer.render`` under the deadline budget.
 
-        ``attach_partial`` controls whether a tripped deadline carries
-        the anytime render's best-so-far image for the degrade ladder —
-        true for the monolithic full-tile render, false for per-shard
-        partial-density renders (a lone shard's partial is not a
-        servable tile).
+        ``envelope`` (τ only) is the L3 entry the tile driver starts
+        from instead of root bounds. A complete indexed render then
+        narrows the grid's L3 entry in place to its intersection with
+        the render's final envelope — both enclose the density, so the
+        intersection does too, up to rounding that
+        :func:`~repro.core.stopping.tau_settled_mask` treats as open —
+        or, when the grid has none, leaves its envelope there.
         """
         if not plan.indexed:
             # Non-indexed methods have no anytime path (and no
             # cooperative deadline); they render plain.
-            return np.asarray(renderer.render(resolved))
-        run = resolved.replace(options=resolved.options.replace(budget=budget))
-        outcome = renderer.render(run)
+            return np.asarray(plan.renderer.render(plan.resolved))
+        budget = (
+            Budget.from_deadline_ms(plan.deadline_ms)
+            if plan.deadline_ms is not None
+            else None
+        )
+        options = plan.resolved.options.replace(budget=budget, envelope=envelope)
+        outcome = plan.renderer.render(plan.resolved.replace(options=options))
         degraded = outcome.degraded  # type: ignore[union-attr]
         if degraded is not None:
             self.metrics.counter("tiles.degraded").add(1)
@@ -917,12 +711,18 @@ class TileService:
                 # midpoints / conservative tau mask) rides on the error
                 # so the degrade ladder can serve it without paying for
                 # a second render.
-                partial_values=(
-                    np.asarray(outcome.image) if attach_partial else None  # type: ignore[union-attr]
-                ),
+                partial_values=np.asarray(outcome.image),  # type: ignore[union-attr]
                 pixels_resolved=degraded.pixels_resolved,
                 pixels_total=degraded.pixels_total,
             )
+        lower = np.asarray(outcome.lower).reshape(-1)  # type: ignore[union-attr]
+        upper = np.asarray(outcome.upper).reshape(-1)  # type: ignore[union-attr]
+        held = envelope if envelope is not None else self.cache.get_bounds(plan.bounds_key)
+        if held is None:
+            self.cache.put_bounds(plan.bounds_key, (lower, upper))
+        else:
+            np.maximum(held[0], lower, out=held[0])
+            np.minimum(held[1], upper, out=held[1])
         return np.asarray(outcome.image)  # type: ignore[union-attr]
 
     def _encode(self, plan: TilePlan, values: np.ndarray) -> bytes:
@@ -961,8 +761,7 @@ class TileService:
         coarse = base.scaled(_VMAX_GRID_WIDTH / float(base.width))
         # The entry evaluates against its finest coreset tier when one
         # exists (within delta_abs of exact — far below colour-map
-        # resolution — without an O(n) scan per dataset version), and a
-        # sharded entry sums its per-shard probes.
+        # resolution — without an O(n) scan per dataset version).
         values = np.asarray(entry.coarse_density(coarse.centers()))
         vmax = float(values.max()) if values.size else 1.0
         if vmax <= 0.0:
@@ -993,7 +792,9 @@ class TileService:
         dropped = self.cache.invalidate_dataset(dataset_id)
         self.metrics.counter("tiles.invalidations").add(1)
         with self._vmax_lock:
-            stale = [key for key in self._vmax if key.split("@v")[0] == dataset_id]
+            stale = [
+                key for key in self._vmax if key.rsplit("@v", 1)[0] == dataset_id
+            ]
             for key in stale:
                 del self._vmax[key]
         return dropped
@@ -1020,12 +821,11 @@ class TileService:
             # the entry mid-walk; it has no readiness to report.
             except DatasetNotFoundError:
                 continue
-            shard_ids = list(getattr(entry, "shard_ids", ())) or [dataset_id]
             datasets[dataset_id] = {
-                "shards": len(shard_ids),
+                "shards": entry.shards,
                 "breakers": {
                     shard_id: states.get(shard_id, "closed")
-                    for shard_id in shard_ids
+                    for shard_id in entry.shard_ids
                 },
             }
         return {"status": "ready", "datasets": datasets}

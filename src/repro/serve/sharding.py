@@ -1,45 +1,25 @@
-"""Spatial sharding: split one served dataset into K kd-tree shards.
+"""Shards: per-tile circuit-breaker buckets of one served dataset.
 
-Horizontal scale-out for :mod:`repro.serve`. A
-:class:`ShardedDatasetRegistry` splits each registered dataset into K
-spatial shards by kd-tree subtree (:func:`kd_partition` — recursive
-widest-dimension splits at balanced quantiles, so shards are compact
-axis-aligned cells). Each shard is a full :class:`~repro.serve.registry.
-DatasetEntry` — its own kd-tree index, its own per-zoom coreset tiers,
-its own supervised process pools — built with the *full-dataset*
-bandwidth, per-point weight and base viewport, which makes the shard
-densities exact partial sums::
+A :class:`ShardedDatasetRegistry` registers each dataset with a shard
+count K. The dataset stays one :class:`~repro.serve.registry.DatasetEntry`
+— one kd-tree, one coreset pyramid, one plan, one set of cache keys,
+one tile-driver run per miss — so every K serves the bytes K = 1 serves
+and carries the K = 1 guarantee (docs/serving.md).
 
-    F(q) = sum_s F_s(q)        (disjoint points, shared gamma/weight)
-
-so the service can serve a tile by summing K per-shard renders. The
-QUAD guarantee survives intact (docs/serving.md has the full algebra):
-
-* **ε tiles** — every shard renders at the request's (coreset-folded)
-  ε with the absolute floor split ``atol/K``; summing the per-shard
-  contracts ``|F̂_s − F_s| ≤ ε·F_s + atol/K`` gives
-  ``|ΣF̂_s − F| ≤ ε·F + atol`` — the exact unsharded envelope.
-* **τ tiles** — shards render a reference-ε density whose summed bounds
-  decide almost every pixel via the τ stopping rule; the few undecided
-  pixels are finished with summed per-shard exact density, so the mask
-  equals the unsharded mask bit for bit (away from exact F = τ ties).
-* **coresets** — each shard's per-zoom coreset carries its own absolute
-  error ``delta_abs_s``; the *sum* of those errors, normalised by the
-  full dataset's density cap, is the one δ folded into ε for the whole
-  tile (errors of partial sums add — no per-shard slack is wasted).
-
-Tile→shard affinity uses rendezvous (highest-random-weight) hashing
-over the tile's spatial extent (:func:`rendezvous_shard`): every tile
-has a deterministic *home shard* whose circuit breaker takes the
-blame/credit for the tile's renders, so a poisoned region of space
-trips one shard's breaker instead of the whole dataset, and shard
-health is observable per shard in ``/stats`` and ``/readyz``.
+What K does choose is each tile's *home shard*: rendezvous
+(highest-random-weight) hashing over the tile's spatial extent
+(:func:`rendezvous_shard`) picks one of K buckets, deterministic across
+requests and restarts. The home shard's circuit breaker
+(``"<dataset>#s<i>"``) takes the blame and credit for the tile's
+renders, so a poisoned region of space trips one breaker instead of
+the whole dataset; responses name it in ``X-Shard``, and ``/readyz``
+reports every shard breaker's state.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import numpy as np
 
@@ -49,70 +29,17 @@ from repro.serve.registry import (
     DEFAULT_CORESET_TILE_PX,
     DatasetEntry,
     DatasetRegistry,
-    ShardRouting,
-    _close_renderer_methods,
 )
-from repro.visual.kdv import KDVRenderer
 
 if TYPE_CHECKING:
-    from repro._types import FloatArray, PointLike
+    from repro._types import PointLike
     from repro.visual.grid import PixelGrid
 
 __all__ = [
-    "ShardedDatasetEntry",
     "ShardedDatasetRegistry",
-    "kd_partition",
     "rendezvous_shard",
     "tile_extent_key",
 ]
-
-#: Reference ε for the per-shard density pass backing sharded τ tiles.
-#: Not the request's accuracy knob — τ has none — just the resolution of
-#: the summed bounds that pre-decide pixels before the exact fallback;
-#: any value in (0, 1) is correct, this one decides almost every pixel
-#: away from the τ contour while keeping the shard renders cheap.
-TAU_SHARD_REF_EPS = 0.05
-
-
-def kd_partition(points: "PointLike", k: int) -> List[np.ndarray]:
-    """Split point indices into ``k`` compact spatial cells, kd-tree style.
-
-    Recursively splits the widest dimension at the quantile that sends
-    ``ceil(k/2)/k`` of the points left, so cells are balanced (sizes
-    differ by at most the rounding of ``n/k``) and axis-aligned — the
-    same locality that keeps kd-tree bounds tight keeps per-shard QUAD
-    bounds tight. Deterministic: stable sorts, no randomness. Returns
-    ``k`` disjoint index arrays covering ``range(n)``, in a fixed
-    left-to-right tree order.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise InvalidParameterError(
-            f"kd_partition expects a 2-D point array, got shape {pts.shape}"
-        )
-    n = int(pts.shape[0])
-    k = int(k)
-    if k < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {k!r}")
-    if k > n:
-        raise InvalidParameterError(f"cannot split {n} points into {k} shards")
-
-    def split(indices: np.ndarray, parts: int) -> List[np.ndarray]:
-        if parts == 1:
-            return [indices]
-        left_parts = (parts + 1) // 2
-        subset = pts[indices]
-        spans = subset.max(axis=0) - subset.min(axis=0)
-        dim = int(np.argmax(spans))
-        order = np.argsort(subset[:, dim], kind="stable")
-        n_left = int(round(len(indices) * left_parts / parts))
-        # Both sides must keep at least their shard count's worth of room.
-        n_left = min(max(n_left, left_parts), len(indices) - (parts - left_parts))
-        left = indices[order[:n_left]]
-        right = indices[order[n_left:]]
-        return split(left, left_parts) + split(right, parts - left_parts)
-
-    return split(np.arange(n), k)
 
 
 def tile_extent_key(grid: "PixelGrid") -> str:
@@ -150,241 +77,8 @@ def rendezvous_shard(dataset_id: str, shards: int, extent_key: str) -> int:
     return best_shard
 
 
-class ShardedDatasetEntry(DatasetEntry):
-    """One served dataset split into K spatial shard entries.
-
-    Presents the same surface as :class:`DatasetEntry` — the service
-    never branches on the type — but routes tiles to K per-shard
-    renderers (:meth:`tile_routes`) instead of one. The inherited
-    ``renderer`` is a *probe*: it holds the validated full point set
-    and defines the shared base viewport, bandwidth and weight, but is
-    never fitted or rendered against (rendering it would defeat the
-    sharding).
-
-    Not constructed directly — use :meth:`ShardedDatasetRegistry.register`.
-    """
-
-    def __init__(
-        self,
-        dataset_id: str,
-        renderer: KDVRenderer,
-        *,
-        shards: int,
-        gamma_given: Optional[float],
-        method: str,
-        coreset_zoom: Optional[int] = None,
-        coreset_delta_cap: float = DEFAULT_CORESET_DELTA_CAP,
-        coreset_tile_px: int = DEFAULT_CORESET_TILE_PX,
-    ) -> None:
-        if int(shards) < 2:
-            raise InvalidParameterError(
-                f"ShardedDatasetEntry needs >= 2 shards, got {shards!r} "
-                "(use DatasetEntry for the monolithic case)"
-            )
-        if coreset_zoom is not None and int(coreset_zoom) < 1:
-            raise InvalidParameterError(
-                f"coreset_zoom must be >= 1 (or None to disable), got {coreset_zoom!r}"
-            )
-        # The base class builds coreset tiers for its renderer; the
-        # probe must not get any (each *shard* builds its own), so the
-        # threshold is withheld from super() and restored after.
-        super().__init__(
-            dataset_id,
-            renderer,
-            gamma_given=gamma_given,
-            method=method,
-            coreset_zoom=None,
-            coreset_delta_cap=coreset_delta_cap,
-            coreset_tile_px=coreset_tile_px,
-        )
-        self.coreset_zoom = None if coreset_zoom is None else int(coreset_zoom)
-        self._shards: List[DatasetEntry] = self._build_shards(int(shards))
-
-    def _build_shards(self, shards: int) -> List[DatasetEntry]:
-        """Partition the probe's points and build one entry per shard.
-
-        Every shard renderer is constructed with the probe's (i.e. the
-        full dataset's) bandwidth, scalar weight and base grid, so the
-        shard densities are exact partial sums of the full density and
-        every shard's tiles subdivide the same viewport.
-        """
-        probe = self.renderer
-        parts = kd_partition(probe.points, shards)
-        entries: List[DatasetEntry] = []
-        for index, indices in enumerate(parts):
-            shard_renderer = KDVRenderer(
-                probe.points[indices],
-                kernel=probe.kernel,
-                gamma=probe.gamma,
-                weight=probe.weight,
-                grid=probe.grid,
-                **probe.method_options,
-            )
-            entries.append(
-                DatasetEntry(
-                    f"{self.dataset_id}#s{index}",
-                    shard_renderer,
-                    gamma_given=float(probe.gamma),
-                    method=self.method,
-                    coreset_zoom=self.coreset_zoom,
-                    coreset_delta_cap=self.coreset_delta_cap,
-                    coreset_tile_px=self.coreset_tile_px,
-                )
-            )
-        return entries
-
-    @property
-    def shard_count(self) -> int:
-        with self._lock:
-            return len(self._shards)
-
-    @property
-    def shard_ids(self) -> List[str]:
-        """Per-shard breaker/affinity identifiers, in shard order."""
-        with self._lock:
-            return [shard.dataset_id for shard in self._shards]
-
-    def tile_routes(self, zoom: int) -> ShardRouting:
-        """One renderer per shard for ``zoom``, with the combined δ fold.
-
-        Below the coreset threshold every shard serves its own tier;
-        the per-shard absolute errors *sum* (the tile sums the shard
-        densities), so the folded ``delta_z`` is
-        ``Σ_s delta_abs_s / (weight · n_total)`` — the summed error
-        normalised by the full dataset's density cap.
-        """
-        with self._lock:
-            shards = list(self._shards)
-        tiers = [shard.coreset_tier(zoom) for shard in shards]
-        if any(tier is None for tier in tiers):
-            return ShardRouting(
-                tuple(shard.renderer for shard in shards), None, 0.0
-            )
-        delta_abs = sum(float(tier.coreset.delta_abs) for tier in tiers)  # type: ignore[union-attr]
-        density_cap = float(self.renderer.weight) * float(self.points.shape[0])
-        return ShardRouting(
-            tuple(tier.renderer for tier in tiers),  # type: ignore[union-attr]
-            f"coreset-z{int(zoom)}",
-            delta_abs / density_cap,
-        )
-
-    def coarse_density(self, centers: "FloatArray") -> "FloatArray":
-        """Summed per-shard probe density (the colour-normalisation pass)."""
-        with self._lock:
-            shards = list(self._shards)
-        total: Optional[np.ndarray] = None
-        for shard in shards:
-            values = np.asarray(shard.coarse_density(centers))
-            total = values if total is None else total + values
-        assert total is not None
-        return total
-
-    def warm(self, method: Optional[str] = None) -> None:
-        """Fit every shard's serving method now (the probe stays unfitted)."""
-        with self._lock:
-            shards = list(self._shards)
-        for shard in shards:
-            shard.warm(method)
-
-    def append(self, points: "PointLike") -> int:
-        """Grow the dataset; re-partition; rebuild every shard; bump version.
-
-        Appends re-partition globally (a point appended near one shard's
-        boundary may belong in its neighbour), so the whole shard set is
-        rebuilt against the merged points — same shard count, same base
-        viewport, recomputed bandwidth/weight unless ``gamma`` was given
-        at registration — and the stale shards' pools are released.
-        """
-        extra = np.asarray(points, dtype=np.float64)
-        if extra.ndim != 2 or extra.shape[1] != self.points.shape[1]:
-            raise InvalidParameterError(
-                f"appended points must be (m, {self.points.shape[1]}), "
-                f"got shape {extra.shape}"
-            )
-        with self._lock:
-            merged = np.vstack([self.points, extra])
-            stale_probe = self.renderer
-            stale_shards = self._shards
-            self.renderer = KDVRenderer(
-                merged,
-                kernel=self.renderer.kernel,
-                gamma=self._gamma_given,
-                grid=self.base_grid,
-                **self.renderer.method_options,
-            )
-            self.version += 1
-            self._shards = self._build_shards(len(stale_shards))
-            self.warm()
-            _close_renderer_methods(stale_probe)
-            for shard in stale_shards:
-                shard.close()
-            return int(merged.shape[0])
-
-    def close(self) -> None:
-        """Release every shard's pools / shared memory (idempotent)."""
-        with self._lock:
-            _close_renderer_methods(self.renderer)
-            for shard in self._shards:
-                shard.close()
-
-    def executor_health(self) -> List[Dict[str, Any]]:
-        """Pool health across every shard (for ``/stats``)."""
-        with self._lock:
-            shards = list(self._shards)
-        reports: List[Dict[str, Any]] = []
-        for shard in shards:
-            reports.extend(shard.executor_health())
-        return reports
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Entry snapshot with a per-shard section (for ``/stats``)."""
-        with self._lock:
-            shards = list(self._shards)
-            snapshot = {
-                "id": self.dataset_id,
-                "version": self.version,
-                "n": int(self.points.shape[0]),
-                "kernel": self.renderer.kernel.name,
-                "gamma": float(self.renderer.gamma),
-                "method": self.method,
-                "viewport": {
-                    "low": [float(v) for v in self.base_grid.low],
-                    "high": [float(v) for v in self.base_grid.high],
-                },
-                "points_sha1": self.points_digest(),
-                "coreset": {
-                    "zoom_threshold": self.coreset_zoom,
-                    "delta_cap": self.coreset_delta_cap,
-                },
-            }
-        per_shard = []
-        for shard in shards:
-            shard_snapshot = shard.as_dict()
-            per_shard.append(
-                {
-                    "id": shard_snapshot["id"],
-                    "n": shard_snapshot["n"],
-                    "points_sha1": shard_snapshot["points_sha1"],
-                    "coreset": shard_snapshot["coreset"],
-                }
-            )
-        snapshot["sharding"] = {
-            "shards": len(shards),
-            "partition": "kdtree",
-            "per_shard": per_shard,
-        }
-        return snapshot
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedDatasetEntry({self.dataset_id!r}, "
-            f"n={self.points.shape[0]}, shards={self.shard_count}, "
-            f"v{self.version})"
-        )
-
-
 class ShardedDatasetRegistry(DatasetRegistry):
-    """A :class:`DatasetRegistry` that spatially shards what it registers.
+    """A :class:`DatasetRegistry` that gives each entry K breaker shards.
 
     Parameters
     ----------
@@ -393,10 +87,9 @@ class ShardedDatasetRegistry(DatasetRegistry):
     default_shards:
         Shard count used when :meth:`register` is not given one.
     min_points_per_shard:
-        Effective shard counts are clamped so no shard starts below
-        this many points — a 100-point toy dataset registered with
-        ``shards=16`` serves unsharded rather than as 16 degenerate
-        slivers.
+        Effective shard counts are clamped to ``n // min_points_per_shard``
+        — a 100-point toy dataset registered with ``shards=16`` serves
+        unsharded rather than under 16 breakers.
     """
 
     def __init__(
@@ -440,53 +133,27 @@ class ShardedDatasetRegistry(DatasetRegistry):
         shards: Optional[int] = None,
         **method_options: Any,
     ) -> DatasetEntry:
-        """Register a dataset split into ``shards`` spatial shards.
+        """Register a dataset whose tiles spread over ``shards`` breakers.
 
-        ``shards=None`` uses the registry default; an effective count of
-        1 (small dataset, or ``shards=1``) registers a plain monolithic
-        entry — byte-identical serving and cache keys to an unsharded
-        registry. See :meth:`DatasetRegistry.register` for the shared
-        parameters.
+        ``shards=None`` uses the registry default, clamped by
+        :meth:`effective_shards`; an effective count of 1 registers a
+        plain unsharded entry. The shard count only picks each tile's
+        breaker and ``X-Shard`` bucket, so bytes and cache keys equal an
+        unsharded registration's. See :meth:`DatasetRegistry.register`
+        for the shared parameters.
         """
         arr = np.asarray(points, dtype=np.float64)
         n_points = int(arr.shape[0]) if arr.ndim == 2 else 0
-        effective = self.effective_shards(n_points, shards)
-        if effective <= 1:
-            return super().register(
-                dataset_id,
-                points,
-                kernel=kernel,
-                gamma=gamma,
-                method=method,
-                grid=grid,
-                coreset_zoom=coreset_zoom,
-                coreset_delta_cap=coreset_delta_cap,
-                coreset_tile_px=coreset_tile_px,
-                **method_options,
-            )
-        dataset_id = str(dataset_id)
-        if not dataset_id or "/" in dataset_id:
-            raise InvalidParameterError(
-                f"dataset id must be a non-empty path segment, got {dataset_id!r}"
-            )
-        renderer = KDVRenderer(
-            points, kernel=kernel, gamma=gamma, grid=grid, **method_options
-        )
-        entry = ShardedDatasetEntry(
+        return self._register(
             dataset_id,
-            renderer,
-            shards=effective,
-            gamma_given=gamma,
-            method=str(method).lower(),
+            points,
+            shards=self.effective_shards(n_points, shards),
+            kernel=kernel,
+            gamma=gamma,
+            method=method,
+            grid=grid,
             coreset_zoom=coreset_zoom,
             coreset_delta_cap=coreset_delta_cap,
             coreset_tile_px=coreset_tile_px,
+            method_options=method_options,
         )
-        with self._lock:
-            if dataset_id in self._entries:
-                raise InvalidParameterError(
-                    f"dataset {dataset_id!r} is already registered"
-                )
-            self._entries[dataset_id] = entry
-        entry.warm()
-        return entry

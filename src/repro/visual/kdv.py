@@ -51,7 +51,7 @@ from repro.utils.validation import check_points, check_positive
 from repro.visual.colormap import get_colormap, two_color_map
 from repro.visual.grid import PixelGrid
 from repro.visual.image import write_png
-from repro.visual.request import OP_EPS, RenderOptions, RenderRequest
+from repro.visual.request import OP_EPS, OP_TAU, RenderOptions, RenderRequest
 
 if TYPE_CHECKING:
     import os
@@ -247,6 +247,16 @@ class KDVRenderer:
         else:
             assert request.tau is not None
             params = {"tau": float(request.tau)}
+        if options.envelope is not None and (
+            op != OP_TAU
+            or options.checkpoint is not None
+            or options.resume_from is not None
+        ):
+            raise InvalidParameterError(
+                "envelope= starts a τ render only, without checkpoint or "
+                "resume: a narrowed start would change ε answers, and the "
+                "batches it leaves open do not index a checkpoint ledger"
+            )
         fail_fast = not (options.anytime or options.resilience_engaged)
         if fail_fast:
             if (
@@ -478,8 +488,10 @@ class KDVRenderer:
     ) -> RenderOutcome:
         """The one tile driver behind every tiled render, strict or anytime.
 
-        Every pixel starts at the root node's ``(LB, UB)`` envelope, then
-        the tiles refine through one of two executors: in-process
+        Every pixel starts at the root node's ``(LB, UB)`` envelope (or,
+        for a τ render, at ``options.envelope``: the pixels it settles
+        keep it, the rest refine in full-size batches of open pixels),
+        then the tiles refine through one of two executors: in-process
         (:func:`~repro.resilience.runner.run_tiles`, sequential) or, with
         ``workers >= 2``, the method's cached
         :class:`~repro.visual.executors.ProcessTileExecutor`. Both write
@@ -504,8 +516,11 @@ class KDVRenderer:
         tile_size = (
             DEFAULT_TILE_SIZE if options.tile_size is None else options.tile_size
         )
-        tile_list = list(self.grid.tiles(tile_size))
-        n_tiles = len(tile_list)
+        tile_shape = (
+            (int(tile_size), int(tile_size))
+            if np.isscalar(tile_size)
+            else (int(tile_size[0]), int(tile_size[1]))  # type: ignore[index]
+        )
         backend = options.backend
         budget = options.budget
 
@@ -560,7 +575,26 @@ class KDVRenderer:
 
         stats = QueryStats()
         engine = fitted.make_batch_engine(stats, backend=backend)
-        lower, upper = engine.root_envelope(centers)
+        if options.envelope is None:
+            tile_list = list(self.grid.tiles(tile_size))
+            lower, upper = engine.root_envelope(centers)
+        else:
+            lower = np.array(options.envelope[0], dtype=np.float64).reshape(-1)
+            upper = np.array(options.envelope[1], dtype=np.float64).reshape(-1)
+            if lower.shape != (n_pixels,) or upper.shape != (n_pixels,):
+                raise InvalidParameterError(
+                    f"envelope must hold {n_pixels} lower and upper bounds, got "
+                    f"{lower.size} and {upper.size}"
+                )
+            open_pixels = np.flatnonzero(
+                ~stopping.tau_settled_mask(lower, upper, params["tau"])
+            )
+            batch = tile_shape[0] * tile_shape[1]
+            tile_list = [
+                open_pixels[first : first + batch]
+                for first in range(0, open_pixels.size, batch)
+            ]
+        n_tiles = len(tile_list)
         completed_flags = np.zeros(n_tiles, dtype=bool)
 
         if op == OP_EPS:
@@ -590,11 +624,6 @@ class KDVRenderer:
 
         signature: dict[str, Any] | None = None
         if options.checkpoint is not None or options.resume_from is not None:
-            tile_shape = (
-                (int(tile_size), int(tile_size))
-                if np.isscalar(tile_size)
-                else (int(tile_size[0]), int(tile_size[1]))  # type: ignore[index]
-            )
             signature = self._render_signature(fitted, op, params, tile_shape)
         skip: set[int] | None = None
         if options.resume_from is not None:

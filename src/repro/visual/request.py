@@ -43,6 +43,7 @@ if TYPE_CHECKING:
     import os
     from pathlib import Path
 
+    from repro._types import FloatArray
     from repro.methods.base import Method
     from repro.resilience.budget import Budget, CancellationToken
     from repro.resilience.retry import RetryPolicy
@@ -121,6 +122,14 @@ class RenderOptions:
         ``"numba"``); ``None`` inherits the method's backend (itself
         defaulting to ``REPRO_BACKEND`` or the numpy reference). Out of
         the fingerprint: every backend is bit-identical by contract.
+    envelope:
+        τ renders only: per-pixel ``(LB, UB)`` arrays (flat, grid
+        order) known to enclose the density, used as the starting
+        envelope instead of the root bounds. Pixels it settles
+        (:func:`~repro.core.stopping.tau_settled_mask`) are not refined;
+        the rest refine in full-size batches. Out of the fingerprint:
+        the τ mask is schedule-independent, so the start changes cost,
+        never the mask.
     """
 
     tile_size: Union[int, Tuple[int, int], None] = None
@@ -134,6 +143,7 @@ class RenderOptions:
     retry: Optional["RetryPolicy"] = None
     anytime: bool = False
     backend: Optional[str] = None
+    envelope: Optional[Tuple["FloatArray", "FloatArray"]] = None
 
     def __post_init__(self) -> None:
         _normalize_tile_size(self.tile_size)  # validates

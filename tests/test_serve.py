@@ -190,14 +190,39 @@ class TestTileService:
         np.testing.assert_array_equal(np.asarray(shortcut), np.asarray(full))
 
     def test_bounds_level_reused_across_parameters(self, service):
+        from repro.core.exact import exact_density
+
         service.cache.clear()
+        plan = service.plan_tile("crime", 1, 1, 1, eps=0.2)
         service.get_tile("crime", 1, 1, 1, eps=0.2)
+        lower, upper = (
+            np.array(bound) for bound in service.cache.get_bounds(plan.bounds_key)
+        )
+        # L3 holds the render's final envelope: inside the root bounds,
+        # tighter somewhere, and still enclosing the exact density.
+        renderer = plan.renderer
+        centers = plan.resolved.grid.centers()
+        root_lower, root_upper = renderer.get_method("quad").batch_engine.root_envelope(
+            centers
+        )
+        assert np.all(lower >= root_lower) and np.all(upper <= root_upper)
+        assert np.any(upper - lower < root_upper - root_lower)
+        truth = exact_density(
+            renderer.points, centers, renderer.kernel, renderer.gamma, renderer.weight
+        )
+        slack = 1e-9 * truth + 1e-15 * float(truth.max())
+        assert np.all(lower <= truth + slack) and np.all(upper >= truth - slack)
         misses = service.metrics.counter("tile_cache.bounds.misses").value
         hits = service.metrics.counter("tile_cache.bounds.hits").value
-        # Same viewport, different epsilon: the bounds key is identical.
+        inserts = service.metrics.counter("tile_cache.bounds.inserts").value
+        # Same viewport, different epsilon: the bounds key is identical,
+        # and the second render only narrows the entry, in place.
         service.get_tile("crime", 1, 1, 1, eps=0.3)
         assert service.metrics.counter("tile_cache.bounds.misses").value == misses
-        assert service.metrics.counter("tile_cache.bounds.hits").value >= hits
+        assert service.metrics.counter("tile_cache.bounds.hits").value == hits + 1
+        assert service.metrics.counter("tile_cache.bounds.inserts").value == inserts
+        narrowed_lower, narrowed_upper = service.cache.get_bounds(plan.bounds_key)
+        assert np.all(narrowed_lower >= lower) and np.all(narrowed_upper <= upper)
 
     def test_single_flight_dedups_concurrent_identical_requests(self, service):
         service.cache.clear()
@@ -281,6 +306,27 @@ class TestTileService:
             assert len(tiles) == 2 and all(cache == "miss" for cache, __ in tiles)
             assert probes == [svc.registry.get("crime").versioned_id()]
             assert len(used) == 2 and used[0] == used[1]
+        finally:
+            svc.close()
+
+    def test_colour_range_invalidation_matches_whole_ids(self, small_points):
+        # Registration allows "@v" inside ids, so a versioned key must be
+        # split at its last "@v" only.
+        svc = TileService(
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=8, eps=0.1, workers=1, deadline_ms=None)
+            )
+        )
+        try:
+            for name in ("a", "a@vb"):
+                svc.registry.register(name, small_points)
+                svc.get_tile(name, 0, 0, 0)
+            assert set(svc._vmax) == {"a@v1", "a@vb@v1"}
+            svc.append_points("a@vb", small_points[:20])
+            assert set(svc._vmax) == {"a@v1"}
+            svc.get_tile("a@vb", 0, 0, 0)
+            svc.append_points("a", small_points[:20])
+            assert set(svc._vmax) == {"a@vb@v2"}
         finally:
             svc.close()
 

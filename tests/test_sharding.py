@@ -1,12 +1,13 @@
-"""Tests for spatial sharding (repro.serve.sharding).
+"""Tests for shards (repro.serve.sharding).
 
-The load-bearing property: a dataset served as K kd-tree shards is
-indistinguishable from the unsharded dataset at the API surface —
-τ masks are bit-identical and ε tiles satisfy the same
-``|F_hat - F| <= eps*F + atol`` envelope against ground truth, for
-K in {1, 2, 4} and across kernels. Plus the mechanics underneath:
-deterministic balanced partitions, rendezvous tile→shard routing,
-coreset-δ folding across shards, and append invalidation.
+The load-bearing property: a dataset registered with K shards renders
+exactly as the unsharded dataset — one refinement per tile, so ε and τ
+tile bytes are identical for K in {1, 2, 4}, across kernels, with and
+without a coreset pyramid, and ε tiles satisfy the K = 1
+``|F_hat - F| <= eps*F + atol`` envelope against ground truth. Shards
+only pick each tile's circuit breaker: rendezvous tile→shard routing,
+per-shard breakers in ``/readyz``, the tier δ ``/stats`` publishes, and
+append invalidation.
 """
 
 from __future__ import annotations
@@ -23,9 +24,7 @@ from repro.serve import (
     TileService,
 )
 from repro.serve.sharding import (
-    ShardedDatasetEntry,
     ShardedDatasetRegistry,
-    kd_partition,
     rendezvous_shard,
     tile_extent_key,
 )
@@ -66,38 +65,6 @@ def _tau_between_density_levels(service: TileService, dataset: str) -> float:
     assert positive.size >= 2
     middle = positive.size // 2
     return float((positive[middle - 1] + positive[middle]) / 2.0)
-
-
-class TestKdPartition:
-    def test_disjoint_union_and_balance(self, small_points):
-        n = small_points.shape[0]
-        for k in (1, 2, 3, 4, 7):
-            parts = kd_partition(small_points, k)
-            assert len(parts) == k
-            merged = np.sort(np.concatenate(parts))
-            np.testing.assert_array_equal(merged, np.arange(n))
-            sizes = [part.size for part in parts]
-            assert max(sizes) - min(sizes) <= 1
-
-    def test_deterministic(self, small_points):
-        first = kd_partition(small_points, 4)
-        second = kd_partition(small_points, 4)
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a, b)
-
-    def test_splits_are_spatial(self, small_points):
-        # A 2-way split separates the halves along the widest dimension:
-        # every left point sits at or below every right point there.
-        left, right = kd_partition(small_points, 2)
-        spans = small_points.max(axis=0) - small_points.min(axis=0)
-        dim = int(np.argmax(spans))
-        assert small_points[left, dim].max() <= small_points[right, dim].min()
-
-    def test_validates_inputs(self, small_points):
-        with pytest.raises(InvalidParameterError):
-            kd_partition(small_points, 0)
-        with pytest.raises(InvalidParameterError):
-            kd_partition(small_points[:3], 5)
 
 
 class TestRendezvousRouting:
@@ -152,10 +119,7 @@ class TestShardedEqualsUnsharded:
         try:
             baseline.registry.register("crime", small_points, kernel=kernel)
             sharded.registry.register("crime", small_points, kernel=kernel)
-            entry = sharded.registry.get("crime")
-            if shards > 1:
-                assert isinstance(entry, ShardedDatasetEntry)
-                assert entry.shard_count == shards
+            assert sharded.registry.get("crime").shards == shards
             tau = _tau_between_density_levels(baseline, "crime")
             for tile in TILES:
                 expected, _ = baseline.get_tile("crime", *tile, tau=tau)
@@ -165,6 +129,46 @@ class TestShardedEqualsUnsharded:
         finally:
             baseline.close()
             sharded.close()
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
+    def test_tau_masks_bit_identical_with_coreset(self, small_points, shards, kernel):
+        # z0 and z1 decide against the coreset tier's density, z2 against
+        # the exact tree's; neither may depend on the shard count.
+        baseline = _service(1)
+        sharded = _service(shards)
+        try:
+            for svc in (baseline, sharded):
+                svc.registry.register(
+                    "crime", small_points, kernel=kernel, coreset_zoom=2
+                )
+            tau = _tau_between_density_levels(baseline, "crime")
+            for tile in TILES:
+                expected, _ = baseline.get_tile("crime", *tile, tau=tau)
+                actual, _ = sharded.get_tile("crime", *tile, tau=tau)
+                assert actual == expected, f"τ tile {tile} differs at K={shards}"
+        finally:
+            baseline.close()
+            sharded.close()
+
+    @pytest.mark.parametrize("coreset_zoom", [None, 2])
+    def test_eps_tile_bytes_identical_across_shard_counts(
+        self, small_points, coreset_zoom
+    ):
+        services = {shards: _service(shards) for shards in (1, 2, 4)}
+        try:
+            for svc in services.values():
+                svc.registry.register("crime", small_points, coreset_zoom=coreset_zoom)
+            for tile in TILES:
+                tiles = {
+                    shards: svc.get_tile("crime", *tile)[0]
+                    for shards, svc in services.items()
+                }
+                assert tiles[2] == tiles[1], f"ε tile {tile} differs at K=2"
+                assert tiles[4] == tiles[1], f"ε tile {tile} differs at K=4"
+        finally:
+            for svc in services.values():
+                svc.close()
 
     @pytest.mark.parametrize("shards", [1, 2, 4])
     @pytest.mark.parametrize("kernel", ["gaussian", "epanechnikov"])
@@ -205,7 +209,7 @@ class TestShardedEqualsUnsharded:
         try:
             entry = svc.registry.register("crime", small_points)
             # 600 points // 400 per shard -> 1 effective shard: a plain entry
-            assert not isinstance(entry, ShardedDatasetEntry)
+            assert entry.shards == 1
             plan = svc.plan_tile("crime", 0, 0, 0)
             assert plan.shards == 1
             assert plan.breaker_id == "crime"
@@ -228,8 +232,8 @@ class TestCoresetFolding:
             plan = svc.plan_tile("crime", 0, 0, 0)
             assert plan.resolved.tier == "coreset-z0"
             assert plan.tier_delta_z is not None and plan.tier_delta_z > 0.0
-            # the guarantee is against the FULL dataset's density, with
-            # the summed per-shard coreset error folded into ε
+            # the guarantee is against the exact density, with the
+            # tier's coreset error folded into ε as at K = 1
             values = np.asarray(svc._compute_values(plan)).ravel()
             renderer = svc.registry.get("crime").renderer
             truth = np.asarray(
@@ -243,6 +247,28 @@ class TestCoresetFolding:
             ).ravel()
             slack = eps * truth + float(plan.resolved.atol) + 1e-12
             assert np.all(np.abs(values - truth) <= slack)
+        finally:
+            svc.close()
+
+
+    def test_stats_publish_the_tier_delta_tiles_carry(self, small_points):
+        svc = _service(2)
+        try:
+            entry = svc.registry.register(
+                "crime", small_points, coreset_zoom=2, coreset_delta_cap=0.01
+            )
+            snapshot = svc.stats()["datasets"]["crime"]
+            assert snapshot["sharding"] == {"shards": 2}
+            assert not snapshot["sharding"].get("per_shard")
+            tiers = {tier["zoom"]: tier for tier in snapshot["coreset"]["tiers"]}
+            assert sorted(tiers) == [0, 1]
+            cap = float(entry.renderer.weight) * entry.points.shape[0]
+            for zoom in (0, 1):
+                plan = svc.plan_tile("crime", zoom, 0, 0)
+                assert plan.tier_delta_z is not None
+                assert tiers[zoom]["delta_abs"] == pytest.approx(
+                    plan.tier_delta_z * cap, rel=1e-12
+                )
         finally:
             svc.close()
 
@@ -261,11 +287,8 @@ class TestAppendInvalidation:
 
             assert entry.version == before_version + 1
             assert entry.points.shape[0] == small_points.shape[0] + 64
-            assert entry.shard_count == 2
-            # shard point counts cover the merged dataset exactly
-            snapshot = entry.as_dict()["sharding"]
-            assert snapshot["shards"] == 2
-            assert sum(s["n"] for s in snapshot["per_shard"]) == entry.points.shape[0]
+            assert entry.shards == 2
+            assert entry.as_dict()["sharding"] == {"shards": 2}
 
             after_png, after_info = svc.get_tile("crime", 0, 0, 0)
             assert after_info["cache"] == "miss"  # versioned keys: no stale hit

@@ -311,8 +311,7 @@ async def _run_smoke(args: argparse.Namespace) -> Dict[str, Any]:
     service.registry.register(
         args.dataset, load_dataset(args.dataset, n=args.n_points, seed=0)
     )
-    entry = service.registry.get(args.dataset)
-    shards = getattr(entry, "shard_count", 1)
+    shards = service.registry.get(args.dataset).shards
     server = await TileServer(service, port=0).start()
     print(
         f"loadgen[smoke]: server on {server.url}, dataset {args.dataset!r} "
