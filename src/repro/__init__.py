@@ -59,7 +59,7 @@ from repro.visual.streaming import StreamingKDV
 if TYPE_CHECKING:
     from repro._types import PointLike
 
-__version__ = "2.1.0"
+__version__ = "2.2.0"
 
 
 def render(

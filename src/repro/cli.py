@@ -218,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--render-workers",
         type=_positive_int,
         default=None,
-        help="tile-render worker processes per request; 2 or more render "
-        "on a supervised process pool (default: in-process)",
+        help="tile-render worker processes per dataset, on a supervised "
+        "process pool; 1 renders in-process (default: one per CPU this "
+        "process may use)",
     )
     serve_render.add_argument(
         "--backend",

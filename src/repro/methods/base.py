@@ -14,8 +14,9 @@ end-to-end ``(1 ± eps)`` contract — at an extra O(n·m) cost per batch.
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -257,14 +258,22 @@ class IndexedMethod(Method):
         self.engine: RefinementEngine | None = None
         self.batch_engine: BatchRefinementEngine | None = None
         # Cached process-pool tile executors, keyed by (workers, backend).
-        # Lazily built by process_executor(); invalidated on refit since
-        # the worker processes hold a snapshot of the fitted tree.
+        # Lazily built by process_executor() under the lock; invalidated
+        # on refit since the worker processes hold a snapshot of the
+        # fitted tree.
         self._process_executors: dict[tuple[int, str | None], Any] = {}
+        self._executors_lock = threading.Lock()
+        #: ``(method, workers, backend) -> pool or None`` of whoever
+        #: lends this method a shared pool that publishes its tree (a
+        #: served dataset); ``None`` (or a ``None`` answer) means a pool
+        #: of the method's own.
+        self.pool_owner: Callable[[IndexedMethod, int, str | None], Any] | None = None
 
     def _fit_impl(self) -> None:
         from repro.core.bounds import make_bound_provider
 
         self.close_executors()
+        self.pool_owner = None
         if self.index == "ball":
             from repro.index.balltree import BallTree
 
@@ -327,24 +336,34 @@ class IndexedMethod(Method):
         )
 
     def process_executor(self, workers: int, backend: str | None = None) -> Any:
-        """The cached process-pool tile executor for this fitted method.
+        """The process-pool tile executor this fitted method renders on.
 
-        Builds (and caches) a
-        :class:`~repro.visual.executors.ProcessTileExecutor` whose
-        worker processes attach the fitted tree from shared memory —
-        one publication feeds every render until the method is refitted
-        or :meth:`close_executors` runs. Keyed by ``(workers, backend)``
-        so a renderer can mix configurations without thrashing pools.
+        The :attr:`pool_owner`'s shared pool when one lends it (its
+        workers attach this method's tree with the dataset's others);
+        otherwise a cached
+        :class:`~repro.visual.executors.ProcessTileExecutor` of the
+        method's own, whose workers attach the fitted tree from shared
+        memory — one publication feeds every render until the method is
+        refitted or :meth:`close_executors` runs. Keyed by ``(workers,
+        backend)`` so a renderer can mix configurations without
+        thrashing pools, and built under a lock, so concurrent first
+        renders share one pool.
         """
         self._require_fitted()
+        owner = self.pool_owner
+        if owner is not None:
+            shared = owner(self, int(workers), backend)
+            if shared is not None:
+                return shared
         key = (int(workers), backend if backend is not None else self.backend)
-        pool = self._process_executors.get(key)
-        if pool is None or pool.closed:
-            from repro.visual.executors import ProcessTileExecutor
+        with self._executors_lock:
+            pool = self._process_executors.get(key)
+            if pool is None or pool.closed:
+                from repro.visual.executors import ProcessTileExecutor
 
-            pool = ProcessTileExecutor(self, workers=key[0], backend=key[1])
-            self._process_executors[key] = pool
-        return pool
+                pool = ProcessTileExecutor(self, workers=key[0], backend=key[1])
+                self._process_executors[key] = pool
+            return pool
 
     def executor_health(self) -> list[dict[str, Any]]:
         """Liveness snapshots of the cached process pools (for ``/stats``).
@@ -354,7 +373,9 @@ class IndexedMethod(Method):
         can surface pool supervision without reaching into executor
         internals. Empty when no process pool has been built.
         """
-        return [pool.health() for pool in self._process_executors.values()]
+        with self._executors_lock:
+            pools = list(self._process_executors.values())
+        return [pool.health() for pool in pools]
 
     def close_executors(self) -> None:
         """Shut down cached process pools and free their shared memory.
@@ -363,7 +384,8 @@ class IndexedMethod(Method):
         long-lived method (the serve registry) must call this — or rely
         on the executors' own finalizers — before dropping the method.
         """
-        executors, self._process_executors = self._process_executors, {}
+        with self._executors_lock:
+            executors, self._process_executors = self._process_executors, {}
         for pool in executors.values():
             pool.close()
 

@@ -47,11 +47,13 @@ class RenderConfig:
     ``workers`` sizes the *request* pool (threads running plan/cache/
     encode); ``render_workers`` + ``backend`` shape each render itself:
     ``render_workers=N`` with ``N >= 2`` drains every tile render
-    through the fitted method's shared-memory process pool (parallelism
-    past the GIL), ``None`` or ``1`` renders in-process, and ``backend``
-    selects the compute backend (``None`` defers to ``REPRO_BACKEND``).
-    Cache keys are unaffected — every executor/backend combination
-    produces bit-identical tile bytes.
+    through the dataset's shared-memory process pool of ``N`` workers
+    (parallelism past the GIL), ``1`` renders in-process, and ``None``
+    (the default) means one worker per CPU this process may use
+    (:attr:`resolved_render_workers`). ``backend`` selects the compute
+    backend (``None`` defers to ``REPRO_BACKEND``). Cache keys are
+    unaffected — every executor/backend combination produces
+    bit-identical tile bytes.
     """
 
     tile_px: int = DEFAULT_TILE_PX
@@ -77,6 +79,20 @@ class RenderConfig:
             raise InvalidParameterError(
                 f"max_zoom must be >= 0, got {self.max_zoom!r}"
             )
+
+    @property
+    def resolved_render_workers(self) -> int:
+        """``render_workers``, with ``None`` resolved to the usable CPUs.
+
+        The CPUs in this process's affinity mask where the platform has
+        one, else ``os.cpu_count()``; ``1`` renders in-process.
+        """
+        if self.render_workers is not None:
+            return int(self.render_workers)
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity masks on this platform
+            return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -27,12 +27,13 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.exact import exact_density
+from repro.core.engine import QueryStats
 from repro.errors import DatasetNotFoundError, InvalidParameterError
+from repro.methods.base import IndexedMethod
 from repro.sampling.coreset import Coreset, coreset_for_delta
 from repro.serve.tiles import zoom_cell_size
 from repro.visual.kdv import KDVRenderer
@@ -53,6 +54,10 @@ DEFAULT_CORESET_DELTA_CAP = 0.01
 #: :data:`repro.serve.tiles.DEFAULT_TILE_PX`. A larger value only makes
 #: the coreset finer (more conservative), never less accurate.
 DEFAULT_CORESET_TILE_PX = 256
+
+#: ε of the colour-range probe (:meth:`DatasetEntry.coarse_density`):
+#: its peak upper bound lies within ``1 + PROBE_EPS`` of the exact peak.
+PROBE_EPS = 0.01
 
 
 class CoresetTier:
@@ -108,6 +113,10 @@ class DatasetEntry:
     its own circuit breaker (:attr:`shard_ids`) and ``X-Shard`` header.
     It never changes what a tile renders: every shard count serves the
     same index, coreset pyramid, cache keys and bytes.
+
+    The entry lends its serving methods one render pool
+    (:meth:`process_executor`): the exact tree and every distinct
+    coreset-tier tree render on the same worker processes.
     """
 
     def __init__(
@@ -144,6 +153,7 @@ class DatasetEntry:
         self._gamma_given = gamma_given
         self._lock = threading.RLock()
         self._coreset_tiers: Dict[int, CoresetTier] = self._build_coreset_tiers()
+        self._pools: Dict[Tuple[int, Optional[str]], Any] = {}
 
     def _build_coreset_tiers(self) -> Dict[int, CoresetTier]:
         """Materialise one coreset + renderer per zoom below the threshold.
@@ -208,26 +218,27 @@ class DatasetEntry:
         return [f"{self.dataset_id}#s{index}" for index in range(self.shards)]
 
     def coarse_density(self, centers: "FloatArray") -> "FloatArray":
-        """Exact density at ``centers`` — the colour-normalisation probe.
+        """Upper bounds of the exact density at ``centers`` — the colour probe.
 
-        Evaluated against the finest coreset tier when one exists (its
-        density is within ``delta_abs`` of exact everywhere — far below
-        colour-map resolution — and it avoids an O(n) scan per dataset
-        version on planet-scale point sets), else the exact renderer.
+        Refines the exact tree of the serving method (of ``akde`` when
+        the serving method has no index) to ε = :data:`PROBE_EPS` in
+        this process and returns each pixel's upper bound: never below
+        the exact density and within ``1 + PROBE_EPS`` of it, so its
+        peak is a colour ceiling no probed pixel exceeds. The probe's
+        work is merged into the method's ``stats``.
         """
         renderer = self.renderer
-        if self.coreset_zoom is not None:
-            finest = self.coreset_tier(self.coreset_zoom - 1)
-            if finest is not None:
-                renderer = finest.renderer
-        return exact_density(
-            renderer.points,
-            centers,
-            renderer.kernel,
-            renderer.gamma,
-            renderer.weight,
-            point_weights=renderer.point_weights,
+        fitted = renderer.get_method(self.method)
+        if not isinstance(fitted, IndexedMethod):
+            fitted = renderer.get_method("akde")
+        assert isinstance(fitted, IndexedMethod)
+        stats = QueryStats()
+        # The atol every served ε tile resolves to (RenderRequest.resolve).
+        __, upper = fitted.make_batch_engine(stats).query_eps_bounds(
+            centers, PROBE_EPS, atol=1e-9 * float(renderer.weight)
         )
+        fitted.stats.merge(stats)
+        return upper
 
     @property
     def points(self) -> "FloatArray":
@@ -259,6 +270,56 @@ class DatasetEntry:
             self.renderer.get_method(name)
             for tier in self._coreset_tiers.values():
                 tier.renderer.get_method(name)
+            for fitted in self._pooled_methods():
+                fitted.pool_owner = self.process_executor
+
+    def _pooled_methods(self) -> List[IndexedMethod]:
+        """The trees the dataset's pool publishes, as their fitted methods.
+
+        The serving method of the exact renderer and of every distinct
+        coreset-tier renderer (tiers share a renderer when their
+        coresets converge), where it refines a kd-tree.
+        """
+        renderers = [self.renderer] + [
+            tier.renderer for tier in self._coreset_tiers.values()
+        ]
+        methods: Dict[int, IndexedMethod] = {}
+        for renderer in renderers:
+            fitted = renderer._methods.get(self.method)
+            if isinstance(fitted, IndexedMethod) and fitted.index == "kd":
+                methods.setdefault(id(fitted), fitted)
+        return list(methods.values())
+
+    def process_executor(
+        self, method: IndexedMethod, workers: int, backend: Optional[str] = None
+    ) -> Any:
+        """The dataset's render pool for ``method``, or ``None``.
+
+        Built on first use under the entry lock, one per ``(workers,
+        backend)``: its workers attach the exact tree and every distinct
+        coreset-tier tree once, so all zooms render on the same
+        ``workers`` processes. ``None`` when ``method`` is not one the
+        pool publishes (a renderer an :meth:`append` replaced), which
+        then renders on a pool of its own.
+        """
+        from repro.visual.executors import ProcessTileExecutor
+
+        with self._lock:
+            methods = self._pooled_methods()
+            if not any(fitted is method for fitted in methods):
+                return None
+            key = (int(workers), backend)
+            pool = self._pools.get(key)
+            if pool is None or pool.closed:
+                pool = ProcessTileExecutor(methods, workers=key[0], backend=backend)
+                self._pools[key] = pool
+            return pool
+
+    def _close_pools(self) -> None:
+        """Shut the dataset's pools down and unlink their trees."""
+        pools, self._pools = self._pools, {}
+        for pool in pools.values():
+            pool.close()
 
     def append(self, points: "PointLike") -> int:
         """Grow the dataset; refit; bump the version. Returns new count.
@@ -293,35 +354,39 @@ class DatasetEntry:
             # functions of the points, so the whole pyramid is rebuilt
             # against the merged dataset before any tile can route to it.
             self._coreset_tiers = self._build_coreset_tiers()
+            # The pool and the replaced renderers' own pools hold the
+            # old trees in shared memory; release them now rather than
+            # waiting on garbage collection.
+            self._close_pools()
             self.warm()
-            # The replaced renderer's fitted methods may hold process
-            # pools + shared-memory tree segments; release them now
-            # rather than waiting on garbage collection.
             _close_renderer_methods(stale)
             for tier in stale_tiers.values():
                 _close_renderer_methods(tier.renderer)
             return int(merged.shape[0])
 
     def close(self) -> None:
-        """Release per-method process pools / shared memory (idempotent)."""
+        """Release the process pools and their shared memory (idempotent)."""
         with self._lock:
+            self._close_pools()
             _close_renderer_methods(self.renderer)
             for tier in self._coreset_tiers.values():
                 _close_renderer_methods(tier.renderer)
 
     def executor_health(self) -> List[Dict[str, Any]]:
-        """Health snapshots of every cached process pool (for ``/stats``).
+        """Health snapshots of every process pool (for ``/stats``).
 
-        Walks the fitted methods of the exact renderer and every coreset
-        tier renderer (deduplicated — tiers share renderers when their
-        coresets converge) and collects each method's
-        :meth:`~repro.methods.base.IndexedMethod.executor_health`.
+        The dataset's own pools first, then the pools fitted methods
+        built for themselves (methods the dataset's pool does not
+        publish), walking the exact renderer and every coreset tier
+        renderer (deduplicated — tiers share renderers when their
+        coresets converge).
         """
         with self._lock:
+            pools = list(self._pools.values())
             renderers = [self.renderer] + [
                 tier.renderer for tier in self._coreset_tiers.values()
             ]
-        reports: List[Dict[str, Any]] = []
+        reports: List[Dict[str, Any]] = [pool.health() for pool in pools]
         seen: set[int] = set()
         for renderer in renderers:
             if id(renderer) in seen:

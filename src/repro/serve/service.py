@@ -119,8 +119,8 @@ __all__ = [
 #: reusable across requests.
 RENDER_TILE_SIZE = 64
 
-#: Resolution of the coarse exact-density pass that fixes each
-#: dataset's colour normalisation range (see ``TileService._entry_vmax``).
+#: Resolution of the coarse density probe that fixes each dataset's
+#: colour normalisation range (see ``TileService._entry_vmax``).
 _VMAX_GRID_WIDTH = 64
 
 
@@ -268,6 +268,8 @@ class TileService:
         self.pool = ThreadPoolExecutor(
             max_workers=int(self.config.render.workers), thread_name_prefix="repro-tile"
         )
+        #: Render processes per dataset (``1``: renders run in-process).
+        self.render_workers = self.config.render.resolved_render_workers
         self.started_at = time.time()
 
     # -- backpressure -------------------------------------------------------
@@ -383,10 +385,12 @@ class TileService:
             RenderOptions(
                 tile_size=RENDER_TILE_SIZE,
                 anytime=True,
-                workers=self.config.render.render_workers,
+                # Ball trees have no shared-memory form: they render
+                # in-process.
+                workers=self.render_workers if fitted.index == "kd" else 1,
                 backend=self.config.render.backend,
             )
-            if indexed
+            if isinstance(fitted, IndexedMethod)
             else RenderOptions()
         )
         resolved = request.replace(options=options).resolve(renderer)
@@ -739,7 +743,8 @@ class TileService:
     def _entry_vmax(self, entry: DatasetEntry) -> float:
         """Colour normalisation ceiling for one dataset version.
 
-        The peak of a coarse exact-density pass over the base viewport
+        The peak upper bound of a coarse density probe over the base
+        viewport (:meth:`~repro.serve.registry.DatasetEntry.coarse_density`)
         — one shared range per dataset version, so adjacent tiles (and
         zoom levels) colour consistently instead of each tile
         normalising to its own maximum. Cached per versioned id;
@@ -759,9 +764,6 @@ class TileService:
             return cached
         base = entry.base_grid
         coarse = base.scaled(_VMAX_GRID_WIDTH / float(base.width))
-        # The entry evaluates against its finest coreset tier when one
-        # exists (within delta_abs of exact — far below colour-map
-        # resolution — without an O(n) scan per dataset version).
         values = np.asarray(entry.coarse_density(coarse.centers()))
         vmax = float(values.max()) if values.size else 1.0
         if vmax <= 0.0:
@@ -883,11 +885,7 @@ class TileService:
                 "colormap": render.colormap,
                 "deadline_ms": render.deadline_ms,
                 "workers": int(render.workers),
-                "render_workers": (
-                    None
-                    if render.render_workers is None
-                    else int(render.render_workers)
-                ),
+                "render_workers": self.render_workers,
                 "backend": render.backend,
                 "max_zoom": int(render.max_zoom),
                 "sharding": {
@@ -906,7 +904,7 @@ class TileService:
         acquisitions are rejected, ``/readyz`` answers 503), then waits
         up to ``config.drain_s`` for active requests and in-flight
         renders to finish before shutting down the worker pool and the
-        per-method render pools. A request racing :meth:`close` either
+        datasets' render pools. A request racing :meth:`close` either
         completes normally or is rejected up-front — it is never cut
         mid-render by the shutdown.
         """

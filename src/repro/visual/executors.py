@@ -37,9 +37,19 @@ is the tile driver's second executor: it drains tiles into worker
   a typed :class:`~repro.errors.WorkerPoolBrokenError` surfaces
   instead of the raw ``BrokenProcessPool`` traceback.
 
-Pools are cached per fitted method by
-:meth:`repro.methods.base.IndexedMethod.process_executor`, so a render
-sweep pays the fork + attach cost once.
+Workers come from a ``forkserver`` context whose server has already
+imported the worker's modules (``spawn`` where the platform has no
+forkserver), so no worker is forked from a threaded parent and a pool
+start costs one fork plus a tree attach. Each worker pins numpy's
+bundled OpenBLAS to one thread: the pool's parallelism is its
+processes. One pool can host several trees (a served dataset's exact
+tree and its coreset tiers); each job names the tree it refines.
+
+Pools are cached by
+:meth:`repro.methods.base.IndexedMethod.process_executor` (one per
+fitted method) or, in the tile service, by
+:meth:`repro.serve.registry.DatasetEntry.process_executor` (one per
+dataset), so a render sweep pays the pool start once.
 """
 
 from __future__ import annotations
@@ -68,6 +78,8 @@ from repro.resilience.process import CancelSlots, CancelWatcher, SlotCancellatio
 from repro.resilience.supervisor import PoolSupervisor, default_pool_supervisor
 
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from repro._types import FloatArray, IntArray
     from repro.methods.base import IndexedMethod
 
@@ -105,11 +117,61 @@ def pool_supervision_totals() -> dict[str, int]:
     with _TOTALS_LOCK:
         return {"breaks": _TOTAL_BREAKS, "rebuilds": _TOTAL_REBUILDS}
 
-#: Environment override for the multiprocessing start method
-#: (``fork`` / ``spawn`` / ``forkserver``). The default prefers ``fork``
-#: where available: workers inherit the parent's modules, so pool
-#: start-up is milliseconds instead of a fresh interpreter per worker.
-MP_START_ENV_VAR = "REPRO_MP_START"
+
+#: Modules the fork server imports once, so every worker it forks
+#: starts with the refinement stack loaded.
+_WORKER_MODULES = ("repro.visual.executors", "repro.core.batch_engine", "repro.core.bounds")
+
+
+def _pool_context() -> Any:
+    """The start context every pool takes its workers from.
+
+    ``forkserver`` forks workers from a single-threaded server process,
+    so they never inherit a lock another parent thread held at fork
+    time (a worker forked from a threaded HTTP server would block in
+    ``multiprocessing.util._close_stdin`` on the stdin lock its control
+    thread holds). ``spawn`` stands in where forkserver is missing.
+    """
+    import multiprocessing as mp
+
+    if "forkserver" not in mp.get_all_start_methods():
+        return mp.get_context("spawn")
+    ctx = mp.get_context("forkserver")
+    ctx.set_forkserver_preload(list(_WORKER_MODULES))
+    return ctx
+
+
+def _blas_threads(count: Optional[int] = None) -> Optional[int]:
+    """Set this process's OpenBLAS thread count to ``count``; return it.
+
+    ``OPENBLAS_NUM_THREADS`` is read only when the library loads, which
+    happened before a pool worker existed, so the runtime setter is the
+    only lever. numpy's wheels bundle a 64-bit-integer OpenBLAS whose
+    exports carry a ``scipy_openblas_`` (numpy >= 2) or ``openblas_``
+    prefix and a ``64_`` suffix; the lookup goes through numpy's linalg
+    extension, which links it. Returns ``None``, setting nothing, where
+    numpy uses another BLAS.
+    """
+    import ctypes
+
+    from numpy.linalg import _umath_linalg
+
+    try:
+        library = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        getter = getattr(library, f"{prefix}get_num_threads64_", None)
+        setter = getattr(library, f"{prefix}set_num_threads64_", None)
+        if getter is not None and setter is not None:
+            break
+    else:
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    if count is not None:
+        setter(int(count))
+    return int(getter())
 
 
 class TileJob(NamedTuple):
@@ -191,25 +253,32 @@ class ProcessRunOutcome:
 # Module-level state, populated once per worker process by the pool
 # initializer. concurrent.futures passes ``initargs`` through the
 # multiprocessing Process machinery, which is the only legal route for
-# shared objects (the slot array) — they inherit, they do not pickle.
+# shared objects (the slot array): they travel once, when the worker
+# starts, never with a task.
 
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _worker_init(tree_meta: dict[str, Any], spec: dict[str, Any], slot_array: Any) -> None:
+def _worker_init(trees: list[tuple[dict[str, Any], dict[str, Any]]], slot_array: Any) -> None:
+    """Attach every published tree and rebuild its bound provider.
+
+    ``trees`` lists ``(segment meta, spec)`` pairs; a job names its tree
+    by position in this list.
+    """
     from repro.core.bounds import make_bound_provider
 
-    tree = attach_tree(tree_meta)
-    provider = make_bound_provider(
-        spec["provider"],
-        spec["kernel"],
-        spec["gamma"],
-        spec["weight"],
-        **spec["provider_options"],
-    )
-    _WORKER_STATE["tree"] = tree
-    _WORKER_STATE["provider"] = provider
-    _WORKER_STATE["spec"] = spec
+    _blas_threads(1)
+    attached = []
+    for meta, spec in trees:
+        provider = make_bound_provider(
+            spec["provider"],
+            spec["kernel"],
+            spec["gamma"],
+            spec["weight"],
+            **spec["provider_options"],
+        )
+        attached.append((attach_tree(meta), provider, spec))
+    _WORKER_STATE["trees"] = attached
     _WORKER_STATE["slots"] = slot_array
 
 
@@ -241,6 +310,7 @@ def _inject_process_faults(
 
 
 def _run_tile(
+    tree: int,
     index: int,
     centers: FloatArray,
     op: str,
@@ -250,16 +320,16 @@ def _run_tile(
     fault_spec: Optional[dict[str, Any]] = None,
     attempt: int = 1,
 ) -> tuple[int, tuple[FloatArray, FloatArray], dict[str, int], float, bool, int]:
-    """Refine one tile's envelopes in a worker; returns a picklable tuple."""
+    """Refine one tile's envelopes on tree ``tree``; returns a picklable tuple."""
     from repro.core.batch_engine import BatchRefinementEngine
 
     _inject_process_faults(fault_spec, index, attempt)
-    spec = _WORKER_STATE["spec"]
+    attached, provider, spec = _WORKER_STATE["trees"][tree]
     set_invariants(check)
     stats = QueryStats()
     engine = BatchRefinementEngine(
-        _WORKER_STATE["tree"],
-        _WORKER_STATE["provider"],
+        attached,
+        provider,
         ordering=spec["ordering"],
         stats=stats,
         backend=spec["backend"],
@@ -280,6 +350,20 @@ def _run_tile(
     return index, payload, stats.as_dict(), seconds, was_cancelled, os.getpid()
 
 
+def _worker_spec(method: IndexedMethod, backend: str) -> dict[str, Any]:
+    """What a worker needs to rebuild ``method``'s bound provider and engine."""
+    provider = method.engine.provider  # type: ignore[union-attr]
+    return {
+        "provider": method.provider_name,
+        "kernel": provider.kernel.name,
+        "gamma": float(provider.gamma),
+        "weight": float(provider.weight),
+        "provider_options": dict(method.provider_options),
+        "ordering": method.ordering,
+        "backend": backend,
+    }
+
+
 class _PoolBox:
     """Mutable holder for the inner ``ProcessPoolExecutor``.
 
@@ -295,25 +379,29 @@ class _PoolBox:
         self.pool = pool
 
 
-def _close_pool(box: _PoolBox, handle: Any) -> None:
+def _close_pool(box: _PoolBox, handles: list[Any]) -> None:
     box.pool.shutdown(wait=True, cancel_futures=True)
-    handle.close()
+    for handle in handles:
+        handle.close()
 
 
 class ProcessTileExecutor:
-    """A persistent worker-process pool bound to one fitted method.
+    """A persistent worker-process pool over one or more fitted trees.
 
     Parameters
     ----------
-    method:
+    methods:
         A fitted :class:`~repro.methods.base.IndexedMethod` over a
-        kd-tree index (ball trees have no shared-memory packing and
-        raise :class:`~repro.errors.InvalidParameterError`).
+        kd-tree index, or a sequence of them (ball trees have no
+        shared-memory packing and raise
+        :class:`~repro.errors.InvalidParameterError`). Each distinct
+        method's tree is published once, and every worker attaches all
+        of them; :meth:`run` names the tree a render refines.
     workers:
         Worker process count (>= 1).
     backend:
         Compute-backend name the workers dispatch through (``None``
-        inherits the method's backend / ``REPRO_BACKEND``).
+        inherits the first method's backend / ``REPRO_BACKEND``).
     supervisor:
         Rebuild policy for broken pools. The default sentinel
         ``"default"`` resolves through
@@ -327,23 +415,23 @@ class ProcessTileExecutor:
 
     def __init__(
         self,
-        method: IndexedMethod,
+        methods: IndexedMethod | Sequence[IndexedMethod],
         workers: int,
         backend: str | None = None,
         supervisor: PoolSupervisor | None | str = "default",
     ) -> None:
-        import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
 
         workers = int(workers)
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        engine = method.engine
-        if engine is None:
+        if not isinstance(methods, (list, tuple)):
+            methods = [methods]
+        distinct = list({id(method): method for method in methods}.values())
+        if not distinct or any(method.engine is None for method in distinct):
             raise InvalidParameterError(
-                "method must be fitted before building a process executor"
+                "methods must be fitted before building a process executor"
             )
-        provider = engine.provider
         # Resolve the backend *here*, in the parent: shipping the raw
         # name would make every worker process call resolve_backend()
         # with a fresh fallback-warning latch, re-firing the one-time
@@ -351,24 +439,10 @@ class ProcessTileExecutor:
         # to the concrete backend's name keeps the warning once per
         # interpreter and sends workers a name that always exists.
         resolved_backend = resolve_backend(
-            backend if backend is not None else method.backend
-        )
-        spec = {
-            "provider": method.provider_name,
-            "kernel": provider.kernel.name,
-            "gamma": float(provider.gamma),
-            "weight": float(provider.weight),
-            "provider_options": dict(method.provider_options),
-            "ordering": method.ordering,
-            "backend": resolved_backend.name,
-        }
-        self.spec = spec
-        start_method = os.environ.get(MP_START_ENV_VAR)
-        if not start_method:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else None
-            )
-        ctx = mp.get_context(start_method)
+            backend if backend is not None else distinct[0].backend
+        ).name
+        specs = [_worker_spec(method, resolved_backend) for method in distinct]
+        ctx = _pool_context()
         self.workers = workers
         if supervisor == "default":
             supervisor = default_pool_supervisor()
@@ -378,31 +452,53 @@ class ProcessTileExecutor:
         self._ctx = ctx
         self._generation = 0
         self._rebuild_lock = threading.Lock()
-        self._handle = publish_tree(engine.tree)
+        # The executor holds the trees it published, so an id() below
+        # cannot be reused by another tree while the pool lives.
+        self._trees = [method.engine.tree for method in distinct]  # type: ignore[union-attr]
+        self._tree_index = {id(tree): index for index, tree in enumerate(self._trees)}
+        self._handles: list[Any] = []
         try:
+            for tree in self._trees:
+                self._handles.append(publish_tree(tree))
             self._slots = CancelSlots(ctx)
+            self._initargs = (
+                [(handle.meta, spec) for handle, spec in zip(self._handles, specs)],
+                self._slots.array,
+            )
             self._box = _PoolBox(
                 ProcessPoolExecutor(
                     max_workers=workers,
                     mp_context=ctx,
                     initializer=_worker_init,
-                    initargs=(self._handle.meta, spec, self._slots.array),
+                    initargs=self._initargs,
                 )
             )
         except BaseException:
-            self._handle.close()
+            for handle in self._handles:
+                handle.close()
             raise
+        self.spec = specs[0]
         self._closed = False
         self._finalizer = weakref.finalize(
-            self, _close_pool, self._box, self._handle
+            self, _close_pool, self._box, self._handles
         )
 
     @property
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def segments(self) -> list[str]:
+        """Names of the shared-memory segments holding the published trees."""
+        return [handle.name for handle in self._handles]
+
+    def worker_pids(self) -> list[int]:
+        """Process ids of the pool's live workers (empty before the first run)."""
+        processes = self._box.pool._processes
+        return sorted(processes) if processes else []
+
     def close(self) -> None:
-        """Shut the pool down and unlink the shared tree (idempotent)."""
+        """Shut the pool down and unlink the shared trees (idempotent)."""
         if not self._closed:
             self._closed = True
             self._finalizer()
@@ -410,12 +506,13 @@ class ProcessTileExecutor:
     def rebuild(self, observed_generation: int) -> None:
         """Replace the broken inner pool with a fresh one.
 
-        The shared-memory tree published at construction is **reused**:
-        the new pool's initargs carry the same handle metadata and slot
-        array, so workers re-attach zero-copy views — no re-publication,
-        no re-pack of the kd-tree. ``observed_generation`` makes the
-        call race-safe when several concurrent :meth:`run` loops hit the
-        same broken pool: only the first one actually rebuilds.
+        The shared-memory trees published at construction are
+        **reused**: the new pool's initargs carry the same segment
+        metadata and slot array, so workers re-attach zero-copy views —
+        no re-publication, no re-pack of any kd-tree.
+        ``observed_generation`` makes the call race-safe when several
+        concurrent :meth:`run` loops hit the same broken pool: only the
+        first one actually rebuilds.
         """
         from concurrent.futures import ProcessPoolExecutor
 
@@ -427,7 +524,7 @@ class ProcessTileExecutor:
                 max_workers=self.workers,
                 mp_context=self._ctx,
                 initializer=_worker_init,
-                initargs=(self._handle.meta, self.spec, self._slots.array),
+                initargs=self._initargs,
             )
             self._generation += 1
             self.rebuilds += 1
@@ -439,6 +536,8 @@ class ProcessTileExecutor:
         """JSON-ready snapshot of pool liveness (for ``/stats``)."""
         report: dict[str, Any] = {
             "workers": self.workers,
+            "trees": len(self._handles),
+            "pids": self.worker_pids(),
             "closed": self._closed,
             "breaks": self.breaks,
             "rebuilds": self.rebuilds,
@@ -467,8 +566,12 @@ class ProcessTileExecutor:
         tracer: Any = None,
         on_result: Any = None,
         faults: FaultPlan | None = None,
+        tree: Any = None,
     ) -> ProcessRunOutcome:
         """Drain ``jobs``' envelopes through the worker pool; never raises Ctrl-C.
+
+        ``tree`` is the fitted tree (``method.tree``) the jobs refine;
+        ``None`` picks the pool's only tree.
 
         Tiles are submitted all at once and drain from the pool's shared
         call queue — idle workers steal the next tile, so an uneven tile
@@ -512,6 +615,15 @@ class ProcessTileExecutor:
 
         if self._closed:
             raise InvalidParameterError("process executor is closed")
+        if tree is None and len(self._trees) == 1:
+            tree_index = 0
+        elif tree is not None and id(tree) in self._tree_index:
+            tree_index = self._tree_index[id(tree)]
+        else:
+            raise InvalidParameterError(
+                f"this pool publishes {len(self._trees)} tree(s) and the "
+                "given tree is not one of them"
+            )
         outcome = ProcessRunOutcome()
         if not jobs:
             return outcome
@@ -541,6 +653,7 @@ class ProcessTileExecutor:
                             futures[
                                 self._box.pool.submit(
                                     _run_tile,
+                                    tree_index,
                                     job.index,
                                     job.centers,
                                     op,

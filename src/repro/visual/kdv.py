@@ -398,6 +398,7 @@ class KDVRenderer:
     def _run_tiles_process(
         self,
         pool: ProcessTileExecutor,
+        tree: Any,
         tile_list: list[IntArray],
         centers: FloatArray,
         op: str,
@@ -412,7 +413,10 @@ class KDVRenderer:
         faults: FaultPlan | None,
         fail_fast: bool,
     ) -> tuple[TileRunReport, list[float]]:
-        """The pool executor: drain the tiles over the method's process pool.
+        """The pool executor: drain the tiles over the process pool.
+
+        ``tree`` is the fitted method's tree, which names the published
+        tree the workers refine (a dataset's pool holds several).
 
         The pool counterpart of :func:`repro.resilience.runner.run_tiles`
         (without retries): tiles drain from the pool's shared queue,
@@ -445,7 +449,7 @@ class KDVRenderer:
 
         outcome = pool.run(
             jobs, op=op, params=params, token=token, tracer=tracer,
-            on_result=on_result, faults=faults,
+            on_result=on_result, faults=faults, tree=tree,
         )
         if fail_fast:
             if outcome.keyboard_interrupt:
@@ -493,8 +497,10 @@ class KDVRenderer:
         keep it, the rest refine in full-size batches of open pixels),
         then the tiles refine through one of two executors: in-process
         (:func:`~repro.resilience.runner.run_tiles`, sequential) or, with
-        ``workers >= 2``, the method's cached
-        :class:`~repro.visual.executors.ProcessTileExecutor`. Both write
+        ``workers >= 2``, the
+        :class:`~repro.visual.executors.ProcessTileExecutor` that
+        ``fitted.process_executor`` returns (the method's own, or its
+        dataset's shared pool). Both write
         disjoint slices of the same envelope arrays, so the answers are
         bit-identical across executors, and a complete render equals the
         strict one.
@@ -653,7 +659,7 @@ class KDVRenderer:
         try:
             if pool is not None:
                 report, busy = self._run_tiles_process(
-                    pool, tile_list, centers, op, params, skip=skip,
+                    pool, fitted.tree, tile_list, centers, op, params, skip=skip,
                     token=token, tracer=tracer, store=store,
                     tile_complete=tile_complete, stats=stats,
                     faults=process_faults, fail_fast=fail_fast,

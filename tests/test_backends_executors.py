@@ -11,7 +11,6 @@ fallback, ``ServiceConfig`` knobs).
 """
 
 import dataclasses
-import multiprocessing
 import sys
 import warnings
 from pathlib import Path
@@ -31,6 +30,7 @@ from repro.errors import InvalidParameterError, UnknownNameError
 from repro.index.kdtree import KDTree
 from repro.index.shared import attach_tree, publish_tree
 from repro.visual.executors import ProcessTileExecutor, TileJob
+from repro.visual.grid import PixelGrid
 from repro.visual.kdv import KDVRenderer
 from repro.visual.request import RenderOptions, RenderRequest
 
@@ -395,58 +395,36 @@ def test_anytime_pool_render_matches_in_process_render(renderer):
         renderer.get_method("quad").close_executors()
 
 
-#: A monkeypatch reaches pool workers only when they fork after it.
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the patch reaches pool workers only through fork",
-)
+def _break_tile_one(monkeypatch, renderer, tile_size):
+    """Make tile 1's job carry malformed data: a 3-D centre array.
 
-
-class _TileBoom(ValueError):
-    """An ordinary (non-repro) tile failure raised inside a pool worker."""
-
-
-def _fail_one_tile(monkeypatch, renderer, tile_size):
-    """Patch the engine so the grid's tile 1 raises, in every worker.
-
-    With the fork start method a patch made before the pool starts
-    reaches the workers; the failing tile is recognised by its first
-    query row.
+    Only the parent is patched: the tile driver ships each tile's
+    centres to the worker, and the worker's engine rejects the
+    malformed batch (``InvalidParameterError``) like any bad input.
+    Every other tile is untouched.
     """
-    from repro.core.batch_engine import BatchRefinementEngine
-
-    target = renderer.grid.centers()[list(renderer.grid.tiles(tile_size))[1]][0]
-    original = BatchRefinementEngine.query_eps_bounds
-
-    def flaky(self, queries, *args, **kwargs):
-        if np.array_equal(queries[0], target):
-            raise _TileBoom("tile 1 fails")
-        return original(self, queries, *args, **kwargs)
-
-    monkeypatch.setattr(BatchRefinementEngine, "query_eps_bounds", flaky)
+    tiles = list(renderer.grid.tiles(tile_size))
+    tiles[1] = tiles[1].reshape(1, -1)
+    monkeypatch.setattr(renderer.grid, "tiles", lambda size: iter(tiles))
 
 
-@needs_fork
 def test_strict_pool_render_reraises_tile_error_and_keeps_stats(
     renderer, monkeypatch
 ):
-    monkeypatch.delenv("REPRO_MP_START", raising=False)
     fitted = renderer.get_method("quad")
     fitted.close_executors()
-    _fail_one_tile(monkeypatch, renderer, 4)
+    _break_tile_one(monkeypatch, renderer, 4)
     before = fitted.stats.as_dict()
     options = RenderOptions(tile_size=4, workers=2)
     try:
-        with pytest.raises(_TileBoom, match="tile 1 fails"):
+        with pytest.raises(InvalidParameterError, match=r"queries must be an \(m, d\)"):
             renderer.render(RenderRequest.for_eps(0.05, "quad", options=options))
         assert fitted.stats.as_dict() == before
     finally:
         fitted.close_executors()
 
 
-@needs_fork
 def test_anytime_pool_render_lists_failed_tile(renderer, monkeypatch):
-    monkeypatch.delenv("REPRO_MP_START", raising=False)
     fitted = renderer.get_method("quad")
     fitted.close_executors()
     reference = renderer.render(
@@ -454,7 +432,7 @@ def test_anytime_pool_render_lists_failed_tile(renderer, monkeypatch):
             0.05, "quad", options=RenderOptions(tile_size=4, anytime=True)
         )
     )
-    _fail_one_tile(monkeypatch, renderer, 4)
+    _break_tile_one(monkeypatch, renderer, 4)
     options = RenderOptions(tile_size=4, workers=2, anytime=True)
     try:
         outcome = renderer.render(
@@ -465,9 +443,9 @@ def test_anytime_pool_render_lists_failed_tile(renderer, monkeypatch):
     degraded = outcome.degraded
     assert degraded is not None
     assert [entry["tile"] for entry in degraded.tiles_failed] == [1]
-    assert "tile 1 fails" in degraded.tiles_failed[0]["error"]
+    assert "queries must be an (m, d)" in degraded.tiles_failed[0]["error"]
     failed = np.zeros(renderer.grid.num_pixels, dtype=bool)
-    failed[list(renderer.grid.tiles(4))[1]] = True
+    failed[list(PixelGrid.tiles(renderer.grid, 4))[1]] = True
     failed = renderer.grid.to_image(failed)
     assert np.all(outcome.lower <= outcome.upper)
     # Every other tile carries the in-process render's envelopes.

@@ -330,6 +330,98 @@ class TestTileService:
         finally:
             svc.close()
 
+    @pytest.mark.parametrize("coreset_zoom", [None, 2])
+    def test_colour_probe_bounds_the_exact_peak(self, small_points, coreset_zoom):
+        from repro.core.exact import exact_density
+        from repro.serve.service import _VMAX_GRID_WIDTH
+
+        svc = TileService(
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=8, eps=0.1, workers=1, deadline_ms=None)
+            )
+        )
+        try:
+            entry = svc.registry.register(
+                "crime", small_points, coreset_zoom=coreset_zoom
+            )
+            vmax = svc._entry_vmax(entry)
+            base = entry.base_grid
+            coarse = base.scaled(_VMAX_GRID_WIDTH / float(base.width))
+            renderer = entry.renderer
+            exact_peak = float(
+                exact_density(
+                    renderer.points,
+                    coarse.centers(),
+                    renderer.kernel,
+                    renderer.gamma,
+                    renderer.weight,
+                ).max()
+            )
+            assert exact_peak <= vmax <= 1.01 * exact_peak
+        finally:
+            svc.close()
+
+    def test_cold_eps_tile_scans_no_point_set(self, small_points, monkeypatch):
+        import sys
+
+        import repro.core.exact as exact_module
+        from repro.contracts import checking
+
+        calls = []
+        original = exact_module.exact_density
+
+        def counting(*args, **kwargs):
+            calls.append(np.asarray(args[1]).shape[0])
+            return original(*args, **kwargs)
+
+        svc = TileService(
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=32, eps=0.1, workers=1, deadline_ms=None)
+            )
+        )
+        try:
+            svc.registry.register("crime", small_points, coreset_zoom=1)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("repro") and getattr(module, "exact_density", None) is original:
+                    monkeypatch.setattr(module, "exact_density", counting)
+            # The eps-agreement contract check scans every point on
+            # purpose; the serving path itself must not.
+            with checking(False):
+                for tile in [(0, 0, 0), (1, 1, 1)]:  # coreset tier, exact
+                    __, info = svc.get_tile("crime", *tile)
+                    assert info["cache"] == "miss"
+            assert svc._vmax  # the colour probe ran inside the first tile
+            assert calls == []
+        finally:
+            svc.close()
+
+    def test_colour_probe_runs_once_per_dataset_version(self, small_points, monkeypatch):
+        from repro.serve.registry import DatasetEntry
+
+        svc = TileService(
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=8, eps=0.1, workers=1, deadline_ms=None)
+            )
+        )
+        try:
+            svc.registry.register("crime", small_points)
+            probes = []
+            original = DatasetEntry.coarse_density
+
+            def recording_probe(entry, centers):
+                probes.append(entry.versioned_id())
+                return original(entry, centers)
+
+            monkeypatch.setattr(DatasetEntry, "coarse_density", recording_probe)
+            for tile in [(0, 0, 0), (1, 0, 0), (1, 1, 1)]:
+                svc.get_tile("crime", *tile)
+            svc.append_points("crime", small_points[:20] + 0.01)
+            for tile in [(0, 0, 0), (1, 0, 0)]:
+                svc.get_tile("crime", *tile)
+            assert probes == ["crime@v1", "crime@v2"]
+        finally:
+            svc.close()
+
     def test_backpressure_rejects_when_queue_full(self, small_points):
         svc = TileService(
             config=ServiceConfig(

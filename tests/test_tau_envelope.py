@@ -102,7 +102,7 @@ class TestEnvelopeTauIsDirectTau:
 
     def test_process_pool(self, small_points):
         pooled = _service(render_workers=2)
-        inline = _service()
+        inline = _service(render_workers=1)
         try:
             pooled.registry.register("crime", small_points)
             inline.registry.register("crime", small_points)
