@@ -220,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="tile-render worker processes per dataset, on a supervised "
         "process pool; 1 renders in-process (default: one per CPU this "
-        "process may use)",
+        "process may use, for each dataset, so D datasets run up to "
+        "D x CPUs workers)",
     )
     serve_render.add_argument(
         "--backend",

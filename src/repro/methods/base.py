@@ -265,8 +265,8 @@ class IndexedMethod(Method):
         self._executors_lock = threading.Lock()
         #: ``(method, workers, backend) -> pool or None`` of whoever
         #: lends this method a shared pool that publishes its tree (a
-        #: served dataset); ``None`` (or a ``None`` answer) means a pool
-        #: of the method's own.
+        #: served dataset; a ``None`` answer renders in-process);
+        #: ``None`` means a pool of the method's own.
         self.pool_owner: Callable[[IndexedMethod, int, str | None], Any] | None = None
 
     def _fit_impl(self) -> None:
@@ -338,9 +338,10 @@ class IndexedMethod(Method):
     def process_executor(self, workers: int, backend: str | None = None) -> Any:
         """The process-pool tile executor this fitted method renders on.
 
-        The :attr:`pool_owner`'s shared pool when one lends it (its
-        workers attach this method's tree with the dataset's others);
-        otherwise a cached
+        The :attr:`pool_owner`'s answer when one is set: its shared pool
+        (whose workers attach this method's tree with the dataset's
+        others), or ``None`` once it no longer publishes this method,
+        and the render runs in-process. Otherwise a cached
         :class:`~repro.visual.executors.ProcessTileExecutor` of the
         method's own, whose workers attach the fitted tree from shared
         memory — one publication feeds every render until the method is
@@ -352,9 +353,7 @@ class IndexedMethod(Method):
         self._require_fitted()
         owner = self.pool_owner
         if owner is not None:
-            shared = owner(self, int(workers), backend)
-            if shared is not None:
-                return shared
+            return owner(self, int(workers), backend)
         key = (int(workers), backend if backend is not None else self.backend)
         with self._executors_lock:
             pool = self._process_executors.get(key)

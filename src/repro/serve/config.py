@@ -50,10 +50,11 @@ class RenderConfig:
     through the dataset's shared-memory process pool of ``N`` workers
     (parallelism past the GIL), ``1`` renders in-process, and ``None``
     (the default) means one worker per CPU this process may use
-    (:attr:`resolved_render_workers`). ``backend`` selects the compute
-    backend (``None`` defers to ``REPRO_BACKEND``). Cache keys are
-    unaffected — every executor/backend combination produces
-    bit-identical tile bytes.
+    (:attr:`resolved_render_workers`). Each dataset has its own pool,
+    so ``D`` datasets run up to ``D`` times that many workers.
+    ``backend`` selects the compute backend (``None`` defers to
+    ``REPRO_BACKEND``). Cache keys are unaffected — every
+    executor/backend combination produces bit-identical tile bytes.
     """
 
     tile_px: int = DEFAULT_TILE_PX

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.visual.kdv import KDVRenderer
 
 if TYPE_CHECKING:
     from repro._types import FloatArray, PointLike
+    from repro.visual.executors import ProcessTileExecutor
     from repro.visual.grid import PixelGrid
 
 __all__ = ["CoresetTier", "DatasetEntry", "DatasetRegistry"]
@@ -58,6 +59,10 @@ DEFAULT_CORESET_TILE_PX = 256
 #: ε of the colour-range probe (:meth:`DatasetEntry.coarse_density`):
 #: its peak upper bound lies within ``1 + PROBE_EPS`` of the exact peak.
 PROBE_EPS = 0.01
+
+#: The indexed method the colour probe fits when the serving method
+#: (``exact``, ``zorder``) has no tree to refine.
+PROBE_METHOD = "akde"
 
 
 class CoresetTier:
@@ -153,7 +158,7 @@ class DatasetEntry:
         self._gamma_given = gamma_given
         self._lock = threading.RLock()
         self._coreset_tiers: Dict[int, CoresetTier] = self._build_coreset_tiers()
-        self._pools: Dict[Tuple[int, Optional[str]], Any] = {}
+        self._pool: Optional["ProcessTileExecutor"] = None
 
     def _build_coreset_tiers(self) -> Dict[int, CoresetTier]:
         """Materialise one coreset + renderer per zoom below the threshold.
@@ -217,25 +222,36 @@ class DatasetEntry:
             return [self.dataset_id]
         return [f"{self.dataset_id}#s{index}" for index in range(self.shards)]
 
+    def _probe_method(self) -> IndexedMethod:
+        """The fitted method whose exact tree the colour probe refines.
+
+        The serving method, or :data:`PROBE_METHOD` when the serving
+        method has no index. Fits it on first use: call under the
+        entry lock (:meth:`warm` does, so requests find it fitted).
+        """
+        fitted = self.renderer.get_method(self.method)
+        if not isinstance(fitted, IndexedMethod):
+            fitted = self.renderer.get_method(PROBE_METHOD)
+        assert isinstance(fitted, IndexedMethod)
+        return fitted
+
     def coarse_density(self, centers: "FloatArray") -> "FloatArray":
         """Upper bounds of the exact density at ``centers`` — the colour probe.
 
-        Refines the exact tree of the serving method (of ``akde`` when
-        the serving method has no index) to ε = :data:`PROBE_EPS` in
-        this process and returns each pixel's upper bound: never below
-        the exact density and within ``1 + PROBE_EPS`` of it, so its
-        peak is a colour ceiling no probed pixel exceeds. The probe's
-        work is merged into the method's ``stats``.
+        Refines the exact tree of :meth:`_probe_method` to ε =
+        :data:`PROBE_EPS` in this process and returns each pixel's upper
+        bound: never below the exact density and within
+        ``1 + PROBE_EPS`` of it, so its peak is a colour ceiling no
+        probed pixel exceeds. The probe's work is merged into the
+        method's ``stats``.
         """
-        renderer = self.renderer
-        fitted = renderer.get_method(self.method)
-        if not isinstance(fitted, IndexedMethod):
-            fitted = renderer.get_method("akde")
-        assert isinstance(fitted, IndexedMethod)
+        with self._lock:
+            weight = float(self.renderer.weight)
+            fitted = self._probe_method()
         stats = QueryStats()
         # The atol every served ε tile resolves to (RenderRequest.resolve).
         __, upper = fitted.make_batch_engine(stats).query_eps_bounds(
-            centers, PROBE_EPS, atol=1e-9 * float(renderer.weight)
+            centers, PROBE_EPS, atol=1e-9 * weight
         )
         fitted.stats.merge(stats)
         return upper
@@ -262,6 +278,7 @@ class DatasetEntry:
     def warm(self, method: Optional[str] = None) -> None:
         """Fit ``method`` (default: the serving method) now, not per-request.
 
+        Also fits the colour probe's method (:meth:`_probe_method`).
         Eager fitting under the entry lock means concurrent first
         requests never race to build the same index.
         """
@@ -270,6 +287,7 @@ class DatasetEntry:
             self.renderer.get_method(name)
             for tier in self._coreset_tiers.values():
                 tier.renderer.get_method(name)
+            self._probe_method()
             for fitted in self._pooled_methods():
                 fitted.pool_owner = self.process_executor
 
@@ -292,15 +310,16 @@ class DatasetEntry:
 
     def process_executor(
         self, method: IndexedMethod, workers: int, backend: Optional[str] = None
-    ) -> Any:
+    ) -> Optional["ProcessTileExecutor"]:
         """The dataset's render pool for ``method``, or ``None``.
 
-        Built on first use under the entry lock, one per ``(workers,
-        backend)``: its workers attach the exact tree and every distinct
-        coreset-tier tree once, so all zooms render on the same
-        ``workers`` processes. ``None`` when ``method`` is not one the
-        pool publishes (a renderer an :meth:`append` replaced), which
-        then renders on a pool of its own.
+        Built on first use under the entry lock, with that caller's
+        ``workers`` and ``backend`` (the tile service always asks with
+        its config's): its workers attach the exact tree and every
+        distinct coreset-tier tree once, so all zooms render on the
+        same processes. ``None`` when ``method`` is not one the pool
+        publishes (a renderer an :meth:`append` replaced); that render
+        runs in-process.
         """
         from repro.visual.executors import ProcessTileExecutor
 
@@ -308,17 +327,14 @@ class DatasetEntry:
             methods = self._pooled_methods()
             if not any(fitted is method for fitted in methods):
                 return None
-            key = (int(workers), backend)
-            pool = self._pools.get(key)
-            if pool is None or pool.closed:
-                pool = ProcessTileExecutor(methods, workers=key[0], backend=backend)
-                self._pools[key] = pool
-            return pool
+            if self._pool is None or self._pool.closed:
+                self._pool = ProcessTileExecutor(methods, workers=workers, backend=backend)
+            return self._pool
 
-    def _close_pools(self) -> None:
-        """Shut the dataset's pools down and unlink their trees."""
-        pools, self._pools = self._pools, {}
-        for pool in pools.values():
+    def _close_pool(self) -> None:
+        """Shut the dataset's pool down and unlink its trees."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
             pool.close()
 
     def append(self, points: "PointLike") -> int:
@@ -357,7 +373,7 @@ class DatasetEntry:
             # The pool and the replaced renderers' own pools hold the
             # old trees in shared memory; release them now rather than
             # waiting on garbage collection.
-            self._close_pools()
+            self._close_pool()
             self.warm()
             _close_renderer_methods(stale)
             for tier in stale_tiers.values():
@@ -367,7 +383,7 @@ class DatasetEntry:
     def close(self) -> None:
         """Release the process pools and their shared memory (idempotent)."""
         with self._lock:
-            self._close_pools()
+            self._close_pool()
             _close_renderer_methods(self.renderer)
             for tier in self._coreset_tiers.values():
                 _close_renderer_methods(tier.renderer)
@@ -375,14 +391,14 @@ class DatasetEntry:
     def executor_health(self) -> List[Dict[str, Any]]:
         """Health snapshots of every process pool (for ``/stats``).
 
-        The dataset's own pools first, then the pools fitted methods
+        The dataset's own pool first, then the pools fitted methods
         built for themselves (methods the dataset's pool does not
         publish), walking the exact renderer and every coreset tier
         renderer (deduplicated — tiers share renderers when their
         coresets converge).
         """
         with self._lock:
-            pools = list(self._pools.values())
+            pools = [] if self._pool is None else [self._pool]
             renderers = [self.renderer] + [
                 tier.renderer for tier in self._coreset_tiers.values()
             ]

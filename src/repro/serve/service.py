@@ -385,9 +385,10 @@ class TileService:
             RenderOptions(
                 tile_size=RENDER_TILE_SIZE,
                 anytime=True,
-                # Ball trees have no shared-memory form: they render
-                # in-process.
-                workers=self.render_workers if fitted.index == "kd" else 1,
+                # Only the serving method's kd-trees are on the
+                # dataset's pool; other methods (?method=) and ball
+                # trees render in-process.
+                workers=self.render_workers if fitted.pool_owner is not None else 1,
                 backend=self.config.render.backend,
             )
             if isinstance(fitted, IndexedMethod)

@@ -560,18 +560,18 @@ class ProcessTileExecutor:
         self,
         jobs: list[TileJob],
         *,
+        tree: Any,
         op: str,
         params: dict[str, float],
         token: CancellationToken | None = None,
         tracer: Any = None,
         on_result: Any = None,
         faults: FaultPlan | None = None,
-        tree: Any = None,
     ) -> ProcessRunOutcome:
         """Drain ``jobs``' envelopes through the worker pool; never raises Ctrl-C.
 
-        ``tree`` is the fitted tree (``method.tree``) the jobs refine;
-        ``None`` picks the pool's only tree.
+        ``tree`` is the fitted tree (``method.tree``) the jobs refine,
+        one of the trees the pool publishes.
 
         Tiles are submitted all at once and drain from the pool's shared
         call queue — idle workers steal the next tile, so an uneven tile
@@ -615,11 +615,8 @@ class ProcessTileExecutor:
 
         if self._closed:
             raise InvalidParameterError("process executor is closed")
-        if tree is None and len(self._trees) == 1:
-            tree_index = 0
-        elif tree is not None and id(tree) in self._tree_index:
-            tree_index = self._tree_index[id(tree)]
-        else:
+        tree_index = self._tree_index.get(id(tree))
+        if tree_index is None:
             raise InvalidParameterError(
                 f"this pool publishes {len(self._trees)} tree(s) and the "
                 "given tree is not one of them"

@@ -500,7 +500,7 @@ class KDVRenderer:
         ``workers >= 2``, the
         :class:`~repro.visual.executors.ProcessTileExecutor` that
         ``fitted.process_executor`` returns (the method's own, or its
-        dataset's shared pool). Both write
+        dataset's shared pool; ``None`` renders in-process). Both write
         disjoint slices of the same envelope arrays, so the answers are
         bit-identical across executors, and a complete render equals the
         strict one.

@@ -227,7 +227,7 @@ def test_process_executor_values_match_sequential_per_tile(renderer):
     fitted = renderer.get_method("quad")
     jobs = _tile_jobs(renderer)
     with fitted.process_executor(2) as pool:
-        outcome = pool.run(jobs, op="eps", params={"eps": 0.05, "atol": 0.0})
+        outcome = pool.run(jobs, tree=fitted.tree, op="eps", params={"eps": 0.05, "atol": 0.0})
     assert not outcome.errors and not outcome.unrun and not outcome.cancelled
     assert sorted(outcome.payloads) == [job.index for job in jobs]
     for job in jobs:
@@ -248,7 +248,7 @@ def test_process_executor_merges_worker_stats(renderer):
     for job in jobs:
         engine.query_eps_bounds(job.centers, 0.05, atol=0.0)
     with fitted.process_executor(2) as pool:
-        outcome = pool.run(jobs, op="eps", params={"eps": 0.05, "atol": 0.0})
+        outcome = pool.run(jobs, tree=fitted.tree, op="eps", params={"eps": 0.05, "atol": 0.0})
     assert outcome.stats.as_dict() == sequential.as_dict()
     assert len(outcome.worker_seconds) >= 1
 
@@ -263,6 +263,7 @@ def test_process_executor_precancelled_token_runs_nothing(renderer):
     with fitted.process_executor(2) as pool:
         outcome = pool.run(
             jobs,
+            tree=fitted.tree,
             op="eps",
             params={"eps": 0.05, "atol": 0.0},
             token=token,

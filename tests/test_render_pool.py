@@ -10,6 +10,8 @@ process may use). These tests pin the pool's contract:
 * a dataset's exact tree and its coreset tiers share one pool, which an
   append replaces and ``TileService.close`` tears down without leaving a
   worker process or a shared-memory segment behind;
+* a method other than the serving one (``?method=``), and a method an
+  append replaced, render in-process instead of starting pools;
 * each worker runs numpy's OpenBLAS on one thread;
 * tile bytes do not depend on where the tile rendered.
 """
@@ -52,8 +54,8 @@ def _segment_exists(name):
 
 
 def _pool(entry):
-    [pool] = entry._pools.values()
-    return pool
+    assert entry._pool is not None
+    return entry._pool
 
 
 # -- fork safety -------------------------------------------------------------
@@ -248,18 +250,37 @@ def test_every_zoom_renders_on_one_pool(small_points):
         svc.close()
 
 
+def test_other_methods_render_in_process(small_points):
+    svc = _service(render_workers=2)
+    try:
+        entry = svc.registry.register("crime", small_points, coreset_zoom=3)
+        for tile in TIER_TILES:
+            svc.get_tile("crime", *tile)
+            svc.get_tile("crime", *tile, method="akde")
+        [health] = entry.executor_health()
+        assert health["trees"] == 1 + len({id(entry.coreset_tier(z).renderer) for z in range(3)})
+        renderers = [entry.renderer] + [entry.coreset_tier(z).renderer for z in range(3)]
+        assert all(renderer.get_method("akde").executor_health() == [] for renderer in renderers)
+    finally:
+        svc.close()
+
+
 def test_append_replaces_the_pool_and_unlinks_its_trees(small_points):
     svc = _service(render_workers=2)
     try:
         entry = svc.registry.register("crime", small_points, coreset_zoom=2)
         svc.get_tile("crime", 0, 0, 0)
         old = _pool(entry)
+        stale = entry.renderer.get_method("quad")
         segments = old.segments
         assert all(_segment_exists(name) for name in segments)
         svc.append_points("crime", small_points[:50] + 0.01)
         assert old.closed
         assert not any(_segment_exists(name) for name in segments)
         assert entry.executor_health() == []  # the next pool starts lazily
+        # A render still holding the replaced method runs in-process.
+        assert stale.process_executor(2) is None
+        assert stale.executor_health() == []
         svc.get_tile("crime", 0, 0, 0)
         assert _pool(entry) is not old
         assert len(entry.executor_health()) == 1

@@ -330,8 +330,8 @@ class TestTileService:
         finally:
             svc.close()
 
-    @pytest.mark.parametrize("coreset_zoom", [None, 2])
-    def test_colour_probe_bounds_the_exact_peak(self, small_points, coreset_zoom):
+    @pytest.mark.parametrize("method, coreset_zoom", [("quad", None), ("quad", 2), ("exact", None)])
+    def test_colour_probe_bounds_the_exact_peak(self, small_points, method, coreset_zoom):
         from repro.core.exact import exact_density
         from repro.serve.service import _VMAX_GRID_WIDTH
 
@@ -342,9 +342,15 @@ class TestTileService:
         )
         try:
             entry = svc.registry.register(
-                "crime", small_points, coreset_zoom=coreset_zoom
+                "crime", small_points, method=method, coreset_zoom=coreset_zoom
             )
+            # Registration fits the method the probe refines (akde when
+            # the serving method has no index), so no request fits one
+            # outside the entry lock.
+            fitted = dict(entry.renderer._methods)
+            assert ("akde" in fitted) == (method == "exact")
             vmax = svc._entry_vmax(entry)
+            assert entry.renderer._methods == fitted
             base = entry.base_grid
             coarse = base.scaled(_VMAX_GRID_WIDTH / float(base.width))
             renderer = entry.renderer
