@@ -7,26 +7,23 @@ differs — so any timing gap is pure engine overhead. The batched path
 should stay several times faster than scalar; ``tools/bench_report.py``
 records the canonical numbers in ``BENCH_engine.json``.
 
-The parallel-scaling group sweeps worker count x compute backend over
-the same tiled workload (one worker renders in-process, two or more on
-the process pool). Worker counts change only *where* each tile batch
-runs, never what it computes, so every parametrisation asserts the
-image equals the single-worker render bit for bit. Unavailable
-backends (numba without the ``[perf]`` extra) are skipped, not failed.
+The parallel-scaling group sweeps the worker count over the same tiled
+workload (one worker renders in-process, two or more on the process
+pool). Worker counts change only *where* each tile batch runs, never
+what it computes, so every parametrisation asserts the image equals the
+single-worker render bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from benchmarks.conftest import get_renderer, prepare
-from repro.core.backends import available_backends
 from repro.visual.request import RenderOptions, RenderRequest
 
 DATASETS = ("crime", "home")
 EPS = 0.01
 MODES = ("scalar", "tiled", "tiled-workers")
 SCALING_WORKERS = (1, 2, 4, 8)
-SCALING_BACKENDS = ("numpy", "numba")
 
 
 def _options(mode):
@@ -68,15 +65,12 @@ def test_tau_engine_batching(benchmark, dataset, mode):
     assert np.array_equal(mask, renderer.render_exact() >= tau)
 
 
-@pytest.mark.parametrize("backend", SCALING_BACKENDS)
 @pytest.mark.parametrize("workers", SCALING_WORKERS)
-def test_eps_parallel_scaling(benchmark, workers, backend):
-    if backend not in available_backends():
-        pytest.skip(f"compute backend {backend!r} not installed ([perf] extra)")
+def test_eps_parallel_scaling(benchmark, workers):
     renderer = get_renderer("crime")
     prepare(renderer, "quad")
-    benchmark.group = f"parallel scaling eps crime eps={EPS} backend={backend}"
-    options = RenderOptions(tile_size=64, workers=workers, backend=backend)
+    benchmark.group = f"parallel scaling eps crime eps={EPS}"
+    options = RenderOptions(tile_size=64, workers=workers)
     request = RenderRequest.for_eps(EPS, "quad", options=options)
     image = benchmark.pedantic(
         renderer.render, args=(request,), rounds=2, iterations=1
@@ -84,6 +78,6 @@ def test_eps_parallel_scaling(benchmark, workers, backend):
     # Worker counts move tile batches between the parent and pool
     # processes without changing their contents, so the parallel image
     # must equal the single-worker one bit for bit.
-    single = RenderOptions(tile_size=64, workers=1, backend=backend)
+    single = RenderOptions(tile_size=64, workers=1)
     reference = renderer.render(RenderRequest.for_eps(EPS, "quad", options=single))
     assert np.array_equal(image, reference)

@@ -223,11 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
         "process may use, for each dataset, so D datasets run up to "
         "D x CPUs workers)",
     )
-    serve_render.add_argument(
-        "--backend",
-        default=None,
-        help="compute backend for renders (default: REPRO_BACKEND)",
-    )
     serve_render.add_argument("--max-zoom", type=_positive_int, default=18)
 
     serve_cache = serve.add_argument_group(
@@ -476,7 +471,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             deadline_ms=args.deadline_ms,
             workers=args.workers,
             render_workers=args.render_workers,
-            backend=args.backend,
             max_zoom=args.max_zoom,
         ),
         cache=CacheConfig(

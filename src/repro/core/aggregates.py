@@ -95,7 +95,6 @@ class NodeAggregates:
         "h",
         "c",
         "dims",
-        "_arrays",
     )
 
     def __init__(
@@ -119,9 +118,6 @@ class NodeAggregates:
         self.h = float(h)
         self.c = list(c)
         self.dims = int(dims)
-        # Lazy numpy copies of the moments for compiled backends, built
-        # on first use (the numpy paths keep using the plain lists).
-        self._arrays: tuple[FloatArray, FloatArray, FloatArray, FloatArray] | None = None
 
     @classmethod
     def from_points(
@@ -304,18 +300,6 @@ class NodeAggregates:
         # The true value is non-negative; rounding can leave a tiny
         # negative residue when every point coincides with q.
         return value if value > 0.0 else 0.0
-
-    def _moment_arrays(self) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray]:
-        arrays = self._arrays
-        if arrays is None:
-            arrays = (
-                np.asarray(self.center, dtype=np.float64),
-                np.asarray(self.a, dtype=np.float64),
-                np.asarray(self.v, dtype=np.float64),
-                np.asarray(self.c, dtype=np.float64).reshape(self.dims, self.dims),
-            )
-            self._arrays = arrays
-        return arrays
 
     def _batch_terms(
         self, columns: Sequence[FloatArray]

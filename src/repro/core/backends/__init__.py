@@ -1,105 +1,12 @@
-"""Pluggable compute backends for the refinement engines.
+"""The compute seam of the refinement engines.
 
-The engines evaluate bounds and leaf sums through a
-:class:`~repro.core.backends.base.ComputeBackend`, selected here by
-name. Selection precedence, highest first:
-
-1. an explicit ``backend=`` argument (``RenderOptions.backend``,
-   ``create_method(..., backend=...)``);
-2. the ``REPRO_BACKEND`` environment variable;
-3. the ``"numpy"`` reference backend (bit-identical to the
-   pre-backend engine behaviour).
-
-Requesting ``"numba"`` where numba is not importable degrades to numpy
-with a one-time :class:`RuntimeWarning` — the optional ``[perf]`` extra
-must never be a hard dependency.
+The batched engine evaluates node bounds and leaf sums through one
+:class:`~repro.core.backends.base.ComputeBackend`, which delegates to
+the bound provider's numpy methods.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 from repro.core.backends.base import ComputeBackend
-from repro.core.backends.numba_backend import NumbaBackend, numba_available
-from repro.core.backends.numpy_backend import NumpyBackend
 
-__all__ = [
-    "BACKEND_ENV_VAR",
-    "ComputeBackend",
-    "available_backends",
-    "get_backend",
-    "numba_available",
-    "resolve_backend",
-]
-
-#: Environment variable naming the default backend.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-_BACKENDS: dict[str, type[ComputeBackend]] = {
-    NumpyBackend.name: NumpyBackend,
-    NumbaBackend.name: NumbaBackend,
-}
-
-# Backend classes are stateless flyweights; cache one instance per name.
-_INSTANCES: dict[str, ComputeBackend] = {}
-
-# One warning per missing backend per process, not one per render.
-_WARNED_FALLBACKS: set[str] = set()
-
-
-def available_backends() -> tuple[str, ...]:
-    """Names of the backends that can run here, registration order."""
-    return tuple(name for name, cls in _BACKENDS.items() if cls.available())
-
-
-def get_backend(name: str) -> ComputeBackend:
-    """The backend registered under ``name``; raises if unknown/unavailable.
-
-    Unlike :func:`resolve_backend` this never falls back — use it when
-    the caller must know the requested backend is really running.
-    """
-    key = str(name).lower()
-    cls = _BACKENDS.get(key)
-    if cls is None:
-        from repro.errors import UnknownNameError
-
-        known = ", ".join(sorted(_BACKENDS))
-        raise UnknownNameError(f"unknown compute backend {name!r}; expected one of [{known}]")
-    instance = _INSTANCES.get(key)
-    if instance is None:
-        instance = cls()
-        _INSTANCES[key] = instance
-    return instance
-
-
-def resolve_backend(spec: str | ComputeBackend | None = None) -> ComputeBackend:
-    """Resolve a backend spec to a usable instance, with graceful fallback.
-
-    ``None`` consults ``REPRO_BACKEND`` and defaults to ``"numpy"``.
-    An unknown name still raises (a typo should not silently change the
-    numerics), but a *known-yet-unavailable* backend — numba without the
-    ``[perf]`` extra — degrades to numpy with a one-time
-    :class:`RuntimeWarning`.
-    """
-    if isinstance(spec, ComputeBackend):
-        return spec
-    name = spec if spec is not None else os.environ.get(BACKEND_ENV_VAR) or "numpy"
-    key = str(name).lower()
-    cls = _BACKENDS.get(key)
-    if cls is None:
-        from repro.errors import UnknownNameError
-
-        known = ", ".join(sorted(_BACKENDS))
-        raise UnknownNameError(f"unknown compute backend {name!r}; expected one of [{known}]")
-    if not cls.available():
-        if key not in _WARNED_FALLBACKS:
-            _WARNED_FALLBACKS.add(key)
-            warnings.warn(
-                f"compute backend {key!r} is not available in this environment "
-                f"(install the [perf] extra for numba); falling back to 'numpy'",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return get_backend("numpy")
-    return get_backend(key)
+__all__ = ["ComputeBackend"]

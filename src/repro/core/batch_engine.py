@@ -47,7 +47,7 @@ from repro.contracts.runtime import (
     invariants_enabled,
 )
 from repro.core import stopping
-from repro.core.backends import resolve_backend
+from repro.core.backends import ComputeBackend
 from repro.core.engine import QueryStats, exhausted_exact
 from repro.errors import InvalidParameterError
 from repro.obs.runtime import current_tracer
@@ -87,15 +87,11 @@ class BatchRefinementEngine:
         into — pass the scalar engine's stats object to keep one unified
         work ledger, or leave ``None`` for a private one (used by the
         tiled renderer's per-worker engines, merged afterwards).
-    backend:
-        Compute-backend selection for the batched bound/leaf kernels: a
-        :class:`~repro.core.backends.ComputeBackend` instance, a name
-        (``"numpy"``, ``"numba"``), or ``None`` to honour the
-        ``REPRO_BACKEND`` environment variable (default ``"numpy"``,
-        bit-identical to the pre-backend engine). The scalar
-        τ-canonicalisation path stays on the provider regardless of
-        backend — that is what keeps τ masks bit-identical across
-        backends.
+
+    Every batched bound and leaf evaluation goes through
+    :attr:`backend`, the one :class:`~repro.core.backends.ComputeBackend`
+    seam; the scalar τ-canonicalisation path calls the provider
+    directly.
     """
 
     def __init__(
@@ -104,7 +100,6 @@ class BatchRefinementEngine:
         provider: BoundProvider,
         ordering: str = "gap",
         stats: QueryStats | None = None,
-        backend: str | None = None,
     ) -> None:
         if ordering not in ("gap", "fifo"):
             raise InvalidParameterError(
@@ -114,7 +109,7 @@ class BatchRefinementEngine:
         self.provider = provider
         self.ordering = ordering
         self.stats = stats if stats is not None else QueryStats()
-        self.backend = resolve_backend(backend)
+        self.backend = ComputeBackend()
 
     def root_envelope(
         self, queries: FloatArray, queries_sq: FloatArray | None = None
@@ -186,7 +181,7 @@ class BatchRefinementEngine:
 
         # Like the scalar engine, the checking branch is chosen once per
         # batch; the hot path calls the unchecked batch variants of the
-        # active compute backend (numpy delegates to the provider).
+        # compute backend, which delegates to the provider.
         check = invariants_enabled()
         backend = self.backend
         node_bounds = partial(

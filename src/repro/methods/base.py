@@ -234,7 +234,6 @@ class IndexedMethod(Method):
         ordering: str = "gap",
         index: str = "kd",
         engine: str = "scalar",
-        backend: str | None = None,
     ) -> None:
         super().__init__()
         from repro.errors import InvalidParameterError
@@ -249,25 +248,21 @@ class IndexedMethod(Method):
         self.ordering = ordering
         self.index = index
         self.engine_mode = engine
-        # Compute-backend selection for the batched engines (None defers
-        # to REPRO_BACKEND / the numpy reference); the scalar engine is
-        # backend-independent by design.
-        self.backend = backend
         self.provider_options: dict[str, Any] = {}
         self.tree: KDTree | BallTree | None = None
         self.engine: RefinementEngine | None = None
         self.batch_engine: BatchRefinementEngine | None = None
-        # Cached process-pool tile executors, keyed by (workers, backend).
+        # Cached process-pool tile executors, keyed by worker count.
         # Lazily built by process_executor() under the lock; invalidated
         # on refit since the worker processes hold a snapshot of the
         # fitted tree.
-        self._process_executors: dict[tuple[int, str | None], Any] = {}
+        self._process_executors: dict[int, Any] = {}
         self._executors_lock = threading.Lock()
-        #: ``(method, workers, backend) -> pool or None`` of whoever
-        #: lends this method a shared pool that publishes its tree (a
-        #: served dataset; a ``None`` answer renders in-process);
-        #: ``None`` means a pool of the method's own.
-        self.pool_owner: Callable[[IndexedMethod, int, str | None], Any] | None = None
+        #: ``(method, workers) -> pool or None`` of whoever lends this
+        #: method a shared pool that publishes its tree (a served
+        #: dataset; a ``None`` answer renders in-process); ``None``
+        #: means a pool of the method's own.
+        self.pool_owner: Callable[[IndexedMethod, int], Any] | None = None
 
     def _fit_impl(self) -> None:
         from repro.core.bounds import make_bound_provider
@@ -300,7 +295,6 @@ class IndexedMethod(Method):
             provider,
             ordering=self.ordering,
             stats=self.engine.stats,
-            backend=self.backend,
         )
 
     @property
@@ -310,19 +304,13 @@ class IndexedMethod(Method):
         assert self.engine is not None
         return self.engine.stats
 
-    def make_batch_engine(
-        self,
-        stats: QueryStats | None = None,
-        backend: str | None = None,
-    ) -> BatchRefinementEngine:
+    def make_batch_engine(self, stats: QueryStats | None = None) -> BatchRefinementEngine:
         """A fresh batched engine over this method's tree and bounds.
 
         Each call returns an independent engine accumulating into its
         own ``stats`` (or the one given) — the building block for
         tile-parallel rendering, where every worker refines with a
         private engine and the owner merges the per-worker stats.
-        ``backend`` overrides this method's compute backend for the new
-        engine (``None`` inherits it).
         """
         self._require_fitted()
         engine = self.engine
@@ -332,10 +320,9 @@ class IndexedMethod(Method):
             engine.provider,
             ordering=self.ordering,
             stats=stats,
-            backend=self.backend if backend is None else backend,
         )
 
-    def process_executor(self, workers: int, backend: str | None = None) -> Any:
+    def process_executor(self, workers: int) -> Any:
         """The process-pool tile executor this fitted method renders on.
 
         The :attr:`pool_owner`'s answer when one is set: its shared pool
@@ -345,23 +332,22 @@ class IndexedMethod(Method):
         :class:`~repro.visual.executors.ProcessTileExecutor` of the
         method's own, whose workers attach the fitted tree from shared
         memory — one publication feeds every render until the method is
-        refitted or :meth:`close_executors` runs. Keyed by ``(workers,
-        backend)`` so a renderer can mix configurations without
-        thrashing pools, and built under a lock, so concurrent first
-        renders share one pool.
+        refitted or :meth:`close_executors` runs. Keyed by ``workers``
+        so a renderer can mix worker counts without thrashing pools, and
+        built under a lock, so concurrent first renders share one pool.
         """
         self._require_fitted()
+        workers = int(workers)
         owner = self.pool_owner
         if owner is not None:
-            return owner(self, int(workers), backend)
-        key = (int(workers), backend if backend is not None else self.backend)
+            return owner(self, workers)
         with self._executors_lock:
-            pool = self._process_executors.get(key)
+            pool = self._process_executors.get(workers)
             if pool is None or pool.closed:
                 from repro.visual.executors import ProcessTileExecutor
 
-                pool = ProcessTileExecutor(self, workers=key[0], backend=key[1])
-                self._process_executors[key] = pool
+                pool = ProcessTileExecutor(self, workers=workers)
+                self._process_executors[workers] = pool
             return pool
 
     def executor_health(self) -> list[dict[str, Any]]:

@@ -42,7 +42,7 @@ class QUADMethod(IndexedMethod):
 
     def __init__(
         self, leaf_size=None, ordering="gap", tangent="mean", index="kd",
-        engine="scalar", backend=None,
+        engine="scalar",
     ):
         from repro.index.kdtree import DEFAULT_LEAF_SIZE
 
@@ -51,7 +51,6 @@ class QUADMethod(IndexedMethod):
             ordering=ordering,
             index=index,
             engine=engine,
-            backend=backend,
         )
         self.tangent = tangent
 

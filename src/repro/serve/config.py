@@ -4,7 +4,7 @@
 
 * :class:`RenderConfig` — what a tile render looks like and how it
   executes (tile size, default ε/τ, colormap, deadline, request and
-  render worker counts, backend selection, zoom ceiling);
+  render worker counts, zoom ceiling);
 * :class:`CacheConfig` — byte budgets and TTL of the three-level
   :class:`~repro.cache.tiles.TileCache`;
 * :class:`ResilienceConfig` — the degrade-don't-fail surface
@@ -24,12 +24,15 @@ environment variables (e.g. ``REPRO_SERVE_RENDER_EPS=0.1``,
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional
 
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, UnknownNameError
 from repro.serve.tiles import DEFAULT_TILE_PX
+from repro.utils.validation import check_positive
+from repro.visual.colormap import get_colormap
 
 __all__ = [
     "CacheConfig",
@@ -45,16 +48,21 @@ class RenderConfig:
     """What a served tile render looks like and how it executes.
 
     ``workers`` sizes the *request* pool (threads running plan/cache/
-    encode); ``render_workers`` + ``backend`` shape each render itself:
+    encode); ``render_workers`` shapes each render itself:
     ``render_workers=N`` with ``N >= 2`` drains every tile render
     through the dataset's shared-memory process pool of ``N`` workers
     (parallelism past the GIL), ``1`` renders in-process, and ``None``
     (the default) means one worker per CPU this process may use
     (:attr:`resolved_render_workers`). Each dataset has its own pool,
-    so ``D`` datasets run up to ``D`` times that many workers.
-    ``backend`` selects the compute backend (``None`` defers to
-    ``REPRO_BACKEND``). Cache keys are unaffected — every
-    executor/backend combination produces bit-identical tile bytes.
+    so ``D`` datasets run up to ``D`` times that many workers. Cache
+    keys are unaffected — every worker count produces bit-identical
+    tile bytes.
+
+    The render defaults are checked here, by the rules a tile render
+    applies: ``colormap`` must name a registered colormap, ``eps`` must
+    be finite and > 0, ``tau`` finite (or ``None``) and ``deadline_ms``
+    finite and > 0 (or ``None``), so a bad default fails at start-up
+    instead of on every tile.
     """
 
     tile_px: int = DEFAULT_TILE_PX
@@ -64,7 +72,6 @@ class RenderConfig:
     deadline_ms: Optional[float] = 10_000.0
     workers: int = 4
     render_workers: Optional[int] = None
-    backend: Optional[str] = None
     max_zoom: int = 18
 
     def __post_init__(self) -> None:
@@ -80,6 +87,17 @@ class RenderConfig:
             raise InvalidParameterError(
                 f"max_zoom must be >= 0, got {self.max_zoom!r}"
             )
+        check_positive(self.eps, "eps")
+        if self.tau is not None and not math.isfinite(float(self.tau)):
+            raise InvalidParameterError(
+                f"tau must be finite (or None), got {self.tau!r}"
+            )
+        if self.deadline_ms is not None:
+            check_positive(self.deadline_ms, "deadline_ms")
+        try:
+            get_colormap(self.colormap)
+        except UnknownNameError as error:
+            raise InvalidParameterError(error.args[0]) from None
 
     @property
     def resolved_render_workers(self) -> int:

@@ -309,15 +309,15 @@ class DatasetEntry:
         return list(methods.values())
 
     def process_executor(
-        self, method: IndexedMethod, workers: int, backend: Optional[str] = None
+        self, method: IndexedMethod, workers: int
     ) -> Optional["ProcessTileExecutor"]:
         """The dataset's render pool for ``method``, or ``None``.
 
         Built on first use under the entry lock, with that caller's
-        ``workers`` and ``backend`` (the tile service always asks with
-        its config's): its workers attach the exact tree and every
-        distinct coreset-tier tree once, so all zooms render on the
-        same processes. ``None`` when ``method`` is not one the pool
+        ``workers`` (the tile service always asks with its config's):
+        its workers attach the exact tree and every distinct
+        coreset-tier tree once, so all zooms render on the same
+        processes. ``None`` when ``method`` is not one the pool
         publishes (a renderer an :meth:`append` replaced); that render
         runs in-process.
         """
@@ -328,7 +328,7 @@ class DatasetEntry:
             if not any(fitted is method for fitted in methods):
                 return None
             if self._pool is None or self._pool.closed:
-                self._pool = ProcessTileExecutor(methods, workers=workers, backend=backend)
+                self._pool = ProcessTileExecutor(methods, workers=workers)
             return self._pool
 
     def _close_pool(self) -> None:

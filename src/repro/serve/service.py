@@ -389,7 +389,6 @@ class TileService:
                 # dataset's pool; other methods (?method=) and ball
                 # trees render in-process.
                 workers=self.render_workers if fitted.pool_owner is not None else 1,
-                backend=self.config.render.backend,
             )
             if isinstance(fitted, IndexedMethod)
             else RenderOptions()
@@ -887,7 +886,6 @@ class TileService:
                 "deadline_ms": render.deadline_ms,
                 "workers": int(render.workers),
                 "render_workers": self.render_workers,
-                "backend": render.backend,
                 "max_zoom": int(render.max_zoom),
                 "sharding": {
                     "shards": int(self.config.sharding.shards),

@@ -1,10 +1,9 @@
 """Process-pool tile executor — true parallel rendering past the GIL.
 
 The in-process tile executor of :mod:`repro.visual.kdv` runs on one
-core: the numpy reference backend holds the GIL through the whole
-refinement loop (Python + small-batch numpy). :class:`ProcessTileExecutor`
-is the tile driver's second executor: it drains tiles into worker
-*processes*:
+core: refinement holds the GIL through the whole loop (Python +
+small-batch numpy). :class:`ProcessTileExecutor` is the tile driver's
+second executor: it drains tiles into worker *processes*:
 
 * the fitted kd-tree is published **once** into POSIX shared memory
   (:func:`repro.index.shared.publish_tree`); every worker attaches
@@ -13,8 +12,8 @@ is the tile driver's second executor: it drains tiles into worker
 * each worker rebuilds the method's bound provider from a tiny picklable
   spec and answers tiles with a private
   :class:`~repro.core.batch_engine.BatchRefinementEngine` — the same
-  engine, bounds and backend dispatch as in-process rendering, so tile
-  envelopes are **bit-identical** to the in-process executor's;
+  engine and bounds as in-process rendering, so tile envelopes are
+  **bit-identical** to the in-process executor's;
 * per-tile :class:`~repro.core.engine.QueryStats` travel back as plain
   dicts and are merged through the usual ``QueryStats.merge`` ledger;
   the parent re-emits ``tile`` trace events into the ambient obs sinks
@@ -62,7 +61,6 @@ import weakref
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from repro.contracts.runtime import invariants_enabled, set_invariants
-from repro.core.backends import resolve_backend
 from repro.core.engine import QueryStats
 from repro.errors import InvalidParameterError, WorkerPoolBrokenError
 from repro.index.shared import attach_tree, publish_tree
@@ -327,13 +325,7 @@ def _run_tile(
     attached, provider, spec = _WORKER_STATE["trees"][tree]
     set_invariants(check)
     stats = QueryStats()
-    engine = BatchRefinementEngine(
-        attached,
-        provider,
-        ordering=spec["ordering"],
-        stats=stats,
-        backend=spec["backend"],
-    )
+    engine = BatchRefinementEngine(attached, provider, ordering=spec["ordering"], stats=stats)
     token: CancellationToken | None = None
     if slot is not None:
         token = SlotCancellationToken(_WORKER_STATE["slots"], slot)
@@ -350,7 +342,7 @@ def _run_tile(
     return index, payload, stats.as_dict(), seconds, was_cancelled, os.getpid()
 
 
-def _worker_spec(method: IndexedMethod, backend: str) -> dict[str, Any]:
+def _worker_spec(method: IndexedMethod) -> dict[str, Any]:
     """What a worker needs to rebuild ``method``'s bound provider and engine."""
     provider = method.engine.provider  # type: ignore[union-attr]
     return {
@@ -360,7 +352,6 @@ def _worker_spec(method: IndexedMethod, backend: str) -> dict[str, Any]:
         "weight": float(provider.weight),
         "provider_options": dict(method.provider_options),
         "ordering": method.ordering,
-        "backend": backend,
     }
 
 
@@ -399,9 +390,6 @@ class ProcessTileExecutor:
         of them; :meth:`run` names the tree a render refines.
     workers:
         Worker process count (>= 1).
-    backend:
-        Compute-backend name the workers dispatch through (``None``
-        inherits the first method's backend / ``REPRO_BACKEND``).
     supervisor:
         Rebuild policy for broken pools. The default sentinel
         ``"default"`` resolves through
@@ -417,7 +405,6 @@ class ProcessTileExecutor:
         self,
         methods: IndexedMethod | Sequence[IndexedMethod],
         workers: int,
-        backend: str | None = None,
         supervisor: PoolSupervisor | None | str = "default",
     ) -> None:
         from concurrent.futures import ProcessPoolExecutor
@@ -432,16 +419,7 @@ class ProcessTileExecutor:
             raise InvalidParameterError(
                 "methods must be fitted before building a process executor"
             )
-        # Resolve the backend *here*, in the parent: shipping the raw
-        # name would make every worker process call resolve_backend()
-        # with a fresh fallback-warning latch, re-firing the one-time
-        # "numba unavailable" RuntimeWarning once per worker. Resolving
-        # to the concrete backend's name keeps the warning once per
-        # interpreter and sends workers a name that always exists.
-        resolved_backend = resolve_backend(
-            backend if backend is not None else distinct[0].backend
-        ).name
-        specs = [_worker_spec(method, resolved_backend) for method in distinct]
+        specs = [_worker_spec(method) for method in distinct]
         ctx = _pool_context()
         self.workers = workers
         if supervisor == "default":
@@ -477,7 +455,6 @@ class ProcessTileExecutor:
             for handle in self._handles:
                 handle.close()
             raise
-        self.spec = specs[0]
         self._closed = False
         self._finalizer = weakref.finalize(
             self, _close_pool, self._box, self._handles

@@ -212,8 +212,8 @@ class KDVRenderer:
 
         A request with all-default options renders every pixel in one
         batch through the method's own ``batch_eps``/``batch_tau``. Any
-        of ``tile_size``, ``workers``, ``backend``, ``anytime`` or a
-        resilience option sends it through the tile driver
+        of ``tile_size``, ``workers``, ``anytime`` or a resilience
+        option sends it through the tile driver
         (:meth:`_render_anytime_impl`): in-process, or over the method's
         process pool when ``workers >= 2``. A strict render (not
         ``anytime``) is the same run followed by a raise when tiles were
@@ -259,11 +259,7 @@ class KDVRenderer:
             )
         fail_fast = not (options.anytime or options.resilience_engaged)
         if fail_fast:
-            if (
-                options.tile_size is None
-                and options.workers is None
-                and options.backend is None
-            ):
+            if options.tile_size is None and options.workers is None:
                 return self._render_plain(request.method, op, params)
             # The CI chaos hook: a REPRO_FAULTS plan makes every tiled
             # render resilient.
@@ -527,7 +523,6 @@ class KDVRenderer:
             if np.isscalar(tile_size)
             else (int(tile_size[0]), int(tile_size[1]))  # type: ignore[index]
         )
-        backend = options.backend
         budget = options.budget
 
         token = options.cancel
@@ -577,10 +572,10 @@ class KDVRenderer:
                     stacklevel=4,
                 )
             else:
-                pool = fitted.process_executor(workers, backend)
+                pool = fitted.process_executor(workers)
 
         stats = QueryStats()
-        engine = fitted.make_batch_engine(stats, backend=backend)
+        engine = fitted.make_batch_engine(stats)
         if options.envelope is None:
             tile_list = list(self.grid.tiles(tile_size))
             lower, upper = engine.root_envelope(centers)

@@ -117,11 +117,6 @@ class RenderOptions:
         Return the full :class:`~repro.resilience.result.RenderOutcome`
         (image + per-pixel envelopes + degradation metadata) instead of
         the bare image/mask.
-    backend:
-        Compute-backend name for the batched engines (``"numpy"`` /
-        ``"numba"``); ``None`` inherits the method's backend (itself
-        defaulting to ``REPRO_BACKEND`` or the numpy reference). Out of
-        the fingerprint: every backend is bit-identical by contract.
     envelope:
         τ renders only: per-pixel ``(LB, UB)`` arrays (flat, grid
         order) known to enclose the density, used as the starting
@@ -142,7 +137,6 @@ class RenderOptions:
     faults: "FaultsLike" = None
     retry: Optional["RetryPolicy"] = None
     anytime: bool = False
-    backend: Optional[str] = None
     envelope: Optional[Tuple["FloatArray", "FloatArray"]] = None
 
     def __post_init__(self) -> None:

@@ -1,32 +1,27 @@
-"""Compute backends, shared-memory tree transport, process tile executor.
+"""Compute seam, shared-memory tree transport, process tile executor.
 
-Unit tests for the GIL-escape layer: backend registry semantics
-(graceful fallback vs strict lookup), formula parity of the numba
-kernels run un-jitted, the ``publish_tree``/``attach_tree`` lifecycle
-(including leak-free teardown), the :class:`ProcessTileExecutor`
-contract (per-tile bit-identity, stats merge, cancellation, idempotent
-close), and the renderer-facing plumbing (``RenderOptions`` validation,
-in-process vs pool parity, failing tiles on the pool, the in-process
-fallback, ``ServiceConfig`` knobs).
+Unit tests for the GIL-escape layer: the ``publish_tree``/``attach_tree``
+lifecycle (including leak-free teardown), the
+:class:`ProcessTileExecutor` contract (per-tile bit-identity, stats
+merge, cancellation, idempotent close), the renderer-facing plumbing
+(``RenderOptions`` validation, in-process vs pool parity, failing tiles
+on the pool, the in-process fallback, ``ServiceConfig`` knobs), the
+``ComputeBackend`` seam the benchmark's traced run wraps, and the
+linter rule that keeps batched evaluations on that seam.
 """
 
 import dataclasses
+import functools
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.backends import (
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
-from repro.core.backends.numba_backend import NumbaBackend, numba_available
-from repro.core.backends.numpy_backend import NumpyBackend
+from repro.contracts.runtime import checking
+from repro.core.backends import ComputeBackend
 from repro.core.bounds import make_bound_provider
-from repro.errors import InvalidParameterError, UnknownNameError
+from repro.errors import InvalidParameterError
 from repro.index.kdtree import KDTree
 from repro.index.shared import attach_tree, publish_tree
 from repro.visual.executors import ProcessTileExecutor, TileJob
@@ -43,110 +38,6 @@ def make_points(n=80, seed=0):
 @pytest.fixture
 def renderer():
     return KDVRenderer(make_points(), resolution=(12, 10), leaf_size=16)
-
-
-# -- backend registry --------------------------------------------------------
-
-
-def test_numpy_backend_always_available():
-    assert "numpy" in available_backends()
-    assert isinstance(resolve_backend(None), NumpyBackend) or numba_available()
-
-
-def test_resolve_backend_default_is_numpy(monkeypatch):
-    monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert resolve_backend(None).name == "numpy"
-
-
-def test_resolve_backend_env_selection(monkeypatch):
-    monkeypatch.setenv("REPRO_BACKEND", "numpy")
-    assert resolve_backend(None).name == "numpy"
-
-
-def test_resolve_backend_unknown_name_raises():
-    with pytest.raises(UnknownNameError):
-        resolve_backend("cuda")
-    with pytest.raises(UnknownNameError):
-        get_backend("cuda")
-
-
-def test_resolve_backend_passthrough_instance():
-    backend = NumbaBackend(force=True)
-    assert resolve_backend(backend) is backend
-
-
-@pytest.mark.skipif(numba_available(), reason="fallback only without numba")
-def test_resolve_backend_unavailable_falls_back_with_warning():
-    from repro.core import backends as registry
-
-    registry._WARNED_FALLBACKS.discard("numba")
-    with pytest.warns(RuntimeWarning, match=r"\[perf\]"):
-        assert resolve_backend("numba").name == "numpy"
-    # One-time warning: the second resolution is silent.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert resolve_backend("numba").name == "numpy"
-
-
-@pytest.mark.skipif(numba_available(), reason="strict path only without numba")
-def test_numba_backend_strict_constructor_raises_without_numba():
-    with pytest.raises(InvalidParameterError, match=r"\[perf\]"):
-        NumbaBackend()
-
-
-def test_get_backend_caches_instances():
-    assert get_backend("numpy") is get_backend("numpy")
-
-
-# -- numba kernel parity (un-jitted on machines without the extra) -----------
-
-
-def test_numba_node_bounds_match_numpy():
-    points = make_points(n=200, seed=3)
-    tree = KDTree(points, leaf_size=32)
-    provider = make_bound_provider("quad", "gaussian", 0.8, 1.0 / 200)
-    backend = NumbaBackend(force=True)
-    rng = np.random.default_rng(4)
-    queries = rng.normal(size=(16, 2)) * 2 + np.array([3.0, -1.0])
-    queries_sq = np.einsum("ij,ij->i", queries, queries)
-    for node in tree.nodes():
-        ref_lo, ref_hi = provider.node_bounds_batch(node, queries, queries_sq)
-        got_lo, got_hi = backend.node_bounds_batch(
-            provider, node, queries, queries_sq
-        )
-        # Scalar accumulation vs numpy pairwise summation: a few ulps.
-        np.testing.assert_allclose(got_lo, ref_lo, rtol=1e-12, atol=1e-300)
-        np.testing.assert_allclose(got_hi, ref_hi, rtol=1e-12, atol=1e-300)
-        assert np.all(got_lo <= got_hi)
-
-
-def test_numba_leaf_exact_matches_numpy():
-    points = make_points(n=150, seed=5)
-    tree = KDTree(points, leaf_size=16)
-    provider = make_bound_provider("quad", "gaussian", 1.3, 1.0 / 150)
-    backend = NumbaBackend(force=True)
-    rng = np.random.default_rng(6)
-    queries = rng.normal(size=(9, 2)) * 2 + np.array([3.0, -1.0])
-    queries_sq = np.einsum("ij,ij->i", queries, queries)
-    for leaf in tree.leaves():
-        ref = provider.leaf_exact_batch(leaf, queries, queries_sq)
-        got = backend.leaf_exact_batch(provider, leaf, queries, queries_sq)
-        np.testing.assert_allclose(got, ref, rtol=1e-12)
-
-
-def test_numba_backend_delegates_unsupported_kernels():
-    """Non-Gaussian kernels fall through to the provider's numpy path."""
-    points = make_points(n=60, seed=7)
-    tree = KDTree(points, leaf_size=16)
-    provider = make_bound_provider("baseline", "triangular", 0.5, 1.0 / 60)
-    backend = NumbaBackend(force=True)
-    queries = points[:4]
-    queries_sq = np.einsum("ij,ij->i", queries, queries)
-    node = tree.root
-    ref = provider.node_bounds_batch(node, queries, queries_sq)
-    got = backend.node_bounds_batch(provider, node, queries, queries_sq)
-    np.testing.assert_array_equal(got[0], ref[0])
-    np.testing.assert_array_equal(got[1], ref[1])
 
 
 # -- shared-memory tree transport --------------------------------------------
@@ -288,40 +179,6 @@ def test_process_executor_close_is_idempotent(renderer):
     pool.close()
 
 
-def test_process_executor_spec_ships_resolved_backend(renderer):
-    fitted = renderer.get_method("quad")
-    pool = ProcessTileExecutor(fitted, 1)
-    try:
-        assert pool.spec["backend"] in available_backends()
-        assert pool.spec["backend"] == resolve_backend(fitted.backend).name
-    finally:
-        pool.close()
-
-
-@pytest.mark.skipif(numba_available(), reason="fallback only without numba")
-def test_process_executor_fallback_warns_once_per_interpreter(renderer):
-    # Regression: the job spec used to ship the *requested* backend
-    # name, so every worker re-resolved it against a fresh
-    # _WARNED_FALLBACKS set and the one-per-interpreter fallback
-    # RuntimeWarning re-fired under executor="process". Resolving in
-    # the parent ships the concrete name instead.
-    from repro.core import backends as registry
-
-    fitted = renderer.get_method("quad")
-    registry._WARNED_FALLBACKS.discard("numba")
-    with pytest.warns(RuntimeWarning, match=r"\[perf\]"):
-        pool = ProcessTileExecutor(fitted, 1, backend="numba")
-    try:
-        assert pool.spec["backend"] == "numpy"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            second = ProcessTileExecutor(fitted, 1, backend="numba")
-            assert second.spec["backend"] == "numpy"
-            second.close()
-    finally:
-        pool.close()
-
-
 def test_process_executor_rejects_bad_workers(renderer):
     fitted = renderer.get_method("quad")
     with pytest.raises(InvalidParameterError):
@@ -344,21 +201,24 @@ def test_method_caches_and_closes_executors(renderer):
 
 
 def test_render_options_rejects_unknown_executor():
-    # workers=N selects the executor; there is no executor option left.
-    assert "executor" not in {f.name for f in dataclasses.fields(RenderOptions)}
+    # workers=N selects the executor; there is no executor or backend
+    # option left.
+    names = {f.name for f in dataclasses.fields(RenderOptions)}
+    assert "executor" not in names
+    assert "backend" not in names
     with pytest.raises(TypeError):
         RenderOptions(executor="process")
+    with pytest.raises(TypeError):
+        RenderOptions(backend="numpy")
 
 
-def test_backend_and_executor_do_not_change_fingerprint(renderer):
+def test_executor_does_not_change_fingerprint(renderer):
     """Execution knobs must not fragment the serve-layer cache."""
     plain = RenderRequest.for_eps(
         0.05, "quad", options=RenderOptions(tile_size=4)
     ).resolve(renderer)
     tuned = RenderRequest.for_eps(
-        0.05,
-        "quad",
-        options=RenderOptions(tile_size=4, workers=2, backend="numpy"),
+        0.05, "quad", options=RenderOptions(tile_size=4, workers=2)
     ).resolve(renderer)
     assert plain.fingerprint() == tuned.fingerprint()
 
@@ -507,13 +367,54 @@ def test_anytime_process_deadline_degrades_with_valid_envelope():
 def test_service_config_exposes_executor_knobs():
     from repro.serve.service import RenderConfig, ServiceConfig
 
-    config = ServiceConfig(render=RenderConfig(render_workers=2, backend="numpy"))
+    config = ServiceConfig(render=RenderConfig(render_workers=2))
     assert config.render.render_workers == 2
-    assert config.render.backend == "numpy"
     with pytest.raises(TypeError):
         RenderConfig(executor="process")
+    with pytest.raises(TypeError):
+        RenderConfig(backend="numpy")
     with pytest.raises(InvalidParameterError):
         RenderConfig(render_workers=0)
+
+
+# -- the ComputeBackend seam --------------------------------------------------
+
+
+def test_tile_driver_evaluates_through_the_compute_backend_seam(renderer, monkeypatch):
+    """Tiled ε and τ renders call ``ComputeBackend``'s batch methods.
+
+    The benchmark's traced run measures bound evaluation by wrapping
+    ``ComputeBackend.node_bounds_batch`` and ``leaf_exact_batch`` on the
+    class; this wraps them the same way, so a render path that stopped
+    going through the seam would fail here instead of leaving the
+    benchmark's ``backend.*`` metrics dark. Invariant checking routes
+    through the ``checked_*`` methods instead, and the traced run
+    never enables it, so the renders run with it off.
+    """
+    calls = {"node_bounds_batch": 0, "leaf_exact_batch": 0}
+
+    def wrap(name):
+        original = getattr(ComputeBackend, name)
+
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ComputeBackend, name, wrapper)
+
+    for name in calls:
+        wrap(name)
+    options = RenderOptions(tile_size=4)
+    with checking(False):
+        for request in (
+            RenderRequest.for_eps(0.01, "quad"),
+            RenderRequest.for_tau(0.02, "quad"),
+        ):
+            before = dict(calls)
+            renderer.render(request.replace(options=options))
+            for name in calls:
+                assert calls[name] > before[name], (request.op, name)
 
 
 # -- custom linter: backend-dispatch rule ------------------------------------

@@ -233,70 +233,6 @@ def test_worker_stats_merge_matches_single_worker(pool_renderers, which, tile_si
     np.testing.assert_array_equal(sequential, parallel)
 
 
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    params=dataset_strategy,
-    eps=st.sampled_from([0.01, 0.1]),
-    gamma=st.floats(0.05, 5.0),
-)
-def test_numba_backend_eps_envelope_parity(params, eps, gamma):
-    """The numba-backend kernels honour the same ``(1 ± eps)`` contract.
-
-    ``NumbaBackend(force=True)`` runs the un-jitted pure-Python
-    ``*_impl`` kernels — the exact formulas the JIT compiles — so this
-    property proves formula parity on machines without numba too.
-    """
-    from repro.core.backends.numba_backend import NumbaBackend
-    from repro.core.batch_engine import BatchRefinementEngine
-
-    points = make_points(params)
-    weight = 1.0 / len(points)
-    tree = KDTree(points, leaf_size=16)
-    provider = make_bound_provider("quad", "gaussian", gamma, weight)
-    rng = np.random.default_rng(params["seed"] + 7)
-    queries = points[rng.choice(len(points), size=8, replace=False)]
-    exact = exact_density(points, queries, "gaussian", gamma, weight)
-    values = BatchRefinementEngine(
-        tree, provider, backend=NumbaBackend(force=True)
-    ).query_eps_batch(queries, eps)
-    assert np.all(np.abs(values - exact) <= eps * exact + 1e-15)
-
-
-@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    params=dataset_strategy,
-    quantile=st.floats(0.1, 0.9),
-    boundary=st.booleans(),
-)
-def test_backend_tau_masks_bit_identical(params, quantile, boundary):
-    """τ masks are bit-identical across compute backends.
-
-    The batched τ path canonicalises boundary-tight pixels through the
-    scalar provider (``_tau_refined``), which no backend replaces, so
-    even a threshold sitting exactly on a pixel's density must classify
-    identically under numpy and the numba kernels.
-    """
-    from repro.core.backends.numba_backend import NumbaBackend
-    from repro.core.batch_engine import BatchRefinementEngine
-
-    points = make_points(params)
-    weight = 1.0 / len(points)
-    tree = KDTree(points, leaf_size=16)
-    provider = make_bound_provider("quad", "gaussian", 0.7, weight)
-    rng = np.random.default_rng(params["seed"] + 8)
-    queries = points[rng.choice(len(points), size=8, replace=False)]
-    truths = exact_density(points, queries, "gaussian", 0.7, weight)
-    if boundary:
-        tau = float(truths[0])  # exact-boundary pixel in every mask
-    else:
-        tau = float(np.quantile(truths, quantile))
-    numpy_mask = BatchRefinementEngine(tree, provider).query_tau_batch(queries, tau)
-    numba_mask = BatchRefinementEngine(
-        tree, provider, backend=NumbaBackend(force=True)
-    ).query_tau_batch(queries, tau)
-    np.testing.assert_array_equal(numpy_mask, numba_mask)
-
-
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     which=st.integers(0, 1),

@@ -78,6 +78,18 @@ class TestValidation:
             RenderConfig(workers=0)
         with pytest.raises(InvalidParameterError):
             RenderConfig(render_workers=0)
+        # The render defaults fail at construction, naming the field,
+        # instead of on every tile.
+        for field, value in (
+            ("colormap", "bogus"),
+            ("colormap", None),
+            ("eps", 0),
+            ("eps", float("nan")),
+            ("tau", float("inf")),
+            ("deadline_ms", -5),
+        ):
+            with pytest.raises(InvalidParameterError, match=field):
+                RenderConfig(**{field: value})
         with pytest.raises(InvalidParameterError):
             CacheConfig(png_bytes=0)
         with pytest.raises(InvalidParameterError):
@@ -140,6 +152,8 @@ class TestSerialisation:
     def test_from_env_bad_values_raise(self):
         with pytest.raises(InvalidParameterError):
             ServiceConfig.from_env({"REPRO_SERVE_RENDER_TILE_PX": "lots"})
+        with pytest.raises(InvalidParameterError, match="colormap"):
+            ServiceConfig.from_env({"REPRO_SERVE_RENDER_COLORMAP": "none"})
         with pytest.raises(InvalidParameterError):
             ServiceConfig.from_env(
                 {"REPRO_SERVE_RESILIENCE_DEGRADED_SERVING": "maybe"}

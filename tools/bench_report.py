@@ -78,73 +78,63 @@ def _parallel_scaling(
     tile_size: int,
     repeats: int,
 ) -> dict[str, Any]:
-    """Sweep worker count x backend over the εKDV render.
+    """Sweep the worker count over the εKDV render.
 
     ``workers=1`` runs the in-process executor; 2, 4 and 8 run the
     method's process pool. Per-tile refinement is bit-identical across
     executors and worker counts by construction (the tile partition
     fixes each batch), so besides timing the sweep doubles as a
     cross-executor equality check against the in-process tiled image,
-    and — once per backend — a τ-mask identity check of a 4-worker pool
-    render against the scalar schedule. Numbers are recorded as
-    measured: pool legs pay fork, shared-memory and serialisation
-    overhead and cannot beat ``os.cpu_count()`` workers, so sub-1x
-    speedups on small runners are expected and are not a failure.
+    and a τ-mask identity check of a 4-worker pool render against the
+    scalar schedule. Numbers are recorded as measured: pool legs pay
+    fork, shared-memory and serialisation overhead and cannot beat
+    ``os.cpu_count()`` workers, so sub-1x speedups on small runners are
+    expected and are not a failure.
     """
     import numpy as np
 
-    from repro.core.backends import available_backends, numba_available
     from repro.visual.request import RenderOptions, RenderRequest
-
-    section: dict[str, Any] = {
-        "workers_swept": list(SCALING_WORKERS),
-        "cpu_count": os.cpu_count(),
-        "numba_available": numba_available(),
-        "backends": {},
-    }
 
     def render_eps(options: "RenderOptions") -> Any:
         return renderer.render(RenderRequest.for_eps(eps, "quad", options=options))
 
-    for backend in available_backends():
-        single = RenderOptions(tile_size=tile_size, workers=1, backend=backend)
-        reference, base_seconds = _timed_best(lambda: render_eps(single), repeats)
-        rows = []
-        ok = True
-        for workers in SCALING_WORKERS:
-            options = RenderOptions(
-                tile_size=tile_size, workers=workers, backend=backend
-            )
-            image, seconds = _timed_best(lambda: render_eps(options), repeats)
-            error = np.abs(image - exact)
-            within = bool(np.all(error <= eps * exact + atol))
-            identical = bool(np.array_equal(image, reference))
-            ok = ok and within and identical
-            speedup = base_seconds / seconds if seconds > 0 else 0.0
-            executor = "pool" if workers >= 2 else "in-process"
-            rows.append({
-                "executor": executor,
-                "workers": workers,
-                "seconds": round(seconds, 6),
-                "speedup_vs_single_thread": round(speedup, 3),
-                "parallel_efficiency": round(speedup / workers, 3),
-                "identical_to_single_thread": identical,
-                "within_envelope": within,
-            })
-            print(
-                f"  scaling {backend:<6s} {executor:<10s} workers={workers} "
-                f"{seconds:8.3f}s  ({speedup:5.2f}x)"
-            )
-        options = RenderOptions(tile_size=tile_size, workers=4, backend=backend)
-        mask = renderer.render(RenderRequest.for_tau(tau, "quad", options=options))
-        tau_identical = bool(np.array_equal(mask, scalar_mask))
-        ok = ok and tau_identical
-        section["backends"][backend] = {
-            "single_thread_seconds": round(base_seconds, 6),
-            "eps": rows,
-            "tau_masks_identical": tau_identical,
-            "all_identical_and_within_envelope": ok,
-        }
+    single = RenderOptions(tile_size=tile_size, workers=1)
+    reference, base_seconds = _timed_best(lambda: render_eps(single), repeats)
+    rows = []
+    ok = True
+    for workers in SCALING_WORKERS:
+        options = RenderOptions(tile_size=tile_size, workers=workers)
+        image, seconds = _timed_best(lambda: render_eps(options), repeats)
+        error = np.abs(image - exact)
+        within = bool(np.all(error <= eps * exact + atol))
+        identical = bool(np.array_equal(image, reference))
+        ok = ok and within and identical
+        speedup = base_seconds / seconds if seconds > 0 else 0.0
+        executor = "pool" if workers >= 2 else "in-process"
+        rows.append({
+            "executor": executor,
+            "workers": workers,
+            "seconds": round(seconds, 6),
+            "speedup_vs_single_thread": round(speedup, 3),
+            "parallel_efficiency": round(speedup / workers, 3),
+            "identical_to_single_thread": identical,
+            "within_envelope": within,
+        })
+        print(
+            f"  scaling {executor:<10s} workers={workers} "
+            f"{seconds:8.3f}s  ({speedup:5.2f}x)"
+        )
+    options = RenderOptions(tile_size=tile_size, workers=4)
+    mask = renderer.render(RenderRequest.for_tau(tau, "quad", options=options))
+    tau_identical = bool(np.array_equal(mask, scalar_mask))
+    section: dict[str, Any] = {
+        "workers_swept": list(SCALING_WORKERS),
+        "cpu_count": os.cpu_count(),
+        "single_thread_seconds": round(base_seconds, 6),
+        "eps": rows,
+        "tau_masks_identical": tau_identical,
+        "all_identical_and_within_envelope": ok and tau_identical,
+    }
 
     # Release the process pools (and their shared-memory tree segments)
     # the sweep spun up on the fitted method.
@@ -309,7 +299,6 @@ def run_benchmark(
     workers: int = 4,
     repeats: int = 1,
     trace: bool = True,
-    backend: str | None = None,
     scaling: bool = True,
     pyramid_n: int | None = None,
     pyramid_zoom: int = 3,
@@ -328,10 +317,8 @@ def run_benchmark(
     )
     method = renderer.get_method("quad")  # offline stage, outside timing
     atol = 1e-9 * renderer.weight
-    tiled = RenderOptions(tile_size=tile_size, backend=backend)
-    tiled_workers = RenderOptions(
-        tile_size=tile_size, workers=workers, backend=backend
-    )
+    tiled = RenderOptions(tile_size=tile_size)
+    tiled_workers = RenderOptions(tile_size=tile_size, workers=workers)
 
     def measure(label: str, fn: Callable[[], Any]) -> tuple[Any, dict[str, Any]]:
         method.stats.reset()
@@ -441,7 +428,6 @@ def run_benchmark(
             "workers": workers,
             "repeats": repeats,
             "seed": seed,
-            "backend": backend,
         },
         "environment": {
             "python": platform.python_version(),
@@ -468,10 +454,8 @@ def run_benchmark(
             "tau_masks_identical": masks_identical,
             "coreset_parity_ok": parity_section["within_delta"],
             "parallel_scaling_ok": (
-                None if scaling_section is None else all(
-                    entry["all_identical_and_within_envelope"]
-                    for entry in scaling_section["backends"].values()
-                )
+                None if scaling_section is None
+                else scaling_section["all_identical_and_within_envelope"]
             ),
         },
         "trace": trace_summary,
@@ -496,11 +480,6 @@ def main(argv: list[str] | None = None) -> int:
         "on the process pool",
     )
     parser.add_argument(
-        "--backend", default=None,
-        help="compute backend for the tiled measurements "
-        "(default: REPRO_BACKEND or numpy)",
-    )
-    parser.add_argument(
         "--pyramid-n", type=int, default=1_000_000,
         help="point count for the coreset_pyramid cold-latency section "
         "(full mode only; smoke always skips it)",
@@ -511,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--no-scaling", action="store_true",
-        help="skip the parallel-scaling sweep (workers x backend)",
+        help="skip the parallel-scaling sweep over worker counts",
     )
     parser.add_argument(
         "--no-trace", action="store_true",
@@ -534,7 +513,6 @@ def main(argv: list[str] | None = None) -> int:
         workers=args.workers,
         repeats=args.repeats,
         trace=not args.no_trace,
-        backend=args.backend,
         scaling=not args.no_scaling,
         pyramid_n=(
             None if args.smoke or args.no_pyramid else args.pyramid_n

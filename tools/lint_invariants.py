@@ -54,15 +54,14 @@ that keep that contract auditable:
     ``checked_`` variants) calls outside ``core/backends/`` and
     ``core/bounds/``, and no direct ``kernel.evaluate(...)`` calls
     outside those plus ``core/exact.py`` (the reference scan the
-    backends are validated against). Engine and renderer code must
-    route batched evaluations through the engine's resolved
-    :class:`~repro.core.backends.base.ComputeBackend` — a call that
-    goes straight to the provider (or to the kernel itself, as the
-    weighted-coreset evaluation paths could) silently pins the numpy
-    path and escapes the ``REPRO_BACKEND`` /
-    ``RenderOptions.backend`` selection. The dispatch targets and the
-    deliberate backend-independent scalar paths carry
-    ``# lint: allow-backend-dispatch``.
+    bounds are validated against). Engine and renderer code must route
+    batched evaluations through the engine's
+    :class:`~repro.core.backends.base.ComputeBackend`, the one seam
+    where invariant checking is selected and where the benchmark's
+    traced run counts calls — a call that goes straight to the provider
+    (or to the kernel itself, as the weighted-coreset evaluation paths
+    could) escapes both. The deliberate scalar paths outside the seam
+    carry ``# lint: allow-backend-dispatch``.
 ``shim-import``
     No ``repro.compat`` imports inside ``src/`` (outside the shim
     module itself). ``repro.compat`` exists for *external* callers
@@ -455,7 +454,7 @@ def _check_legacy_render(
         )
 
 
-#: Batched evaluation entrypoints that must go through backend dispatch.
+#: Batched evaluation entrypoints that must go through the compute seam.
 _BACKEND_DISPATCH_CALLS = frozenset(
     {
         "node_bounds_batch",
@@ -466,20 +465,20 @@ _BACKEND_DISPATCH_CALLS = frozenset(
 )
 
 #: Kernel-evaluation entrypoints: direct ``kernel.evaluate(...)`` calls
-#: outside the dispatch layer sidestep the compute-backend abstraction
-#: exactly like the batch entrypoints do — the weighted-coreset tier
-#: added new evaluation call sites, so the rule covers both families.
+#: outside the seam sidestep the compute backend exactly like the batch
+#: entrypoints do — the weighted-coreset tier added new evaluation call
+#: sites, so the rule covers both families.
 _KERNEL_EVAL_CALLS = frozenset({"evaluate"})
 
 
 def _backend_dispatch_exempt(path: Path) -> bool:
     """Whether a file legitimately calls the batch entrypoints directly.
 
-    ``core/backends/`` holds the dispatch targets, ``core/bounds/`` the
+    ``core/backends/`` holds the seam itself, ``core/bounds/`` the
     provider implementations (including internal checked -> unchecked
     delegation), and ``core/exact.py`` the reference brute-force scan
-    the backends are validated against; everywhere else must route
-    through the engine's resolved backend.
+    the bounds are validated against; everywhere else must route
+    through the engine's compute backend.
     """
     parts = path.parts
     if parts and parts[-1] == "exact.py" and len(parts) >= 2 and parts[-2] == "core":
@@ -524,10 +523,11 @@ def _check_backend_dispatch(
                 path,
                 node.lineno,
                 "backend-dispatch",
-                f"direct {name}() call bypasses the compute-backend dispatch; "
-                "go through the engine's resolved backend "
-                "(backend.node_bounds_batch(provider, ...)) so REPRO_BACKEND "
-                "and RenderOptions.backend keep working",
+                f"direct {name}() call bypasses the ComputeBackend seam; "
+                "go through the engine's backend "
+                "(backend.node_bounds_batch(provider, ...)), where invariant "
+                "checking is selected and the benchmark's traced run counts "
+                "calls",
             )
         elif _is_kernel_eval(node):
             if _suppressed(markers, node.lineno, "backend-dispatch"):
@@ -536,9 +536,9 @@ def _check_backend_dispatch(
                 path,
                 node.lineno,
                 "backend-dispatch",
-                "direct kernel.evaluate() call bypasses the compute-backend "
-                "dispatch; evaluate densities through exact_density / the "
-                "engine's resolved backend (or mark a deliberate reference "
+                "direct kernel.evaluate() call bypasses the ComputeBackend "
+                "seam; evaluate densities through exact_density / the "
+                "engine's backend (or mark a deliberate reference "
                 "path with '# lint: allow-backend-dispatch')",
             )
 
