@@ -141,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults",
         default=None,
         metavar="SPEC",
-        help="inject deterministic faults, e.g. 'worker_crash:0.05,slow_tile:0.05' "
+        help="with --workers 2 or more: kill or slow pool workers on "
+        "deterministic tiles, e.g. 'worker_kill:0.05,slow_response:0.05' "
         "(also honoured from the REPRO_FAULTS environment variable)",
     )
     render.add_argument(

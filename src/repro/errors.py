@@ -23,6 +23,7 @@ __all__ = [
     "CircuitOpenError",
     "WorkerPoolBrokenError",
     "DeadlineExceededError",
+    "TransientTileError",
 ]
 
 
@@ -158,6 +159,18 @@ class WorkerPoolBrokenError(ReproError, RuntimeError):
     lost tiles transparently — this error surfaces only when supervision
     is disabled or its rebuild budget is exhausted. The HTTP layer maps
     it to a 503 (the *next* render gets a fresh pool), never a 500.
+    """
+
+
+class TransientTileError(ReproError, RuntimeError):
+    """A render lost tiles, or a tile's bound envelope was not finite.
+
+    Raised inside a tile when its refinement returned a non-finite
+    ``(LB, UB)`` envelope (kernels are bounded, so that is a fault, not
+    an answer), and by strict render facades whose resilient run listed
+    tiles in ``tiles_failed`` and would otherwise return an image with
+    unfinished tiles. Rendering again with ``anytime=True`` returns the
+    partial envelopes instead.
     """
 
 

@@ -37,14 +37,9 @@ schema):
     ``seconds``, and per-worker busy time when tiled.
 ``snapshot``
     One progressive-visualization snapshot capture.
-``fault``
-    One injected fault (:mod:`repro.resilience.faults`): ``kind``
-    (``worker_crash``/``slow_tile``/``nan_bounds``/``oom``), ``tile``,
-    ``attempt``, ``worker``.
 ``recovery``
-    One recovery action of the resilient tile runner: ``action``
-    (``retry``/``give-up``/``cancel``), plus ``tile``,
-    ``worker``, ``attempt`` and ``reason`` where applicable.
+    One recovery action of the resilient tile driver: ``action``
+    (``cancel``, when Ctrl-C stops a resilient render) and ``reason``.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ __all__ = [
     "EVENT_TILE",
     "EVENT_RENDER",
     "EVENT_SNAPSHOT",
-    "EVENT_FAULT",
     "EVENT_RECOVERY",
     "EVENT_KINDS",
     "make_event",
@@ -72,7 +66,6 @@ EVENT_BATCH_STEP = "batch_step"
 EVENT_TILE = "tile"
 EVENT_RENDER = "render"
 EVENT_SNAPSHOT = "snapshot"
-EVENT_FAULT = "fault"
 EVENT_RECOVERY = "recovery"
 
 #: Every kind a conforming sink may receive.
@@ -85,7 +78,6 @@ EVENT_KINDS = frozenset(
         EVENT_TILE,
         EVENT_RENDER,
         EVENT_SNAPSHOT,
-        EVENT_FAULT,
         EVENT_RECOVERY,
     }
 )

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence
 from repro.obs.events import (
     EVENT_BATCH_QUERY,
     EVENT_BATCH_STEP,
-    EVENT_FAULT,
     EVENT_QUERY,
     EVENT_RECOVERY,
     EVENT_RENDER,
@@ -286,41 +285,8 @@ class Tracer:
 
     # -- resilience hooks --------------------------------------------------
 
-    def fault(
-        self,
-        *,
-        kind: str,
-        tile: int,
-        attempt: int,
-        worker: int,
-        op: Optional[str] = None,
-    ) -> None:
-        """Record one injected fault (:mod:`repro.resilience.faults`)."""
-        with self._lock:
-            self.registry.counter(f"faults.{kind}").add(1)
-            self.sink.emit(
-                make_event(
-                    EVENT_FAULT,
-                    self.elapsed(),
-                    method=self.method,
-                    kind=kind,
-                    tile=tile,
-                    attempt=attempt,
-                    worker=worker,
-                    op=op,
-                )
-            )
-
-    def recovery(
-        self,
-        *,
-        action: str,
-        tile: Optional[int] = None,
-        worker: Optional[int] = None,
-        attempt: Optional[int] = None,
-        reason: Optional[str] = None,
-    ) -> None:
-        """Record one recovery action of the resilient tile runner."""
+    def recovery(self, *, action: str, reason: Optional[str] = None) -> None:
+        """Record one recovery action of the resilient tile driver."""
         with self._lock:
             self.registry.counter(f"recovery.{action}").add(1)
             self.sink.emit(
@@ -329,9 +295,6 @@ class Tracer:
                     self.elapsed(),
                     method=self.method,
                     action=action,
-                    tile=tile,
-                    worker=worker,
-                    attempt=attempt,
                     reason=reason,
                 )
             )

@@ -1,4 +1,4 @@
-"""Deadline-aware resilience: budgets, cancellation, retries, recovery.
+"""Deadline-aware resilience: budgets, cancellation, recovery.
 
 A render either finishes or it doesn't — this package makes "doesn't"
 a first-class, well-defined outcome instead of a stack trace:
@@ -12,19 +12,18 @@ a first-class, well-defined outcome instead of a stack trace:
   :class:`RenderOutcome`, the structured description of a partial
   render (best-so-far per-pixel ``(LB, UB)`` envelopes, resolved-pixel
   fraction, worst residual gap, stop reason);
-* :mod:`repro.resilience.retry` — :class:`RetryPolicy` (attempts and
-  exponential backoff) and the transient/fatal error taxonomy;
 * :mod:`repro.resilience.checkpoint` — :class:`TileLedger`, the
   completed-tile checkpoint a killed render resumes from;
-* :mod:`repro.resilience.faults` — deterministic seeded fault
-  injectors (``REPRO_FAULTS=``) so every degradation path above is
-  exercised in CI;
-* :mod:`repro.resilience.runner` — the in-process tile loop gluing the
-  pieces together for :class:`repro.visual.kdv.KDVRenderer`;
+* :mod:`repro.resilience.faults` — deterministic seeded process-level
+  fault plans (``REPRO_FAULTS=``) so the pool's supervision and
+  deadline paths are exercised in CI;
+* :mod:`repro.resilience.runner` — the in-process tile loop and the
+  tile failure rule both executors of
+  :class:`repro.visual.kdv.KDVRenderer` share;
 * :mod:`repro.resilience.supervisor` — :class:`PoolSupervisor` (rebuild
   policy for broken process pools — backoff-capped, storm-bounded) and
-  :class:`CircuitBreaker` (per-dataset closed/open/half-open breaker
-  the tile service consults before rendering).
+  :class:`CircuitBreaker` (closed/open/half-open breaker the tile
+  service consults before rendering).
 
 See ``docs/robustness.md`` for budget semantics, the degradation
 contract, the fault matrix and the resume format.
@@ -43,9 +42,8 @@ from repro.resilience.budget import (
     CancellationToken,
 )
 from repro.resilience.checkpoint import TileLedger
-from repro.resilience.faults import FaultInjector, FaultPlan, InjectedFault
+from repro.resilience.faults import FaultPlan
 from repro.resilience.result import DegradedResult, RenderOutcome
-from repro.resilience.retry import RetryPolicy, TransientTileError, is_transient
 from repro.resilience.runner import TileRunReport, run_tiles
 from repro.resilience.supervisor import (
     BREAKER_CLOSED,
@@ -65,13 +63,8 @@ __all__ = [
     "BREAKER_HALF_OPEN",
     "DegradedResult",
     "RenderOutcome",
-    "RetryPolicy",
-    "TransientTileError",
-    "is_transient",
     "TileLedger",
     "FaultPlan",
-    "FaultInjector",
-    "InjectedFault",
     "TileRunReport",
     "run_tiles",
     "STOP_DEADLINE",

@@ -45,7 +45,7 @@ STOP_MEMORY = "memory"
 STOP_CANCELLED = "cancelled"
 #: ``KeyboardInterrupt`` (Ctrl-C) was converted into cancellation.
 STOP_INTERRUPT = "keyboard-interrupt"
-#: Tiles failed permanently (retries exhausted).
+#: A tile failed: it raised or returned a non-finite envelope.
 STOP_TILE_FAILURES = "tile-failures"
 
 

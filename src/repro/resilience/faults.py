@@ -1,124 +1,83 @@
 """Deterministic seeded fault injection (``REPRO_FAULTS=``).
 
-Every degradation path in the resilience layer must be exercisable on
+Every degradation path of the process pool must be exercisable on
 demand, or it is dead code that fails the first time reality tests it.
-This module injects four fault kinds into the tile runner:
+This module plans three fault kinds, each executed *inside* a worker
+process of :class:`~repro.visual.executors.ProcessTileExecutor` before
+the worker refines its tile:
 
 ========================  ==================================================
-``worker_crash``          The tile evaluation raises (transient) before any
-                          work happens — exercises retry.
-``slow_tile``             The tile sleeps ``slow_ms`` before evaluating —
-                          exercises deadlines and latency accounting.
-``nan_bounds``            The tile's returned envelopes are poisoned with
-                          NaN — exercises the runner's output sanity check
-                          (the poisoned copy is discarded and the tile
-                          retried clean, so final images are unaffected).
-``oom``                   An allocation-failure stand-in raises (transient,
-                          reported as ``MemoryError``-like) — exercises the
-                          same retry path under a different label.
-``worker_kill``           **Process-level.** The worker process SIGKILLs
-                          itself before evaluating — the parent observes a
-                          real ``BrokenProcessPool`` and the supervised
-                          executor must rebuild the pool and replay the
-                          lost tiles.
-``pool_break``            **Process-level.** The worker calls ``os._exit``
-                          — an abrupt non-signal death that equally poisons
-                          the pool; exercises the same supervision path
-                          through a different kill mechanism.
-``slow_response``         **Process-level.** The worker sleeps ``slow_ms``
-                          before evaluating — exercises cross-process
-                          deadline propagation through the cancel slot.
+``worker_kill``           The worker process SIGKILLs itself — the parent
+                          observes a real ``BrokenProcessPool`` and the
+                          supervised executor must rebuild the pool and
+                          replay the lost tiles.
+``pool_break``            The worker calls ``os._exit`` — an abrupt
+                          non-signal death that equally poisons the pool;
+                          exercises the same supervision path through a
+                          different kill mechanism.
+``slow_response``         The worker sleeps ``slow_ms`` — exercises
+                          cross-process deadline propagation through the
+                          cancel slot.
 ========================  ==================================================
 
-The process-level kinds are executed *inside worker processes* by
-:mod:`repro.visual.executors` (the in-process tile runner ignores
-them); :meth:`FaultPlan.partition_process` splits a mixed plan into its
-process-level and in-process halves so each executor injects only the
-kinds it owns.
+An in-process render has no worker to kill, so it ignores the plan. A
+tile that *raises*, or returns a non-finite envelope, needs no injected
+kind: both executors fail it under one rule (see
+:mod:`repro.resilience.runner`).
 
 Injection is **deterministic**: each (kind, tile, attempt) triple rolls
 its own ``numpy`` generator seeded from the plan seed, so a run with the
 same plan injects exactly the same faults — CI chaos jobs are
 reproducible, never flaky. Because faults are keyed on the *attempt*
-number, a tile that crashed on attempt 1 is (with high probability) left
-alone on attempt 2, and because tile evaluation is deterministic the
-retried tile produces bit-identical values to a fault-free run.
+number, a tile whose worker was killed on attempt 1 is (with high
+probability) left alone on the replay, and because tile evaluation is
+deterministic the replayed tile produces bit-identical values to a
+fault-free run.
 
-Activation: programmatically (pass a :class:`FaultPlan` /
-:class:`FaultInjector` to the renderer) or via the environment::
+Activation: programmatically (pass a :class:`FaultPlan` or its spec
+string as ``RenderOptions(faults=...)``) or via the environment::
 
-    REPRO_FAULTS="worker_crash:0.05,slow_tile:0.05,seed:7,slow_ms:20"
-
-Injected faults and the runner's recovery actions are emitted as
-``repro.obs`` trace events (kinds ``fault`` / ``recovery``).
+    REPRO_FAULTS="worker_kill:0.05,slow_response:0.05,seed:7,slow_ms:20"
 """
 
 from __future__ import annotations
 
 import os
-import time
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.resilience.retry import TransientTileError
-
-if TYPE_CHECKING:
-    from repro._types import FloatArray
-    from repro.obs.trace import Tracer
 
 __all__ = [
-    "FAULT_WORKER_CRASH",
-    "FAULT_SLOW_TILE",
-    "FAULT_NAN_BOUNDS",
-    "FAULT_OOM",
     "FAULT_WORKER_KILL",
     "FAULT_POOL_BREAK",
     "FAULT_SLOW_RESPONSE",
     "FAULT_KINDS",
-    "PROCESS_FAULT_KINDS",
     "FaultPlan",
-    "FaultInjector",
-    "InjectedFault",
     "fault_fires",
 ]
 
-FAULT_WORKER_CRASH = "worker_crash"
-FAULT_SLOW_TILE = "slow_tile"
-FAULT_NAN_BOUNDS = "nan_bounds"
-FAULT_OOM = "oom"
 FAULT_WORKER_KILL = "worker_kill"
 FAULT_POOL_BREAK = "pool_break"
 FAULT_SLOW_RESPONSE = "slow_response"
 
 #: Recognised kinds, with the stable integer each contributes to the
-#: per-roll seed (appending new kinds must not renumber old ones).
+#: per-roll seed (adding or removing kinds must not renumber the rest,
+#: so a plan fires on the same tiles across versions).
 FAULT_KINDS: Dict[str, int] = {
-    FAULT_WORKER_CRASH: 1,
-    FAULT_SLOW_TILE: 2,
-    FAULT_NAN_BOUNDS: 3,
-    FAULT_OOM: 4,
     FAULT_WORKER_KILL: 5,
     FAULT_POOL_BREAK: 6,
     FAULT_SLOW_RESPONSE: 7,
 }
 
-#: Kinds executed inside worker *processes* (real process death / delay)
-#: rather than by the in-process tile runner's injector.
-PROCESS_FAULT_KINDS = frozenset(
-    {FAULT_WORKER_KILL, FAULT_POOL_BREAK, FAULT_SLOW_RESPONSE}
-)
-
 
 def fault_fires(seed: int, kind: str, tile: int, attempt: int, rate: float) -> bool:
     """Whether one deterministic fault roll fires.
 
-    Pure function of ``(seed, kind, tile, attempt)`` — the same roll a
-    :class:`FaultInjector` makes, exposed at module level so worker
-    *processes* (which carry no injector object) reproduce the parent's
-    plan bit-for-bit, and so tests/tools can predict exactly which
-    tiles a given seed kills.
+    Pure function of ``(seed, kind, tile, attempt)``, so worker
+    processes reproduce the parent's plan bit-for-bit, and tests and
+    tools can predict exactly which tiles a given seed kills.
     """
     if rate <= 0.0:
         return False
@@ -127,18 +86,6 @@ def fault_fires(seed: int, kind: str, tile: int, attempt: int, rate: float) -> b
 
 #: Environment variable holding the fault plan.
 ENV_FAULTS = "REPRO_FAULTS"
-
-
-class InjectedFault(TransientTileError):
-    """A fault the injector raised on purpose (always transient)."""
-
-    def __init__(self, kind: str, tile: int, attempt: int) -> None:
-        super().__init__(
-            f"injected fault {kind!r} on tile {tile} (attempt {attempt})"
-        )
-        self.kind = kind
-        self.tile = tile
-        self.attempt = attempt
 
 
 class FaultPlan:
@@ -152,7 +99,7 @@ class FaultPlan:
     seed:
         Base seed of the deterministic rolls.
     slow_ms:
-        Sleep duration of ``slow_tile`` faults, in milliseconds.
+        Sleep duration of ``slow_response`` faults, in milliseconds.
     """
 
     __slots__ = ("rates", "seed", "slow_ms")
@@ -187,7 +134,7 @@ class FaultPlan:
 
     @classmethod
     def parse(cls, spec: str) -> FaultPlan:
-        """Parse ``"worker_crash:0.05,slow_tile:0.05[,seed:N][,slow_ms:X]"``."""
+        """Parse ``"worker_kill:0.05,slow_response:0.05[,seed:N][,slow_ms:X]"``."""
         rates: Dict[str, float] = {}
         seed = 0
         slow_ms = 50.0
@@ -228,98 +175,9 @@ class FaultPlan:
         """Whether no fault has a positive rate."""
         return not self.rates
 
-    def partition_process(self) -> Tuple["FaultPlan", "FaultPlan"]:
-        """Split into ``(process_plan, in_process_plan)`` halves.
-
-        Process-level kinds (:data:`PROCESS_FAULT_KINDS`) are injected
-        inside worker processes by the process tile executor; everything
-        else belongs to the in-process runner's :class:`FaultInjector`. Both
-        halves keep the seed and ``slow_ms``, so a kind fires for the
-        same (tile, attempt) regardless of which runner rolls it.
-        """
-        process = {k: r for k, r in self.rates.items() if k in PROCESS_FAULT_KINDS}
-        in_process = {
-            k: r for k, r in self.rates.items() if k not in PROCESS_FAULT_KINDS
-        }
-        return (
-            FaultPlan(process, seed=self.seed, slow_ms=self.slow_ms),
-            FaultPlan(in_process, seed=self.seed, slow_ms=self.slow_ms),
-        )
-
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready description of the plan."""
         return {"rates": dict(self.rates), "seed": self.seed, "slow_ms": self.slow_ms}
 
     def __repr__(self) -> str:
         return f"FaultPlan({self.rates!r}, seed={self.seed}, slow_ms={self.slow_ms})"
-
-
-class FaultInjector:
-    """Executes a :class:`FaultPlan` against the tile runner's hooks.
-
-    The runner calls :meth:`before` ahead of every tile attempt and
-    :meth:`after` on the attempt's envelopes. Injection counts are
-    tracked on :attr:`injected` (total) and per kind; fired faults are
-    emitted on ``tracer`` when one is attached.
-
-    Thread safety: rolls are pure functions of (seed, kind, tile,
-    attempt) with a private generator per call, so concurrent workers
-    need no locking; the counters use benign unlocked increments (they
-    are advisory accounting, not control flow).
-    """
-
-    __slots__ = ("plan", "tracer", "injected", "by_kind")
-
-    def __init__(self, plan: FaultPlan, tracer: Optional[Tracer] = None) -> None:
-        self.plan = plan
-        self.tracer = tracer
-        self.injected = 0
-        self.by_kind: Dict[str, int] = {}
-
-    def _fires(self, kind: str, tile: int, attempt: int) -> bool:
-        return fault_fires(
-            self.plan.seed, kind, tile, attempt, self.plan.rates.get(kind, 0.0)
-        )
-
-    def _record(self, kind: str, tile: int, attempt: int, worker: int) -> None:
-        self.injected += 1
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-        if self.tracer is not None:
-            self.tracer.fault(kind=kind, tile=tile, attempt=attempt, worker=worker)
-
-    def before(self, tile: int, attempt: int, worker: int = 0) -> None:
-        """Pre-evaluation faults: crash, OOM stand-in, slow tile."""
-        if self._fires(FAULT_WORKER_CRASH, tile, attempt):
-            self._record(FAULT_WORKER_CRASH, tile, attempt, worker)
-            raise InjectedFault(FAULT_WORKER_CRASH, tile, attempt)
-        if self._fires(FAULT_OOM, tile, attempt):
-            self._record(FAULT_OOM, tile, attempt, worker)
-            raise InjectedFault(FAULT_OOM, tile, attempt)
-        if self._fires(FAULT_SLOW_TILE, tile, attempt):
-            self._record(FAULT_SLOW_TILE, tile, attempt, worker)
-            time.sleep(self.plan.slow_ms / 1000.0)
-
-    def after(
-        self,
-        tile: int,
-        attempt: int,
-        lower: FloatArray,
-        upper: FloatArray,
-        worker: int = 0,
-    ) -> Tuple[FloatArray, FloatArray]:
-        """Post-evaluation faults: poison the envelopes with NaN.
-
-        Returns (possibly replaced) envelope arrays; the originals are
-        never mutated, so a retry recomputes clean values and the final
-        image stays bit-identical to a fault-free run.
-        """
-        if self._fires(FAULT_NAN_BOUNDS, tile, attempt):
-            self._record(FAULT_NAN_BOUNDS, tile, attempt, worker)
-            lower = np.array(lower, dtype=np.float64, copy=True)
-            upper = np.array(upper, dtype=np.float64, copy=True)
-            lower[0] = np.nan
-            upper[0] = np.nan
-        return lower, upper
-
-    def __repr__(self) -> str:
-        return f"FaultInjector({self.plan!r}, injected={self.injected})"

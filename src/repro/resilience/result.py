@@ -36,10 +36,9 @@ class DegradedResult:
         Largest residual ``UB - LB`` over unresolved pixels (``0.0``
         when everything resolved).
     tiles_total / tiles_completed / tiles_failed:
-        Tile accounting; ``tiles_failed`` lists tiles whose retries were
-        exhausted (each as ``{"tile": i, "error": str}``).
-    retries / faults_injected:
-        Recovery accounting from the tile runner.
+        Tile accounting; ``tiles_failed`` lists tiles that raised or
+        returned a non-finite envelope (each as ``{"tile": i, "error":
+        str}``).
     elapsed_s:
         Wall-clock seconds of the online (render) stage.
     budget:
@@ -54,8 +53,6 @@ class DegradedResult:
         "tiles_total",
         "tiles_completed",
         "tiles_failed",
-        "retries",
-        "faults_injected",
         "elapsed_s",
         "budget",
     )
@@ -70,8 +67,6 @@ class DegradedResult:
         tiles_total: int,
         tiles_completed: int,
         tiles_failed: Optional[List[Dict[str, Any]]] = None,
-        retries: int = 0,
-        faults_injected: int = 0,
         elapsed_s: float = 0.0,
         budget: Optional[Dict[str, Any]] = None,
     ) -> None:
@@ -82,8 +77,6 @@ class DegradedResult:
         self.tiles_total = int(tiles_total)
         self.tiles_completed = int(tiles_completed)
         self.tiles_failed = list(tiles_failed) if tiles_failed else []
-        self.retries = int(retries)
-        self.faults_injected = int(faults_injected)
         self.elapsed_s = float(elapsed_s)
         self.budget = budget
 
@@ -105,8 +98,6 @@ class DegradedResult:
             "tiles_total": self.tiles_total,
             "tiles_completed": self.tiles_completed,
             "tiles_failed": self.tiles_failed,
-            "retries": self.retries,
-            "faults_injected": self.faults_injected,
             "elapsed_s": round(self.elapsed_s, 6),
             "budget": self.budget,
         }
@@ -115,7 +106,8 @@ class DegradedResult:
         return (
             f"DegradedResult(reason={self.reason!r}, "
             f"resolved={self.pixels_resolved}/{self.pixels_total}, "
-            f"worst_gap={self.worst_gap:.3g}, retries={self.retries})"
+            f"worst_gap={self.worst_gap:.3g}, "
+            f"tiles_failed={len(self.tiles_failed)})"
         )
 
 

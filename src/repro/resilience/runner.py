@@ -1,39 +1,33 @@
-"""The in-process tile loop: retries, cancellation, faults.
+"""The in-process tile loop and the tile failure rule both executors share.
 
 :func:`run_tiles` is the in-process executor of the tile driver
 (:meth:`repro.visual.kdv.KDVRenderer.render`). It drains a
 deterministic work list of pixel-index tiles, one at a time, through
-caller-supplied hooks (evaluate / store / completeness test), while
-providing the guarantees the resilience layer promises:
+caller-supplied hooks (evaluate / store / completeness test), under the
+same failure rule as the process pool
+(:class:`~repro.visual.executors.ProcessTileExecutor`):
 
+* **A tile fails once.** A tile that raises, or whose envelope is not
+  finite (:func:`check_finite_envelope`, which pool workers run too), is
+  not recomputed: refinement is deterministic, so a second run would
+  only repeat the failure.
+* **Fail fast** — the first tile exception, ``KeyboardInterrupt``
+  included, propagates unchanged and no further tile starts: the
+  contract of strict renders.
+* **Resilient** — every tile exception is recorded in
+  :attr:`TileRunReport.failed` and the other tiles still run; a
+  ``KeyboardInterrupt`` becomes cooperative cancellation
+  (``STOP_INTERRUPT``), so the caller still gets the partial image and
+  its metadata.
 * **Cancellation** — the :class:`~repro.resilience.budget.CancellationToken`
   is polled before every tile is taken *and* inside the refinement
   engine (per frontier pop), so a tripped token stops the run at the
   next consistent point; tiles already evaluated keep their valid
   best-so-far envelopes.
-* **Retries** — transiently failed tiles (see
-  :func:`~repro.resilience.retry.is_transient`) are requeued with
-  exponential backoff up to the policy's attempt limit; tile evaluation
-  is deterministic and side-effect-free, so a retried tile produces
-  bit-identical values to a run that never failed.
-* **Fatal errors** — non-transient failures
-  (:class:`~repro.errors.InvariantViolation`, bad parameters) propagate
-  immediately; retrying them would mask soundness bugs.
-* **KeyboardInterrupt** — converted into cooperative cancellation
-  (``STOP_INTERRUPT``) rather than a stack trace, so the caller still
-  gets the partial image and its metadata.
-* **Faults** — an optional
-  :class:`~repro.resilience.faults.FaultInjector` wraps every attempt;
-  a NaN-poisoned result is caught by the runner's output sanity check
-  and retried clean.
-
-Without a retry policy the loop recovers nothing: the first exception,
-``KeyboardInterrupt`` included, propagates unchanged and no further
-tile starts — the fail-fast contract of strict renders.
 
 Results are written through ``store`` into caller-owned arrays indexed
-by absolute pixel position, so completion order (which retries
-perturb) cannot affect the final image bits.
+by absolute pixel position, so completion order cannot affect the final
+image bits.
 """
 
 from __future__ import annotations
@@ -56,17 +50,13 @@ from typing import (
 import numpy as np
 
 from repro._types import FloatArray, IntArray
+from repro.errors import TransientTileError
 from repro.resilience.budget import STOP_INTERRUPT, CancellationToken
-from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import RetryPolicy, TransientTileError, is_transient
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
 
-__all__ = ["TileRunReport", "run_tiles"]
-
-#: One queued unit of work: (tile index, pixel indices, attempt number).
-_Task = Tuple[int, "IntArray", int]
+__all__ = ["TileRunReport", "check_finite_envelope", "run_tiles"]
 
 EvaluateFn = Callable[[Any, "IntArray"], Tuple["FloatArray", "FloatArray"]]
 StoreFn = Callable[[int, "IntArray", "FloatArray", "FloatArray"], None]
@@ -85,33 +75,25 @@ class TileRunReport:
         Tiles evaluated under a tripped token — stored envelopes are
         valid but not fully tightened.
     failed:
-        Tiles whose retries were exhausted, as ``{tile: error string}``.
+        Tiles that raised, as ``{tile: "ErrorType: message"}``.
     unprocessed:
         Tiles never taken off the queue (cancellation hit first).
-    retries / faults_injected:
-        Recovery accounting.
     elapsed_s:
         Wall-clock seconds of the drain loop.
     """
 
-    __slots__ = (
-        "completed",
-        "partial",
-        "failed",
-        "unprocessed",
-        "retries",
-        "faults_injected",
-        "elapsed_s",
-    )
+    __slots__ = ("completed", "partial", "failed", "unprocessed", "elapsed_s")
 
     def __init__(self) -> None:
         self.completed: List[int] = []
         self.partial: List[int] = []
         self.failed: Dict[int, str] = {}
         self.unprocessed: List[int] = []
-        self.retries = 0
-        self.faults_injected = 0
         self.elapsed_s = 0.0
+
+    def fail(self, tile: int, error: BaseException) -> None:
+        """Record ``tile`` as failed with ``error`` (both executors)."""
+        self.failed[tile] = f"{type(error).__name__}: {error}"
 
     @property
     def all_completed(self) -> bool:
@@ -122,13 +104,20 @@ class TileRunReport:
         return (
             f"TileRunReport(completed={len(self.completed)}, "
             f"partial={len(self.partial)}, failed={len(self.failed)}, "
-            f"unprocessed={len(self.unprocessed)}, retries={self.retries})"
+            f"unprocessed={len(self.unprocessed)})"
         )
 
 
-def _sane(lower: FloatArray, upper: FloatArray) -> bool:
-    """Envelope sanity: every bound finite (kernels are bounded)."""
-    return bool(np.isfinite(lower).all() and np.isfinite(upper).all())
+def check_finite_envelope(tile: int, lower: FloatArray, upper: FloatArray) -> None:
+    """Raise :class:`~repro.errors.TransientTileError` unless every bound is finite.
+
+    Kernels are bounded, so a NaN or infinite bound is a fault of the
+    tile (a NaN query, a broken provider), never an answer.
+    """
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise TransientTileError(
+            f"tile {tile}: non-finite bound envelope from provider"
+        )
 
 
 def run_tiles(
@@ -139,8 +128,7 @@ def run_tiles(
     engine: Any,
     *,
     token: CancellationToken,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultInjector] = None,
+    fail_fast: bool = True,
     tracer: Optional[Tracer] = None,
     skip: Optional[Set[int]] = None,
     op: str = "eps",
@@ -166,74 +154,49 @@ def run_tiles(
         reached its stopping rule (the ledger-eligibility test).
     engine:
         Handed to ``evaluate`` with every tile.
-    token / faults / tracer:
+    token / tracer:
         Cancellation token (required; pass an un-budgeted
-        ``CancellationToken()`` for "only explicit cancel"), optional
-        fault injector and tracer.
-    retry:
-        Policy for transient tile failures. ``None`` recovers nothing:
-        the first exception (``KeyboardInterrupt`` included) propagates
-        unchanged and no further tile starts.
+        ``CancellationToken()`` for "only explicit cancel") and
+        optional tracer.
+    fail_fast:
+        ``True``: the first exception (``KeyboardInterrupt`` included)
+        propagates unchanged and no further tile starts. ``False``:
+        failed tiles land in :attr:`TileRunReport.failed` and a
+        ``KeyboardInterrupt`` cancels ``token``.
     skip:
         Tile indices to leave untouched (checkpoint resume).
     op:
         Label for trace events (``"eps"`` / ``"tau"``).
     """
     token.start()
-    queue: Deque[_Task] = deque()
-    for index, pixels in enumerate(tiles):
-        if skip is None or index not in skip:
-            queue.append((index, pixels, 1))
-
+    queue: Deque[Tuple[int, IntArray]] = deque(
+        (index, pixels)
+        for index, pixels in enumerate(tiles)
+        if skip is None or index not in skip
+    )
     report = TileRunReport()
     start = time.perf_counter()
-
-    def recovery(action: str, **fields: Any) -> None:
-        if tracer is not None:
-            tracer.recovery(action=action, **fields)
 
     while queue:
         if token.stop_reason() is not None:
             break
-        task = queue.popleft()
-        tile, pixels, attempt = task
+        tile, pixels = queue.popleft()
         tile_start = time.perf_counter()
         try:
-            if faults is not None:
-                faults.before(tile, attempt)
             lower, upper = evaluate(engine, pixels)
-            if faults is not None:
-                lower, upper = faults.after(tile, attempt, lower, upper)
-            if not _sane(lower, upper):
-                raise TransientTileError(
-                    f"tile {tile}: non-finite bound envelope from provider"
-                )
+            check_finite_envelope(tile, lower, upper)
         except KeyboardInterrupt:
-            if retry is None:
+            if fail_fast:
                 raise
             token.cancel(STOP_INTERRUPT)
-            recovery(action="cancel", reason=STOP_INTERRUPT)
-            queue.appendleft(task)
+            if tracer is not None:
+                tracer.recovery(action="cancel", reason=STOP_INTERRUPT)
+            queue.appendleft((tile, pixels))
             break
         except Exception as err:
-            if retry is None or not is_transient(err):
+            if fail_fast:
                 raise
-            if attempt >= retry.max_attempts:
-                report.failed[tile] = f"{type(err).__name__}: {err}"
-                recovery(
-                    action="give-up", tile=tile, attempt=attempt,
-                    reason=type(err).__name__,
-                )
-                continue
-            delay = retry.delay(attempt)
-            if delay > 0.0:
-                time.sleep(delay)
-            report.retries += 1
-            recovery(
-                action="retry", tile=tile, attempt=attempt,
-                reason=type(err).__name__,
-            )
-            queue.append((tile, pixels, attempt + 1))
+            report.fail(tile, err)
             continue
         store(tile, pixels, lower, upper)
         if tile_complete(lower, upper):
@@ -247,7 +210,5 @@ def run_tiles(
             )
 
     report.unprocessed = sorted(task[0] for task in queue)
-    if faults is not None:
-        report.faults_injected = faults.injected
     report.elapsed_s = time.perf_counter() - start
     return report

@@ -15,8 +15,8 @@ recovery procedures:
   supervisor owns only the *policy* — how many times, how fast.
 
 * :class:`CircuitBreaker` — the classic closed → open → half-open
-  machine, one per served dataset. Consecutive render failures trip it
-  open; while open every request is rejected upfront
+  machine, one per home shard of a served dataset. Consecutive render
+  failures trip it open; while open every request is rejected upfront
   (:class:`~repro.errors.CircuitOpenError`, HTTP 503) instead of
   burning a worker slot on a render that will fail; after
   ``reset_timeout_s`` a single probe request is let through, and its
@@ -28,7 +28,6 @@ and snapshot to plain dicts for ``/stats``.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Any, Callable, Dict, Optional
@@ -41,18 +40,11 @@ __all__ = [
     "BREAKER_OPEN",
     "CircuitBreaker",
     "PoolSupervisor",
-    "default_pool_supervisor",
 ]
 
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
-
-#: Environment toggle for default process-pool supervision: set to
-#: ``0``/``off``/``false`` to disable rebuilding broken pools (the
-#: typed :class:`~repro.errors.WorkerPoolBrokenError` then surfaces on
-#: the first break).
-ENV_POOL_SUPERVISE = "REPRO_POOL_SUPERVISE"
 
 
 class PoolSupervisor:
@@ -148,21 +140,6 @@ class PoolSupervisor:
             f"PoolSupervisor(rebuilds={self.total_rebuilds}, "
             f"consecutive={self.consecutive_rebuilds})"
         )
-
-
-def default_pool_supervisor() -> Optional[PoolSupervisor]:
-    """A fresh default supervisor, or ``None`` when the env disables it.
-
-    Consulted by :class:`~repro.visual.executors.ProcessTileExecutor`
-    when no explicit supervisor (or ``None``) was passed: supervision is
-    on by default — a killed worker should cost a rebuild, not the
-    process — and ``REPRO_POOL_SUPERVISE=0`` turns it off globally for
-    debugging (the typed error then surfaces on the first break).
-    """
-    raw = os.environ.get(ENV_POOL_SUPERVISE, "").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return None
-    return PoolSupervisor()
 
 
 class CircuitBreaker:

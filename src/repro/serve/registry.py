@@ -47,7 +47,7 @@ __all__ = ["CoresetTier", "DatasetEntry", "DatasetRegistry"]
 
 #: Default normalised coreset error budget per zoom (``delta_z``);
 #: must stay well below typical request ``eps`` (0.05 by default in
-#: :class:`~repro.serve.service.ServiceConfig`) so the folded
+#: :attr:`~repro.serve.config.RenderConfig.eps`) so the folded
 #: ``eps_effective = eps - delta_z`` stays positive.
 DEFAULT_CORESET_DELTA_CAP = 0.01
 

@@ -29,11 +29,12 @@ and tests drive it directly. One tile request flows through:
    render slots (:meth:`try_acquire_slot`); when the bounded queue is
    full the HTTP layer answers 503 instead of stacking work.
 5. **Degrade-don't-fail** — :meth:`TileService.serve_tile` wraps the
-   strict render in the overload policy: a per-dataset
-   :class:`~repro.resilience.supervisor.CircuitBreaker` rejects
-   requests against a dataset that keeps failing *before* they burn a
-   worker slot; a tripped deadline serves the anytime render's partial
-   envelope (when one exists); a failed render falls back to the last
+   strict render in the overload policy: a
+   :class:`~repro.resilience.supervisor.CircuitBreaker` per home shard
+   (one per dataset when it has one shard) rejects requests against a
+   region that keeps failing *before* they burn a worker slot; a
+   tripped deadline serves the anytime render's partial envelope
+   (when one exists); a failed render falls back to the last
    known-good bytes from the **stale cache** (a small LRU the fresh
    path refreshes on every successful render, keyed *without* the
    dataset version so it survives invalidation — that is its entire
@@ -70,6 +71,7 @@ from repro.errors import (
     DeadlineExceededError,
     InvalidParameterError,
     ServiceOverloadedError,
+    TransientTileError,
     UnknownNameError,
     UnsupportedKernelError,
     UnsupportedOperationError,
@@ -77,7 +79,6 @@ from repro.errors import (
 from repro.methods.base import IndexedMethod
 from repro.obs.metrics import DEFAULT_SECONDS_BOUNDS, MetricsRegistry
 from repro.resilience.budget import STOP_TILE_FAILURES, Budget
-from repro.resilience.retry import TransientTileError
 from repro.resilience.supervisor import CircuitBreaker
 from repro.serve.config import (
     CacheConfig,
@@ -704,7 +705,7 @@ class TileService:
             if degraded.reason == STOP_TILE_FAILURES:
                 raise TransientTileError(
                     f"tile {plan.tile} lost {len(degraded.tiles_failed)} "
-                    "tile batch(es) after retries"
+                    "tile batch(es)"
                 )
             raise DeadlineExceededError(
                 f"tile {plan.tile} exceeded its deadline "

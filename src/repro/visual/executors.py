@@ -73,7 +73,8 @@ from repro.resilience.faults import (
     fault_fires,
 )
 from repro.resilience.process import CancelSlots, CancelWatcher, SlotCancellationToken
-from repro.resilience.supervisor import PoolSupervisor, default_pool_supervisor
+from repro.resilience.runner import check_finite_envelope
+from repro.resilience.supervisor import PoolSupervisor
 
 if TYPE_CHECKING:
     from collections.abc import Sequence
@@ -197,9 +198,9 @@ class ProcessRunOutcome:
         whose worker returned. Tiles a tripped token cut short still
         appear here (their envelopes are valid, just looser).
     errors:
-        ``{tile_index: exception}`` for tiles whose worker raised. The
-        original exception objects, so strict callers re-raise with the
-        true type.
+        ``{tile_index: exception}`` for tiles whose worker raised,
+        non-finite envelopes included. The original exception objects,
+        so strict callers re-raise with the true type.
     cancelled:
         Tile indices whose worker observed the cancellation slot and
         returned early (a subset of ``payloads`` keys).
@@ -318,7 +319,11 @@ def _run_tile(
     fault_spec: Optional[dict[str, Any]] = None,
     attempt: int = 1,
 ) -> tuple[int, tuple[FloatArray, FloatArray], dict[str, int], float, bool, int]:
-    """Refine one tile's envelopes on tree ``tree``; returns a picklable tuple."""
+    """Refine one tile's envelopes on tree ``tree``; returns a picklable tuple.
+
+    A non-finite envelope raises here, in the worker, through the check
+    the in-process executor runs, so both executors fail the tile alike.
+    """
     from repro.core.batch_engine import BatchRefinementEngine
 
     _inject_process_faults(fault_spec, index, attempt)
@@ -337,6 +342,7 @@ def _run_tile(
         )
     else:
         payload = engine.query_tau_bounds(centers, params["tau"], cancel=token)
+    check_finite_envelope(index, *payload)
     seconds = time.perf_counter() - start
     was_cancelled = bool(token is not None and token.triggered)
     return index, payload, stats.as_dict(), seconds, was_cancelled, os.getpid()
@@ -390,14 +396,14 @@ class ProcessTileExecutor:
         of them; :meth:`run` names the tree a render refines.
     workers:
         Worker process count (>= 1).
+
+    Attributes
+    ----------
     supervisor:
-        Rebuild policy for broken pools. The default sentinel
-        ``"default"`` resolves through
-        :func:`~repro.resilience.supervisor.default_pool_supervisor`
-        (supervision on unless ``REPRO_POOL_SUPERVISE=0``); pass an
-        explicit :class:`~repro.resilience.supervisor.PoolSupervisor`
-        to tune the storm cap/backoff, or ``None`` to disable
-        supervision (the first break then raises
+        Rebuild policy for broken pools, a fresh
+        :class:`~repro.resilience.supervisor.PoolSupervisor` per
+        executor. Assign another to tune the storm cap/backoff, or
+        ``None`` to turn supervision off (the first break then raises
         :class:`~repro.errors.WorkerPoolBrokenError`).
     """
 
@@ -405,7 +411,6 @@ class ProcessTileExecutor:
         self,
         methods: IndexedMethod | Sequence[IndexedMethod],
         workers: int,
-        supervisor: PoolSupervisor | None | str = "default",
     ) -> None:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -422,9 +427,7 @@ class ProcessTileExecutor:
         specs = [_worker_spec(method) for method in distinct]
         ctx = _pool_context()
         self.workers = workers
-        if supervisor == "default":
-            supervisor = default_pool_supervisor()
-        self.supervisor: PoolSupervisor | None = supervisor  # type: ignore[assignment]
+        self.supervisor: PoolSupervisor | None = PoolSupervisor()
         self.breaks = 0
         self.rebuilds = 0
         self._ctx = ctx
@@ -584,8 +587,7 @@ class ProcessTileExecutor:
         is abandoning the render anyway) and reports lost tiles as
         ``unrun``.
 
-        ``faults`` is the process-level half of a fault plan (see
-        :meth:`~repro.resilience.faults.FaultPlan.partition_process`);
+        ``faults`` is a :class:`~repro.resilience.faults.FaultPlan`;
         its rolls execute *inside* the workers.
         """
         from concurrent.futures import BrokenExecutor, CancelledError, as_completed

@@ -53,6 +53,14 @@ class PixelGrid:
         high = np.asarray(high, dtype=np.float64).reshape(-1)
         if low.shape != (2,) or high.shape != (2,):
             raise InvalidParameterError("viewport corners must be 2-D points")
+        # A NaN corner passes the order test below, and a NaN or
+        # infinite corner gives NaN pixel centres, on which best-first
+        # refinement never settles.
+        if not (np.isfinite(low).all() and np.isfinite(high).all()):
+            raise InvalidParameterError(
+                f"viewport corners must be finite, got {low.tolist()} and "
+                f"{high.tolist()}"
+            )
         if np.any(low >= high):
             raise InvalidParameterError("viewport must satisfy low < high per axis")
         self.width = width

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-import warnings
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -33,7 +32,11 @@ from repro.core.engine import QueryStats
 from repro.core.exact import exact_density
 from repro.core.kernels import get_kernel
 from repro.data.bandwidth import scott_gamma
-from repro.errors import InvalidParameterError, UnsupportedOperationError
+from repro.errors import (
+    InvalidParameterError,
+    TransientTileError,
+    UnsupportedOperationError,
+)
 from repro.methods.base import IndexedMethod, Method
 from repro.methods.registry import create_method
 from repro.obs.runtime import current_tracer, trace_to
@@ -43,9 +46,8 @@ from repro.resilience.budget import (
     CancellationToken,
 )
 from repro.resilience.checkpoint import TileLedger
-from repro.resilience.faults import FaultInjector, FaultPlan
+from repro.resilience.faults import FaultPlan
 from repro.resilience.result import DegradedResult, RenderOutcome
-from repro.resilience.retry import RetryPolicy, TransientTileError
 from repro.resilience.runner import TileRunReport, run_tiles
 from repro.utils.validation import check_points, check_positive
 from repro.visual.colormap import get_colormap, two_color_map
@@ -68,7 +70,7 @@ if TYPE_CHECKING:
     TraceTarget = TraceSink | Callable[[Mapping[str, Any]], object] | str | Path | None
 
     #: Anything the render methods accept as a fault specification.
-    FaultsLike = FaultInjector | FaultPlan | str | None
+    FaultsLike = FaultPlan | str | None
 
 __all__ = ["KDVRenderer"]
 
@@ -217,9 +219,9 @@ class KDVRenderer:
         (:meth:`_render_anytime_impl`): in-process, or over the method's
         process pool when ``workers >= 2``. A strict render (not
         ``anytime``) is the same run followed by a raise when tiles were
-        lost; with no resilience option and no ``REPRO_FAULTS`` plan it
-        fails fast — the first tile exception propagates with its own
-        type and ``fitted.stats`` is left unchanged.
+        lost; with no resilience option it fails fast — the first tile
+        exception propagates with its own type and ``fitted.stats`` is
+        left unchanged.
 
         A request targeting a different ``grid`` renders through a
         shared-index clone (:meth:`with_grid`), so viewport/tile
@@ -258,13 +260,8 @@ class KDVRenderer:
                 "batches it leaves open do not index a checkpoint ledger"
             )
         fail_fast = not (options.anytime or options.resilience_engaged)
-        if fail_fast:
-            if options.tile_size is None and options.workers is None:
-                return self._render_plain(request.method, op, params)
-            # The CI chaos hook: a REPRO_FAULTS plan makes every tiled
-            # render resilient.
-            plan = FaultPlan.from_env()
-            fail_fast = plan is None or plan.empty
+        if fail_fast and options.tile_size is None and options.workers is None:
+            return self._render_plain(request.method, op, params)
         fitted = self._tiled_method(request.method, op)
         tracer = current_tracer()
         with nullcontext() if tracer is None else tracer.method_scope(fitted.name):
@@ -276,9 +273,8 @@ class KDVRenderer:
         degraded = outcome.degraded
         if degraded is not None and degraded.reason == STOP_TILE_FAILURES:
             raise TransientTileError(
-                f"{op} render lost {len(degraded.tiles_failed)} tile(s) "
-                "after retries; render with anytime=True for the partial "
-                "envelopes"
+                f"{op} render lost {len(degraded.tiles_failed)} tile(s); "
+                "render with anytime=True for the partial envelopes"
             )
         if op == OP_EPS:
             return outcome.image
@@ -414,17 +410,18 @@ class KDVRenderer:
         ``tree`` is the fitted method's tree, which names the published
         tree the workers refine (a dataset's pool holds several).
 
-        The pool counterpart of :func:`repro.resilience.runner.run_tiles`
-        (without retries): tiles drain from the pool's shared queue,
+        The pool counterpart of :func:`repro.resilience.runner.run_tiles`,
+        under its failure rule: tiles drain from the pool's shared queue,
         envelopes stream back through ``store`` as they complete, and
         the parent token's latch (deadline, kernel budget, Ctrl-C)
         propagates to the workers through the shared cancellation slot —
         cut-short tiles land as *partial* with valid best-so-far
-        ``(LB, UB)``, never as failures. ``faults`` (the process-level
-        half of a fault plan) executes inside the workers; a worker a
-        fault kills triggers the executor's supervised pool
-        rebuild-and-replay. With ``fail_fast`` the lowest-indexed tile's
-        exception (or a Ctrl-C) is re-raised before any stats merge.
+        ``(LB, UB)``, never as failures. ``faults`` executes inside the
+        workers; a worker a fault kills triggers the executor's
+        supervised pool rebuild-and-replay. With ``fail_fast`` the
+        lowest-indexed tile's exception (or a Ctrl-C) is re-raised
+        before any stats merge; otherwise each tile that raised, or
+        whose envelope was not finite, is listed as failed.
 
         Returns the :class:`~repro.resilience.runner.TileRunReport` the
         in-process runner produces, plus each pool worker's busy
@@ -459,7 +456,7 @@ class KDVRenderer:
         for job in jobs:
             index = job.index
             if index in outcome.errors:
-                report.failed[index] = str(outcome.errors[index])
+                report.fail(index, outcome.errors[index])
             elif index in outcome.payloads:
                 lo, up = outcome.payloads[index]
                 if tile_complete(lo, up):
@@ -501,16 +498,16 @@ class KDVRenderer:
         bit-identical across executors, and a complete render equals the
         strict one.
 
-        ``fail_fast`` (a strict render with no resilience option) runs
-        without retries: the first tile exception propagates with its
-        own type, no further in-process tile starts, and the render's
-        work is not merged into ``fitted.stats``. Otherwise transient
-        tile errors retry under ``options.retry`` (default
-        :class:`~repro.resilience.retry.RetryPolicy`), and the work that
-        ran is merged even when the render stops early. ``retry=`` and
-        the in-process fault kinds are features of the in-process
-        runner, so a ``workers >= 2`` render that carries them runs
-        in-process, with a warning.
+        Both executors follow one failure rule. With ``fail_fast`` (a
+        strict render with no resilience option) the first tile's
+        exception propagates with its own type and the render's work is
+        not merged into ``fitted.stats``. Otherwise every tile that
+        raised, or whose envelope was not finite, is listed in
+        ``tiles_failed``, the other tiles finish, and the work that ran
+        is merged even when the render stops early. No tile is
+        recomputed: refinement is deterministic, so a retry would only
+        repeat the failure. A fault plan (``options.faults``, else
+        ``REPRO_FAULTS``) executes inside pool workers only.
         """
         start = time.perf_counter()
         centers = self.grid.centers()
@@ -531,48 +528,13 @@ class KDVRenderer:
         token.start()
 
         faults = options.faults
-        injector: FaultInjector | None
-        if isinstance(faults, FaultInjector):
-            injector = faults
-        else:
-            if isinstance(faults, FaultPlan):
-                plan: FaultPlan | None = faults
-            elif isinstance(faults, str):
-                plan = FaultPlan.parse(faults)
-            else:
-                plan = FaultPlan.from_env()
-            injector = (
-                FaultInjector(plan, tracer)
-                if plan is not None and not plan.empty
-                else None
-            )
-
+        if isinstance(faults, str):
+            faults = FaultPlan.parse(faults)
+        elif faults is None:
+            faults = FaultPlan.from_env()
         pool: ProcessTileExecutor | None = None
-        process_faults: FaultPlan | None = None
-        workers = 1 if options.workers is None else int(options.workers)
-        if workers >= 2:
-            if injector is not None and options.retry is None:
-                # Process-level fault kinds (worker_kill / pool_break /
-                # slow_response) execute *inside* worker processes, so a
-                # plan made only of those stays on the pool — that is
-                # what lets CI chaos-test the supervised pool for real.
-                proc_plan, in_process_plan = injector.plan.partition_process()
-                if in_process_plan.empty:
-                    process_faults = None if proc_plan.empty else proc_plan
-                    injector = None
-            if injector is not None or options.retry is not None:
-                warnings.warn(
-                    "retry= and the in-process fault kinds (worker_crash, "
-                    "slow_tile, nan_bounds, oom) are features of the "
-                    f"in-process tile runner; this workers={workers} render "
-                    "runs in-process instead of on the process pool "
-                    "(process-level fault kinds alone — worker_kill, "
-                    "pool_break, slow_response — keep the pool)",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-            else:
-                pool = fitted.process_executor(workers)
+        if options.workers is not None and int(options.workers) >= 2:
+            pool = fitted.process_executor(int(options.workers))
 
         stats = QueryStats()
         engine = fitted.make_batch_engine(stats)
@@ -657,15 +619,12 @@ class KDVRenderer:
                     pool, fitted.tree, tile_list, centers, op, params, skip=skip,
                     token=token, tracer=tracer, store=store,
                     tile_complete=tile_complete, stats=stats,
-                    faults=process_faults, fail_fast=fail_fast,
+                    faults=faults, fail_fast=fail_fast,
                 )
             else:
-                retry = options.retry
-                if retry is None and not fail_fast:
-                    retry = RetryPolicy()
                 report = run_tiles(
                     tile_list, evaluate, store, tile_complete, engine,
-                    token=token, retry=retry, faults=injector, tracer=tracer,
+                    token=token, fail_fast=fail_fast, tracer=tracer,
                     skip=skip, op=op,
                 )
             merge_stats = True
@@ -719,8 +678,6 @@ class KDVRenderer:
                     {"tile": index, "error": message}
                     for index, message in sorted(report.failed.items())
                 ],
-                retries=report.retries,
-                faults_injected=report.faults_injected,
                 elapsed_s=elapsed,
                 budget=budget_dict,
             )

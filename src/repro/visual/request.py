@@ -46,7 +46,6 @@ if TYPE_CHECKING:
     from repro._types import FloatArray
     from repro.methods.base import Method
     from repro.resilience.budget import Budget, CancellationToken
-    from repro.resilience.retry import RetryPolicy
     from repro.visual.grid import PixelGrid
     from repro.visual.kdv import FaultsLike, KDVRenderer, TraceTarget
 
@@ -109,10 +108,9 @@ class RenderOptions:
     resume_from / checkpoint:
         Tile-ledger paths for checkpoint/resume.
     faults:
-        Deterministic fault-injection plan (testing/chaos).
-    retry:
-        :class:`~repro.resilience.retry.RetryPolicy` for transient tile
-        failures.
+        Deterministic process-level fault plan (testing/chaos): a
+        :class:`~repro.resilience.faults.FaultPlan` or its spec string;
+        ``None`` reads ``REPRO_FAULTS``. Only pool workers execute it.
     anytime:
         Return the full :class:`~repro.resilience.result.RenderOutcome`
         (image + per-pixel envelopes + degradation metadata) instead of
@@ -135,7 +133,6 @@ class RenderOptions:
     resume_from: Union[str, "os.PathLike[str]", None] = None
     checkpoint: Union[str, "os.PathLike[str]", None] = None
     faults: "FaultsLike" = None
-    retry: Optional["RetryPolicy"] = None
     anytime: bool = False
     envelope: Optional[Tuple["FloatArray", "FloatArray"]] = None
 
@@ -159,7 +156,6 @@ class RenderOptions:
                 self.resume_from,
                 self.checkpoint,
                 self.faults,
-                self.retry,
             )
         )
 

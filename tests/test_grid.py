@@ -26,6 +26,18 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             PixelGrid(4, 4, [1, 0], [0, 1])
 
+    def test_rejects_non_finite_viewport(self):
+        # NaN passes the low < high test; a NaN or infinite corner gives
+        # NaN centres, on which best-first refinement never settles.
+        for low, high in (
+            ([np.nan, 0.0], [1.0, 1.0]),
+            ([0.0, 0.0], [1.0, np.nan]),
+            ([-np.inf, 0.0], [1.0, 1.0]),
+            ([0.0, 0.0], [np.inf, 1.0]),
+        ):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                PixelGrid(8, 6, low, high)
+
     def test_fit_rejects_non_2d(self, highdim_points):
         with pytest.raises(InvalidParameterError):
             PixelGrid.fit(highdim_points, 8, 8)

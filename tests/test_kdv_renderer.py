@@ -121,6 +121,16 @@ class TestViewportOperations:
         with pytest.raises(InvalidParameterError):
             renderer.pan([1.0])
 
+    def test_non_finite_viewport_rejected(self, renderer):
+        from repro.errors import InvalidParameterError
+
+        for center in ([np.nan, 0.5], [np.inf, 0.5]):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                renderer.zoom(center, 2.0)
+        for delta in ([np.nan, 0.0], [0.0, -np.inf]):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                renderer.pan(delta)
+
 
 class TestSaving:
     def test_save_density_png(self, renderer, tmp_path):

@@ -5,8 +5,9 @@ Covers the PR's acceptance criteria end to end:
 * budgets and cooperative cancellation produce anytime partial renders
   whose per-pixel envelopes still satisfy ``LB <= F <= UB`` against the
   brute-force exact density;
-* injected worker crashes are retried until the render completes with an
-  image bit-identical to the fault-free run;
+* fault plans fire on the same tiles across versions, and a
+  ``REPRO_FAULTS`` plan that kills pool workers still yields an image
+  bit-identical to the fault-free run;
 * checkpoint/resume reproduces the uninterrupted image bit-for-bit and
   rejects mismatched signatures;
 * the CLI writes the partial image plus a ``.degraded.json`` sidecar.
@@ -19,24 +20,22 @@ import numpy as np
 import pytest
 
 from repro.core.exact import exact_density
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, InvalidParameterError
 from repro.resilience import (
     STOP_CANCELLED,
     STOP_DEADLINE,
     STOP_KERNEL_BUDGET,
+    STOP_TILE_FAILURES,
     Budget,
     CancellationToken,
-    FaultInjector,
     FaultPlan,
-    InjectedFault,
-    RetryPolicy,
     TileLedger,
-    TransientTileError,
-    is_transient,
     run_tiles,
 )
+from repro.resilience.faults import FAULT_WORKER_KILL, fault_fires
 from repro.visual.kdv import KDVRenderer
 from repro.visual.request import RenderOptions, RenderRequest
+from tests.test_backends_executors import _break_tile_one
 
 
 def small_points(n=400, seed=11):
@@ -101,46 +100,44 @@ class TestBudgetToken:
 
 class TestFaultPlan:
     def test_parse_roundtrip(self):
-        plan = FaultPlan.parse("worker_crash:0.05,slow_tile:0.1,seed:7,slow_ms:2")
-        assert plan.rates == {"worker_crash": 0.05, "slow_tile": 0.1}
+        plan = FaultPlan.parse("worker_kill:0.05,slow_response:0.1,seed:7,slow_ms:2")
+        assert plan.rates == {"worker_kill": 0.05, "slow_response": 0.1}
         assert plan.seed == 7
         assert plan.slow_ms == pytest.approx(2.0)
 
     def test_parse_rejects_unknown_kind(self):
-        with pytest.raises(Exception):
-            FaultPlan.parse("explode:0.5")
+        # The in-process kinds 3.x accepted are unknown kinds now.
+        for kind in ("explode", "worker_crash", "slow_tile", "nan_bounds", "oom"):
+            with pytest.raises(InvalidParameterError, match="unknown fault kind"):
+                FaultPlan.parse(f"{kind}:0.05")
 
     def test_parse_rejects_bad_rate(self):
-        with pytest.raises(Exception):
-            FaultPlan.parse("worker_crash:1.5")
+        with pytest.raises(InvalidParameterError):
+            FaultPlan.parse("worker_kill:1.5")
 
     def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "oom:0.25")
+        monkeypatch.setenv("REPRO_FAULTS", "pool_break:0.25")
         plan = FaultPlan.from_env()
-        assert plan is not None and plan.rates == {"oom": 0.25}
+        assert plan is not None and plan.rates == {"pool_break": 0.25}
         monkeypatch.delenv("REPRO_FAULTS")
         assert FaultPlan.from_env() is None
+        monkeypatch.setenv("REPRO_FAULTS", "worker_crash:0.05")
+        with pytest.raises(InvalidParameterError, match="unknown fault kind"):
+            FaultPlan.from_env()
 
     def test_injection_is_deterministic(self):
-        plan = FaultPlan.parse("worker_crash:0.5,seed:3")
-        first = FaultInjector(plan)
-        second = FaultInjector(plan)
-        outcomes_first = []
-        outcomes_second = []
-        for injector, outcomes in ((first, outcomes_first), (second, outcomes_second)):
-            for tile in range(20):
-                try:
-                    injector.before(tile, 1)
-                except InjectedFault:
-                    outcomes.append(tile)
-        assert outcomes_first == outcomes_second
-        assert outcomes_first  # 50% over 20 tiles fires at least once
-
-    def test_transient_taxonomy(self):
-        assert is_transient(TransientTileError("x"))
-        assert is_transient(ValueError("x"))
-        assert not is_transient(CheckpointError("x"))
-        assert not is_transient(KeyboardInterrupt())
+        # Each kind keeps its roll integer, so a plan fires on the same
+        # tiles in every version: at seed 0 and rate 0.05, on these of
+        # the chaos smoke's 80 tiles.
+        fired = {
+            kind: [tile for tile in range(80) if fault_fires(0, kind, tile, 1, 0.05)]
+            for kind in ("worker_kill", "pool_break", "slow_response")
+        }
+        assert fired == {
+            "worker_kill": [45, 60, 72, 76],
+            "pool_break": [24, 35, 38, 53, 61, 77],
+            "slow_response": [2, 54, 62, 69],
+        }
 
 
 class TestDeadlinePartialRender:
@@ -200,50 +197,30 @@ class TestDeadlinePartialRender:
 
 
 class TestFaultRecovery:
-    def test_worker_crashes_recovered_bit_identical(self, renderer):
-        reference = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
-        # In-process fault kinds run on the in-process runner even when
-        # workers asks for the pool.
-        with pytest.warns(RuntimeWarning, match="runs in-process"):
-            outcome = tiled(
-                renderer, RenderRequest.for_eps(0.05),
-                tile_size=8, workers=3, anytime=True,
-                faults="worker_crash:0.05,nan_bounds:0.05,seed:3",
-            )
-        assert outcome.complete
-        assert np.array_equal(outcome.image, reference)
-
     def test_fault_env_engages_tiled_render(self, renderer, monkeypatch):
-        reference = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
-        monkeypatch.setenv("REPRO_FAULTS", "worker_crash:0.1,seed:1")
-        faulted = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
-        assert np.array_equal(faulted, reference)
+        # A REPRO_FAULTS plan reaches the pool's workers: the worker
+        # refining tile 11 is killed, the pool rebuilds and replays, and
+        # the strict image equals the fault-free one.
+        from repro.visual.executors import pool_supervision_totals
 
-    def test_exhausted_retries_surface_failed_tiles(self, renderer):
-        outcome = tiled(
-            renderer, RenderRequest.for_eps(0.05),
-            tile_size=8, anytime=True,
-            faults="worker_crash:1.0,seed:0",
-            retry=RetryPolicy(max_attempts=2, backoff_s=0.0001),
-        )
-        degraded = outcome.degraded
-        assert degraded is not None
-        assert degraded.reason == "tile-failures"
-        assert degraded.tiles_failed
-        # The strict facade raises instead of returning a partial image.
-        with pytest.raises(TransientTileError):
-            tiled(
-                renderer, RenderRequest.for_eps(0.05),
-                tile_size=8,
-                faults="worker_crash:1.0,seed:0",
-                retry=RetryPolicy(max_attempts=2, backoff_s=0.0001),
+        reference = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
+        assert fault_fires(1, FAULT_WORKER_KILL, 11, 1, 0.1)
+        monkeypatch.setenv("REPRO_FAULTS", "worker_kill:0.1,seed:1")
+        rebuilds = pool_supervision_totals()["rebuilds"]
+        try:
+            faulted = tiled(
+                renderer, RenderRequest.for_eps(0.05), tile_size=8, workers=2
             )
+        finally:
+            renderer.get_method("quad").close_executors()
+        assert pool_supervision_totals()["rebuilds"] > rebuilds
+        assert np.array_equal(faulted, reference)
 
     def test_fatal_error_propagates(self):
         tiles = [np.array([0], dtype=np.intp)]
 
         def evaluate(engine, pixels):
-            raise CheckpointError("fatal, not transient")
+            raise CheckpointError("tile failed")
 
         with pytest.raises(CheckpointError):
             run_tiles(
@@ -326,28 +303,30 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError):
             TileLedger.load(path)
 
-    def test_checkpoint_written_on_fault_giveup(self, renderer, tmp_path):
+    def test_checkpoint_written_on_fault_giveup(self, renderer, tmp_path, monkeypatch):
+        reference = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
         ckpt = tmp_path / "render.npz"
+        _break_tile_one(monkeypatch, renderer, 8)
         outcome = tiled(
             renderer, RenderRequest.for_eps(0.05),
             tile_size=8, anytime=True, checkpoint=str(ckpt),
-            faults="worker_crash:0.4,seed:5",
-            retry=RetryPolicy(max_attempts=2, backoff_s=0.0001),
         )
+        monkeypatch.undo()
+        assert outcome.degraded.reason == STOP_TILE_FAILURES
+        assert [entry["tile"] for entry in outcome.degraded.tiles_failed] == [1]
         assert ckpt.exists()
         ledger = TileLedger.load(ckpt)
         completed = ledger.completed_tiles()
+        assert 1 not in completed
         assert len(completed) == outcome.degraded.tiles_completed
-        # Resume finishes the failed tiles and converges to the
+        # Resume finishes the failed tile and converges to the
         # fault-free image.
         resumed = tiled(
             renderer, RenderRequest.for_eps(0.05),
             tile_size=8, resume_from=str(ckpt), anytime=True,
         )
         assert resumed.complete
-        assert np.array_equal(
-            resumed.image, tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
-        )
+        assert np.array_equal(resumed.image, reference)
 
 
 class TestProgressiveResilience:

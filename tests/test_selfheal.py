@@ -33,10 +33,8 @@ from repro.resilience.supervisor import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    ENV_POOL_SUPERVISE,
     CircuitBreaker,
     PoolSupervisor,
-    default_pool_supervisor,
 )
 from repro.serve import (
     RenderConfig,
@@ -191,14 +189,6 @@ class TestPoolSupervisor:
         assert supervisor.total_rebuilds == 3
         json.dumps(supervisor.as_dict())
 
-    def test_env_toggle_disables_default_supervision(self, monkeypatch):
-        monkeypatch.setenv(ENV_POOL_SUPERVISE, "0")
-        assert default_pool_supervisor() is None
-        monkeypatch.setenv(ENV_POOL_SUPERVISE, "off")
-        assert default_pool_supervisor() is None
-        monkeypatch.delenv(ENV_POOL_SUPERVISE)
-        assert isinstance(default_pool_supervisor(), PoolSupervisor)
-
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             PoolSupervisor(max_consecutive_rebuilds=0)
@@ -218,11 +208,10 @@ def _process_render(renderer, faults=None):
 
 
 class TestSupervisedRecovery:
-    def test_worker_kill_recovers_bit_identical(self, small_points, monkeypatch):
+    def test_worker_kill_recovers_bit_identical(self, small_points):
         from repro.visual.executors import pool_supervision_totals
         from repro.visual.kdv import KDVRenderer
 
-        monkeypatch.delenv(ENV_POOL_SUPERVISE, raising=False)
         renderer = KDVRenderer(np.asarray(small_points), resolution=(24, 20), leaf_size=16)
         try:
             baseline = _process_render(renderer)
@@ -242,12 +231,12 @@ class TestSupervisedRecovery:
         finally:
             renderer.get_method("quad").close_executors()
 
-    def test_unsupervised_break_raises_typed_error(self, small_points, monkeypatch):
+    def test_unsupervised_break_raises_typed_error(self, small_points):
         from repro.visual.kdv import KDVRenderer
 
-        monkeypatch.setenv(ENV_POOL_SUPERVISE, "0")
         renderer = KDVRenderer(np.asarray(small_points), resolution=(24, 20), leaf_size=16)
         try:
+            renderer.get_method("quad").process_executor(2).supervisor = None
             plan = FaultPlan({FAULT_WORKER_KILL: KILL_RATE}, seed=KILL_SEED)
             with pytest.raises(WorkerPoolBrokenError, match="supervision is disabled"):
                 _process_render(renderer, faults=plan)

@@ -102,6 +102,15 @@ class TestDatasetRegistry:
         with pytest.raises(DatasetNotFoundError):
             DatasetRegistry().get("nope")
 
+    def test_non_finite_grid_rejected(self, small_points):
+        from repro.visual.grid import PixelGrid
+
+        registry = DatasetRegistry()
+        for low, high in (([np.nan, 0.0], [1.0, 1.0]), ([0.0, 0.0], [np.inf, 1.0])):
+            with pytest.raises(InvalidParameterError, match="finite"):
+                registry.register("demo", small_points, grid=PixelGrid(8, 6, low, high))
+        assert "demo" not in registry
+
     def test_duplicate_and_bad_ids_rejected(self, small_points):
         registry = DatasetRegistry()
         registry.register("demo", small_points)

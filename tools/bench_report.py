@@ -308,6 +308,7 @@ def run_benchmark(
     import numpy as np
 
     from repro.data.synthetic import load_dataset
+    from repro.visual.executors import pool_supervision_totals
     from repro.visual.kdv import KDVRenderer
     from repro.visual.request import RenderOptions, RenderRequest
 
@@ -447,6 +448,9 @@ def run_benchmark(
             "masks_identical": masks_identical,
         },
         "parallel_scaling": scaling_section,
+        # Pool breaks and rebuilds over the whole run: a REPRO_FAULTS
+        # chaos run that killed no worker reads zero rebuilds here.
+        "pool_supervision": pool_supervision_totals(),
         "coreset_parity": parity_section,
         "coreset_pyramid": pyramid_section,
         "validation": {
