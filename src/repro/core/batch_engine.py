@@ -65,6 +65,17 @@ if TYPE_CHECKING:
 __all__ = ["BatchRefinementEngine"]
 
 
+def _require_finite(queries: FloatArray) -> None:
+    """Raise :class:`InvalidParameterError` unless every coordinate is finite.
+
+    A non-finite query has NaN bounds: its row never meets a stopping
+    rule, and its NaN gap sum keeps the gap ordering's lazy re-scoring
+    from ever settling on a node.
+    """
+    if not np.isfinite(queries).all():
+        raise InvalidParameterError("queries must be finite (no NaN or inf coordinates)")
+
+
 class BatchRefinementEngine:
     """Level-synchronous bound refinement over a pixel batch.
 
@@ -91,7 +102,9 @@ class BatchRefinementEngine:
     Every batched bound and leaf evaluation goes through
     :attr:`backend`, the one :class:`~repro.core.backends.ComputeBackend`
     seam; the scalar τ-canonicalisation path calls the provider
-    directly.
+    directly. Every query coordinate must be finite: the query methods
+    and :meth:`root_envelope` raise
+    :class:`~repro.errors.InvalidParameterError` otherwise.
     """
 
     def __init__(
@@ -125,6 +138,7 @@ class BatchRefinementEngine:
         variant. ``queries_sq`` optionally carries precomputed per-row
         squared norms.
         """
+        _require_finite(queries)
         if queries_sq is None:
             queries_sq = np.einsum("ij,ij->i", queries, queries)
         backend = self.backend
@@ -175,6 +189,7 @@ class BatchRefinementEngine:
             raise InvalidParameterError(
                 f"queries must be an (m, d) array, got shape {batch.shape}"
             )
+        _require_finite(batch)
         m, dims = batch.shape
         stats.queries += m
         batch_sq = np.einsum("ij,ij->i", batch, batch)
@@ -262,10 +277,12 @@ class BatchRefinementEngine:
                 # Lazy priorities: stored gap sums were computed over a
                 # superset of the current active set, so they never
                 # underestimate. Re-score the popped candidate and push
-                # it back if it no longer beats the runner-up.
+                # it back if it no longer beats the runner-up. Written as
+                # ``not >`` so a NaN gap sum (finite queries whose bounds
+                # overflow) keeps the candidate instead of cycling forever.
                 while heap:
                     fresh = -float((node_ub - node_lb).sum())
-                    if fresh <= heap[0][0]:
+                    if not fresh > heap[0][0]:
                         break
                     heappush(heap, (fresh, entry[1], entry[2], entry[3], entry[4]))
                     entry = heappop(heap)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -214,6 +214,18 @@ class DatasetEntry:
         """The coreset tier serving ``zoom``, or ``None`` for exact."""
         with self._lock:
             return self._coreset_tiers.get(int(zoom))
+
+    def snapshot(
+        self, zoom: int
+    ) -> Tuple[int, KDVRenderer, Optional[CoresetTier]]:
+        """``(version, renderer, coreset tier of zoom)``, read in one go.
+
+        Taken under the entry lock, so all three belong to the same
+        version: :meth:`append` replaces them together. A tile plan is
+        built from one snapshot and labelled with its version.
+        """
+        with self._lock:
+            return self.version, self.renderer, self._coreset_tiers.get(int(zoom))
 
     @property
     def shard_ids(self) -> List[str]:
@@ -449,6 +461,10 @@ class DatasetEntry:
         )
 
 
+def _already_registered(dataset_id: str) -> InvalidParameterError:
+    return InvalidParameterError(f"dataset {dataset_id!r} is already registered")
+
+
 class DatasetRegistry:
     """Named datasets, each loaded and indexed once.
 
@@ -521,12 +537,18 @@ class DatasetRegistry:
         coreset_tile_px: int,
         method_options: Dict[str, Any],
     ) -> DatasetEntry:
-        """Build, store and warm one entry (shared by the registries)."""
+        """Build, warm and publish one entry (shared by the registries).
+
+        The entry is published only once warm: a request that finds it
+        also finds its serving method fitted and on the dataset's pool.
+        """
         dataset_id = str(dataset_id)
         if not dataset_id or "/" in dataset_id:
             raise InvalidParameterError(
                 f"dataset id must be a non-empty path segment, got {dataset_id!r}"
             )
+        if dataset_id in self:
+            raise _already_registered(dataset_id)
         renderer = KDVRenderer(
             points, kernel=kernel, gamma=gamma, grid=grid, **method_options
         )
@@ -540,13 +562,16 @@ class DatasetRegistry:
             coreset_tile_px=coreset_tile_px,
             shards=shards,
         )
-        with self._lock:
-            if dataset_id in self._entries:
-                raise InvalidParameterError(
-                    f"dataset {dataset_id!r} is already registered"
-                )
-            self._entries[dataset_id] = entry
         entry.warm()
+        with self._lock:
+            # A concurrent registration of the same id may have
+            # published while this entry was being built.
+            taken = dataset_id in self._entries
+            if not taken:
+                self._entries[dataset_id] = entry
+        if taken:
+            entry.close()
+            raise _already_registered(dataset_id)
         return entry
 
     def get(self, dataset_id: str) -> DatasetEntry:

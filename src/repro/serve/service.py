@@ -7,7 +7,13 @@ and tests drive it directly. One tile request flows through:
 1. **Plan** — :meth:`TileService.plan_tile` resolves the dataset entry,
    derives the tile's :class:`~repro.visual.grid.PixelGrid`, builds the
    canonical :class:`~repro.visual.request.RenderRequest` and computes
-   the three cache keys (PNG / density / root-bounds levels).
+   the cache keys (PNG / density / root-bounds / stale levels), all
+   from one snapshot of the entry's version, renderer and coreset tier.
+   The finished plan is memoized under the raw request and that
+   version (:data:`PLAN_MEMO_ENTRIES` plans at most, dropped with the
+   dataset's cache levels on every invalidation), so a warm request
+   costs a registry lookup and a memo lookup (``tiles.plans_reused``)
+   before its L1 lookup; each caller gets its own copy of the plan.
 2. **L1 lookup** — :meth:`TileService.lookup_png` counts the request
    and runs the dictionary-cheap :meth:`TileService.cached_png` check,
    which the HTTP layer does on the event loop itself, so warm tiles
@@ -56,6 +62,7 @@ cache level helped — the property the byte-identity tests pin down.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -68,6 +75,7 @@ from repro.cache.tiles import TileCache, TileKey, partial_fingerprint
 from repro.core import stopping
 from repro.errors import (
     CircuitOpenError,
+    DatasetNotFoundError,
     DeadlineExceededError,
     InvalidParameterError,
     ServiceOverloadedError,
@@ -104,6 +112,7 @@ if TYPE_CHECKING:
     from repro.visual.kdv import KDVRenderer
 
 __all__ = [
+    "PLAN_MEMO_ENTRIES",
     "RENDER_TILE_SIZE",
     "CacheConfig",
     "RenderConfig",
@@ -119,6 +128,10 @@ __all__ = [
 #: so it must be one service-wide constant for cached bytes to be
 #: reusable across requests.
 RENDER_TILE_SIZE = 64
+
+#: Most tile plans :meth:`TileService.plan_tile` keeps for reuse (about
+#: 2.25 KB each, so ~4.5 MiB when full); least recently used go first.
+PLAN_MEMO_ENTRIES = 2048
 
 #: Resolution of the coarse density probe that fixes each dataset's
 #: colour normalisation range (see ``TileService._entry_vmax``).
@@ -139,6 +152,10 @@ class TilePlan:
     rendezvous-hashed bucket, whose circuit breaker (``breaker_id``)
     owns this tile's renders. Neither enters a cache key: every shard
     count renders the same bytes.
+
+    :meth:`TileService.plan_tile` keeps each plan for reuse and hands
+    every caller a shallow copy, so an attribute a caller sets on its
+    plan stays with that request.
     """
 
     entry: DatasetEntry
@@ -252,6 +269,9 @@ class TileService:
             )
         )
         self._flight: SingleFlight[TileKey, bytes] = SingleFlight()
+        self._plans: LRUCache[Tuple[Any, ...], TilePlan] = LRUCache(
+            max_entries=PLAN_MEMO_ENTRIES
+        )
         resilience = self.config.resilience
         self._slots = threading.BoundedSemaphore(int(resilience.queue_limit))
         self._active = 0
@@ -339,9 +359,26 @@ class TileService:
         ``colormap`` default from the dataset entry / config; the
         request is validated and resolved here, so a plan that comes
         back is renderable.
+
+        Plans are memoized per raw request and dataset version (at most
+        :data:`PLAN_MEMO_ENTRIES`), so a repeated request costs two
+        dictionary lookups instead of the grid, the resolve and four
+        key fingerprints. Every caller gets its own shallow copy; a
+        request that raises is planned (and raises) again every time.
         """
         entry = self.registry.get(dataset)
+        raw = (z, x, y, eps, tau, method, colormap, deadline_ms)
+        # The version is read without the entry lock, so warm requests
+        # do not wait out an append: one racing it gets the plan of the
+        # version it read, as if it had arrived just before. The
+        # identity check keeps a removed and re-registered id (back at
+        # version 1) off the old entry's plans.
+        memoized = self._plans.get((entry.dataset_id, entry.version, raw))
+        if memoized is not None and memoized.entry is entry:
+            self.metrics.counter("tiles.plans_reused").add(1)
+            return copy.copy(memoized)
         z, x, y = validate_tile(z, x, y, max_zoom=self.config.render.max_zoom)
+        version, renderer, tier = entry.snapshot(z)
         grid = tile_grid(entry.base_grid, z, x, y, self.config.render.tile_px)
         method_name = str(method if method is not None else entry.method).lower()
         colormap_name = str(
@@ -353,8 +390,8 @@ class TileService:
         # (eps_effective = eps - delta_z, docs/bounds.md); zoom >=
         # coreset_zoom falls through to exact QUAD. tau renders route
         # unchanged — masks can flip only where |F - tau| <= delta_abs.
-        tier = entry.coreset_tier(z)
-        renderer = entry.renderer if tier is None else tier.renderer
+        if tier is not None:
+            renderer = tier.renderer
         tier_tag = None if tier is None else f"coreset-z{tier.zoom}"
         tier_delta_z = None if tier is None else float(tier.delta_z)
         if tau is not None:
@@ -401,9 +438,9 @@ class TileService:
             if shards > 1
             else 0
         )
-        return TilePlan(
+        plan = TilePlan(
             entry=entry,
-            versioned_id=entry.versioned_id(),
+            versioned_id=f"{entry.dataset_id}@v{version}",
             tile=(z, x, y),
             resolved=resolved,
             colormap=colormap_name,
@@ -416,6 +453,21 @@ class TileService:
             shards=shards,
             home_shard=home_shard,
         )
+        key = (entry.dataset_id, version, raw)
+        self._plans.put(key, plan)
+        if not self._is_current(entry, version):
+            # An append or remove landed while this plan was built and
+            # has already dropped the dataset's plans: drop this one too,
+            # so no plan keeps a replaced renderer alive.
+            self._plans.invalidate(key)
+        return copy.copy(plan)
+
+    def _is_current(self, entry: DatasetEntry, version: int) -> bool:
+        """Whether ``entry`` is still registered and at ``version``."""
+        try:
+            return self.registry.get(entry.dataset_id) is entry and entry.version == version
+        except DatasetNotFoundError:
+            return False
 
     # -- serving ------------------------------------------------------------
 
@@ -793,6 +845,7 @@ class TileService:
         whenever served, and TTL-bounded).
         """
         dropped = self.cache.invalidate_dataset(dataset_id)
+        self._plans.invalidate_where(lambda key: key[0] == dataset_id)
         self.metrics.counter("tiles.invalidations").add(1)
         with self._vmax_lock:
             stale = [
@@ -815,8 +868,6 @@ class TileService:
         with self._breakers_lock:
             states = {name: breaker.state for name, breaker in self._breakers.items()}
         datasets: Dict[str, Any] = {}
-        from repro.errors import DatasetNotFoundError
-
         for dataset_id in self.registry.ids():
             try:
                 entry = self.registry.get(dataset_id)
@@ -841,7 +892,6 @@ class TileService:
                 for dataset_id, breaker in sorted(self._breakers.items())
             }
         pools: list[Dict[str, Any]] = []
-        from repro.errors import DatasetNotFoundError
         from repro.visual.executors import pool_supervision_totals
 
         totals = pool_supervision_totals()
@@ -915,8 +965,6 @@ class TileService:
                 break
             time.sleep(0.01)
         self.pool.shutdown(wait=True, cancel_futures=True)
-        from repro.errors import DatasetNotFoundError
-
         for dataset_id in self.registry.ids():
             try:
                 self.registry.get(dataset_id).close()

@@ -321,7 +321,8 @@ def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
     A resilient render lists the failed tile and finishes every other
     one (and a strict one then raises); a fail-fast render re-raises
     the tile's own exception and leaves ``stats`` unchanged; a
-    non-finite envelope fails its tile like an exception does.
+    non-finite envelope fails its tile like an exception does, and a
+    non-finite centre is rejected before any tile starts.
     """
     from repro.errors import TransientTileError
     from repro.resilience.budget import Budget
@@ -336,7 +337,9 @@ def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
     _break_tile_one(monkeypatch, renderer, 4)
     fifo = KDVRenderer(make_points(), resolution=(12, 10), leaf_size=16, ordering="fifo")
     centers = fifo.grid.centers()
-    centers[5] = np.nan  # pixel (5, 0), in tile 1
+    # Pixel (5, 0), in tile 1: finite, but so far out that its bounds
+    # overflow to NaN.
+    centers[5] = 1e308
     monkeypatch.setattr(fifo.grid, "centers", lambda: centers)
     try:
         outcome = renderer.render(
@@ -364,15 +367,16 @@ def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
         assert fitted.stats.as_dict() == before
         # Invariant checking would reject the NaN root bounds before any
         # tile runs; the finite check is what catches them without it.
-        # Fifo order ends when the frontier is empty; gap order's lazy
-        # re-scoring never ends on a NaN gap sum.
-        with checking(False):
-            nan_outcome = fifo.render(
-                RenderRequest.for_eps(
-                    0.05, "quad",
-                    options=RenderOptions(tile_size=4, workers=workers, anytime=True),
-                )
-            )
+        # Fifo order ends when the frontier is empty whatever the gaps.
+        fifo_request = RenderRequest.for_eps(
+            0.05, "quad",
+            options=RenderOptions(tile_size=4, workers=workers, anytime=True),
+        )
+        with checking(False), np.errstate(all="ignore"):
+            nan_outcome = fifo.render(fifo_request)
+        centers[5] = np.nan
+        with pytest.raises(InvalidParameterError, match="finite"):
+            fifo.render(fifo_request)
     finally:
         fitted.close_executors()
         fifo.get_method("quad").close_executors()

@@ -7,6 +7,8 @@ the exact density, and τKDV masks equal to the exact-density
 thresholding (hence to each other).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,56 @@ class TestEpsEquivalence:
             batch.query_eps_batch(queries.ravel(), 0.01)
         with pytest.raises(InvalidParameterError):
             BatchRefinementEngine(batch.tree, batch.provider, ordering="dfs")
+
+    def test_unboundable_queries_end(self):
+        """Non-finite queries raise; finite ones whose bounds overflow end.
+
+        Each call runs in a thread with a join timeout, so a refinement
+        loop that never ends fails the test instead of hanging it.
+        """
+        from repro.resilience.budget import Budget
+
+        points, gamma, weight, __, __ = _workload("gaussian", 6, n=300, m=1)
+        __, batch = _engines(points, gamma, weight, "gaussian", "quad")
+        outcomes = {}
+
+        def run(name, call):
+            def target():
+                try:
+                    outcomes[name] = call()
+                except InvalidParameterError as error:
+                    outcomes[name] = error
+
+            thread = threading.Thread(target=target, daemon=True)
+            thread.start()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive(), f"{name} never returned"
+            return outcomes[name]
+
+        for bad in (np.nan, np.inf):
+            queries = np.array([[0.0, 0.0], [bad, 0.0]])
+            stats_before = batch.stats.as_dict()
+            for name, call in (
+                ("eps", lambda: batch.query_eps_bounds(
+                    queries, 0.05, cancel=Budget(deadline_s=0.2).token())),
+                ("tau", lambda: batch.query_tau_bounds(queries, 0.05)),
+                ("root", lambda: batch.root_envelope(queries)),
+            ):
+                error = run(name, call)
+                assert isinstance(error, InvalidParameterError), name
+                assert "finite" in str(error)
+            assert batch.stats.as_dict() == stats_before
+        # A finite centre so far out that its bounds overflow to NaN:
+        # gap ordering must still drain instead of re-scoring forever.
+        # (Invariant checking would reject the NaN bounds first.)
+        queries = np.array([[0.0, 0.0], [1e308, 1e308]])
+
+        def overflowing():
+            with checking(False), np.errstate(all="ignore"):
+                return batch.query_eps_bounds(queries, 0.05)
+
+        lower, upper = run("overflow", overflowing)
+        assert np.isfinite(lower[0]) and np.isfinite(upper[0])
 
 
 class TestTauEquivalence:

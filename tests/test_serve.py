@@ -1,11 +1,12 @@
 """Tests for the tile service stack (repro.serve).
 
 Covers tile addressing (seam-free pyramids), the dataset registry
-(shared indexes, versioned appends, invalidation), the service itself
-(cache hit byte-identity verified through the obs counters, cache-on vs
-cache-off identity, the root-bounds short-circuit, single-flight dedup
-under real concurrency, backpressure, deadlines) and the asyncio HTTP
-layer end to end on an ephemeral port.
+(shared indexes, versioned appends, invalidation, publication only once
+warm), the service itself (cache hit byte-identity verified through the
+obs counters, cache-on vs cache-off identity, the root-bounds
+short-circuit, single-flight dedup under real concurrency, backpressure,
+deadlines, the plan memo across appends and re-registrations) and the
+asyncio HTTP layer end to end on an ephemeral port.
 """
 
 from __future__ import annotations
@@ -130,6 +131,45 @@ class TestDatasetRegistry:
         assert invalidated == ["demo"]
         # Tile addressing must stay stable across appends.
         assert entry.base_grid is base_grid
+
+    def test_entry_is_published_only_once_warm(self, small_points, monkeypatch):
+        from repro.serve.registry import DatasetEntry
+
+        registry = DatasetRegistry()
+        real_warm = DatasetEntry.warm
+        warmed = []
+
+        def warm(entry, method=None):
+            with pytest.raises(DatasetNotFoundError):
+                registry.get("demo")
+            real_warm(entry, method)
+            warmed.append(entry)
+
+        monkeypatch.setattr(DatasetEntry, "warm", warm)
+        entry = registry.register("demo", small_points)
+        assert warmed == [entry] and registry.get("demo") is entry
+        fitted = entry.renderer.get_method("quad")
+        assert fitted.pool_owner is not None
+
+    def test_concurrent_registration_publishes_one_entry(self, small_points, monkeypatch):
+        from repro.serve.registry import DatasetEntry
+
+        registry = DatasetRegistry()
+        real_warm = DatasetEntry.warm
+        winner = []
+
+        def warm(entry, method=None):
+            real_warm(entry, method)
+            if not winner:
+                # Another registration of the same id publishes first.
+                winner.append(None)
+                winner[0] = registry.register("demo", small_points[:300])
+
+        monkeypatch.setattr(DatasetEntry, "warm", warm)
+        with pytest.raises(InvalidParameterError, match="already registered"):
+            registry.register("demo", small_points)
+        assert registry.get("demo") is winner[0]
+        assert registry.get("demo").points.shape[0] == 300
 
     def test_append_validates_shape(self, small_points):
         registry = DatasetRegistry()
@@ -486,10 +526,16 @@ class TestTileService:
     def test_plan_rejects_unknown_colormap_and_dataset(self, service):
         from repro.errors import UnknownNameError
 
-        with pytest.raises(UnknownNameError):
-            service.plan_tile("crime", 0, 0, 0, colormap="nope")
-        with pytest.raises(DatasetNotFoundError):
-            service.plan_tile("missing", 0, 0, 0)
+        memoized, reused = len(service._plans), _reused(service)
+        # A request that raises is never memoized: it raises every time.
+        for __ in range(2):
+            with pytest.raises(UnknownNameError):
+                service.plan_tile("crime", 0, 0, 0, colormap="nope")
+            with pytest.raises(DatasetNotFoundError):
+                service.plan_tile("missing", 0, 0, 0)
+            with pytest.raises(InvalidParameterError):
+                service.plan_tile("crime", 1, 2, 0)
+        assert len(service._plans) == memoized and _reused(service) == reused
 
     def test_stats_shape(self, service):
         stats = service.stats()
@@ -508,6 +554,182 @@ class TestTileService:
         assert resilience["pool_breaks"] >= 0
         assert resilience["pool_rebuilds"] >= 0
         json.dumps(stats)  # must be JSON-serialisable for /stats
+
+
+def _plan_service(small_points, registry=None, **register):
+    """A service planning 16-pixel tiles of ``small_points`` as ``crime``."""
+    svc = TileService(
+        registry=registry,
+        config=ServiceConfig(
+            render=RenderConfig(tile_px=16, eps=0.1, workers=1, deadline_ms=None)
+        ),
+    )
+    svc.registry.register("crime", small_points, **register)
+    return svc
+
+
+def _reused(svc):
+    return svc.metrics.counter("tiles.plans_reused").value
+
+
+class TestPlanMemo:
+    """Plans are kept per raw request and dataset version, handed out as copies."""
+
+    def test_repeated_request_gets_its_own_equal_plan(self, small_points):
+        svc = _plan_service(small_points, shards=2)
+        try:
+            first = svc.plan_tile("crime", 2, 1, 3, eps=0.2)
+            second = svc.plan_tile("crime", 2, 1, 3, eps=0.2)
+            assert second is not first
+            assert _reused(svc) == 1
+            assert first.shards == 2
+            for name in ("png_key", "density_key", "bounds_key", "stale_key",
+                         "versioned_id", "home_shard", "breaker_id", "renderer"):
+                assert getattr(second, name) == getattr(first, name), name
+            # An attribute one caller pins on its plan stays with it.
+            first.request_id = "a"
+            assert not hasattr(svc.plan_tile("crime", 2, 1, 3, eps=0.2), "request_id")
+            # Another parameter is another plan.
+            assert svc.plan_tile("crime", 2, 1, 3, eps=0.3).png_key != first.png_key
+            assert _reused(svc) == 2
+        finally:
+            svc.close()
+
+    def test_append_replans_against_the_new_version(self, small_points):
+        svc = _plan_service(small_points)
+        try:
+            before = svc.plan_tile("crime", 1, 0, 0)
+            svc.append_points("crime", small_points[:30] + 0.01)
+            after = svc.plan_tile("crime", 1, 0, 0)
+            assert _reused(svc) == 0
+            assert after.versioned_id == "crime@v2"
+            assert after.png_key != before.png_key
+            assert after.renderer is svc.registry.get("crime").renderer
+            assert [key[1] for key in svc._plans.keys()] == [2]
+        finally:
+            svc.close()
+
+    @pytest.mark.parametrize("wired", [True, False], ids=["wired", "unwired"])
+    def test_reregistered_id_never_gets_an_old_plan(self, small_points, wired):
+        # An unwired registry never tells the service about the removal,
+        # so only the entry identity check stands between the new entry
+        # and the old one's plans.
+        svc = _plan_service(small_points, registry=None if wired else DatasetRegistry())
+        try:
+            old = svc.plan_tile("crime", 1, 0, 0)
+            svc.registry.remove("crime")
+            entry = svc.registry.register("crime", small_points[:400])
+            new = svc.plan_tile("crime", 1, 0, 0)
+            assert _reused(svc) == 0
+            assert new.entry is entry and new.renderer is entry.renderer
+            assert new.versioned_id == old.versioned_id == "crime@v1"
+            assert new.png_key != old.png_key
+        finally:
+            svc.close()
+
+    def test_memo_holds_at_most_its_constant(self, small_points, monkeypatch):
+        from repro.serve import service as service_module
+
+        monkeypatch.setattr(service_module, "PLAN_MEMO_ENTRIES", 3)
+        svc = _plan_service(small_points)
+        try:
+            assert svc._plans.max_entries == 3
+            for x in range(4):
+                for y in range(2):
+                    svc.plan_tile("crime", 2, x, y)
+                    assert len(svc._plans) <= 3
+            assert len(svc._plans) == 3
+            svc.plan_tile("crime", 2, 3, 1)  # the most recent plan is kept
+            assert _reused(svc) == 1
+        finally:
+            svc.close()
+
+    def test_append_during_planning_yields_a_consistent_plan(
+        self, small_points, monkeypatch
+    ):
+        from repro.serve.registry import DatasetEntry
+
+        svc = _plan_service(small_points)
+        try:
+            entry = svc.registry.get("crime")
+            real_snapshot = DatasetEntry.snapshot
+            appended = []
+
+            def snapshot_then_append(self, zoom):
+                taken = real_snapshot(self, zoom)
+                if not appended:
+                    appended.append(svc.append_points("crime", small_points[:30] + 0.01))
+                return taken
+
+            monkeypatch.setattr(DatasetEntry, "snapshot", snapshot_then_append)
+            plan = svc.plan_tile("crime", 1, 0, 0)
+            # Labelled and rendered as the version it was planned from...
+            assert appended and entry.version == 2
+            assert plan.versioned_id == "crime@v1"
+            assert plan.renderer is not entry.renderer
+            assert plan.renderer.points.shape[0] == small_points.shape[0]
+            assert plan.resolved.gamma == plan.renderer.gamma  # lint: allow-float-eq -- same renderer
+            # ...and not kept, since the append already dropped v1's plans.
+            assert len(svc._plans) == 0
+            current = svc.plan_tile("crime", 1, 0, 0)
+            assert current.versioned_id == "crime@v2"
+            assert current.renderer is entry.renderer
+        finally:
+            svc.close()
+
+    def test_concurrent_planning_across_appends_is_self_consistent(self, small_points):
+        import sys
+
+        svc = _plan_service(small_points)
+        tiles = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
+        extra, appends = 20, 4
+        plans = []
+        failures = []
+        stop = threading.Event()
+
+        def planner():
+            try:
+                while not stop.is_set():
+                    for tile in tiles:
+                        plans.append(svc.plan_tile("crime", *tile))
+            except Exception as error:
+                failures.append(error)
+
+        def appender():
+            try:
+                for __ in range(appends):
+                    svc.append_points("crime", small_points[:extra] + 0.01)
+            finally:
+                stop.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=planner) for __ in range(4)]
+            threads.append(threading.Thread(target=appender))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not failures
+            keys = {}
+            for plan in plans:
+                version = int(plan.versioned_id.rsplit("@v", 1)[1])
+                n_points = small_points.shape[0] + (version - 1) * extra
+                assert plan.renderer.points.shape[0] == n_points
+                assert plan.resolved.gamma == plan.renderer.gamma  # lint: allow-float-eq -- same renderer
+                keys.setdefault((plan.tile, version), set()).add(plan.png_key)
+            assert all(len(found) == 1 for found in keys.values())
+            assert len({version for __, version in keys}) >= 2
+            final = svc.plan_tile("crime", 1, 0, 0)
+            assert final.versioned_id == f"crime@v{appends + 1}"
+            assert final.renderer is svc.registry.get("crime").renderer
+        finally:
+            svc.close()
 
 
 def _request_bookkeeping(svc):

@@ -10,7 +10,9 @@ the four z=1 tiles) twice over HTTP, and asserts:
 * second-pass bytes are identical to the first pass, tile for tile;
 * the warm pass is at least MIN_SPEEDUP x faster than the cold pass
   (the multi-level cache actually short-circuits the render);
-* the /stats counters agree with what was observed on the wire.
+* the /stats counters agree with what was observed on the wire;
+* every warm hit reused its cold request's plan (``tiles.plans_reused``
+  equals the warm hits), so a change that silently re-plans fails.
 
 ``--chaos`` mode — self-healing under worker loss. Boots the service
 with a supervised process pool, renders a fault-free baseline, then
@@ -137,6 +139,11 @@ async def _run_cache() -> None:
         )
     if counters.get("tile_cache.png.hits", 0) < warm_hits:
         _fail("png cache hit counter disagrees with observed X-Cache headers")
+    if counters.get("tiles.plans_reused", 0) != warm_hits:
+        _fail(
+            f"tiles.plans_reused is {counters.get('tiles.plans_reused', 0)}, "
+            f"expected one reused plan per warm hit ({warm_hits})"
+        )
     print("serve_smoke: counters agree:", json.dumps(
         {k: v for k, v in sorted(counters.items()) if k.startswith("tiles.")}
     ))
