@@ -47,9 +47,9 @@ import numpy as np
 from repro.errors import InvalidParameterError
 
 if TYPE_CHECKING:
-    from repro._types import FloatArray, PointLike
+    from repro._types import FloatArray, IntArray, PointLike
 
-__all__ = ["NodeAggregates"]
+__all__ = ["NodeAggregates", "segment_aggregates"]
 
 
 class NodeAggregates:
@@ -59,7 +59,9 @@ class NodeAggregates:
     (uniform weight 1 when none are given) — the form needed to support
     re-weighted samples, the paper's footnote 5. The bound formulas all
     generalise by substituting the total weight ``W = sum(w_i)`` for the
-    point count, which :attr:`total_weight` carries.
+    point count, which :attr:`total_weight` carries. A node whose
+    weights are all zero has ``W = 0`` and zero moments about its
+    unweighted centroid; every bound provider bounds it by ``(0, 0)``.
 
     Attributes
     ----------
@@ -131,7 +133,7 @@ class NodeAggregates:
             Point array.
         weights:
             Optional non-negative per-point weights ``(n,)``; ``None``
-            means uniform weight 1.
+            means uniform weight 1. They may all be zero.
         """
         points = np.asarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] < 1:
@@ -155,9 +157,12 @@ class NodeAggregates:
             if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
                 raise InvalidParameterError("weights must be finite and >= 0")
             total_weight = float(weights.sum())
-            if total_weight <= 0.0:
-                raise InvalidParameterError("weights must not all be zero")
-            center = (points * weights[:, None]).sum(axis=0) / total_weight
+            if total_weight > 0.0:
+                center = (points * weights[:, None]).sum(axis=0) / total_weight
+            else:
+                # Only zero-weight points: every moment is exactly zero,
+                # taken about the unweighted centroid (finite, unlike 0/0).
+                center = points.mean(axis=0)
             centred = points - center
             sq_norms = np.einsum("ij,ij->i", centred, centred)
             a = (centred * weights[:, None]).sum(axis=0)
@@ -248,10 +253,14 @@ class NodeAggregates:
             raise InvalidParameterError("cannot merge aggregates of different dims")
         total = left.n + right.n
         weight_total = left.total_weight + right.total_weight
-        center = [
-            (left.total_weight * cl + right.total_weight * cr) / weight_total
-            for cl, cr in zip(left.center, right.center)
-        ]
+        # Two zero-weight sides merge about their unweighted centroid,
+        # as from_points centres a zero-weight node.
+        wl, wr, scale = (
+            (left.total_weight, right.total_weight, weight_total)
+            if weight_total > 0.0
+            else (left.n, right.n, total)
+        )
+        center = [(wl * cl + wr * cr) / scale for cl, cr in zip(left.center, right.center)]
         left = left.recentered(center)
         right = right.recentered(center)
         return cls(
@@ -434,3 +443,56 @@ class NodeAggregates:
 
     def __repr__(self) -> str:
         return f"NodeAggregates(n={self.n}, dims={self.dims})"
+
+
+def segment_aggregates(
+    columns: FloatArray, weights: FloatArray | None, counts: IntArray
+) -> dict[str, np.ndarray]:
+    """:meth:`NodeAggregates.from_points` of many nodes at once.
+
+    ``columns`` is a ``(d, m)`` array whose row ``j`` holds coordinate
+    ``j`` of the nodes' members, node after node, ``counts[k] >= 1`` of
+    them for node ``k``; ``weights`` (or ``None``) is aligned with the
+    members. Every node's moments are summed from its own members about
+    its own centroid, as ``from_points`` does, so the two agree to
+    rounding; only the summation order differs. Returns one array per
+    field with one row per node: ``agg_n``, ``agg_tw``, ``agg_center``,
+    ``agg_a``, ``agg_b``, ``agg_v``, ``agg_h`` and ``agg_c`` (the
+    row-major ``d x d`` matrix, exactly symmetric).
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    firsts = np.cumsum(counts) - counts
+    add = np.add.reduceat
+    if weights is None:
+        total_weight = counts.astype(np.float64)
+        center = add(columns, firsts, axis=1) / total_weight
+    else:
+        total_weight = add(weights, firsts)
+        empty = total_weight <= 0.0
+        center = add(columns * weights, firsts, axis=1)
+        center /= np.where(empty, 1.0, total_weight)
+        if empty.any():
+            # Zero-weight nodes: the unweighted centroid, as in from_points.
+            center[:, empty] = add(columns, firsts, axis=1)[:, empty] / counts[empty]
+    centred = columns - np.repeat(center, counts, axis=1)
+    sq_norms = np.einsum("ij,ij->j", centred, centred)
+    if weights is None:
+        w_centred, w_sq = centred, sq_norms
+    else:
+        w_centred = centred * weights
+        w_sq = sq_norms * weights
+    dims = columns.shape[0]
+    moment_c = np.empty((counts.shape[0], dims, dims), dtype=np.float64)
+    for i in range(dims):
+        for j in range(i, dims):
+            moment_c[:, i, j] = moment_c[:, j, i] = add(w_centred[i] * centred[j], firsts)
+    return {
+        "agg_n": counts,
+        "agg_tw": total_weight,
+        "agg_center": center.T,
+        "agg_a": add(w_centred, firsts, axis=1).T,
+        "agg_b": add(w_sq, firsts),
+        "agg_v": add(w_centred * sq_norms, firsts, axis=1).T,
+        "agg_h": add(w_sq * sq_norms, firsts),
+        "agg_c": moment_c.reshape(counts.shape[0], dims * dims),
+    }

@@ -27,7 +27,8 @@ class Rectangle:
     """An axis-aligned rectangle ``[low_j, high_j]`` per dimension ``j``.
 
     Instances are immutable in spirit: the bound arrays are copied on
-    construction and never mutated afterwards.
+    construction (or, from :meth:`trusted`, are read-only views) and
+    never mutated afterwards.
     """
 
     __slots__ = ("low", "high", "_low_list", "_high_list", "dims")
@@ -53,12 +54,26 @@ class Rectangle:
         self.dims = low.shape[0]
 
     @classmethod
-    def of_points(cls, points: PointLike) -> Rectangle:
-        """The minimum bounding rectangle of an ``(n, d)`` point array."""
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[0] < 1:
-            raise InvalidParameterError("points must be a non-empty (n, d) array")
-        return cls(points.min(axis=0), points.max(axis=0))
+    def trusted(
+        cls,
+        low: FloatArray,
+        high: FloatArray,
+        low_list: list[float],
+        high_list: list[float],
+    ) -> Rectangle:
+        """A rectangle over valid, read-only bounds, neither checked nor copied.
+
+        ``low_list``/``high_list`` are the bounds as plain floats. The
+        kd-tree makes its node rectangles this way, over rows of its
+        read-only ``rect_low``/``rect_high`` arrays.
+        """
+        rect = cls.__new__(cls)
+        rect.low = low
+        rect.high = high
+        rect._low_list = low_list
+        rect._high_list = high_list
+        rect.dims = len(low_list)
+        return rect
 
     def contains(self, point: PointLike) -> bool:
         """Whether ``point`` lies inside (or on the boundary of) the box."""

@@ -3,20 +3,23 @@
 The process-pool tile executor needs every worker to refine against the
 *same* fitted index without pickling the node graph per task (the tree
 for a few million points is tens of MB, and a per-task copy would erase
-the parallelism win). This module serialises a
-:class:`~repro.index.kdtree.KDTree` into a structure-of-arrays layout —
-one array per node field, indexed by the dense preorder ``node_id`` —
-copies the arrays into a single :class:`multiprocessing.shared_memory`
-segment, and rebuilds a faithful :class:`SharedKDTree` from views on the
-attaching side. One publication feeds N workers.
+the parallelism win). A :class:`~repro.index.kdtree.KDTree` already
+lives in a structure-of-arrays layout (its ``arrays``, one array per
+node field, indexed by the dense preorder ``node_id``).
+:func:`publish_tree` copies those arrays into a single
+:class:`multiprocessing.shared_memory` segment, and :func:`attach_tree`
+makes a :class:`SharedKDTree` over views of it, with the node-building
+routine the source tree used
+(:func:`~repro.index.kdtree.nodes_from_arrays`). One publication feeds
+N workers.
 
 Fidelity guarantees (what makes cross-process results trustworthy):
 
-* every float crosses as its exact float64 bit pattern — rectangles,
-  moments and leaf points in the attached tree are bit-identical to the
-  source tree, so bound evaluations agree bit-for-bit with the parent;
+* both trees are made by one routine from bit-identical arrays, so
+  rectangles, moments and leaf points agree bit for bit, and so do
+  bound evaluations;
 * node identity (``node_id``), depths and the left-before-right
-  topology are preserved, so preorder walks — including the canonical
+  topology are the same, so preorder walks — including the canonical
   τ re-decision path :func:`~repro.core.engine.exhausted_exact` — visit
   leaves in the same order and sum in the same order;
 * leaf ``points``/``sq_norms``/``indices``/``weights`` are zero-copy
@@ -35,15 +38,13 @@ path immediately unregisters to keep ownership with the publisher.
 from __future__ import annotations
 
 from multiprocessing import resource_tracker, shared_memory
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any
 import weakref
 
 import numpy as np
 
-from repro.core.aggregates import NodeAggregates
 from repro.errors import InvalidParameterError
-from repro.index.kdtree import KDTree, KDTreeNode
-from repro.index.rectangle import Rectangle
+from repro.index.kdtree import KDTree
 
 if TYPE_CHECKING:
     from repro._types import FloatArray
@@ -66,108 +67,22 @@ def _aligned(offset: int) -> int:
 
 
 def pack_tree(tree: KDTree) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    """Flatten a kd-tree into named arrays plus a scalar manifest.
+    """A kd-tree's own arrays (:attr:`KDTree.arrays`) plus a scalar manifest.
 
-    Arrays are indexed by the dense preorder ``node_id``; leaf payloads
-    are concatenated in preorder with per-node ``(start, count)``
-    cursors. The output of this function is what :func:`publish_tree`
-    copies into shared memory, and what :class:`SharedKDTree` rebuilds
-    from — ``attach_tree(publish_tree(t).meta)`` round-trips exactly.
+    The arrays are what :func:`publish_tree` copies into shared memory
+    and what :class:`SharedKDTree` makes its nodes from, so
+    ``attach_tree(publish_tree(t).meta)`` round-trips exactly.
     """
     if not isinstance(tree, KDTree):
         raise InvalidParameterError(
             f"only KDTree supports shared-memory publication, got {type(tree).__name__}"
         )
-    n_nodes = tree.num_nodes
-    dims = tree.dims
-    has_weights = tree.weights is not None
-
-    left = np.full(n_nodes, -1, dtype=np.int64)
-    right = np.full(n_nodes, -1, dtype=np.int64)
-    depth = np.zeros(n_nodes, dtype=np.int64)
-    rect_low = np.zeros((n_nodes, dims), dtype=np.float64)
-    rect_high = np.zeros((n_nodes, dims), dtype=np.float64)
-    agg_n = np.zeros(n_nodes, dtype=np.int64)
-    agg_tw = np.zeros(n_nodes, dtype=np.float64)
-    agg_center = np.zeros((n_nodes, dims), dtype=np.float64)
-    agg_a = np.zeros((n_nodes, dims), dtype=np.float64)
-    agg_b = np.zeros(n_nodes, dtype=np.float64)
-    agg_v = np.zeros((n_nodes, dims), dtype=np.float64)
-    agg_h = np.zeros(n_nodes, dtype=np.float64)
-    agg_c = np.zeros((n_nodes, dims * dims), dtype=np.float64)
-    leaf_start = np.full(n_nodes, -1, dtype=np.int64)
-    leaf_count = np.zeros(n_nodes, dtype=np.int64)
-
-    leaf_points: list[np.ndarray] = []
-    leaf_sq_norms: list[np.ndarray] = []
-    leaf_indices: list[np.ndarray] = []
-    leaf_weights: list[np.ndarray] = []
-    cursor = 0
-    for node in tree.nodes():
-        i = node.node_id
-        depth[i] = node.depth
-        rect_low[i] = node.rect.low
-        rect_high[i] = node.rect.high
-        agg = node.agg
-        agg_n[i] = agg.n
-        agg_tw[i] = agg.total_weight
-        agg_center[i] = agg.center
-        agg_a[i] = agg.a
-        agg_b[i] = agg.b
-        agg_v[i] = agg.v
-        agg_h[i] = agg.h
-        agg_c[i] = agg.c
-        if node.is_leaf:
-            count = node.points.shape[0]
-            leaf_start[i] = cursor
-            leaf_count[i] = count
-            cursor += count
-            leaf_points.append(node.points)
-            leaf_sq_norms.append(node.sq_norms)
-            leaf_indices.append(np.asarray(node.indices, dtype=np.int64))
-            if has_weights:
-                leaf_weights.append(np.asarray(node.weights, dtype=np.float64))
-        else:
-            left[i] = node.left.node_id
-            right[i] = node.right.node_id
-
-    arrays: dict[str, np.ndarray] = {
-        "left": left,
-        "right": right,
-        "depth": depth,
-        "rect_low": rect_low,
-        "rect_high": rect_high,
-        "agg_n": agg_n,
-        "agg_tw": agg_tw,
-        "agg_center": agg_center,
-        "agg_a": agg_a,
-        "agg_b": agg_b,
-        "agg_v": agg_v,
-        "agg_h": agg_h,
-        "agg_c": agg_c,
-        "leaf_start": leaf_start,
-        "leaf_count": leaf_count,
-        "leaf_points": np.concatenate(leaf_points, axis=0)
-        if leaf_points
-        else np.zeros((0, dims), dtype=np.float64),
-        "leaf_sq_norms": np.concatenate(leaf_sq_norms)
-        if leaf_sq_norms
-        else np.zeros(0, dtype=np.float64),
-        "leaf_indices": np.concatenate(leaf_indices)
-        if leaf_indices
-        else np.zeros(0, dtype=np.int64),
-    }
-    if has_weights:
-        arrays["leaf_weights"] = np.concatenate(leaf_weights)
     scalars: dict[str, Any] = {
         "n_points": tree.n_points,
-        "dims": dims,
+        "dims": tree.dims,
         "leaf_size": tree.leaf_size,
-        "num_nodes": n_nodes,
-        "num_leaves": tree.num_leaves,
-        "has_weights": has_weights,
     }
-    return arrays, scalars
+    return tree.arrays, scalars
 
 
 class SharedTreeHandle:
@@ -221,7 +136,7 @@ def _release_segment(shm: shared_memory.SharedMemory) -> None:
 
 
 def publish_tree(tree: KDTree) -> SharedTreeHandle:
-    """Copy a packed tree into one shared-memory segment.
+    """Copy a tree's arrays (:func:`pack_tree`) into one shared-memory segment.
 
     Returns the owning :class:`SharedTreeHandle`; pass ``handle.meta``
     to worker processes and call :func:`attach_tree` there.
@@ -242,14 +157,15 @@ def publish_tree(tree: KDTree) -> SharedTreeHandle:
     return SharedTreeHandle(shm, meta)
 
 
-class SharedKDTree:
-    """A kd-tree reconstructed from a shared-memory segment.
+class SharedKDTree(KDTree):
+    """A kd-tree over the arrays of a shared-memory segment.
 
-    Quacks like :class:`~repro.index.kdtree.KDTree` for everything the
-    refinement engines touch: ``root``, ``nodes()``, ``leaves()``,
-    ``height()`` and the size attributes. Node rectangles and aggregates
-    are exact float-for-float copies; leaf payload arrays are read-only
-    views into the segment. Obtain instances via :func:`attach_tree`.
+    A :class:`~repro.index.kdtree.KDTree` whose :attr:`arrays` are
+    read-only views into the segment, with nodes made by the same
+    routine as the published tree's. ``points`` and ``weights`` are
+    the leaf-ordered ``leaf_points`` and ``leaf_weights`` (dataset rows
+    in ``arrays["leaf_indices"]``). Obtain instances via
+    :func:`attach_tree`.
     """
 
     def __init__(self, meta: dict[str, Any], shm: shared_memory.SharedMemory) -> None:
@@ -258,98 +174,28 @@ class SharedKDTree:
         self.n_points = int(scalars["n_points"])
         self.dims = int(scalars["dims"])
         self.leaf_size = int(scalars["leaf_size"])
-        self._node_count = int(scalars["num_nodes"])
-        self._leaf_count = int(scalars["num_leaves"])
-        has_weights = bool(scalars["has_weights"])
-        views: dict[str, np.ndarray] = {}
-        for name, dtype, shape, offset in meta["manifest"]:
-            view = np.ndarray(tuple(shape), dtype=dtype, buffer=shm.buf, offset=offset)
-            view.flags.writeable = False
-            views[name] = view
+        views = {
+            name: np.ndarray(tuple(shape), dtype=dtype, buffer=shm.buf, offset=offset)
+            for name, dtype, shape, offset in meta["manifest"]
+        }
+        self.points = views["leaf_points"]
         self.weights: FloatArray | None = views.get("leaf_weights")
-        self.root = self._rebuild(views, has_weights)
-
-    def _rebuild(self, views: dict[str, np.ndarray], has_weights: bool) -> KDTreeNode:
-        left = views["left"]
-        right = views["right"]
-        depth = views["depth"]
-        rect_low = views["rect_low"]
-        rect_high = views["rect_high"]
-        dims = self.dims
-        nodes: list[KDTreeNode] = []
-        for i in range(self._node_count):
-            # Rectangle copies its inputs (tiny, d floats) — exact values.
-            rect = Rectangle(rect_low[i], rect_high[i])
-            agg = NodeAggregates(
-                n=int(views["agg_n"][i]),
-                center=views["agg_center"][i].tolist(),
-                a=views["agg_a"][i].tolist(),
-                b=float(views["agg_b"][i]),
-                v=views["agg_v"][i].tolist(),
-                h=float(views["agg_h"][i]),
-                c=views["agg_c"][i].tolist(),
-                dims=dims,
-                total_weight=float(views["agg_tw"][i]),
-            )
-            node = KDTreeNode(rect=rect, agg=agg, depth=int(depth[i]), node_id=i)
-            if left[i] < 0:
-                start = int(views["leaf_start"][i])
-                stop = start + int(views["leaf_count"][i])
-                node.points = views["leaf_points"][start:stop]
-                node.sq_norms = views["leaf_sq_norms"][start:stop]
-                node.indices = views["leaf_indices"][start:stop]
-                if has_weights:
-                    node.weights = views["leaf_weights"][start:stop]
-            nodes.append(node)
-        for i in range(self._node_count):
-            if left[i] >= 0:
-                nodes[i].left = nodes[int(left[i])]
-                nodes[i].right = nodes[int(right[i])]
-        return nodes[0]
-
-    @property
-    def num_nodes(self) -> int:
-        return self._node_count
-
-    @property
-    def num_leaves(self) -> int:
-        return self._leaf_count
-
-    def nodes(self) -> Iterator[KDTreeNode]:
-        """Yield every node in preorder (matches ``KDTree.nodes``)."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-
-    def leaves(self) -> Iterator[KDTreeNode]:
-        for node in self.nodes():
-            if node.is_leaf:
-                yield node
-
-    def height(self) -> int:
-        return max(node.depth for node in self.nodes())
+        self._adopt(views)
 
     def close(self) -> None:
         """Unmap the segment (attacher side; never unlinks).
 
-        Drops the node graph first so no numpy view pins the buffer —
-        callers must likewise have released any arrays they took from
-        the tree, or the underlying ``memoryview`` raises
+        Drops the node graph and every view first so nothing pins the
+        buffer — callers must likewise have released any arrays they
+        took from the tree, or the underlying ``memoryview`` raises
         :class:`BufferError`.
         """
         self.root = None  # type: ignore[assignment]
+        self._nodes = []
+        self.arrays = {}
+        self.points = None  # type: ignore[assignment]
         self.weights = None
         self._shm.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedKDTree(n={self.n_points}, dims={self.dims}, "
-            f"leaf_size={self.leaf_size}, nodes={self.num_nodes})"
-        )
 
 
 def attach_tree(meta: dict[str, Any]) -> SharedKDTree:

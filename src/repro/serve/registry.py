@@ -234,32 +234,39 @@ class DatasetEntry:
             return [self.dataset_id]
         return [f"{self.dataset_id}#s{index}" for index in range(self.shards)]
 
-    def _probe_method(self) -> IndexedMethod:
+    def _probe_method(self, renderer: KDVRenderer) -> IndexedMethod:
         """The fitted method whose exact tree the colour probe refines.
 
-        The serving method, or :data:`PROBE_METHOD` when the serving
-        method has no index. Fits it on first use: call under the
-        entry lock (:meth:`warm` does, so requests find it fitted).
+        The serving method of ``renderer`` (an exact renderer of this
+        entry), or :data:`PROBE_METHOD` when the serving method has no
+        index. Fits it on first use: call under the entry lock
+        (:meth:`warm` does, so requests find it fitted).
         """
-        fitted = self.renderer.get_method(self.method)
+        fitted = renderer.get_method(self.method)
         if not isinstance(fitted, IndexedMethod):
-            fitted = self.renderer.get_method(PROBE_METHOD)
+            fitted = renderer.get_method(PROBE_METHOD)
         assert isinstance(fitted, IndexedMethod)
         return fitted
 
-    def coarse_density(self, centers: "FloatArray") -> "FloatArray":
+    def coarse_density(
+        self, centers: "FloatArray", renderer: Optional[KDVRenderer] = None
+    ) -> "FloatArray":
         """Upper bounds of the exact density at ``centers`` — the colour probe.
 
         Refines the exact tree of :meth:`_probe_method` to ε =
         :data:`PROBE_EPS` in this process and returns each pixel's upper
         bound: never below the exact density and within
         ``1 + PROBE_EPS`` of it, so its peak is a colour ceiling no
-        probed pixel exceeds. The probe's work is merged into the
-        method's ``stats``.
+        probed pixel exceeds. ``renderer`` is the exact renderer of the
+        version to probe (one from :meth:`snapshot`); by default the
+        current one. The probe's work is merged into the method's
+        ``stats``.
         """
         with self._lock:
-            weight = float(self.renderer.weight)
-            fitted = self._probe_method()
+            if renderer is None:
+                renderer = self.renderer
+            weight = float(renderer.weight)
+            fitted = self._probe_method(renderer)
         stats = QueryStats()
         # The atol every served ε tile resolves to (RenderRequest.resolve).
         __, upper = fitted.make_batch_engine(stats).query_eps_bounds(
@@ -299,7 +306,7 @@ class DatasetEntry:
             self.renderer.get_method(name)
             for tier in self._coreset_tiers.values():
                 tier.renderer.get_method(name)
-            self._probe_method()
+            self._probe_method(self.renderer)
             for fitted in self._pooled_methods():
                 fitted.pool_owner = self.process_executor
 

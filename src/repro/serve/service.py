@@ -146,7 +146,9 @@ class TilePlan:
     entry's exact renderer, or a per-zoom coreset tier's renderer when
     the tile's zoom routes below the entry's ``coreset_zoom`` threshold
     (in which case ``resolved.tier`` carries the tier tag and
-    ``tier_delta_z`` the folded error bound).
+    ``tier_delta_z`` the folded error bound). ``exact_renderer`` is the
+    exact renderer of the same ``version``, whose tree fixes the colour
+    range, whatever the tile's tier.
 
     ``shards`` is the entry's shard count and ``home_shard`` the tile's
     rendezvous-hashed bucket, whose circuit breaker (``breaker_id``)
@@ -159,6 +161,7 @@ class TilePlan:
     """
 
     entry: DatasetEntry
+    version: int
     versioned_id: str
     tile: Tuple[int, int, int]
     resolved: RenderRequest
@@ -166,6 +169,7 @@ class TilePlan:
     deadline_ms: Optional[float]
     indexed: bool
     renderer: "KDVRenderer"
+    exact_renderer: "KDVRenderer"
     tier_delta_z: Optional[float] = None
     shards: int = 1
     home_shard: int = 0
@@ -378,7 +382,8 @@ class TileService:
             self.metrics.counter("tiles.plans_reused").add(1)
             return copy.copy(memoized)
         z, x, y = validate_tile(z, x, y, max_zoom=self.config.render.max_zoom)
-        version, renderer, tier = entry.snapshot(z)
+        version, exact_renderer, tier = entry.snapshot(z)
+        renderer = exact_renderer
         grid = tile_grid(entry.base_grid, z, x, y, self.config.render.tile_px)
         method_name = str(method if method is not None else entry.method).lower()
         colormap_name = str(
@@ -440,6 +445,7 @@ class TileService:
         )
         plan = TilePlan(
             entry=entry,
+            version=version,
             versioned_id=f"{entry.dataset_id}@v{version}",
             tile=(z, x, y),
             resolved=resolved,
@@ -449,6 +455,7 @@ class TileService:
             ),
             indexed=indexed,
             renderer=renderer,
+            exact_renderer=exact_renderer,
             tier_delta_z=tier_delta_z,
             shards=shards,
             home_shard=home_shard,
@@ -468,6 +475,15 @@ class TileService:
             return self.registry.get(entry.dataset_id) is entry and entry.version == version
         except DatasetNotFoundError:
             return False
+
+    def _storable(self, plan: TilePlan) -> bool:
+        """Whether what ``plan`` computes may be cached.
+
+        A plan made before an append (or a removal) still renders, and
+        its bytes are right for its version, but no later request asks
+        for that version: nothing of it is kept.
+        """
+        return self._is_current(plan.entry, plan.version)
 
     # -- serving ------------------------------------------------------------
 
@@ -678,7 +694,8 @@ class TileService:
             values = self.cache.get_density(plan.density_key)
             if values is None:
                 values = self._compute_values(plan)
-                self.cache.put_density(plan.density_key, values)
+                if self._storable(plan):
+                    self.cache.put_density(plan.density_key, values)
             data = self._encode(plan, values)
         except (DeadlineExceededError, InvalidParameterError, UnknownNameError,
                 UnsupportedKernelError, UnsupportedOperationError):
@@ -687,7 +704,8 @@ class TileService:
             self._breaker(plan.breaker_id).record_failure()
             raise
         self._breaker(plan.breaker_id).record_success()
-        self.cache.put_png(plan.png_key, data)
+        if self._storable(plan):
+            self.cache.put_png(plan.png_key, data)
         self.metrics.counter("tiles.renders").add(1)
         self.metrics.histogram("tiles.render_s", DEFAULT_SECONDS_BOUNDS).observe(
             time.perf_counter() - start
@@ -718,7 +736,8 @@ class TileService:
             fitted = plan.renderer.get_method(resolved.method)
             assert isinstance(fitted, IndexedMethod) and fitted.batch_engine is not None
             envelope = fitted.batch_engine.root_envelope(grid.centers())
-            self.cache.put_bounds(plan.bounds_key, envelope)
+            if self._storable(plan):
+                self.cache.put_bounds(plan.bounds_key, envelope)
         lower, upper = envelope
         if bool(stopping.tau_settled_mask(lower, upper, tau).all()):
             self.metrics.counter("tiles.bounds_shortcircuit").add(1)
@@ -776,7 +795,8 @@ class TileService:
         upper = np.asarray(outcome.upper).reshape(-1)  # type: ignore[union-attr]
         held = envelope if envelope is not None else self.cache.get_bounds(plan.bounds_key)
         if held is None:
-            self.cache.put_bounds(plan.bounds_key, (lower, upper))
+            if self._storable(plan):
+                self.cache.put_bounds(plan.bounds_key, (lower, upper))
         else:
             np.maximum(held[0], lower, out=held[0])
             np.minimum(held[1], upper, out=held[1])
@@ -787,42 +807,48 @@ class TileService:
         if plan.op == OP_TAU:
             rgb = two_color_map(values.astype(bool))
         else:
-            vmax = self._entry_vmax(plan.entry)
+            vmax = self._entry_vmax(plan)
             rgb = get_colormap(plan.colormap).apply(
                 values, vmin=0.0, vmax=vmax, log_scale=True
             )
         return png_bytes(rgb)
 
-    def _entry_vmax(self, entry: DatasetEntry) -> float:
-        """Colour normalisation ceiling for one dataset version.
+    def _entry_vmax(self, plan: TilePlan) -> float:
+        """Colour normalisation ceiling of the plan's dataset version.
 
         The peak upper bound of a coarse density probe over the base
         viewport (:meth:`~repro.serve.registry.DatasetEntry.coarse_density`)
-        — one shared range per dataset version, so adjacent tiles (and
-        zoom levels) colour consistently instead of each tile
-        normalising to its own maximum. Cached per versioned id;
-        deterministic, so every server instance agrees on tile bytes.
-        Concurrent first requests share one probe (single-flight per
-        versioned id).
+        of that version's exact tree — one shared range per dataset
+        version, so adjacent tiles (and zoom levels) colour consistently
+        instead of each tile normalising to its own maximum. Cached per
+        versioned id while the version is current; deterministic, so
+        every server instance agrees on tile bytes. Concurrent first
+        requests share one probe (single-flight per versioned id).
         """
-        key = entry.versioned_id()
-        vmax, __ = self._vmax_flight.do(key, lambda: self._probe_vmax(entry, key))
+        key = plan.versioned_id
+        vmax, __ = self._vmax_flight.do(key, lambda: self._probe_vmax(plan))
         return vmax
 
-    def _probe_vmax(self, entry: DatasetEntry, key: str) -> float:
-        """The cached range for ``key``, probing and caching it on a miss."""
+    def _probe_vmax(self, plan: TilePlan) -> float:
+        """The cached range of ``plan``'s version, probing on a miss."""
+        key = plan.versioned_id
         with self._vmax_lock:
             cached = self._vmax.get(key)
         if cached is not None:
             return cached
-        base = entry.base_grid
+        base = plan.entry.base_grid
         coarse = base.scaled(_VMAX_GRID_WIDTH / float(base.width))
-        values = np.asarray(entry.coarse_density(coarse.centers()))
+        values = np.asarray(
+            plan.entry.coarse_density(coarse.centers(), plan.exact_renderer)
+        )
         vmax = float(values.max()) if values.size else 1.0
         if vmax <= 0.0:
             vmax = 1.0
         with self._vmax_lock:
-            self._vmax[key] = vmax
+            # Under the lock an append's invalidation sweep either ran
+            # already (so the version is stale here) or runs after.
+            if self._storable(plan):
+                self._vmax[key] = vmax
         return vmax
 
     # -- dataset lifecycle ---------------------------------------------------

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.contracts.runtime import checking
 from repro.core.backends import ComputeBackend
@@ -28,6 +29,7 @@ from repro.visual.executors import ProcessTileExecutor, TileJob
 from repro.visual.grid import PixelGrid
 from repro.visual.kdv import KDVRenderer
 from repro.visual.request import RenderOptions, RenderRequest
+from tests.test_kdtree import build_inputs
 
 
 def make_points(n=80, seed=0):
@@ -61,6 +63,37 @@ def test_publish_attach_round_trip():
                 if ours.is_leaf:
                     np.testing.assert_array_equal(ours.points, theirs.points)
                     np.testing.assert_array_equal(ours.weights, theirs.weights)
+        finally:
+            clone.close()
+    finally:
+        handle.close()
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(build_inputs())
+def test_attached_tree_has_the_published_arrays_bit_for_bit(inputs):
+    points, leaf_size, weights = inputs
+    tree = KDTree(points, leaf_size=leaf_size, weights=weights)
+    handle = publish_tree(tree)
+    try:
+        clone = attach_tree(handle.meta)
+        try:
+            assert list(clone.arrays) == list(tree.arrays)
+            for name, array in tree.arrays.items():
+                assert clone.arrays[name].dtype == array.dtype
+                np.testing.assert_array_equal(clone.arrays[name], array)
+            for ours, theirs in zip(tree.nodes(), clone.nodes(), strict=True):
+                assert (ours.node_id, ours.depth, ours.size) == (
+                    theirs.node_id, theirs.depth, theirs.size
+                )
+                assert ours.agg.total_weight == theirs.agg.total_weight
+                for field in ("center", "a", "b", "v", "h", "c"):
+                    assert getattr(ours.agg, field) == getattr(theirs.agg, field)
+                if ours.is_leaf:
+                    np.testing.assert_array_equal(ours.indices, theirs.indices)
+                else:
+                    assert ours.left.node_id == theirs.left.node_id
+                    assert ours.right.node_id == theirs.right.node_id
         finally:
             clone.close()
     finally:

@@ -9,12 +9,6 @@ from repro.index.rectangle import Rectangle
 
 
 class TestConstruction:
-    def test_of_points_covers_all(self):
-        points = np.array([[0.0, 3.0], [2.0, -1.0], [1.0, 1.0]])
-        rect = Rectangle.of_points(points)
-        np.testing.assert_array_equal(rect.low, [0.0, -1.0])
-        np.testing.assert_array_equal(rect.high, [2.0, 3.0])
-
     def test_rejects_low_above_high(self):
         with pytest.raises(InvalidParameterError):
             Rectangle([1.0, 0.0], [0.0, 1.0])

@@ -314,20 +314,20 @@ class TestTileService:
             probe_lock = threading.Lock()
             original = DatasetEntry.coarse_density
 
-            def slow_probe(entry, centers):
+            def slow_probe(entry, centers, renderer):
                 with probe_lock:
                     probes.append(entry.versioned_id())
                 # Hold the probe open long enough that the second first
                 # tile arrives while it runs.
                 threading.Event().wait(0.3)
-                return original(entry, centers)
+                return original(entry, centers, renderer)
 
             monkeypatch.setattr(DatasetEntry, "coarse_density", slow_probe)
             used = []
             entry_vmax = svc._entry_vmax
 
-            def recording_vmax(entry):
-                value = entry_vmax(entry)
+            def recording_vmax(plan):
+                value = entry_vmax(plan)
                 with probe_lock:
                     used.append(value)
                 return value
@@ -398,7 +398,7 @@ class TestTileService:
             # outside the entry lock.
             fitted = dict(entry.renderer._methods)
             assert ("akde" in fitted) == (method == "exact")
-            vmax = svc._entry_vmax(entry)
+            vmax = svc._entry_vmax(svc.plan_tile("crime", 0, 0, 0))
             assert entry.renderer._methods == fitted
             base = entry.base_grid
             coarse = base.scaled(_VMAX_GRID_WIDTH / float(base.width))
@@ -463,9 +463,9 @@ class TestTileService:
             probes = []
             original = DatasetEntry.coarse_density
 
-            def recording_probe(entry, centers):
+            def recording_probe(entry, centers, renderer):
                 probes.append(entry.versioned_id())
-                return original(entry, centers)
+                return original(entry, centers, renderer)
 
             monkeypatch.setattr(DatasetEntry, "coarse_density", recording_probe)
             for tile in [(0, 0, 0), (1, 0, 0), (1, 1, 1)]:
@@ -642,6 +642,32 @@ class TestPlanMemo:
             svc.plan_tile("crime", 2, 3, 1)  # the most recent plan is kept
             assert _reused(svc) == 1
         finally:
+            svc.close()
+
+    @pytest.mark.parametrize("tau", [None, 1e-3], ids=["eps", "tau"])
+    def test_tile_planned_before_an_append_renders_its_own_version(
+        self, small_points, tau
+    ):
+        fresh = _plan_service(small_points)
+        svc = _plan_service(small_points)
+        try:
+            expected = fresh.render_tile(fresh.plan_tile("crime", 1, 0, 0, tau=tau))
+            plan = svc.plan_tile("crime", 1, 0, 0, tau=tau)
+            svc.append_points("crime", small_points[:300] + 0.01)
+            # Coloured with v1's range, as a fresh v1 service colours it...
+            assert svc.render_tile(plan) == expected
+            # ...and kept at no cache level: no later request asks for v1.
+            assert svc.cache.get_png(plan.png_key) is None
+            assert svc.cache.get_density(plan.density_key) is None
+            assert svc.cache.get_bounds(plan.bounds_key) is None
+            assert "crime@v1" not in svc._vmax
+            data, info = svc.get_tile("crime", 1, 0, 0, tau=tau)
+            assert (info["cache"], info["dataset"]) == ("miss", "crime@v2")
+            if tau is None:
+                assert data != expected
+                assert list(svc._vmax) == ["crime@v2"]
+        finally:
+            fresh.close()
             svc.close()
 
     def test_append_during_planning_yields_a_consistent_plan(

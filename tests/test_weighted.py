@@ -10,6 +10,7 @@ from repro.core.kde import KernelDensity
 from repro.errors import InvalidParameterError, UnsupportedOperationError
 from repro.index.balltree import BallTree
 from repro.index.kdtree import KDTree
+from repro.visual.kdv import KDVRenderer
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +57,21 @@ class TestWeightedAggregates:
             NodeAggregates.from_points(points, [1.0])
         with pytest.raises(InvalidParameterError):
             NodeAggregates.from_points(points, [-1.0, 1.0])
-        with pytest.raises(InvalidParameterError):
-            NodeAggregates.from_points(points, [0.0, 0.0])
+
+    def test_zero_weight_node_has_zero_moments(self):
+        points = np.array([[1.0, 2.0], [3.0, -2.0], [5.0, 3.0]])
+        agg = NodeAggregates.from_points(points, [0.0, 0.0, 0.0])
+        assert agg.total_weight == 0.0
+        assert agg.center == [3.0, 1.0]  # the unweighted centroid
+        assert agg.a == agg.v == [0.0, 0.0] and agg.c == [0.0] * 4
+        assert agg.b == agg.h == 0.0
+        assert agg.sum_sq_dists([7.0, 7.0]) == agg.sum_quartic_dists([7.0, 7.0]) == 0.0
+        positive = NodeAggregates.from_points(points, [1.0, 2.0, 0.5])
+        merged = NodeAggregates.merged(agg, agg)
+        assert merged.total_weight == 0.0 and merged.center == [3.0, 1.0]
+        joined = NodeAggregates.merged(agg, positive)
+        assert joined.center == pytest.approx(positive.center)
+        assert joined.total_weight == positive.total_weight
 
     def test_weighted_merge_matches_union(self, weighted_world):
         points, weights = weighted_world
@@ -110,6 +124,54 @@ class TestWeightedTrees:
             KDTree(points, weights=weights[:-1])
         with pytest.raises(InvalidParameterError):
             KDTree(points, weights=-weights)
+
+
+class TestZeroWeightRegions:
+    """Nodes whose weights sum to zero build, bound to (0, 0) and render."""
+
+    @pytest.fixture(scope="class")
+    def masked(self):
+        rng = np.random.default_rng(0)
+        points = rng.normal(size=(5000, 2))
+        return points, np.where(points[:, 0] < -0.5, 0.0, 1.0)
+
+    @pytest.mark.parametrize("tree_cls", [KDTree, BallTree])
+    def test_trees_build_with_zero_weight_nodes(self, tree_cls, masked):
+        points, weights = masked
+        tree = tree_cls(points[:200], leaf_size=8, weights=weights[:200])
+        empty = [node for node in tree.nodes() if node.agg.total_weight == 0.0]
+        assert empty
+        for node in empty:
+            assert node.agg.b == node.agg.h == 0.0
+            assert np.all(np.isfinite(node.agg.center))
+
+    @pytest.fixture(scope="class")
+    def masked_renderer(self, masked):
+        points, weights = masked
+        return KDVRenderer(points, resolution=(32, 24), point_weights=weights)
+
+    @pytest.mark.parametrize("method", ["quad", "karl", "akde"])
+    def test_masked_map_renders_within_eps_of_exact(self, method, masked_renderer):
+        renderer = masked_renderer
+        exact = renderer.render_eps(0.05, "exact")
+        approx = renderer.render_eps(0.05, method)
+        assert np.all(np.abs(approx - exact) <= 0.05 * exact + 1e-9 * renderer.weight)
+
+    @pytest.mark.parametrize("method", ["quad", "karl"])  # aKDE has no tau mode
+    def test_masked_map_tau_mask_equals_exact(self, method, masked_renderer):
+        renderer = masked_renderer
+        levels = np.unique(renderer.render_eps(0.05, "exact"))
+        middle = len(levels) * 6 // 10
+        tau = 0.5 * float(levels[middle] + levels[middle + 1])
+        np.testing.assert_array_equal(
+            renderer.render_tau(tau, method), renderer.render_tau(tau, "exact")
+        )
+
+    def test_all_zero_weights_render_zero(self):
+        points = np.random.default_rng(1).normal(size=(300, 2))
+        renderer = KDVRenderer(points, resolution=(8, 6), point_weights=np.zeros(300))
+        assert not renderer.render_eps(0.05, "quad").any()
+        assert not renderer.render_tau(1e-12, "quad").any()
 
 
 class TestWeightedMethods:

@@ -13,7 +13,9 @@ comparison meaningful:
 
 * every εKDV density (both schedules) lies within ``(1 ± eps)`` of the
   brute-force exact density (up to the renderer's default ``atol``);
-* the τKDV masks of both schedules are identical, pixel for pixel.
+* the τKDV masks of both schedules are identical, pixel for pixel;
+* every kd-tree node's rectangle and aggregates match its members
+  (``index_build``, which also times the build).
 
 The script exits non-zero if any validation fails, so CI can run it as
 a smoke job (``--smoke`` shrinks the workload to seconds).
@@ -288,6 +290,80 @@ def _coreset_pyramid(
     }
 
 
+def _index_build(
+    cases: list[tuple[str, int, int]], *, dataset: str, seed: int, repeats: int = 3
+) -> dict[str, Any]:
+    """Best-of-``repeats`` kd-tree build time per ``(label, n, leaf_size)``.
+
+    Also checks every node of each tree against its members (the dataset
+    rows of its run of leaf slots): the rectangle must equal their
+    min/max exactly, and the aggregates must match
+    ``NodeAggregates.from_points`` on them to float64 rounding. Both sum
+    the same terms in different orders, so a degree-k moment may be off
+    by ``4 m eps`` times the sum of its terms' magnitudes, plus what
+    moving the centre by ``shift = 4 m eps max|p|`` can change.
+    ``index_aggregates_ok`` is the conjunction over all nodes.
+    """
+    import numpy as np
+
+    from repro.core.aggregates import NodeAggregates
+    from repro.data.synthetic import load_dataset
+    from repro.index.kdtree import KDTree
+
+    unit = 4.0 * float(np.finfo(np.float64).eps)
+    results = []
+    all_ok = True
+    for label, n, leaf_size in cases:
+        points = load_dataset(dataset, n=n, seed=seed)
+        tree, seconds = _timed_best(lambda: KDTree(points, leaf_size=leaf_size), repeats)
+        arrays = tree.arrays
+        first_slot = [0] * tree.num_nodes
+        for node in reversed(list(tree.nodes())):
+            first_slot[node.node_id] = (
+                int(arrays["leaf_start"][node.node_id])
+                if node.is_leaf
+                else first_slot[node.left.node_id]
+            )
+        rects_exact = True
+        worst = 0.0  # largest error / tolerance over every aggregate field
+        for node in tree.nodes():
+            start = first_slot[node.node_id]
+            members = points[arrays["leaf_indices"][start : start + node.size]]
+            rects_exact &= bool(
+                np.array_equal(node.rect.low, members.min(axis=0))
+                and np.array_equal(node.rect.high, members.max(axis=0))
+            )
+            ref = NodeAggregates.from_points(members)
+            m = members.shape[0]
+            norms = np.sqrt(((members - np.asarray(ref.center)) ** 2).sum(axis=1))
+            shift = unit * m * float(np.abs(members).max())
+            for field, degree in (("center", 0), ("a", 1), ("b", 2), ("c", 2),
+                                  ("v", 3), ("h", 4)):
+                error = float(np.abs(np.subtract(getattr(node.agg, field),
+                                                 getattr(ref, field))).max())
+                tol = shift if degree == 0 else (
+                    unit * m * float((norms**degree).sum())
+                    + float(((norms + shift) ** degree - norms**degree).sum())
+                )
+                if error > 0.0:
+                    worst = max(worst, error / tol if tol > 0.0 else float("inf"))
+        ok = rects_exact and worst <= 1.0
+        all_ok &= ok
+        print(f"  index build {label:<14s} {seconds:8.3f}s  ({tree.num_nodes} nodes)")
+        results.append({
+            "label": label,
+            "dataset": dataset,
+            "n": n,
+            "leaf_size": leaf_size,
+            "seconds": round(seconds, 6),
+            "nodes": tree.num_nodes,
+            "us_per_node": round(seconds / tree.num_nodes * 1e6, 2),
+            "rectangles_exact": rects_exact,
+            "max_aggregate_error_over_tolerance": round(worst, 6),
+        })
+    return {"repeats": repeats, "trees": results, "index_aggregates_ok": all_ok}
+
+
 def run_benchmark(
     n: int,
     resolution: tuple[int, int],
@@ -377,6 +453,13 @@ def run_benchmark(
 
     parity_section = _coreset_parity(renderer, delta_cap=coreset_delta_cap, seed=seed)
 
+    # The acceptance workload's tree and a cold_explore-sized map
+    # (perfbench's 40k points at the default leaf size).
+    index_section = _index_build(
+        [("acceptance", n, leaf_size), ("40k-leaf64", 40_000, 64)],
+        dataset=dataset, seed=seed,
+    )
+
     pyramid_section: dict[str, Any] | None = None
     if pyramid_n is not None:
         pyramid_section = _coreset_pyramid(
@@ -453,10 +536,12 @@ def run_benchmark(
         "pool_supervision": pool_supervision_totals(),
         "coreset_parity": parity_section,
         "coreset_pyramid": pyramid_section,
+        "index_build": index_section,
         "validation": {
             "eps_envelope": envelope,
             "tau_masks_identical": masks_identical,
             "coreset_parity_ok": parity_section["within_delta"],
+            "index_aggregates_ok": index_section["index_aggregates_ok"],
             "parallel_scaling_ok": (
                 None if scaling_section is None
                 else scaling_section["all_identical_and_within_envelope"]
@@ -543,6 +628,11 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             "coreset density drifted beyond its delta_abs bound "
             "(see the coreset_parity section)"
+        )
+    if not report["validation"]["index_aggregates_ok"]:
+        failures.append(
+            "a kd-tree node's rectangle or aggregates do not match its "
+            "members (see the index_build section)"
         )
     if report["validation"]["parallel_scaling_ok"] is False:
         failures.append(
