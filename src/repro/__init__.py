@@ -13,7 +13,7 @@ Public surface
 helper, the :class:`KDVRenderer` / :class:`RenderRequest` /
 :class:`RenderOptions` rendering stack, the :class:`TileService` /
 :class:`ServiceConfig` serving stack (with its nested config groups
-and sharded registry), and the data/method/kernel registries. Anything
+and dataset registry), and the data/method/kernel registries. Anything
 not re-exported here — and any ``repro.compat`` shim — is internal and
 may change without notice. Execution knobs live on ``RenderOptions`` and
 service knobs on ``ServiceConfig``'s groups (see ``docs/api.md``).
@@ -44,7 +44,6 @@ from repro.serve import (
     RenderConfig,
     ResilienceConfig,
     ServiceConfig,
-    ShardedDatasetRegistry,
     ShardingConfig,
     TileServer,
     TileService,
@@ -59,7 +58,7 @@ from repro.visual.streaming import StreamingKDV
 if TYPE_CHECKING:
     from repro._types import PointLike
 
-__version__ = "4.2.0"
+__version__ = "5.0.0"
 
 
 def render(
@@ -103,7 +102,6 @@ __all__ = [
     "ResilienceConfig",
     "ShardingConfig",
     "DatasetRegistry",
-    "ShardedDatasetRegistry",
     "run_server",
     # registries
     "get_kernel",

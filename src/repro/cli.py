@@ -192,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8699)
     serve.add_argument("--method", default="quad", choices=available_methods())
 
-    # Flag groups mirror the nested ServiceConfig groups one-to-one
-    # (RenderConfig / CacheConfig / ResilienceConfig / ShardingConfig).
+    # Flag groups mirror the nested ServiceConfig groups
+    # (RenderConfig / CacheConfig / ResilienceConfig); the no-op
+    # ShardingConfig has no flags.
     serve_render = serve.add_argument_group(
         "render", "what a served tile looks like and how it executes"
     )
@@ -240,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve_resilience = serve.add_argument_group(
-        "resilience", "backpressure, circuit breakers and degraded serving"
+        "resilience",
+        "backpressure, one circuit breaker per dataset, and degraded serving",
     )
     serve_resilience.add_argument(
         "--queue-limit",
@@ -271,25 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_float,
         default=5.0,
         help="max seconds to wait for in-flight requests on shutdown",
-    )
-
-    serve_sharding = serve.add_argument_group(
-        "sharding", "per-tile circuit-breaker buckets of registered datasets"
-    )
-    serve_sharding.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        help=(
-            "circuit-breaker shards per dataset: each tile hashes to one "
-            "(X-Shard); rendering is the same at every count (1 = unsharded)"
-        ),
-    )
-    serve_sharding.add_argument(
-        "--min-points-per-shard",
-        type=_positive_int,
-        default=64,
-        help="clamp the effective shard count so no shard starts smaller",
     )
 
     sub.add_parser("list", help="show registered components")
@@ -457,7 +440,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         RenderConfig,
         ResilienceConfig,
         ServiceConfig,
-        ShardingConfig,
         TileService,
         run_server,
     )
@@ -486,20 +468,13 @@ def _command_serve(args: argparse.Namespace) -> int:
             breaker_reset_s=args.breaker_reset_s,
             drain_s=args.drain_s,
         ),
-        sharding=ShardingConfig(
-            shards=args.shards,
-            min_points_per_shard=args.min_points_per_shard,
-        ),
     )
     service = TileService(config=config)
     for spec in args.dataset or ["crime:10000:0"]:
         name, n, seed = _parse_dataset_spec(spec)
         points = load_dataset(name, n=n, seed=seed)
         service.registry.register(name, points, method=args.method)
-        print(
-            f"repro serve: registered {name!r} (n={n}, seed={seed}, "
-            f"shards={service.registry.get(name).shards})"
-        )
+        print(f"repro serve: registered {name!r} (n={n}, seed={seed})")
     run_server(service, host=args.host, port=args.port)
     return 0
 

@@ -15,7 +15,7 @@ recovery procedures:
   supervisor owns only the *policy* — how many times, how fast.
 
 * :class:`CircuitBreaker` — the classic closed → open → half-open
-  machine, one per home shard of a served dataset. Consecutive render
+  machine, one per served dataset. Consecutive render
   failures trip it open; while open every request is rejected upfront
   (:class:`~repro.errors.CircuitOpenError`, HTTP 503) instead of
   burning a worker slot on a render that will fail; after

@@ -9,16 +9,14 @@ The serving stack, bottom-up:
 * :mod:`repro.serve.service` — request planning, the three-level
   :class:`~repro.cache.TileCache` (PNG bytes / density arrays / bound
   envelopes), single-flight render dedup, worker pool,
-  backpressure and deadline handling;
-* :mod:`repro.serve.sharding` — per-tile circuit-breaker buckets: a
-  dataset registered with K shards routes each tile to one of K
-  breakers (and an ``X-Shard`` header) while rendering exactly as K = 1;
+  backpressure, deadline handling and one circuit breaker per dataset;
 * :mod:`repro.serve.http` — a stdlib-asyncio HTTP front end exposing
   ``GET /tile/{dataset}/{z}/{x}/{y}.png`` and ``GET /stats``.
 
 Configuration lives in :mod:`repro.serve.config` as nested groups
-(:class:`RenderConfig` / :class:`CacheConfig` / :class:`ResilienceConfig`
-/ :class:`ShardingConfig`) composed into one :class:`ServiceConfig`.
+(:class:`RenderConfig` / :class:`CacheConfig` / :class:`ResilienceConfig`)
+composed into one :class:`ServiceConfig`; its fourth group,
+:class:`ShardingConfig`, is a validated no-op kept for 4.x callers.
 
 All rendering goes through the unified
 :class:`~repro.visual.request.RenderRequest` API — the invariant linter
@@ -35,7 +33,6 @@ from repro.serve.config import (
 from repro.serve.http import TileServer, run_server
 from repro.serve.registry import DatasetEntry, DatasetRegistry
 from repro.serve.service import TilePlan, TileService
-from repro.serve.sharding import ShardedDatasetRegistry, rendezvous_shard
 from repro.serve.tiles import (
     DEFAULT_TILE_PX,
     MAX_ZOOM,
@@ -53,12 +50,10 @@ __all__ = [
     "RenderConfig",
     "ResilienceConfig",
     "ServiceConfig",
-    "ShardedDatasetRegistry",
     "ShardingConfig",
     "TilePlan",
     "TileServer",
     "TileService",
-    "rendezvous_shard",
     "run_server",
     "tile_count",
     "tile_grid",

@@ -8,17 +8,17 @@
 * :class:`CacheConfig` — byte budgets and TTL of the three-level
   :class:`~repro.cache.tiles.TileCache`;
 * :class:`ResilienceConfig` — the degrade-don't-fail surface
-  (backpressure queue, stale cache, circuit breakers, drain);
-* :class:`ShardingConfig` — how many circuit-breaker shards each
-  registered dataset's tiles spread over.
+  (backpressure queue, stale cache, one circuit breaker per dataset,
+  drain);
+* :class:`ShardingConfig` — kept for 4.x callers: its one field,
+  ``shards``, is validated and otherwise ignored.
 
 Callers build and read the groups themselves
 (``ServiceConfig(render=RenderConfig(eps=0.1))``, ``config.render.eps``).
 
 ``to_dict()`` / ``from_dict()`` round-trip the nested shape, and
 ``from_env()`` builds a config from ``REPRO_SERVE_<GROUP>_<FIELD>``
-environment variables (e.g. ``REPRO_SERVE_RENDER_EPS=0.1``,
-``REPRO_SERVE_SHARDING_SHARDS=4``).
+environment variables (e.g. ``REPRO_SERVE_RENDER_EPS=0.1``).
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ class ResilienceConfig:
     ``degraded_serving`` turns the whole overload policy on/off (off
     restores strict raise semantics everywhere); ``stale_bytes`` /
     ``stale_ttl_s`` bound the last-known-good tile store;
-    ``breaker_threshold`` / ``breaker_reset_s`` parameterise the
-    per-shard circuit breakers; ``drain_s`` bounds how long
+    ``breaker_threshold`` / ``breaker_reset_s`` parameterise each
+    dataset's circuit breaker; ``drain_s`` bounds how long
     :meth:`~repro.serve.service.TileService.close` waits for in-flight
     requests before shutting the pools down.
     """
@@ -187,28 +187,19 @@ class ResilienceConfig:
 
 @dataclass(frozen=True)
 class ShardingConfig:
-    """Per-tile circuit-breaker buckets of registered datasets.
+    """A no-op group, kept so 4.x configs still build.
 
-    ``shards=K`` spreads each dataset's tiles over K rendezvous-hashed
-    shards: a tile's home shard owns its circuit breaker and names
-    itself in ``X-Shard``. The dataset keeps one index, one coreset
-    pyramid and one set of cache keys, so tiles render the same bytes,
-    with the same guarantee, at every K (see docs/serving.md).
-    ``min_points_per_shard`` caps the effective shard count at
-    ``n // min_points_per_shard`` on small datasets.
+    ``shards`` must be >= 1 and changes nothing: since 5.0 every
+    dataset is served whole, under one circuit breaker
+    (docs/api.md, "5.0 migration").
     """
 
     shards: int = 1
-    min_points_per_shard: int = 64
 
     def __post_init__(self) -> None:
         if int(self.shards) < 1:
             raise InvalidParameterError(
                 f"shards must be >= 1, got {self.shards!r}"
-            )
-        if int(self.min_points_per_shard) < 1:
-            raise InvalidParameterError(
-                f"min_points_per_shard must be >= 1, got {self.min_points_per_shard!r}"
             )
 
 
@@ -230,7 +221,6 @@ class ServiceConfig:
             render=RenderConfig(tile_px=256, eps=0.05),
             cache=CacheConfig(png_bytes=64 << 20),
             resilience=ResilienceConfig(queue_limit=32),
-            sharding=ShardingConfig(shards=4),
         )
     """
 
@@ -267,17 +257,27 @@ class ServiceConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Mapping[str, Any]]) -> "ServiceConfig":
-        """Rebuild a config from a :meth:`to_dict` snapshot."""
+        """Rebuild a config from a :meth:`to_dict` snapshot.
+
+        An unknown group or field raises
+        :class:`~repro.errors.InvalidParameterError` naming it (as
+        ``group.field``).
+        """
         unknown = sorted(set(payload) - set(_GROUP_TYPES))
         if unknown:
             raise InvalidParameterError(
                 f"unknown ServiceConfig group(s): {', '.join(unknown)}"
             )
-        groups = {
-            name: _GROUP_TYPES[name](**dict(payload[name]))
-            for name in _GROUP_TYPES
-            if name in payload
-        }
+        groups = {}
+        for name, values in payload.items():
+            group_type = _GROUP_TYPES[name]
+            bad = sorted(set(values) - {f.name for f in fields(group_type)})
+            if bad:
+                raise InvalidParameterError(
+                    "unknown ServiceConfig field(s): "
+                    + ", ".join(f"{name}.{key}" for key in bad)
+                )
+            groups[name] = group_type(**dict(values))
         return cls(**groups)
 
     @classmethod
@@ -288,10 +288,11 @@ class ServiceConfig:
 
         Examples: ``REPRO_SERVE_RENDER_EPS=0.1``,
         ``REPRO_SERVE_CACHE_PNG_BYTES=1048576``,
-        ``REPRO_SERVE_RESILIENCE_DEGRADED_SERVING=false``,
-        ``REPRO_SERVE_SHARDING_SHARDS=4``. Unset variables keep their
-        group defaults; values parse by the field's type (the literal
-        ``none``/empty clears an optional field).
+        ``REPRO_SERVE_RESILIENCE_DEGRADED_SERVING=false``. Unset
+        variables keep their group defaults; values parse by the
+        field's type (the literal ``none``/empty clears an optional
+        field). ``REPRO_SERVE_SHARDING_SHARDS`` is read and, like
+        :class:`ShardingConfig`, changes nothing.
         """
         env = os.environ if environ is None else environ
         groups: Dict[str, Any] = {}

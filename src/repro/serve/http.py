@@ -301,11 +301,8 @@ class TileServer:
     async def _serve_planned(self, plan: TilePlan, data: Optional[bytes]) -> bytes:
         """Answer a planned tile request given its L1 lookup result."""
         service = self.service
-        home_shard = plan.home_shard if plan.shards > 1 else None
         if data is not None:
-            return self._png_response(
-                data, plan.png_key[2], "hit", shard=home_shard
-            )
+            return self._png_response(data, plan.png_key[2], "hit")
 
         if not service.try_acquire_slot():
             # Degrade-don't-fail: a full queue (or a draining service)
@@ -316,7 +313,6 @@ class TileServer:
                 return self._png_response(
                     stale, plan.png_key[2], "stale",
                     degraded=("stale", "overloaded"),
-                    shard=home_shard,
                 )
             if service.draining:
                 return _error_response(
@@ -367,9 +363,7 @@ class TileServer:
         degraded = None
         if info.get("degraded"):
             degraded = (str(info["degraded"]), str(info.get("degrade_reason", "")))
-        return self._png_response(
-            data, plan.png_key[2], "miss", degraded=degraded, shard=home_shard
-        )
+        return self._png_response(data, plan.png_key[2], "miss", degraded=degraded)
 
     def _png_response(
         self,
@@ -377,17 +371,12 @@ class TileServer:
         fingerprint: str,
         disposition: str,
         degraded: Optional[tuple] = None,
-        shard: Optional[int] = None,
     ) -> bytes:
         headers = {
             "X-Cache": disposition,
             "X-Fingerprint": fingerprint,
             "Cache-Control": "public, max-age=60",
         }
-        if shard is not None:
-            # The tile's rendezvous home shard — lets clients and ops
-            # correlate latency/degradation with a specific shard.
-            headers["X-Shard"] = str(shard)
         if degraded is not None:
             mode, reason = degraded
             headers["X-Repro-Degraded"] = f"{mode};{reason}" if reason else mode

@@ -15,11 +15,12 @@ amortised across queries). :class:`DatasetRegistry` owns that state:
   (:meth:`~repro.visual.kdv.KDVRenderer.with_grid`) of the one fitted
   renderer — zero per-request index cost;
 * :meth:`DatasetRegistry.append` grows a dataset in place: the index is
-  refit (once, under the entry lock), the entry's **version** is
-  bumped, and the registry's invalidation callback fires so the tile
-  cache can drop everything computed against the old points. Version
-  numbers are embedded in cache keys, making stale reuse structurally
-  impossible rather than merely unlikely.
+  refit once, beside the version it replaces, then swapped in under the
+  entry lock with the entry's **version** bumped, and the registry's
+  invalidation callback fires so the tile cache can drop everything
+  computed against the old points. Version numbers are embedded in
+  cache keys, making stale reuse structurally impossible rather than
+  merely unlikely.
 """
 
 from __future__ import annotations
@@ -113,12 +114,6 @@ class DatasetEntry:
     tile requests derive per-tile grids from it via ``with_grid`` clones
     that share the fitted method objects.
 
-    ``shards`` (set by :class:`~repro.serve.sharding.ShardedDatasetRegistry`)
-    splits the tiles into that many rendezvous-hashed buckets, each with
-    its own circuit breaker (:attr:`shard_ids`) and ``X-Shard`` header.
-    It never changes what a tile renders: every shard count serves the
-    same index, coreset pyramid, cache keys and bytes.
-
     The entry lends its serving methods one render pool
     (:meth:`process_executor`): the exact tree and every distinct
     coreset-tier tree render on the same worker processes.
@@ -134,14 +129,11 @@ class DatasetEntry:
         coreset_zoom: Optional[int] = None,
         coreset_delta_cap: float = DEFAULT_CORESET_DELTA_CAP,
         coreset_tile_px: int = DEFAULT_CORESET_TILE_PX,
-        shards: int = 1,
     ) -> None:
         if coreset_zoom is not None and int(coreset_zoom) < 1:
             raise InvalidParameterError(
                 f"coreset_zoom must be >= 1 (or None to disable), got {coreset_zoom!r}"
             )
-        if int(shards) < 1:
-            raise InvalidParameterError(f"shards must be >= 1, got {shards!r}")
         if not float(coreset_delta_cap) > 0.0:
             raise InvalidParameterError(
                 f"coreset_delta_cap must be > 0, got {coreset_delta_cap!r}"
@@ -154,29 +146,31 @@ class DatasetEntry:
         self.coreset_zoom = None if coreset_zoom is None else int(coreset_zoom)
         self.coreset_delta_cap = float(coreset_delta_cap)
         self.coreset_tile_px = int(coreset_tile_px)
-        self.shards = int(shards)
         self._gamma_given = gamma_given
         self._lock = threading.RLock()
-        self._coreset_tiers: Dict[int, CoresetTier] = self._build_coreset_tiers()
+        # Serializes appends (each builds on the previous one's points)
+        # without blocking readers of the entry lock while it refits.
+        self._append_lock = threading.Lock()
+        self._coreset_tiers: Dict[int, CoresetTier] = self._build_coreset_tiers(
+            renderer
+        )
         self._pool: Optional["ProcessTileExecutor"] = None
 
-    def _build_coreset_tiers(self) -> Dict[int, CoresetTier]:
+    def _build_coreset_tiers(self, renderer: KDVRenderer) -> Dict[int, CoresetTier]:
         """Materialise one coreset + renderer per zoom below the threshold.
 
-        Called at registration and again after every :meth:`append`
-        (the representatives and their error bounds depend on the
-        points). Each tier renderer shares the base viewport and the
-        exact renderer's kernel/bandwidth/weight so its densities are
-        directly comparable — only the point set differs.
+        Called at registration and again for every :meth:`append` (the
+        representatives and their error bounds depend on the points),
+        over the exact ``renderer`` of that version. Each tier renderer
+        shares its base viewport and kernel/bandwidth/weight so their
+        densities are directly comparable — only the point set differs.
         """
         if self.coreset_zoom is None:
             return {}
         tiers: Dict[int, CoresetTier] = {}
         previous: Optional[CoresetTier] = None
         for zoom in range(self.coreset_zoom):
-            start_cell = zoom_cell_size(
-                self.renderer.grid, zoom, self.coreset_tile_px
-            )
+            start_cell = zoom_cell_size(renderer.grid, zoom, self.coreset_tile_px)
             if previous is not None and previous.coreset.cell_size <= start_cell:
                 # Successive zooms halve the starting cell, so each
                 # zoom's halving sequence is a suffix of the previous
@@ -189,22 +183,22 @@ class DatasetEntry:
                 previous = tiers[zoom]
                 continue
             coreset = coreset_for_delta(
-                self.renderer.points,
-                self.renderer.kernel,
-                self.renderer.gamma,
-                self.renderer.weight,
+                renderer.points,
+                renderer.kernel,
+                renderer.gamma,
+                renderer.weight,
                 cell_size=start_cell,
                 delta_cap=self.coreset_delta_cap,
-                point_weights=self.renderer.point_weights,
+                point_weights=renderer.point_weights,
             )
             tier_renderer = KDVRenderer(
                 coreset.points,
-                kernel=self.renderer.kernel,
-                gamma=self.renderer.gamma,
-                weight=self.renderer.weight,
-                grid=self.renderer.grid,
+                kernel=renderer.kernel,
+                gamma=renderer.gamma,
+                weight=renderer.weight,
+                grid=renderer.grid,
                 point_weights=coreset.weights,
-                **self.renderer.method_options,
+                **renderer.method_options,
             )
             tiers[zoom] = CoresetTier(zoom, coreset, tier_renderer)
             previous = tiers[zoom]
@@ -227,20 +221,14 @@ class DatasetEntry:
         with self._lock:
             return self.version, self.renderer, self._coreset_tiers.get(int(zoom))
 
-    @property
-    def shard_ids(self) -> List[str]:
-        """Circuit-breaker ids in shard order (the bare id when unsharded)."""
-        if self.shards == 1:
-            return [self.dataset_id]
-        return [f"{self.dataset_id}#s{index}" for index in range(self.shards)]
-
     def _probe_method(self, renderer: KDVRenderer) -> IndexedMethod:
         """The fitted method whose exact tree the colour probe refines.
 
         The serving method of ``renderer`` (an exact renderer of this
         entry), or :data:`PROBE_METHOD` when the serving method has no
-        index. Fits it on first use: call under the entry lock
-        (:meth:`warm` does, so requests find it fitted).
+        index. Fits it on first use: call under the entry lock, or
+        before the renderer is published (:meth:`warm` and
+        :meth:`append` fit it, so requests find it fitted).
         """
         fitted = renderer.get_method(self.method)
         if not isinstance(fitted, IndexedMethod):
@@ -302,24 +290,36 @@ class DatasetEntry:
         requests never race to build the same index.
         """
         with self._lock:
-            name = method if method is not None else self.method
-            self.renderer.get_method(name)
-            for tier in self._coreset_tiers.values():
-                tier.renderer.get_method(name)
-            self._probe_method(self.renderer)
-            for fitted in self._pooled_methods():
-                fitted.pool_owner = self.process_executor
+            self._fit(self.renderer, self._coreset_tiers, method)
 
-    def _pooled_methods(self) -> List[IndexedMethod]:
+    def _fit(
+        self,
+        renderer: KDVRenderer,
+        tiers: Dict[int, CoresetTier],
+        method: Optional[str] = None,
+    ) -> None:
+        """:meth:`warm`'s work on one version's renderers and tiers.
+
+        Call under the entry lock, or before that version is published.
+        """
+        name = method if method is not None else self.method
+        renderer.get_method(name)
+        for tier in tiers.values():
+            tier.renderer.get_method(name)
+        self._probe_method(renderer)
+        for fitted in self._pooled_methods(renderer, tiers):
+            fitted.pool_owner = self.process_executor
+
+    def _pooled_methods(
+        self, renderer: KDVRenderer, tiers: Dict[int, CoresetTier]
+    ) -> List[IndexedMethod]:
         """The trees the dataset's pool publishes, as their fitted methods.
 
-        The serving method of the exact renderer and of every distinct
-        coreset-tier renderer (tiers share a renderer when their
+        The serving method of the exact ``renderer`` and of every
+        distinct tier renderer (tiers share a renderer when their
         coresets converge), where it refines a kd-tree.
         """
-        renderers = [self.renderer] + [
-            tier.renderer for tier in self._coreset_tiers.values()
-        ]
+        renderers = [renderer] + [tier.renderer for tier in tiers.values()]
         methods: Dict[int, IndexedMethod] = {}
         for renderer in renderers:
             fitted = renderer._methods.get(self.method)
@@ -343,7 +343,7 @@ class DatasetEntry:
         from repro.visual.executors import ProcessTileExecutor
 
         with self._lock:
-            methods = self._pooled_methods()
+            methods = self._pooled_methods(self.renderer, self._coreset_tiers)
             if not any(fitted is method for fitted in methods):
                 return None
             if self._pool is None or self._pool.closed:
@@ -366,6 +366,12 @@ class DatasetEntry:
         The default weight (``1/n``) and Scott-rule bandwidth are
         recomputed from the grown dataset unless an explicit ``gamma``
         was registered.
+
+        The new renderer, its coreset tiers and their fitted methods are
+        built before the entry lock is taken, so plans and colour probes
+        keep reading the current version meanwhile; the lock covers only
+        the swap. Appends run one at a time, each over the points the
+        previous one left.
         """
         extra = np.asarray(points, dtype=np.float64)
         if extra.ndim != 2 or extra.shape[1] != self.points.shape[1]:
@@ -373,35 +379,45 @@ class DatasetEntry:
                 f"appended points must be (m, {self.points.shape[1]}), "
                 f"got shape {extra.shape}"
             )
-        with self._lock:
-            merged = np.vstack([self.points, extra])
-            stale = self.renderer
-            stale_tiers = self._coreset_tiers
-            self.renderer = KDVRenderer(
+        with self._append_lock:
+            # Only appends replace the renderer, so it is stable here.
+            current = self.renderer
+            merged = np.vstack([current.points, extra])
+            renderer = KDVRenderer(
                 merged,
-                kernel=self.renderer.kernel,
+                kernel=current.kernel,
                 gamma=self._gamma_given,
-                grid=self.base_grid,
-                **self.renderer.method_options,
+                grid=current.grid,
+                **current.method_options,
             )
-            self.version += 1
             # Coreset representatives (and their delta bounds) are
             # functions of the points, so the whole pyramid is rebuilt
             # against the merged dataset before any tile can route to it.
-            self._coreset_tiers = self._build_coreset_tiers()
-            # The pool and the replaced renderers' own pools hold the
-            # old trees in shared memory; release them now rather than
-            # waiting on garbage collection.
-            self._close_pool()
-            self.warm()
+            tiers = self._build_coreset_tiers(renderer)
+            self._fit(renderer, tiers)
+            with self._lock:
+                stale, stale_tiers = self.renderer, self._coreset_tiers
+                self.renderer, self._coreset_tiers = renderer, tiers
+                self.version += 1
+                # The pool publishes the old trees; the new ones get a
+                # pool of their own on first use (process_executor).
+                pool, self._pool = self._pool, None
+            # The old pool and the replaced renderers' own pools hold
+            # the old trees in shared memory; release them now rather
+            # than waiting on garbage collection.
+            if pool is not None:
+                pool.close()
             _close_renderer_methods(stale)
             for tier in stale_tiers.values():
                 _close_renderer_methods(tier.renderer)
             return int(merged.shape[0])
 
     def close(self) -> None:
-        """Release the process pools and their shared memory (idempotent)."""
-        with self._lock:
+        """Release the process pools and their shared memory (idempotent).
+
+        Waits out an append in progress, so no refit lands after it.
+        """
+        with self._append_lock, self._lock:
             self._close_pool()
             _close_renderer_methods(self.renderer)
             for tier in self._coreset_tiers.values():
@@ -434,9 +450,9 @@ class DatasetEntry:
         return reports
 
     def as_dict(self) -> Dict[str, Any]:
-        """Entry snapshot for ``/stats`` (plus ``sharding`` when sharded)."""
+        """Entry snapshot for ``/stats``."""
         with self._lock:
-            snapshot = {
+            return {
                 "id": self.dataset_id,
                 "version": self.version,
                 "n": int(self.points.shape[0]),
@@ -457,9 +473,6 @@ class DatasetEntry:
                     ],
                 },
             }
-        if self.shards > 1:
-            snapshot["sharding"] = {"shards": self.shards}
-        return snapshot
 
     def __repr__(self) -> str:
         return (
@@ -501,6 +514,7 @@ class DatasetRegistry:
         coreset_zoom: Optional[int] = None,
         coreset_delta_cap: float = DEFAULT_CORESET_DELTA_CAP,
         coreset_tile_px: int = DEFAULT_CORESET_TILE_PX,
+        shards: int = 1,
         **method_options: Any,
     ) -> DatasetEntry:
         """Validate, index and serve a dataset under ``dataset_id``.
@@ -514,41 +528,17 @@ class DatasetRegistry:
         zoom >= k falls through to exact QUAD. Re-registering an
         existing id raises — use :meth:`append` to grow a dataset, or
         :meth:`remove` first.
-        """
-        return self._register(
-            dataset_id,
-            points,
-            shards=1,
-            kernel=kernel,
-            gamma=gamma,
-            method=method,
-            grid=grid,
-            coreset_zoom=coreset_zoom,
-            coreset_delta_cap=coreset_delta_cap,
-            coreset_tile_px=coreset_tile_px,
-            method_options=method_options,
-        )
 
-    def _register(
-        self,
-        dataset_id: str,
-        points: "PointLike",
-        *,
-        shards: int,
-        kernel: Any,
-        gamma: Optional[float],
-        method: str,
-        grid: Optional["PixelGrid"],
-        coreset_zoom: Optional[int],
-        coreset_delta_cap: float,
-        coreset_tile_px: int,
-        method_options: Dict[str, Any],
-    ) -> DatasetEntry:
-        """Build, warm and publish one entry (shared by the registries).
+        ``shards`` is accepted for callers written against 4.x and
+        otherwise ignored: it must be >= 1, and every dataset is served
+        whole, under one circuit breaker. Other keywords are the
+        method's options (``leaf_size=`` ...).
 
         The entry is published only once warm: a request that finds it
         also finds its serving method fitted and on the dataset's pool.
         """
+        if int(shards) < 1:
+            raise InvalidParameterError(f"shards must be >= 1, got {shards!r}")
         dataset_id = str(dataset_id)
         if not dataset_id or "/" in dataset_id:
             raise InvalidParameterError(
@@ -567,7 +557,6 @@ class DatasetRegistry:
             coreset_zoom=coreset_zoom,
             coreset_delta_cap=coreset_delta_cap,
             coreset_tile_px=coreset_tile_px,
-            shards=shards,
         )
         entry.warm()
         with self._lock:
@@ -616,6 +605,11 @@ class DatasetRegistry:
         with self._lock:
             return sorted(self._entries)
 
+    def entries(self) -> List[DatasetEntry]:
+        """The registered entries, sorted by id."""
+        with self._lock:
+            return [self._entries[key] for key in sorted(self._entries)]
+
     def __contains__(self, dataset_id: object) -> bool:
         with self._lock:
             return str(dataset_id) in self._entries
@@ -626,9 +620,7 @@ class DatasetRegistry:
 
     def as_dict(self) -> Dict[str, Any]:
         """Snapshot of every entry, keyed by id (for ``/stats``)."""
-        with self._lock:
-            entries = list(self._entries.values())
-        return {entry.dataset_id: entry.as_dict() for entry in entries}
+        return {entry.dataset_id: entry.as_dict() for entry in self.entries()}
 
     def __repr__(self) -> str:
         return f"DatasetRegistry({self.ids()!r})"

@@ -23,8 +23,8 @@ and tests drive it directly. One tile request flows through:
    :class:`~repro.utils.cache.SingleFlight` (a thundering herd of
    identical tile requests does one render), consults the density
    level, and renders through the one ``KDVRenderer.render(request)``
-   entrypoint — one tile-driver run on one renderer at every shard
-   count — under a per-request
+   entrypoint — one tile-driver run on one renderer — under a
+   per-request
    :class:`~repro.resilience.budget.Budget` deadline. A τ tile starts
    from the bounds level, the tightest envelope earlier complete
    renders of its grid left, and refines only the pixels that
@@ -35,10 +35,10 @@ and tests drive it directly. One tile request flows through:
    render slots (:meth:`try_acquire_slot`); when the bounded queue is
    full the HTTP layer answers 503 instead of stacking work.
 5. **Degrade-don't-fail** — :meth:`TileService.serve_tile` wraps the
-   strict render in the overload policy: a
-   :class:`~repro.resilience.supervisor.CircuitBreaker` per home shard
-   (one per dataset when it has one shard) rejects requests against a
-   region that keeps failing *before* they burn a worker slot; a
+   strict render in the overload policy: one
+   :class:`~repro.resilience.supervisor.CircuitBreaker` per registered
+   dataset rejects requests against a dataset that keeps failing
+   *before* they burn a worker slot; a
    tripped deadline serves the anytime render's partial envelope
    (when one exists); a failed render falls back to the last
    known-good bytes from the **stale cache** (a small LRU the fresh
@@ -65,6 +65,7 @@ from __future__ import annotations
 import copy
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
@@ -96,11 +97,6 @@ from repro.serve.config import (
     ShardingConfig,
 )
 from repro.serve.registry import DatasetEntry, DatasetRegistry
-from repro.serve.sharding import (
-    ShardedDatasetRegistry,
-    rendezvous_shard,
-    tile_extent_key,
-)
 from repro.serve.tiles import tile_grid, validate_tile
 from repro.utils.cache import LRUCache, SingleFlight
 from repro.visual.colormap import get_colormap, two_color_map
@@ -150,11 +146,6 @@ class TilePlan:
     exact renderer of the same ``version``, whose tree fixes the colour
     range, whatever the tile's tier.
 
-    ``shards`` is the entry's shard count and ``home_shard`` the tile's
-    rendezvous-hashed bucket, whose circuit breaker (``breaker_id``)
-    owns this tile's renders. Neither enters a cache key: every shard
-    count renders the same bytes.
-
     :meth:`TileService.plan_tile` keeps each plan for reuse and hands
     every caller a shallow copy, so an attribute a caller sets on its
     plan stays with that request.
@@ -171,8 +162,6 @@ class TilePlan:
     renderer: "KDVRenderer"
     exact_renderer: "KDVRenderer"
     tier_delta_z: Optional[float] = None
-    shards: int = 1
-    home_shard: int = 0
     png_key: TileKey = field(init=False)
     density_key: TileKey = field(init=False)
     bounds_key: TileKey = field(init=False)
@@ -221,17 +210,6 @@ class TilePlan:
         """The render operation (``"eps"`` or ``"tau"``)."""
         return self.resolved.op
 
-    @property
-    def breaker_id(self) -> str:
-        """The circuit breaker owning this tile's renders.
-
-        The dataset id itself for unsharded entries; the tile's
-        rendezvous home shard (``"<dataset>#s<i>"``) for sharded ones,
-        so a poisoned spatial region trips one shard's breaker instead
-        of blacking out the whole dataset.
-        """
-        return self.entry.shard_ids[self.home_shard]
-
 
 class TileService:
     """Serve slippy-map KDV tiles from a shared registry + cache.
@@ -266,11 +244,7 @@ class TileService:
         self.registry = (
             registry
             if registry is not None
-            else ShardedDatasetRegistry(
-                on_invalidate=self.invalidate_dataset,
-                default_shards=int(self.config.sharding.shards),
-                min_points_per_shard=int(self.config.sharding.min_points_per_shard),
-            )
+            else DatasetRegistry(on_invalidate=self.invalidate_dataset)
         )
         self._flight: SingleFlight[TileKey, bytes] = SingleFlight()
         self._plans: LRUCache[Tuple[Any, ...], TilePlan] = LRUCache(
@@ -287,7 +261,11 @@ class TileService:
             max_bytes=int(resilience.stale_bytes),
             ttl_s=resilience.stale_ttl_s,
         )
-        self._breakers: Dict[str, CircuitBreaker] = {}
+        # Keyed by the entry itself: a removed dataset's breaker goes
+        # with its entry, and a re-registered id starts closed.
+        self._breakers: "weakref.WeakKeyDictionary[DatasetEntry, CircuitBreaker]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._breakers_lock = threading.Lock()
         self._closing = False
         self.pool = ThreadPoolExecutor(
@@ -437,12 +415,6 @@ class TileService:
             else RenderOptions()
         )
         resolved = request.replace(options=options).resolve(renderer)
-        shards = entry.shards
-        home_shard = (
-            rendezvous_shard(entry.dataset_id, shards, tile_extent_key(grid))
-            if shards > 1
-            else 0
-        )
         plan = TilePlan(
             entry=entry,
             version=version,
@@ -457,8 +429,6 @@ class TileService:
             renderer=renderer,
             exact_renderer=exact_renderer,
             tier_delta_z=tier_delta_z,
-            shards=shards,
-            home_shard=home_shard,
         )
         key = (entry.dataset_id, version, raw)
         self._plans.put(key, plan)
@@ -563,13 +533,13 @@ class TileService:
         With ``degraded_serving=False`` every rung collapses to the
         strict raise semantics (the breaker still counts and vetoes).
         """
-        breaker = self._breaker(plan.breaker_id)
+        breaker = self._breaker(plan.entry)
         if not breaker.allow():
             stale = self.stale_png(plan)
             if stale is not None:
                 return stale, self._degraded_info("stale", "circuit_open")
             raise CircuitOpenError(
-                f"dataset {plan.breaker_id!r} breaker is open after "
+                f"dataset {plan.entry.dataset_id!r} breaker is open after "
                 f"repeated render failures; retry in "
                 f"{breaker.retry_after_s():.1f}s"
             )
@@ -618,17 +588,22 @@ class TileService:
             self.metrics.counter("tiles.stale_served").add(1)
         return {"degraded": mode, "degrade_reason": reason}
 
-    def _breaker(self, dataset_id: str) -> CircuitBreaker:
-        """The dataset's circuit breaker (created on first use)."""
+    def _breaker(self, entry: DatasetEntry) -> CircuitBreaker:
+        """The dataset's circuit breaker (created on first use).
+
+        One per registered entry: an append keeps the entry and so the
+        breaker's state; a removed dataset's breaker goes with its
+        entry, so a re-registered id starts closed.
+        """
         with self._breakers_lock:
-            breaker = self._breakers.get(dataset_id)
+            breaker = self._breakers.get(entry)
             if breaker is None:
                 breaker = CircuitBreaker(
                     failure_threshold=int(self.config.resilience.breaker_threshold),
                     reset_timeout_s=float(self.config.resilience.breaker_reset_s),
                     on_transition=self._on_breaker_transition,
                 )
-                self._breakers[dataset_id] = breaker
+                self._breakers[entry] = breaker
             return breaker
 
     def _on_breaker_transition(self, old: str, new: str) -> None:
@@ -701,9 +676,9 @@ class TileService:
                 UnsupportedKernelError, UnsupportedOperationError):
             raise
         except Exception:
-            self._breaker(plan.breaker_id).record_failure()
+            self._breaker(plan.entry).record_failure()
             raise
-        self._breaker(plan.breaker_id).record_success()
+        self._breaker(plan.entry).record_success()
         if self._storable(plan):
             self.cache.put_png(plan.png_key, data)
         self.metrics.counter("tiles.renders").add(1)
@@ -884,52 +859,36 @@ class TileService:
     # -- introspection -------------------------------------------------------
 
     def readiness(self) -> Dict[str, Any]:
-        """The ``/readyz`` payload: overall status + per-shard health.
+        """The ``/readyz`` payload: overall status + per-dataset health.
 
-        Per dataset: the shard count and each shard breaker's state, so
-        an orchestrator can tell "ready, but shard 2 of `crime` is
-        tripped" from "ready, everything closed". Draining is the HTTP
-        layer's concern (it answers 503 before consulting this).
+        Per registered dataset: its circuit breaker's state, so an
+        orchestrator can tell "ready, but `crime` is tripped" from
+        "ready, everything closed". Draining is the HTTP layer's
+        concern (it answers 503 before consulting this).
         """
+        entries = self.registry.entries()
         with self._breakers_lock:
-            states = {name: breaker.state for name, breaker in self._breakers.items()}
-        datasets: Dict[str, Any] = {}
-        for dataset_id in self.registry.ids():
-            try:
-                entry = self.registry.get(dataset_id)
-            # lint: allow-silent-except -- a concurrent remove() pulled
-            # the entry mid-walk; it has no readiness to report.
-            except DatasetNotFoundError:
-                continue
-            datasets[dataset_id] = {
-                "shards": entry.shards,
-                "breakers": {
-                    shard_id: states.get(shard_id, "closed")
-                    for shard_id in entry.shard_ids
-                },
-            }
+            breakers = {entry: self._breakers.get(entry) for entry in entries}
+        datasets = {
+            entry.dataset_id: {"breaker": "closed" if breaker is None else breaker.state}
+            for entry, breaker in breakers.items()
+        }
         return {"status": "ready", "datasets": datasets}
 
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` payload: datasets, cache levels, metrics, load."""
-        with self._breakers_lock:
-            breakers = {
-                dataset_id: breaker.as_dict()
-                for dataset_id, breaker in sorted(self._breakers.items())
-            }
-        pools: list[Dict[str, Any]] = []
         from repro.visual.executors import pool_supervision_totals
 
+        entries = self.registry.entries()
+        with self._breakers_lock:
+            breakers = {
+                entry.dataset_id: self._breakers[entry].as_dict()
+                for entry in entries
+                if entry in self._breakers
+            }
+        pools = [report for entry in entries for report in entry.executor_health()]
         totals = pool_supervision_totals()
         render = self.config.render
-
-        for dataset_id in self.registry.ids():
-            try:
-                pools.extend(self.registry.get(dataset_id).executor_health())
-            # lint: allow-silent-except -- a concurrent remove() pulled
-            # the entry mid-walk; its pools are being torn down anyway.
-            except DatasetNotFoundError:
-                pass
         return {
             "uptime_s": time.time() - self.started_at,
             "datasets": self.registry.as_dict(),
@@ -964,12 +923,6 @@ class TileService:
                 "workers": int(render.workers),
                 "render_workers": self.render_workers,
                 "max_zoom": int(render.max_zoom),
-                "sharding": {
-                    "shards": int(self.config.sharding.shards),
-                    "min_points_per_shard": int(
-                        self.config.sharding.min_points_per_shard
-                    ),
-                },
             },
         }
 
@@ -991,13 +944,8 @@ class TileService:
                 break
             time.sleep(0.01)
         self.pool.shutdown(wait=True, cancel_futures=True)
-        for dataset_id in self.registry.ids():
-            try:
-                self.registry.get(dataset_id).close()
-            # lint: allow-silent-except -- a concurrent remove() already
-            # closed the entry; nothing left to release.
-            except DatasetNotFoundError:
-                pass
+        for entry in self.registry.entries():
+            entry.close()
 
     def __repr__(self) -> str:
         return (

@@ -13,6 +13,7 @@ internals) through the real asyncio server.
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import threading
 import time
@@ -332,7 +333,7 @@ class TestDegradeLadder:
         for _ in range(svc.config.resilience.breaker_threshold):
             data, info = svc.serve_tile(svc.plan_tile("crime", 1, 0, 0))
             assert data == fresh and info["degraded"] == "stale"
-        breaker = svc._breaker("crime")
+        breaker = svc._breaker(svc.registry.get("crime"))
         assert breaker.state == BREAKER_OPEN
         # ...and once open, requests short-circuit to stale upfront.
         data, info = svc.serve_tile(svc.plan_tile("crime", 1, 0, 0))
@@ -367,7 +368,77 @@ class TestDegradeLadder:
                 svc.plan_tile("crime", 1, 0, 0, colormap="no-such-map")
             with pytest.raises(InvalidParameterError):
                 svc.plan_tile("crime", 1, 9, 0)
-        assert svc._breaker("crime").state == BREAKER_CLOSED
+        assert svc._breaker(svc.registry.get("crime")).state == BREAKER_CLOSED
+
+    def test_removed_dataset_takes_its_breaker_along(self, small_points, monkeypatch):
+        service = TileService(
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=16, eps=0.1, workers=1, deadline_ms=None),
+                resilience=ResilienceConfig(breaker_threshold=2),
+            )
+        )
+        try:
+            service.registry.register("crime", small_points[:500])
+            real_compute = service._compute_values
+
+            def boom(plan):
+                raise RuntimeError("render exploded")
+
+            monkeypatch.setattr(service, "_compute_values", boom)
+            for _ in range(2):
+                with pytest.raises(RuntimeError):
+                    service.get_tile("crime", 0, 0, 0)
+            monkeypatch.setattr(service, "_compute_values", real_compute)
+            # An append keeps the dataset, and so its open breaker.
+            service.append_points("crime", small_points[500:520])
+            with pytest.raises(CircuitOpenError, match="'crime'"):
+                service.get_tile("crime", 0, 0, 0)
+            assert service.readiness()["datasets"] == {"crime": {"breaker": "open"}}
+
+            # A re-registration races the remove: it lands between the
+            # remove's pop and the service hearing of it.
+            published = threading.Event()
+
+            def register_again():
+                while not published.is_set():
+                    try:
+                        service.registry.register("crime", small_points[100:])
+                    except InvalidParameterError:  # the remove has not popped yet
+                        time.sleep(0.001)
+                    else:
+                        published.set()
+
+            invalidate = service.invalidate_dataset
+
+            def invalidate_after_the_race(dataset_id):
+                assert published.wait(30.0)
+                invalidate(dataset_id)
+
+            monkeypatch.setattr(
+                service.registry, "_on_invalidate", invalidate_after_the_race
+            )
+            racer = threading.Thread(target=register_again)
+            racer.start()
+            assert service.registry.remove("crime")
+            racer.join(timeout=30.0)
+            assert not racer.is_alive()
+            monkeypatch.setattr(service.registry, "_on_invalidate", invalidate)
+
+            # New data, new index, new breaker: closed.
+            data, info = service.get_tile("crime", 0, 0, 0)
+            assert data.startswith(PNG_SIGNATURE) and info["degraded"] is None
+            assert service.readiness()["datasets"] == {"crime": {"breaker": "closed"}}
+            stats = service.stats()["resilience"]["breakers"]
+            assert stats["crime"]["state"] == BREAKER_CLOSED
+
+            # Removed for good: listed nowhere, and held nowhere.
+            assert service.registry.remove("crime")
+            assert service.readiness()["datasets"] == {}
+            assert service.stats()["resilience"]["breakers"] == {}
+            gc.collect()
+            assert len(service._breakers) == 0
+        finally:
+            service.close()
 
     def test_singleflight_survives_a_failed_leader(self, svc, monkeypatch):
         calls = {"n": 0}
@@ -465,8 +536,7 @@ class TestHttpErrorContract:
             status, _, body = await get("/readyz")
             ready = json.loads(body)
             assert status == 200 and ready["status"] == "ready"
-            assert ready["datasets"]["crime"]["shards"] == 1
-            assert ready["datasets"]["crime"]["breakers"] == {"crime": "closed"}
+            assert ready["datasets"] == {"crime": {"breaker": "closed"}}
 
             status, _, fresh = await get("/tile/crime/1/0/0.png")
             assert status == 200 and fresh.startswith(PNG_SIGNATURE)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -576,15 +577,14 @@ class TestPlanMemo:
     """Plans are kept per raw request and dataset version, handed out as copies."""
 
     def test_repeated_request_gets_its_own_equal_plan(self, small_points):
-        svc = _plan_service(small_points, shards=2)
+        svc = _plan_service(small_points)
         try:
             first = svc.plan_tile("crime", 2, 1, 3, eps=0.2)
             second = svc.plan_tile("crime", 2, 1, 3, eps=0.2)
             assert second is not first
             assert _reused(svc) == 1
-            assert first.shards == 2
             for name in ("png_key", "density_key", "bounds_key", "stale_key",
-                         "versioned_id", "home_shard", "breaker_id", "renderer"):
+                         "versioned_id", "entry", "renderer"):
                 assert getattr(second, name) == getattr(first, name), name
             # An attribute one caller pins on its plan stays with it.
             first.request_id = "a"
@@ -593,6 +593,58 @@ class TestPlanMemo:
             assert svc.plan_tile("crime", 2, 1, 3, eps=0.3).png_key != first.png_key
             assert _reused(svc) == 2
         finally:
+            svc.close()
+
+    def test_append_refits_outside_the_entry_lock(self, small_points, monkeypatch):
+        from repro.serve import registry as registry_module
+
+        svc = _plan_service(small_points, coreset_zoom=2)
+        entry = svc.registry.get("crime")
+        building, release = threading.Event(), threading.Event()
+        real_renderer = registry_module.KDVRenderer
+
+        def blocked_renderer(*args, **kwargs):
+            building.set()
+            assert release.wait(60.0)
+            return real_renderer(*args, **kwargs)
+
+        monkeypatch.setattr(registry_module, "KDVRenderer", blocked_renderer)
+        extra_a, extra_b = small_points[:40] + 0.01, small_points[:25] - 0.01
+        appends = [
+            threading.Thread(target=svc.append_points, args=("crime", extra))
+            for extra in (extra_a, extra_b)
+        ]
+        read = {}
+
+        def reader():
+            read["snapshot"] = entry.snapshot(0)[0]
+            read["plan"] = svc.plan_tile("crime", 1, 0, 0).versioned_id
+
+        try:
+            appends[0].start()
+            assert building.wait(30.0)
+            appends[1].start()  # queues behind the first append's build
+            # While the new index builds, readers get the old version
+            # at once instead of waiting the build out.
+            started = time.perf_counter()
+            thread = threading.Thread(target=reader)
+            thread.start()
+            thread.join(timeout=5.0)
+            waited = time.perf_counter() - started
+            prompt = not thread.is_alive()
+            release.set()
+            for worker in appends + [thread]:
+                worker.join(timeout=60.0)
+            assert prompt, f"readers waited {waited:.1f}s on the append"
+            assert read == {"snapshot": 1, "plan": "crime@v1"}
+            # Appends run one at a time, each over the last one's points.
+            assert entry.version == 3
+            assert entry.points.shape[0] == small_points.shape[0] + 40 + 25
+            plan = svc.plan_tile("crime", 1, 0, 0)
+            assert plan.versioned_id == "crime@v3"
+            assert plan.exact_renderer is entry.renderer
+        finally:
+            release.set()
             svc.close()
 
     def test_append_replans_against_the_new_version(self, small_points):

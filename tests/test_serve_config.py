@@ -1,10 +1,15 @@
 """Tests for the nested ServiceConfig groups.
 
 Covers nested construction, rejection of flat keywords, validation
-errors, and the ``to_dict`` / ``from_dict`` / ``from_env`` round trips.
+errors, the ``to_dict`` / ``from_dict`` / ``from_env`` round trips, and
+the shard count that is accepted and changes nothing.
 """
 
 from __future__ import annotations
+
+import asyncio
+import json
+import urllib.request
 
 import pytest
 
@@ -15,6 +20,8 @@ from repro.serve import (
     ResilienceConfig,
     ServiceConfig,
     ShardingConfig,
+    TileServer,
+    TileService,
 )
 
 
@@ -28,7 +35,7 @@ class TestNestedConstruction:
 
     def test_groups_pass_through(self):
         render = RenderConfig(tile_px=64, eps=0.2, workers=1)
-        sharding = ShardingConfig(shards=4, min_points_per_shard=8)
+        sharding = ShardingConfig(shards=4)
         config = ServiceConfig(render=render, sharding=sharding)
         assert config.render is render
         assert config.sharding is sharding
@@ -100,8 +107,6 @@ class TestValidation:
             ResilienceConfig(breaker_threshold=0)
         with pytest.raises(InvalidParameterError):
             ShardingConfig(shards=0)
-        with pytest.raises(InvalidParameterError):
-            ShardingConfig(min_points_per_shard=0)
 
 
 class TestSerialisation:
@@ -110,11 +115,11 @@ class TestSerialisation:
             render=RenderConfig(tile_px=64, eps=0.1, tau=0.25),
             cache=CacheConfig(png_bytes=1 << 20, ttl_s=60.0),
             resilience=ResilienceConfig(queue_limit=9, degraded_serving=False),
-            sharding=ShardingConfig(shards=4, min_points_per_shard=16),
+            sharding=ShardingConfig(shards=4),
         )
         payload = config.to_dict()
         assert set(payload) == {"render", "cache", "resilience", "sharding"}
-        assert payload["sharding"] == {"shards": 4, "min_points_per_shard": 16}
+        assert payload["sharding"] == {"shards": 4}
         assert ServiceConfig.from_dict(payload) == config
 
     def test_from_dict_partial_groups_keep_defaults(self):
@@ -125,6 +130,14 @@ class TestSerialisation:
     def test_from_dict_unknown_group_rejected(self):
         with pytest.raises(InvalidParameterError):
             ServiceConfig.from_dict({"renderer": {}})
+
+    def test_from_dict_unknown_field_rejected_by_name(self):
+        # The path a snapshot takes that still carries a field this
+        # version dropped (such as 4.x's shard clamp).
+        with pytest.raises(InvalidParameterError, match=r"render\.bogus"):
+            ServiceConfig.from_dict({"render": {"bogus": 1}})
+        with pytest.raises(InvalidParameterError, match=r"sharding\.clamp"):
+            ServiceConfig.from_dict({"sharding": {"shards": 2, "clamp": 64}})
 
     def test_from_env_round_trip(self):
         environ = {
@@ -158,3 +171,53 @@ class TestSerialisation:
             ServiceConfig.from_env(
                 {"REPRO_SERVE_RESILIENCE_DEGRADED_SERVING": "maybe"}
             )
+
+
+class TestShardsAreANoOp:
+    """``ShardingConfig(shards=)`` and ``register(..., shards=)`` change nothing."""
+
+    def test_shards_change_nothing(self, small_points):
+        render = RenderConfig(tile_px=16, eps=0.1, workers=1, deadline_ms=None)
+        plain = TileService(config=ServiceConfig(render=render))
+        sharded = TileService(
+            config=ServiceConfig(render=render, sharding=ShardingConfig(shards=4))
+        )
+
+        def fetch(url):
+            with urllib.request.urlopen(url, timeout=30) as response:
+                return dict(response.headers), response.read()
+
+        async def served(svc, paths):
+            server = await TileServer(svc, port=0).start()
+            loop = asyncio.get_running_loop()
+            try:
+                return [
+                    await loop.run_in_executor(None, fetch, server.url + path)
+                    for path in paths
+                ]
+            finally:
+                await server.stop()
+
+        try:
+            plain.registry.register("crime", small_points, coreset_zoom=2)
+            sharded.registry.register("crime", small_points, coreset_zoom=2, shards=4)
+            tiles = ["/tile/crime/0/0/0.png", "/tile/crime/2/3/2.png?tau=0.001"]
+            expected = asyncio.run(served(plain, tiles))
+            got = asyncio.run(served(sharded, tiles + ["/readyz", "/stats"]))
+            for (headers, body), (plain_headers, plain_body) in zip(got, expected):
+                assert body == plain_body
+                assert set(headers) == set(plain_headers)  # no shard header
+            ready, stats = (json.loads(body) for __, body in got[2:])
+            assert ready["datasets"] == {"crime": {"breaker": "closed"}}
+            assert list(stats["resilience"]["breakers"]) == ["crime"]
+            assert "sharding" not in stats["config"]
+            assert "sharding" not in stats["datasets"]["crime"]
+            # Both still reject a shard count below 1.
+            with pytest.raises(InvalidParameterError, match="shards"):
+                ShardingConfig(shards=0)
+            with pytest.raises(InvalidParameterError, match="shards"):
+                plain.registry.register("other", small_points, shards=0)
+            assert "other" not in plain.registry
+        finally:
+            plain.close()
+            sharded.close()

@@ -1,10 +1,11 @@
 """Serve-layer coreset tier: routing, rejection, cache keys, invalidation.
 
-The versioned-invalidation coverage here is the satellite contract: an
-``append()`` must drop coreset-rendered PNG / density / root-bounds
-entries at *every* zoom, not just exact-tier ones — the coreset
-pyramid is rebuilt against the merged points, so any surviving entry
-would serve a stale tier.
+Served ε tiles, exact or from a coreset tier, stay within
+``eps*F + atol`` of the brute-force density, and ``/stats`` publishes
+the tier δ those tiles carry. An ``append()`` must drop coreset-rendered
+PNG / density / root-bounds entries at *every* zoom, not just exact-tier
+ones — the coreset pyramid is rebuilt against the merged points, so any
+surviving entry would serve a stale tier.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.exact import exact_density
 from repro.errors import InvalidParameterError
 from repro.serve.registry import CoresetTier, DatasetRegistry
 from repro.serve.service import RenderConfig, ServiceConfig, TileService
@@ -19,6 +21,10 @@ from repro.serve.tiles import zoom_cell_size
 from repro.visual.grid import PixelGrid
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+
+#: One tile per zoom; with ``coreset_zoom=2`` z0 and z1 render from the
+#: coreset tiers and z2 from the exact tree.
+TILES = [(0, 0, 0), (1, 1, 0), (2, 3, 2)]
 
 
 @pytest.fixture()
@@ -145,6 +151,72 @@ class TestTierRouting:
         assert info["tier"] == "coreset-z0"
         png2, info2 = coreset_service.get_tile("crime", 0, 0, 0)
         assert info2["cache"] == "hit" and png2 == png
+
+
+class TestServedGuarantee:
+    @pytest.mark.parametrize(
+        "kernel, coreset_zoom",
+        [("gaussian", None), ("epanechnikov", None), ("gaussian", 2)],
+        ids=["gaussian", "epanechnikov", "gaussian-coreset"],
+    )
+    def test_eps_tiles_stay_in_envelope(self, small_points, kernel, coreset_zoom):
+        eps = 0.1
+        svc = TileService(
+            config=ServiceConfig(
+                render=RenderConfig(tile_px=16, eps=eps, workers=1, deadline_ms=None)
+            )
+        )
+        try:
+            svc.registry.register(
+                "crime",
+                small_points,
+                kernel=kernel,
+                coreset_zoom=coreset_zoom,
+                coreset_delta_cap=0.01,
+                leaf_size=32,
+            )
+            renderer = svc.registry.get("crime").renderer
+            for tile in TILES:
+                plan = svc.plan_tile("crime", *tile)
+                if coreset_zoom is not None and tile[0] < coreset_zoom:
+                    # The tier's coreset error is folded into ε, so the
+                    # bound still holds against the exact density.
+                    assert plan.resolved.tier == f"coreset-z{tile[0]}"
+                    assert plan.tier_delta_z is not None and plan.tier_delta_z > 0.0
+                else:
+                    assert plan.resolved.tier is None
+                values = np.asarray(svc._compute_values(plan)).ravel()
+                truth = np.asarray(
+                    exact_density(
+                        renderer.points,
+                        np.asarray(plan.resolved.grid.centers()),
+                        renderer.kernel,
+                        renderer.gamma,
+                        renderer.weight,
+                    )
+                ).ravel()
+                slack = eps * truth + float(plan.resolved.atol) + 1e-12
+                assert np.all(np.abs(values - truth) <= slack), (
+                    f"ε envelope violated on tile {tile}"
+                )
+        finally:
+            svc.close()
+
+    def test_stats_publish_the_tier_delta_tiles_carry(self, coreset_service):
+        # perfbench's oracle allows each zoom's τ tiles the delta_abs
+        # read from here; it must be the δ the zoom's tiles carry.
+        entry = coreset_service.registry.get("crime")
+        snapshot = coreset_service.stats()["datasets"]["crime"]
+        assert "sharding" not in snapshot
+        tiers = {tier["zoom"]: tier for tier in snapshot["coreset"]["tiers"]}
+        assert sorted(tiers) == [0, 1]
+        cap = float(entry.renderer.weight) * entry.points.shape[0]
+        for zoom in (0, 1):
+            plan = coreset_service.plan_tile("crime", zoom, 0, 0)
+            assert plan.tier_delta_z is not None
+            assert tiers[zoom]["delta_abs"] == pytest.approx(
+                plan.tier_delta_z * cap, rel=1e-12
+            )
 
 
 class TestTierFingerprints:

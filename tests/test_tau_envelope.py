@@ -175,7 +175,7 @@ class TestBandRender:
         finally:
             svc.close()
 
-    def test_no_exact_scan_at_two_shards(self, small_points, monkeypatch):
+    def test_no_exact_scan_on_tau_tiles(self, small_points, monkeypatch):
         import sys
 
         import repro.core.exact as exact_module
@@ -193,7 +193,7 @@ class TestBandRender:
             )
         )
         try:
-            svc.registry.register("crime", small_points, shards=2)
+            svc.registry.register("crime", small_points)
             tau = _tau_at_median_pixel(svc, TILE)
             svc.get_tile("crime", *TILE)  # the colour probe runs here
             for name, module in list(sys.modules.items()):

@@ -31,8 +31,8 @@ Run against a live server::
 
     PYTHONPATH=src python tools/loadgen.py --url http://127.0.0.1:8699 --dataset crime
 
-or self-contained (boots an in-process 2-shard service on an ephemeral
-port, suitable for CI)::
+or self-contained (boots an in-process service on an ephemeral port,
+suitable for CI)::
 
     PYTHONPATH=src python tools/loadgen.py --smoke
 """
@@ -293,36 +293,28 @@ async def _run_against(
 
 
 async def _run_smoke(args: argparse.Namespace) -> Dict[str, Any]:
-    """Boot an in-process sharded service and drive the workload at it."""
+    """Boot an in-process service and drive the workload at it."""
     from repro.data.synthetic import load_dataset
-    from repro.serve import (
-        RenderConfig,
-        ServiceConfig,
-        ShardingConfig,
-        TileServer,
-        TileService,
-    )
+    from repro.serve import RenderConfig, ServiceConfig, TileServer, TileService
 
     config = ServiceConfig(
         render=RenderConfig(tile_px=args.tile_px, eps=0.05, workers=2),
-        sharding=ShardingConfig(shards=args.shards, min_points_per_shard=1),
     )
     service = TileService(config=config)
     service.registry.register(
         args.dataset, load_dataset(args.dataset, n=args.n_points, seed=0)
     )
-    shards = service.registry.get(args.dataset).shards
     server = await TileServer(service, port=0).start()
     print(
         f"loadgen[smoke]: server on {server.url}, dataset {args.dataset!r} "
-        f"n={args.n_points} shards={shards}"
+        f"n={args.n_points}"
     )
     try:
         host, port = server.url.rsplit("://", 1)[1].rsplit(":", 1)
         environment = {
             "mode": "smoke",
             "url": server.url,
-            "shards": shards,
+            "cpu_count": os.cpu_count(),
             "tile_px": args.tile_px,
             "n_points": args.n_points,
             "python": sys.version.split()[0],
@@ -341,7 +333,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     target.add_argument(
         "--smoke",
         action="store_true",
-        help="boot an in-process sharded service and load-test it (CI mode)",
+        help="boot an in-process service and load-test it (CI mode)",
     )
     parser.add_argument("--dataset", default="crime")
     parser.add_argument("--concurrency", type=int, default=8)
@@ -357,9 +349,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--pans", type=int, default=2, help="max neighbour pans per zoom level"
     )
     parser.add_argument("--output", default=DEFAULT_OUTPUT)
-    parser.add_argument(
-        "--shards", type=int, default=2, help="smoke mode: shards for the dataset"
-    )
     parser.add_argument("--tile-px", type=int, default=128, help="smoke mode tile size")
     parser.add_argument(
         "--n-points", type=int, default=4_000, help="smoke mode dataset size"
@@ -375,6 +364,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         environment = {
             "mode": "external",
             "url": base,
+            "cpu_count": os.cpu_count(),
             "python": sys.version.split()[0],
         }
         report = asyncio.run(_run_against(host, int(port or "80"), args, environment))
