@@ -18,6 +18,7 @@ import pytest
 
 from repro.data.synthetic import load_dataset
 from repro.experiments.common import get_scale
+from repro.visual.executors import close_render_pools
 from repro.visual.kdv import KDVRenderer
 
 BENCH_SCALE = get_scale(os.environ.get("REPRO_BENCH_SCALE", "small"))
@@ -65,8 +66,4 @@ def bench_scale():
 def _close_process_pools():
     """Release process pools / shared-memory segments the benches spun up."""
     yield
-    for renderer in _renderers.values():
-        for fitted in renderer._methods.values():
-            closer = getattr(fitted, "close_executors", None)
-            if closer is not None:
-                closer()
+    close_render_pools()

@@ -220,10 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--render-workers",
         type=_positive_int,
         default=None,
-        help="tile-render worker processes per dataset, on a supervised "
-        "process pool; 1 renders in-process (default: one per CPU this "
-        "process may use, for each dataset, so D datasets run up to "
-        "D x CPUs workers)",
+        help="tile-render worker processes of the server, on one "
+        "supervised process pool every dataset shares; 1 renders "
+        "in-process (default: one per CPU this process may use)",
     )
     serve_render.add_argument("--max-zoom", type=_positive_int, default=18)
 

@@ -27,9 +27,11 @@ Fidelity guarantees (what makes cross-process results trustworthy):
   per-node scalars are materialised as Python objects.
 
 Lifecycle: the publishing side owns the segment — :meth:`SharedTreeHandle.close`
-(also registered as a ``weakref.finalize``) unlinks it exactly once.
-Attachers map the segment read-only in spirit (nothing writes) and
-merely close their mapping. On Python 3.11 every attach implicitly
+(also registered as a ``weakref.finalize``) unlinks it exactly once;
+the render pool calls it once the published tree is gone. Attachers
+map the segment read-only in spirit (nothing writes) and merely close
+their mapping; an unlinked segment stays mapped in a worker until the
+worker drops it. On Python 3.11 every attach implicitly
 registers the segment with ``multiprocessing.resource_tracker``, which
 would unlink it when the *first* worker exits (bpo-38119); the attach
 path immediately unregisters to keep ownership with the publisher.
@@ -89,8 +91,8 @@ class SharedTreeHandle:
     """Owner of one published tree segment (publishing-process side).
 
     ``meta`` is a small picklable dict that travels to worker processes
-    (through pool-initializer args); :func:`attach_tree` turns it back
-    into a :class:`SharedKDTree`. The handle unlinks the segment on
+    (with each job on the tree); :func:`attach_tree` turns it back into
+    a :class:`SharedKDTree`. The handle unlinks the segment on
     :meth:`close` — exactly once, also via a ``weakref.finalize`` safety
     net, so an abandoned handle cannot leak the segment past interpreter
     exit.
@@ -209,8 +211,9 @@ def attach_tree(meta: dict[str, Any]) -> SharedKDTree:
     and since forked workers share one tracker, a register/unregister
     pair per worker double-unregisters the same name. Skipping the
     registration outright keeps ownership with the publishing handle
-    alone. The attach path runs single-threaded (pool initializers),
-    so the brief module-attribute swap cannot race.
+    alone. The attach path runs single-threaded (a pool worker attaches
+    on its first job on the tree, and runs one job at a time on its
+    main thread), so the brief module-attribute swap cannot race.
     """
     original_register = resource_tracker.register
     resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]

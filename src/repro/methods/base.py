@@ -14,9 +14,8 @@ end-to-end ``(1 ± eps)`` contract — at an extra O(n·m) cost per batch.
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -252,23 +251,10 @@ class IndexedMethod(Method):
         self.tree: KDTree | BallTree | None = None
         self.engine: RefinementEngine | None = None
         self.batch_engine: BatchRefinementEngine | None = None
-        # Cached process-pool tile executors, keyed by worker count.
-        # Lazily built by process_executor() under the lock; invalidated
-        # on refit since the worker processes hold a snapshot of the
-        # fitted tree.
-        self._process_executors: dict[int, Any] = {}
-        self._executors_lock = threading.Lock()
-        #: ``(method, workers) -> pool or None`` of whoever lends this
-        #: method a shared pool that publishes its tree (a served
-        #: dataset; a ``None`` answer renders in-process); ``None``
-        #: means a pool of the method's own.
-        self.pool_owner: Callable[[IndexedMethod, int], Any] | None = None
 
     def _fit_impl(self) -> None:
         from repro.core.bounds import make_bound_provider
 
-        self.close_executors()
-        self.pool_owner = None
         if self.index == "ball":
             from repro.index.balltree import BallTree
 
@@ -321,58 +307,6 @@ class IndexedMethod(Method):
             ordering=self.ordering,
             stats=stats,
         )
-
-    def process_executor(self, workers: int) -> Any:
-        """The process-pool tile executor this fitted method renders on.
-
-        The :attr:`pool_owner`'s answer when one is set: its shared pool
-        (whose workers attach this method's tree with the dataset's
-        others), or ``None`` once it no longer publishes this method,
-        and the render runs in-process. Otherwise a cached
-        :class:`~repro.visual.executors.ProcessTileExecutor` of the
-        method's own, whose workers attach the fitted tree from shared
-        memory — one publication feeds every render until the method is
-        refitted or :meth:`close_executors` runs. Keyed by ``workers``
-        so a renderer can mix worker counts without thrashing pools, and
-        built under a lock, so concurrent first renders share one pool.
-        """
-        self._require_fitted()
-        workers = int(workers)
-        owner = self.pool_owner
-        if owner is not None:
-            return owner(self, workers)
-        with self._executors_lock:
-            pool = self._process_executors.get(workers)
-            if pool is None or pool.closed:
-                from repro.visual.executors import ProcessTileExecutor
-
-                pool = ProcessTileExecutor(self, workers=workers)
-                self._process_executors[workers] = pool
-            return pool
-
-    def executor_health(self) -> list[dict[str, Any]]:
-        """Liveness snapshots of the cached process pools (for ``/stats``).
-
-        One dict per cached :class:`ProcessTileExecutor` — worker count,
-        break/rebuild counters, supervisor state — so the tile service
-        can surface pool supervision without reaching into executor
-        internals. Empty when no process pool has been built.
-        """
-        with self._executors_lock:
-            pools = list(self._process_executors.values())
-        return [pool.health() for pool in pools]
-
-    def close_executors(self) -> None:
-        """Shut down cached process pools and free their shared memory.
-
-        Idempotent; called automatically on refit. Anyone embedding a
-        long-lived method (the serve registry) must call this — or rely
-        on the executors' own finalizers — before dropping the method.
-        """
-        with self._executors_lock:
-            executors, self._process_executors = self._process_executors, {}
-        for pool in executors.values():
-            pool.close()
 
     def _batch_eps_impl(self, queries: FloatArray, eps: float, atol: float) -> FloatArray:
         if self.engine_mode == "batch":

@@ -49,14 +49,15 @@ class RenderConfig:
 
     ``workers`` sizes the *request* pool (threads running plan/cache/
     encode); ``render_workers`` shapes each render itself:
-    ``render_workers=N`` with ``N >= 2`` drains every tile render
-    through the dataset's shared-memory process pool of ``N`` workers
-    (parallelism past the GIL), ``1`` renders in-process, and ``None``
-    (the default) means one worker per CPU this process may use
-    (:attr:`resolved_render_workers`). Each dataset has its own pool,
-    so ``D`` datasets run up to ``D`` times that many workers. Cache
-    keys are unaffected — every worker count produces bit-identical
-    tile bytes.
+    ``render_workers=N`` with ``N >= 2`` drains every kd-tree tile
+    render through the process's shared-memory render pool of ``N``
+    workers (parallelism past the GIL;
+    :func:`~repro.visual.executors.render_pool`), ``1`` renders
+    in-process, and ``None`` (the default) means one worker per CPU
+    this process may use (:attr:`resolved_render_workers`). Every
+    dataset renders on that one pool, so ``render_workers`` sizes the
+    server, whatever the number of datasets. Cache keys are unaffected
+    — every worker count produces bit-identical tile bytes.
 
     The render defaults are checked here, by the rules a tile render
     applies: ``colormap`` must name a registered colormap, ``eps`` must

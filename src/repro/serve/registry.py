@@ -41,7 +41,6 @@ from repro.visual.kdv import KDVRenderer
 
 if TYPE_CHECKING:
     from repro._types import FloatArray, PointLike
-    from repro.visual.executors import ProcessTileExecutor
     from repro.visual.grid import PixelGrid
 
 __all__ = ["CoresetTier", "DatasetEntry", "DatasetRegistry"]
@@ -98,14 +97,6 @@ class CoresetTier:
         }
 
 
-def _close_renderer_methods(renderer: KDVRenderer) -> None:
-    """Shut down process pools cached on a renderer's fitted methods."""
-    for fitted in renderer._methods.values():
-        closer = getattr(fitted, "close_executors", None)
-        if closer is not None:
-            closer()
-
-
 class DatasetEntry:
     """One served dataset: points, fitted renderer, version.
 
@@ -113,10 +104,6 @@ class DatasetEntry:
     The entry's ``renderer`` is fitted over the dataset's base viewport;
     tile requests derive per-tile grids from it via ``with_grid`` clones
     that share the fitted method objects.
-
-    The entry lends its serving methods one render pool
-    (:meth:`process_executor`): the exact tree and every distinct
-    coreset-tier tree render on the same worker processes.
     """
 
     def __init__(
@@ -154,7 +141,6 @@ class DatasetEntry:
         self._coreset_tiers: Dict[int, CoresetTier] = self._build_coreset_tiers(
             renderer
         )
-        self._pool: Optional["ProcessTileExecutor"] = None
 
     def _build_coreset_tiers(self, renderer: KDVRenderer) -> Dict[int, CoresetTier]:
         """Materialise one coreset + renderer per zoom below the threshold.
@@ -307,54 +293,6 @@ class DatasetEntry:
         for tier in tiers.values():
             tier.renderer.get_method(name)
         self._probe_method(renderer)
-        for fitted in self._pooled_methods(renderer, tiers):
-            fitted.pool_owner = self.process_executor
-
-    def _pooled_methods(
-        self, renderer: KDVRenderer, tiers: Dict[int, CoresetTier]
-    ) -> List[IndexedMethod]:
-        """The trees the dataset's pool publishes, as their fitted methods.
-
-        The serving method of the exact ``renderer`` and of every
-        distinct tier renderer (tiers share a renderer when their
-        coresets converge), where it refines a kd-tree.
-        """
-        renderers = [renderer] + [tier.renderer for tier in tiers.values()]
-        methods: Dict[int, IndexedMethod] = {}
-        for renderer in renderers:
-            fitted = renderer._methods.get(self.method)
-            if isinstance(fitted, IndexedMethod) and fitted.index == "kd":
-                methods.setdefault(id(fitted), fitted)
-        return list(methods.values())
-
-    def process_executor(
-        self, method: IndexedMethod, workers: int
-    ) -> Optional["ProcessTileExecutor"]:
-        """The dataset's render pool for ``method``, or ``None``.
-
-        Built on first use under the entry lock, with that caller's
-        ``workers`` (the tile service always asks with its config's):
-        its workers attach the exact tree and every distinct
-        coreset-tier tree once, so all zooms render on the same
-        processes. ``None`` when ``method`` is not one the pool
-        publishes (a renderer an :meth:`append` replaced); that render
-        runs in-process.
-        """
-        from repro.visual.executors import ProcessTileExecutor
-
-        with self._lock:
-            methods = self._pooled_methods(self.renderer, self._coreset_tiers)
-            if not any(fitted is method for fitted in methods):
-                return None
-            if self._pool is None or self._pool.closed:
-                self._pool = ProcessTileExecutor(methods, workers=workers)
-            return self._pool
-
-    def _close_pool(self) -> None:
-        """Shut the dataset's pool down and unlink its trees."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.close()
 
     def append(self, points: "PointLike") -> int:
         """Grow the dataset; refit; bump the version. Returns new count.
@@ -371,7 +309,9 @@ class DatasetEntry:
         built before the entry lock is taken, so plans and colour probes
         keep reading the current version meanwhile; the lock covers only
         the swap. Appends run one at a time, each over the points the
-        previous one left.
+        previous one left. The render pool's workers keep running; a
+        render holding the old version finishes on its trees, whose
+        shared-memory segments are unlinked once nothing holds them.
         """
         extra = np.asarray(points, dtype=np.float64)
         if extra.ndim != 2 or extra.shape[1] != self.points.shape[1]:
@@ -396,58 +336,9 @@ class DatasetEntry:
             tiers = self._build_coreset_tiers(renderer)
             self._fit(renderer, tiers)
             with self._lock:
-                stale, stale_tiers = self.renderer, self._coreset_tiers
                 self.renderer, self._coreset_tiers = renderer, tiers
                 self.version += 1
-                # The pool publishes the old trees; the new ones get a
-                # pool of their own on first use (process_executor).
-                pool, self._pool = self._pool, None
-            # The old pool and the replaced renderers' own pools hold
-            # the old trees in shared memory; release them now rather
-            # than waiting on garbage collection.
-            if pool is not None:
-                pool.close()
-            _close_renderer_methods(stale)
-            for tier in stale_tiers.values():
-                _close_renderer_methods(tier.renderer)
             return int(merged.shape[0])
-
-    def close(self) -> None:
-        """Release the process pools and their shared memory (idempotent).
-
-        Waits out an append in progress, so no refit lands after it.
-        """
-        with self._append_lock, self._lock:
-            self._close_pool()
-            _close_renderer_methods(self.renderer)
-            for tier in self._coreset_tiers.values():
-                _close_renderer_methods(tier.renderer)
-
-    def executor_health(self) -> List[Dict[str, Any]]:
-        """Health snapshots of every process pool (for ``/stats``).
-
-        The dataset's own pool first, then the pools fitted methods
-        built for themselves (methods the dataset's pool does not
-        publish), walking the exact renderer and every coreset tier
-        renderer (deduplicated — tiers share renderers when their
-        coresets converge).
-        """
-        with self._lock:
-            pools = [] if self._pool is None else [self._pool]
-            renderers = [self.renderer] + [
-                tier.renderer for tier in self._coreset_tiers.values()
-            ]
-        reports: List[Dict[str, Any]] = [pool.health() for pool in pools]
-        seen: set[int] = set()
-        for renderer in renderers:
-            if id(renderer) in seen:
-                continue
-            seen.add(id(renderer))
-            for fitted in renderer._methods.values():
-                health = getattr(fitted, "executor_health", None)
-                if health is not None:
-                    reports.extend(health())
-        return reports
 
     def as_dict(self) -> Dict[str, Any]:
         """Entry snapshot for ``/stats``."""
@@ -535,7 +426,9 @@ class DatasetRegistry:
         method's options (``leaf_size=`` ...).
 
         The entry is published only once warm: a request that finds it
-        also finds its serving method fitted and on the dataset's pool.
+        also finds its serving method fitted. Registration starts no
+        render worker: the process's render pool starts with the first
+        pooled render (:func:`repro.visual.executors.render_pool`).
         """
         if int(shards) < 1:
             raise InvalidParameterError(f"shards must be >= 1, got {shards!r}")
@@ -566,7 +459,6 @@ class DatasetRegistry:
             if not taken:
                 self._entries[dataset_id] = entry
         if taken:
-            entry.close()
             raise _already_registered(dataset_id)
         return entry
 
@@ -591,11 +483,15 @@ class DatasetRegistry:
         return count
 
     def remove(self, dataset_id: str) -> bool:
-        """Drop a dataset (and invalidate); returns whether it existed."""
+        """Drop a dataset (and invalidate); returns whether it existed.
+
+        The render pool's workers keep running; the shared-memory
+        segments of the dataset's trees are unlinked once nothing holds
+        the trees (at once, when no render of the dataset is in flight).
+        """
         with self._lock:
             entry = self._entries.pop(str(dataset_id), None)
         if entry is not None:
-            entry.close()
             if self._on_invalidate is not None:
                 self._on_invalidate(entry.dataset_id)
         return entry is not None

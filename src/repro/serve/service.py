@@ -271,7 +271,8 @@ class TileService:
         self.pool = ThreadPoolExecutor(
             max_workers=int(self.config.render.workers), thread_name_prefix="repro-tile"
         )
-        #: Render processes per dataset (``1``: renders run in-process).
+        #: Render processes of the server, every dataset's renders on
+        #: one pool (``1``: renders run in-process).
         self.render_workers = self.config.render.resolved_render_workers
         self.started_at = time.time()
 
@@ -406,10 +407,9 @@ class TileService:
             RenderOptions(
                 tile_size=RENDER_TILE_SIZE,
                 anytime=True,
-                # Only the serving method's kd-trees are on the
-                # dataset's pool; other methods (?method=) and ball
-                # trees render in-process.
-                workers=self.render_workers if fitted.pool_owner is not None else 1,
+                # Every kd-tree renders on the process's pool, whatever
+                # its method and version; ball trees render in-process.
+                workers=self.render_workers if fitted.index == "kd" else 1,
             )
             if isinstance(fitted, IndexedMethod)
             else RenderOptions()
@@ -750,7 +750,8 @@ class TileService:
             self.metrics.counter("tiles.degraded").add(1)
             if degraded.reason == STOP_TILE_FAILURES:
                 raise TransientTileError(
-                    f"tile {plan.tile} lost {len(degraded.tiles_failed)} "
+                    f"tile {plan.tile} lost "
+                    f"{degraded.tiles_total - degraded.tiles_completed} "
                     "tile batch(es)"
                 )
             raise DeadlineExceededError(
@@ -877,7 +878,7 @@ class TileService:
 
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` payload: datasets, cache levels, metrics, load."""
-        from repro.visual.executors import pool_supervision_totals
+        from repro.visual.executors import pool_supervision_totals, render_pools
 
         entries = self.registry.entries()
         with self._breakers_lock:
@@ -886,7 +887,7 @@ class TileService:
                 for entry in entries
                 if entry in self._breakers
             }
-        pools = [report for entry in entries for report in entry.executor_health()]
+        pools = [pool.health() for pool in render_pools()]
         totals = pool_supervision_totals()
         render = self.config.render
         return {
@@ -932,20 +933,23 @@ class TileService:
         Graceful: the service first flips into *draining* (new slot
         acquisitions are rejected, ``/readyz`` answers 503), then waits
         up to ``config.drain_s`` for active requests and in-flight
-        renders to finish before shutting down the worker pool and the
-        datasets' render pools. A request racing :meth:`close` either
-        completes normally or is rejected up-front — it is never cut
-        mid-render by the shutdown.
+        renders to finish before shutting down the process's render
+        pools (:func:`~repro.visual.executors.close_render_pools`) and
+        the request pool. A request racing :meth:`close` either
+        completes normally or is rejected up-front; one still rendering
+        when the drain ends loses its unstarted tiles and fails like
+        any render that lost tiles.
         """
+        from repro.visual.executors import close_render_pools
+
         self._closing = True
         deadline = time.monotonic() + max(0.0, float(self.config.resilience.drain_s))
         while time.monotonic() < deadline:
             if self.active_requests == 0 and self._flight.in_flight() == 0:
                 break
             time.sleep(0.01)
+        close_render_pools()
         self.pool.shutdown(wait=True, cancel_futures=True)
-        for entry in self.registry.entries():
-            entry.close()
 
     def __repr__(self) -> str:
         return (

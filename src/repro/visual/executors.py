@@ -5,10 +5,12 @@ core: refinement holds the GIL through the whole loop (Python +
 small-batch numpy). :class:`ProcessTileExecutor` is the tile driver's
 second executor: it drains tiles into worker *processes*:
 
-* the fitted kd-tree is published **once** into POSIX shared memory
-  (:func:`repro.index.shared.publish_tree`); every worker attaches
-  zero-copy views at pool start instead of unpickling megabytes of tree
-  per render;
+* a fitted kd-tree is published **once** into POSIX shared memory
+  (:func:`repro.index.shared.publish_tree`), the first time a render
+  refines it on the pool, and unlinked once the tree is gone; each job
+  names its tree's segment, and a worker attaches zero-copy views on the
+  first job that does instead of unpickling megabytes of tree per
+  render;
 * each worker rebuilds the method's bound provider from a tiny picklable
   spec and answers tiles with a private
   :class:`~repro.core.batch_engine.BatchRefinementEngine` — the same
@@ -29,26 +31,27 @@ second executor: it drains tiles into worker *processes*:
   ``concurrent.futures`` poisons the whole ``ProcessPoolExecutor`` —
   the executor detects that, consults its
   :class:`~repro.resilience.supervisor.PoolSupervisor` and *rebuilds*
-  the inner pool against the already-published shared-memory tree
-  (no re-publication, no re-pack), then replays the tiles whose
-  futures never returned. Rebuild storms are capped with exponential
-  backoff; when the budget is exhausted (or supervision is disabled)
-  a typed :class:`~repro.errors.WorkerPoolBrokenError` surfaces
-  instead of the raw ``BrokenProcessPool`` traceback.
+  the inner pool, whose fresh workers attach the already-published
+  segments on their first jobs (no re-publication, no re-pack), then
+  replays the tiles whose futures never returned. Rebuild storms are
+  capped with exponential backoff; when the budget is exhausted (or
+  supervision is disabled) a typed
+  :class:`~repro.errors.WorkerPoolBrokenError` surfaces instead of the
+  raw ``BrokenProcessPool`` traceback.
 
 Workers come from a ``forkserver`` context whose server has already
 imported the worker's modules (``spawn`` where the platform has no
 forkserver), so no worker is forked from a threaded parent and a pool
-start costs one fork plus a tree attach. Each worker pins numpy's
-bundled OpenBLAS to one thread: the pool's parallelism is its
-processes. One pool can host several trees (a served dataset's exact
-tree and its coreset tiers); each job names the tree it refines.
+start costs one fork. Each worker pins numpy's bundled OpenBLAS to one
+thread: the pool's parallelism is its processes. A worker holds every
+tree its jobs have named (a served dataset's exact tree and coreset
+tiers, other methods' trees, several datasets'), and drops a tree once
+a job's list of live segments no longer has it.
 
-Pools are cached by
-:meth:`repro.methods.base.IndexedMethod.process_executor` (one per
-fitted method) or, in the tile service, by
-:meth:`repro.serve.registry.DatasetEntry.process_executor` (one per
-dataset), so a render sweep pays the pool start once.
+The process holds one pool per worker count (:func:`render_pool`),
+built on the first pooled render of that size and shared by every
+render after it: a library render sweep and every dataset of a tile
+service alike. :func:`close_render_pools` shuts them all down.
 """
 
 from __future__ import annotations
@@ -77,8 +80,6 @@ from repro.resilience.runner import check_finite_envelope
 from repro.resilience.supervisor import PoolSupervisor
 
 if TYPE_CHECKING:
-    from collections.abc import Sequence
-
     from repro._types import FloatArray, IntArray
     from repro.methods.base import IndexedMethod
 
@@ -86,8 +87,15 @@ __all__ = [
     "ProcessTileExecutor",
     "TileJob",
     "ProcessRunOutcome",
+    "close_render_pools",
     "pool_supervision_totals",
+    "render_pool",
+    "render_pools",
 ]
+
+#: How often a draining :meth:`ProcessTileExecutor.run` looks for tiles
+#: a pool closed under it cancelled (nothing wakes it for those).
+_CLOSE_POLL_S = 0.05
 
 # Process-wide supervision ledger. Executor instances are replaced when
 # their rebuild budget is exhausted (close + fresh build on the next
@@ -188,6 +196,20 @@ class TileJob(NamedTuple):
     centers: FloatArray
 
 
+class TreeSegment(NamedTuple):
+    """A published tree as every job on it names it.
+
+    ``seq`` numbers the executor's publications (1, 2, ...), ``meta`` is
+    the :class:`~repro.index.shared.SharedTreeHandle` meta a worker
+    attaches, and ``spec`` what it rebuilds the method's bound provider
+    and engine from.
+    """
+
+    seq: int
+    meta: dict[str, Any]
+    spec: dict[str, Any]
+
+
 class ProcessRunOutcome:
     """What one :meth:`ProcessTileExecutor.run` produced.
 
@@ -205,8 +227,9 @@ class ProcessRunOutcome:
         Tile indices whose worker observed the cancellation slot and
         returned early (a subset of ``payloads`` keys).
     unrun:
-        Tile indices never executed (future cancelled before start, or
-        the pool broke underneath them).
+        Tile indices never executed: their future was cancelled before
+        it started (Ctrl-C, or the pool closed under the run), or the
+        pool broke underneath them while the run was being abandoned.
     stats:
         All workers' engine counters merged into one
         :class:`~repro.core.engine.QueryStats`.
@@ -249,26 +272,43 @@ class ProcessRunOutcome:
 
 # -- worker side -------------------------------------------------------------
 #
-# Module-level state, populated once per worker process by the pool
-# initializer. concurrent.futures passes ``initargs`` through the
-# multiprocessing Process machinery, which is the only legal route for
-# shared objects (the slot array): they travel once, when the worker
-# starts, never with a task.
+# Module-level state of one worker process. The pool initializer stores
+# the cancellation slots: concurrent.futures passes ``initargs`` through
+# the multiprocessing Process machinery, which is the only legal route
+# for shared objects (the slot array), so they travel once, when the
+# worker starts. Trees are attached by the jobs that name them.
 
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _worker_init(trees: list[tuple[dict[str, Any], dict[str, Any]]], slot_array: Any) -> None:
-    """Attach every published tree and rebuild its bound provider.
+def _worker_init(slot_array: Any) -> None:
+    """Run OpenBLAS on one thread; keep the slots; attach no tree yet."""
+    _blas_threads(1)
+    _WORKER_STATE["slots"] = slot_array
+    _WORKER_STATE["trees"] = {}
 
-    ``trees`` lists ``(segment meta, spec)`` pairs; a job names its tree
-    by position in this list.
+
+def _attached(segment: TreeSegment, live: tuple[int, frozenset[str]]) -> tuple[Any, Any]:
+    """This worker's ``(tree, bound provider)`` for ``segment``.
+
+    Attaches the segment on the first job that names it. ``live`` is
+    ``(seq, names)``: the segments the pool still published when the
+    job was submitted, as of its publication ``seq``. A segment this
+    worker holds that was published by then and is not among them has
+    been unlinked, so its mapping is dropped; later publications are
+    unknown to the job and stay. Jobs run one at a time on the worker's
+    main thread, so the attach runs single-threaded.
     """
     from repro.core.bounds import make_bound_provider
 
-    _blas_threads(1)
-    attached = []
-    for meta, spec in trees:
+    trees: dict[str, tuple[int, Any, Any]] = _WORKER_STATE["trees"]
+    seq, names = live
+    for name in [name for name, held in trees.items() if held[0] <= seq and name not in names]:
+        trees.pop(name)[1].close()
+    name = str(segment.meta["name"])
+    held = trees.get(name)
+    if held is None:
+        spec = segment.spec
         provider = make_bound_provider(
             spec["provider"],
             spec["kernel"],
@@ -276,9 +316,8 @@ def _worker_init(trees: list[tuple[dict[str, Any], dict[str, Any]]], slot_array:
             spec["weight"],
             **spec["provider_options"],
         )
-        attached.append((attach_tree(meta), provider, spec))
-    _WORKER_STATE["trees"] = attached
-    _WORKER_STATE["slots"] = slot_array
+        held = trees[name] = (segment.seq, attach_tree(segment.meta), provider)
+    return held[1], held[2]
 
 
 def _inject_process_faults(
@@ -309,7 +348,8 @@ def _inject_process_faults(
 
 
 def _run_tile(
-    tree: int,
+    segment: TreeSegment,
+    live: tuple[int, frozenset[str]],
     index: int,
     centers: FloatArray,
     op: str,
@@ -319,7 +359,7 @@ def _run_tile(
     fault_spec: Optional[dict[str, Any]] = None,
     attempt: int = 1,
 ) -> tuple[int, tuple[FloatArray, FloatArray], dict[str, int], float, bool, int]:
-    """Refine one tile's envelopes on tree ``tree``; returns a picklable tuple.
+    """Refine one tile's envelopes on ``segment``'s tree; returns a picklable tuple.
 
     A non-finite envelope raises here, in the worker, through the check
     the in-process executor runs, so both executors fail the tile alike.
@@ -327,10 +367,10 @@ def _run_tile(
     from repro.core.batch_engine import BatchRefinementEngine
 
     _inject_process_faults(fault_spec, index, attempt)
-    attached, provider, spec = _WORKER_STATE["trees"][tree]
+    tree, provider = _attached(segment, live)
     set_invariants(check)
     stats = QueryStats()
-    engine = BatchRefinementEngine(attached, provider, ordering=spec["ordering"], stats=stats)
+    engine = BatchRefinementEngine(tree, provider, ordering=segment.spec["ordering"], stats=stats)
     token: CancellationToken | None = None
     if slot is not None:
         token = SlotCancellationToken(_WORKER_STATE["slots"], slot)
@@ -361,6 +401,55 @@ def _worker_spec(method: IndexedMethod) -> dict[str, Any]:
     }
 
 
+# -- the process's pools -----------------------------------------------------
+
+_POOLS: dict[int, ProcessTileExecutor] = {}
+_POOLS_LOCK = threading.Lock()
+
+
+def render_pool(workers: int) -> ProcessTileExecutor:
+    """The process's render pool of ``workers`` workers.
+
+    Built on the first call for that size, and again after it closed,
+    so concurrent first renders share one pool; its workers start with
+    its first job.
+    """
+    workers = int(workers)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None or pool.closed:
+            pool = ProcessTileExecutor(workers)
+            _POOLS[workers] = pool
+        return pool
+
+
+def render_pools() -> list[ProcessTileExecutor]:
+    """The process's open render pools, smallest first (for ``/stats``)."""
+    with _POOLS_LOCK:
+        return [pool for __, pool in sorted(_POOLS.items()) if not pool.closed]
+
+
+def close_render_pools() -> None:
+    """Shut every render pool down and unlink its trees (idempotent).
+
+    A render draining a pool returns once its running tiles finish,
+    with its queued tiles listed as unrun; the next pooled render
+    builds a fresh pool.
+    """
+    with _POOLS_LOCK:
+        pools = list(_POOLS.values())
+        _POOLS.clear()
+    for pool in pools:
+        pool.close()
+
+
+# -- the executor ------------------------------------------------------------
+
+#: What an executor keeps per published tree: the segment its jobs
+#: name, and the finalizer that unlinks it when the tree is gone.
+_Published = tuple[TreeSegment, weakref.finalize]
+
+
 class _PoolBox:
     """Mutable holder for the inner ``ProcessPoolExecutor``.
 
@@ -376,26 +465,27 @@ class _PoolBox:
         self.pool = pool
 
 
-def _close_pool(box: _PoolBox, handles: list[Any]) -> None:
+def _close_pool(box: _PoolBox, published: weakref.WeakKeyDictionary[Any, _Published]) -> None:
     box.pool.shutdown(wait=True, cancel_futures=True)
-    for handle in handles:
-        handle.close()
+    for __, release in list(published.values()):
+        release()
+    published.clear()
 
 
 class ProcessTileExecutor:
-    """A persistent worker-process pool over one or more fitted trees.
+    """A persistent worker-process pool that renders on any fitted kd-tree.
 
     Parameters
     ----------
-    methods:
-        A fitted :class:`~repro.methods.base.IndexedMethod` over a
-        kd-tree index, or a sequence of them (ball trees have no
-        shared-memory packing and raise
-        :class:`~repro.errors.InvalidParameterError`). Each distinct
-        method's tree is published once, and every worker attaches all
-        of them; :meth:`run` names the tree a render refines.
     workers:
         Worker process count (>= 1).
+
+    :meth:`run` publishes the tree of the method it is given the first
+    time (ball trees have no shared-memory packing and raise
+    :class:`~repro.errors.InvalidParameterError`); the segment is
+    unlinked once the tree is gone or the executor closes, and a render
+    in flight holds its method, so its tree's segment outlives it.
+    Most callers want the process's shared pool, :func:`render_pool`.
 
     Attributes
     ----------
@@ -407,60 +497,35 @@ class ProcessTileExecutor:
         :class:`~repro.errors.WorkerPoolBrokenError`).
     """
 
-    def __init__(
-        self,
-        methods: IndexedMethod | Sequence[IndexedMethod],
-        workers: int,
-    ) -> None:
-        from concurrent.futures import ProcessPoolExecutor
-
+    def __init__(self, workers: int) -> None:
         workers = int(workers)
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
-        if not isinstance(methods, (list, tuple)):
-            methods = [methods]
-        distinct = list({id(method): method for method in methods}.values())
-        if not distinct or any(method.engine is None for method in distinct):
-            raise InvalidParameterError(
-                "methods must be fitted before building a process executor"
-            )
-        specs = [_worker_spec(method) for method in distinct]
-        ctx = _pool_context()
         self.workers = workers
         self.supervisor: PoolSupervisor | None = PoolSupervisor()
         self.breaks = 0
         self.rebuilds = 0
-        self._ctx = ctx
+        self._ctx = _pool_context()
         self._generation = 0
-        self._rebuild_lock = threading.Lock()
-        # The executor holds the trees it published, so an id() below
-        # cannot be reused by another tree while the pool lives.
-        self._trees = [method.engine.tree for method in distinct]  # type: ignore[union-attr]
-        self._tree_index = {id(tree): index for index, tree in enumerate(self._trees)}
-        self._handles: list[Any] = []
-        try:
-            for tree in self._trees:
-                self._handles.append(publish_tree(tree))
-            self._slots = CancelSlots(ctx)
-            self._initargs = (
-                [(handle.meta, spec) for handle, spec in zip(self._handles, specs)],
-                self._slots.array,
-            )
-            self._box = _PoolBox(
-                ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=ctx,
-                    initializer=_worker_init,
-                    initargs=self._initargs,
-                )
-            )
-        except BaseException:
-            for handle in self._handles:
-                handle.close()
-            raise
+        # Guards publication, the live list, rebuilds and closing.
+        self._lock = threading.Lock()
         self._closed = False
-        self._finalizer = weakref.finalize(
-            self, _close_pool, self._box, self._handles
+        self._seq = 0
+        self._published: weakref.WeakKeyDictionary[Any, _Published] = (
+            weakref.WeakKeyDictionary()
+        )
+        self._slots = CancelSlots(self._ctx)
+        self._box = _PoolBox(self._new_pool())
+        self._finalizer = weakref.finalize(self, _close_pool, self._box, self._published)
+
+    def _new_pool(self) -> Any:
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=self._ctx,
+            initializer=_worker_init,
+            initargs=(self._slots.array,),
         )
 
     @property
@@ -470,7 +535,8 @@ class ProcessTileExecutor:
     @property
     def segments(self) -> list[str]:
         """Names of the shared-memory segments holding the published trees."""
-        return [handle.name for handle in self._handles]
+        with self._lock:
+            return [str(segment.meta["name"]) for segment, __ in self._published.values()]
 
     def worker_pids(self) -> list[int]:
         """Process ids of the pool's live workers (empty before the first run)."""
@@ -478,45 +544,70 @@ class ProcessTileExecutor:
         return sorted(processes) if processes else []
 
     def close(self) -> None:
-        """Shut the pool down and unlink the shared trees (idempotent)."""
-        if not self._closed:
+        """Shut the pool down and unlink the published trees (idempotent).
+
+        A :meth:`run` draining the pool returns once its running tiles
+        finish, with its queued tiles listed as unrun.
+        """
+        with self._lock:
+            if self._closed:
+                return
             self._closed = True
-            self._finalizer()
+        self._finalizer()
+
+    def _publish(self, method: IndexedMethod) -> TreeSegment | None:
+        """``method``'s tree as jobs name it, published on first use.
+
+        ``None`` once the executor is closed.
+        """
+        if method.engine is None:
+            raise InvalidParameterError("methods must be fitted before rendering on a pool")
+        tree = method.tree
+        with self._lock:
+            if self._closed:
+                return None
+            published = self._published.get(tree)
+            if published is None:
+                handle = publish_tree(tree)  # type: ignore[arg-type]
+                self._seq += 1
+                segment = TreeSegment(self._seq, handle.meta, _worker_spec(method))
+                published = (segment, weakref.finalize(tree, handle.close))
+                self._published[tree] = published
+            return published[0]
+
+    def _live(self) -> tuple[int, frozenset[str]]:
+        """``(seq, names)`` of the segments published now (see ``_attached``)."""
+        with self._lock:
+            names = frozenset(
+                str(segment.meta["name"]) for segment, __ in self._published.values()
+            )
+            return self._seq, names
 
     def rebuild(self, observed_generation: int) -> None:
         """Replace the broken inner pool with a fresh one.
 
-        The shared-memory trees published at construction are
-        **reused**: the new pool's initargs carry the same segment
-        metadata and slot array, so workers re-attach zero-copy views —
-        no re-publication, no re-pack of any kd-tree.
-        ``observed_generation`` makes the call race-safe when several
-        concurrent :meth:`run` loops hit the same broken pool: only the
-        first one actually rebuilds.
+        The published segments are **reused**: the new workers attach
+        them on their first jobs — no re-publication, no re-pack of any
+        kd-tree. ``observed_generation`` makes the call race-safe when
+        several concurrent :meth:`run` loops hit the same broken pool:
+        only the first one actually rebuilds.
         """
-        from concurrent.futures import ProcessPoolExecutor
-
-        with self._rebuild_lock:
+        with self._lock:
             if self._closed or self._generation != observed_generation:
                 return
             old = self._box.pool
-            self._box.pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=self._ctx,
-                initializer=_worker_init,
-                initargs=self._initargs,
-            )
+            self._box.pool = self._new_pool()
             self._generation += 1
             self.rebuilds += 1
-            _count_rebuild()
-            # The old pool is already broken: don't wait on its corpse.
-            old.shutdown(wait=False, cancel_futures=True)
+        _count_rebuild()
+        # The old pool is already broken: don't wait on its corpse.
+        old.shutdown(wait=False, cancel_futures=True)
 
     def health(self) -> dict[str, Any]:
         """JSON-ready snapshot of pool liveness (for ``/stats``)."""
         report: dict[str, Any] = {
             "workers": self.workers,
-            "trees": len(self._handles),
+            "trees": len(self.segments),
             "pids": self.worker_pids(),
             "closed": self._closed,
             "breaks": self.breaks,
@@ -540,7 +631,7 @@ class ProcessTileExecutor:
         self,
         jobs: list[TileJob],
         *,
-        tree: Any,
+        method: IndexedMethod,
         op: str,
         params: dict[str, float],
         token: CancellationToken | None = None,
@@ -550,21 +641,21 @@ class ProcessTileExecutor:
     ) -> ProcessRunOutcome:
         """Drain ``jobs``' envelopes through the worker pool; never raises Ctrl-C.
 
-        ``tree`` is the fitted tree (``method.tree``) the jobs refine,
-        one of the trees the pool publishes.
+        ``method`` is the fitted method whose tree the jobs refine; its
+        tree is published the first time a run names it.
 
         Tiles are submitted all at once and drain from the pool's shared
         call queue — idle workers steal the next tile, so an uneven tile
         cost distribution self-balances. Per-tile results stream back
-        ``as_completed``:
+        as they complete:
 
         * worker stats merge into ``outcome.stats`` and (when ``token``
           carries a kernel budget) charge the parent token, so budgets
           account cross-process work exactly like in-process work;
         * ``tile`` trace events re-emit in the parent with stable
           ordinal worker ids (pids map to 0..N-1 in first-seen order);
-        * ``on_result(index, payload)`` runs in submission-completion
-          order when given (the tile driver's ``store``).
+        * ``on_result(index, payload)`` runs in completion order when
+          given (the tile driver's ``store``).
 
         A ``KeyboardInterrupt`` during collection cancels the token,
         trips the cancellation slot (workers stop at their next frontier
@@ -577,31 +668,33 @@ class ProcessTileExecutor:
         When the pool **breaks** (a worker died abruptly — OOM killer,
         segfault, injected ``worker_kill``), supervision kicks in: the
         supervisor grants a backoff-spaced rebuild, the inner pool is
-        recreated against the already-published shared tree, and the
-        tiles whose futures never returned are resubmitted with a
-        bumped attempt number. Tiles that completed before the break
-        keep their results — no work is redone. When the supervisor
-        denies (storm cap) or supervision is off, a typed
+        recreated, and the tiles whose futures never returned are
+        resubmitted with a bumped attempt number. Tiles that completed
+        before the break keep their results — no work is redone. When
+        the supervisor denies (storm cap) or supervision is off, the
+        executor closes and a typed
         :class:`~repro.errors.WorkerPoolBrokenError` is raised; a run
         whose token already tripped does not rebuild at all (the caller
-        is abandoning the render anyway) and reports lost tiles as
-        ``unrun``.
+        is abandoning the render anyway; the next run rebuilds) and
+        reports lost tiles as ``unrun``.
+
+        When the executor **closes** under the run (:meth:`close`,
+        :func:`close_render_pools`, or a supervisor denial in a
+        concurrent run), the run returns once its running tiles finish,
+        with the rest listed as ``unrun``; on an executor already
+        closed, every tile is.
 
         ``faults`` is a :class:`~repro.resilience.faults.FaultPlan`;
         its rolls execute *inside* the workers.
         """
-        from concurrent.futures import BrokenExecutor, CancelledError, as_completed
+        from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, wait
 
-        if self._closed:
-            raise InvalidParameterError("process executor is closed")
-        tree_index = self._tree_index.get(id(tree))
-        if tree_index is None:
-            raise InvalidParameterError(
-                f"this pool publishes {len(self._trees)} tree(s) and the "
-                "given tree is not one of them"
-            )
+        segment = self._publish(method)
         outcome = ProcessRunOutcome()
         if not jobs:
+            return outcome
+        if segment is None:
+            outcome.unrun.update(job.index for job in jobs)
             return outcome
         if token is None:
             token = CancellationToken()
@@ -619,39 +712,55 @@ class ProcessTileExecutor:
                 todo = list(jobs)
                 while todo:
                     generation = self._generation
+                    pool = self._box.pool
+                    live = self._live()
                     futures: dict[Any, int] = {}
-                    pending: set[Any] = set()
                     completed_this_round = 0
                     broken: BaseException | None = None
                     lost: set[int] = set()
-                    try:
-                        for job in todo:
-                            futures[
-                                self._box.pool.submit(
-                                    _run_tile,
-                                    tree_index,
-                                    job.index,
-                                    job.centers,
-                                    op,
-                                    params,
-                                    slot,
-                                    check,
-                                    fault_spec,
-                                    attempts[job.index],
-                                )
-                            ] = job.index
-                        pending = set(futures)
-                    except BrokenExecutor as error:
-                        # A worker died fast enough to poison the pool
-                        # mid-submission; nothing submitted this round
-                        # will produce results, so the whole round is
-                        # lost and replays after the rebuild.
-                        broken = error
-                        lost = {job.index for job in todo}
+                    for position, job in enumerate(todo):
+                        try:
+                            future = pool.submit(
+                                _run_tile,
+                                segment,
+                                live,
+                                job.index,
+                                job.centers,
+                                op,
+                                params,
+                                slot,
+                                check,
+                                fault_spec,
+                                attempts[job.index],
+                            )
+                        except BrokenExecutor as error:
+                            # A worker died fast enough to poison the pool
+                            # mid-submission; nothing submitted this round
+                            # will produce results, so the whole round is
+                            # lost and replays after the rebuild.
+                            broken = error
+                            lost = {job.index for job in todo}
+                            futures.clear()
+                            break
+                        except RuntimeError:
+                            # Shut down under this run: the rest never runs.
+                            if not self._closed:
+                                raise
+                            outcome.unrun.update(job.index for job in todo[position:])
+                            break
+                        futures[future] = job.index
+                    pending = set(futures)
                     todo = []
                     while pending:
                         try:
-                            for future in as_completed(pending):
+                            done, __ = wait(
+                                pending, timeout=_CLOSE_POLL_S, return_when=FIRST_COMPLETED
+                            )
+                            # A closing pool cancels its queued futures
+                            # without waking their waiters, so they are
+                            # collected at the next poll instead.
+                            done |= {future for future in pending if future.cancelled()}
+                            for future in sorted(done, key=futures.__getitem__):
                                 pending.discard(future)
                                 tile_index = futures[future]
                                 try:
@@ -660,14 +769,9 @@ class ProcessTileExecutor:
                                     outcome.unrun.add(tile_index)
                                     continue
                                 except BrokenExecutor as error:
-                                    # The pool died underneath us: this
-                                    # future and everything still pending
-                                    # never produced results.
                                     broken = error
-                                    lost = {tile_index}
-                                    lost.update(futures[f] for f in pending)
-                                    pending.clear()
-                                    break
+                                    lost.add(tile_index)
+                                    continue
                                 except BaseException as error:
                                     outcome.errors[tile_index] = error
                                     continue
@@ -698,6 +802,11 @@ class ProcessTileExecutor:
                                     )
                                 if on_result is not None:
                                     on_result(index, payload)
+                            if broken is not None:
+                                # The pool died underneath us: nothing
+                                # still pending produces results.
+                                lost.update(futures[future] for future in pending)
+                                pending.clear()
                         except KeyboardInterrupt:
                             outcome.keyboard_interrupt = True
                             token.cancel(STOP_INTERRUPT)
@@ -706,10 +815,10 @@ class ProcessTileExecutor:
                                 if future.cancel():
                                     pending.discard(future)
                                     outcome.unrun.add(futures[future])
-                            # Loop back into as_completed for the
-                            # stragglers: they observe the tripped slot
-                            # and return their best-so-far envelopes
-                            # within a frontier pop.
+                            # Loop back into the wait for the stragglers:
+                            # they observe the tripped slot and return
+                            # their best-so-far envelopes within a
+                            # frontier pop.
                             continue
                     if completed_this_round and self.supervisor is not None:
                         self.supervisor.note_progress()
@@ -718,12 +827,12 @@ class ProcessTileExecutor:
                     outcome.pool_broken = True
                     self.breaks += 1
                     _count_break()
-                    if token.triggered or outcome.keyboard_interrupt:
-                        # The render is being abandoned anyway: no
-                        # rebuild, report the lost tiles as unrun so
-                        # the anytime path degrades them.
+                    if token.triggered or outcome.keyboard_interrupt or self._closed:
+                        # The render is being abandoned (or the pool was
+                        # closed under it): no rebuild, report the lost
+                        # tiles as unrun so the anytime path degrades
+                        # them. A later run rebuilds a pool left broken.
                         outcome.unrun.update(lost)
-                        self.close()
                         break
                     delay = (
                         self.supervisor.grant()

@@ -11,7 +11,7 @@ online stages.
 frozen :class:`~repro.visual.request.RenderRequest` (what to render)
 carrying :class:`~repro.visual.request.RenderOptions` (how to run it).
 Every tiled render, strict or anytime, runs through one tile driver
-with two executors: in-process, or the method's process pool when
+with two executors: in-process, or the process's render pool when
 ``workers >= 2``. The bare ``render_eps(eps, method, atol=)`` and
 ``render_tau(tau, method)`` forms are shorthands for a request with
 default options (see ``docs/api.md``).
@@ -36,6 +36,7 @@ from repro.errors import (
     InvalidParameterError,
     TransientTileError,
     UnsupportedOperationError,
+    WorkerPoolBrokenError,
 )
 from repro.methods.base import IndexedMethod, Method
 from repro.methods.registry import create_method
@@ -216,8 +217,8 @@ class KDVRenderer:
         batch through the method's own ``batch_eps``/``batch_tau``. Any
         of ``tile_size``, ``workers``, ``anytime`` or a resilience
         option sends it through the tile driver
-        (:meth:`_render_anytime_impl`): in-process, or over the method's
-        process pool when ``workers >= 2``. A strict render (not
+        (:meth:`_render_anytime_impl`): in-process, or over the
+        process's render pool when ``workers >= 2``. A strict render (not
         ``anytime``) is the same run followed by a raise when tiles were
         lost; with no resilience option it fails fast — the first tile
         exception propagates with its own type and ``fitted.stats`` is
@@ -273,7 +274,7 @@ class KDVRenderer:
         degraded = outcome.degraded
         if degraded is not None and degraded.reason == STOP_TILE_FAILURES:
             raise TransientTileError(
-                f"{op} render lost {len(degraded.tiles_failed)} tile(s); "
+                f"{op} render lost {degraded.tiles_total - degraded.tiles_completed} tile(s); "
                 "render with anytime=True for the partial envelopes"
             )
         if op == OP_EPS:
@@ -390,7 +391,7 @@ class KDVRenderer:
     def _run_tiles_process(
         self,
         pool: ProcessTileExecutor,
-        tree: Any,
+        fitted: IndexedMethod,
         tile_list: list[IntArray],
         centers: FloatArray,
         op: str,
@@ -407,8 +408,8 @@ class KDVRenderer:
     ) -> tuple[TileRunReport, list[float]]:
         """The pool executor: drain the tiles over the process pool.
 
-        ``tree`` is the fitted method's tree, which names the published
-        tree the workers refine (a dataset's pool holds several).
+        The workers refine ``fitted``'s tree, which the pool publishes
+        the first time a render names it.
 
         The pool counterpart of :func:`repro.resilience.runner.run_tiles`,
         under its failure rule: tiles drain from the pool's shared queue,
@@ -420,8 +421,11 @@ class KDVRenderer:
         workers; a worker a fault kills triggers the executor's
         supervised pool rebuild-and-replay. With ``fail_fast`` the
         lowest-indexed tile's exception (or a Ctrl-C) is re-raised
-        before any stats merge; otherwise each tile that raised, or
-        whose envelope was not finite, is listed as failed.
+        before any stats merge, as is a
+        :class:`~repro.errors.WorkerPoolBrokenError` when the pool
+        closed under the render; otherwise each tile that raised, or
+        whose envelope was not finite, is listed as failed, and each
+        tile the closing pool never ran as unprocessed.
 
         Returns the :class:`~repro.resilience.runner.TileRunReport` the
         in-process runner produces, plus each pool worker's busy
@@ -441,14 +445,18 @@ class KDVRenderer:
             store(index, tile_list[index], lo, up)
 
         outcome = pool.run(
-            jobs, op=op, params=params, token=token, tracer=tracer,
-            on_result=on_result, faults=faults, tree=tree,
+            jobs, method=fitted, op=op, params=params, token=token,
+            tracer=tracer, on_result=on_result, faults=faults,
         )
         if fail_fast:
             if outcome.keyboard_interrupt:
                 raise KeyboardInterrupt
             if outcome.errors:
                 raise outcome.errors[min(outcome.errors)]
+            if outcome.unrun:
+                raise WorkerPoolBrokenError(
+                    f"the render pool closed with {len(outcome.unrun)} tile(s) unrun"
+                )
         stats.merge(outcome.stats)
         if outcome.keyboard_interrupt and tracer is not None:
             tracer.recovery(action="cancel", reason=STOP_INTERRUPT)
@@ -490,10 +498,9 @@ class KDVRenderer:
         keep it, the rest refine in full-size batches of open pixels),
         then the tiles refine through one of two executors: in-process
         (:func:`~repro.resilience.runner.run_tiles`, sequential) or, with
-        ``workers >= 2``, the
-        :class:`~repro.visual.executors.ProcessTileExecutor` that
-        ``fitted.process_executor`` returns (the method's own, or its
-        dataset's shared pool; ``None`` renders in-process). Both write
+        ``workers >= 2``, the process's
+        :class:`~repro.visual.executors.ProcessTileExecutor` of that
+        size (:func:`~repro.visual.executors.render_pool`). Both write
         disjoint slices of the same envelope arrays, so the answers are
         bit-identical across executors, and a complete render equals the
         strict one.
@@ -534,7 +541,9 @@ class KDVRenderer:
             faults = FaultPlan.from_env()
         pool: ProcessTileExecutor | None = None
         if options.workers is not None and int(options.workers) >= 2:
-            pool = fitted.process_executor(int(options.workers))
+            from repro.visual.executors import render_pool
+
+            pool = render_pool(int(options.workers))
 
         stats = QueryStats()
         engine = fitted.make_batch_engine(stats)
@@ -616,7 +625,7 @@ class KDVRenderer:
         try:
             if pool is not None:
                 report, busy = self._run_tiles_process(
-                    pool, fitted.tree, tile_list, centers, op, params, skip=skip,
+                    pool, fitted, tile_list, centers, op, params, skip=skip,
                     token=token, tracer=tracer, store=store,
                     tile_complete=tile_complete, stats=stats,
                     faults=faults, fail_fast=fail_fast,

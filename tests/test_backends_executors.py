@@ -13,6 +13,8 @@ linter rule that keeps batched evaluations on that seam.
 import dataclasses
 import functools
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +24,23 @@ from hypothesis import HealthCheck, given, settings
 from repro.contracts.runtime import checking
 from repro.core.backends import ComputeBackend
 from repro.core.bounds import make_bound_provider
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, WorkerPoolBrokenError
 from repro.index.kdtree import KDTree
 from repro.index.shared import attach_tree, publish_tree
-from repro.visual.executors import ProcessTileExecutor, TileJob
+from repro.resilience.faults import (
+    FAULT_SLOW_RESPONSE,
+    FAULT_WORKER_KILL,
+    FaultPlan,
+    fault_fires,
+)
+from repro.resilience.supervisor import PoolSupervisor
+from repro.visual.executors import (
+    ProcessTileExecutor,
+    TileJob,
+    close_render_pools,
+    render_pool,
+    render_pools,
+)
 from repro.visual.grid import PixelGrid
 from repro.visual.kdv import KDVRenderer
 from repro.visual.request import RenderOptions, RenderRequest
@@ -150,8 +165,8 @@ def _tile_jobs(renderer, tile_size=4):
 def test_process_executor_values_match_sequential_per_tile(renderer):
     fitted = renderer.get_method("quad")
     jobs = _tile_jobs(renderer)
-    with fitted.process_executor(2) as pool:
-        outcome = pool.run(jobs, tree=fitted.tree, op="eps", params={"eps": 0.05, "atol": 0.0})
+    with ProcessTileExecutor(2) as pool:
+        outcome = pool.run(jobs, method=fitted, op="eps", params={"eps": 0.05, "atol": 0.0})
     assert not outcome.errors and not outcome.unrun and not outcome.cancelled
     assert sorted(outcome.payloads) == [job.index for job in jobs]
     for job in jobs:
@@ -171,8 +186,8 @@ def test_process_executor_merges_worker_stats(renderer):
     engine = fitted.make_batch_engine(sequential)
     for job in jobs:
         engine.query_eps_bounds(job.centers, 0.05, atol=0.0)
-    with fitted.process_executor(2) as pool:
-        outcome = pool.run(jobs, tree=fitted.tree, op="eps", params={"eps": 0.05, "atol": 0.0})
+    with ProcessTileExecutor(2) as pool:
+        outcome = pool.run(jobs, method=fitted, op="eps", params={"eps": 0.05, "atol": 0.0})
     assert outcome.stats.as_dict() == sequential.as_dict()
     assert len(outcome.worker_seconds) >= 1
 
@@ -184,10 +199,10 @@ def test_process_executor_precancelled_token_runs_nothing(renderer):
     jobs = _tile_jobs(renderer)
     token = CancellationToken()
     token.cancel("test-cancel")
-    with fitted.process_executor(2) as pool:
+    with ProcessTileExecutor(2) as pool:
         outcome = pool.run(
             jobs,
-            tree=fitted.tree,
+            method=fitted,
             op="eps",
             params={"eps": 0.05, "atol": 0.0},
             token=token,
@@ -205,29 +220,66 @@ def test_process_executor_precancelled_token_runs_nothing(renderer):
 
 def test_process_executor_close_is_idempotent(renderer):
     fitted = renderer.get_method("quad")
-    pool = ProcessTileExecutor(fitted, 1)
+    pool = ProcessTileExecutor(1)
+    jobs = _tile_jobs(renderer)
+    pool.run(jobs, method=fitted, op="eps", params={"eps": 0.05, "atol": 0.0})
+    [segment] = pool.segments
     assert not pool.closed
     pool.close()
-    assert pool.closed
+    assert pool.closed and pool.segments == []
+    assert not Path("/dev/shm", segment.lstrip("/")).exists()
     pool.close()
+    # A run on a closed pool runs nothing.
+    outcome = pool.run(jobs, method=fitted, op="eps", params={"eps": 0.05, "atol": 0.0})
+    assert outcome.unrun == {job.index for job in jobs} and not outcome.payloads
 
 
-def test_process_executor_rejects_bad_workers(renderer):
-    fitted = renderer.get_method("quad")
+def test_process_executor_rejects_bad_workers():
     with pytest.raises(InvalidParameterError):
-        ProcessTileExecutor(fitted, 0)
+        ProcessTileExecutor(0)
 
 
-def test_method_caches_and_closes_executors(renderer):
-    fitted = renderer.get_method("quad")
-    first = fitted.process_executor(1)
-    assert fitted.process_executor(1) is first
-    fitted.close_executors()
-    assert first.closed
+def test_worker_attaches_on_first_job_and_drops_what_leaves_the_live_list(
+    renderer, monkeypatch
+):
+    from repro.visual import executors
+
+    # This process stands in for a worker: _attached is the job's first step.
+    trees = {}
+    monkeypatch.setattr(executors, "_WORKER_STATE", {"trees": trees})
+    pool = ProcessTileExecutor(1)
+    try:
+        quad = pool._publish(renderer.get_method("quad"))
+        before_akde = pool._live()
+        akde = pool._publish(renderer.get_method("akde"))
+        tree, __ = executors._attached(quad, pool._live())
+        assert executors._attached(quad, pool._live())[0] is tree  # attached once
+        executors._attached(akde, pool._live())
+        # A job submitted before aKDE's tree was published keeps it.
+        executors._attached(quad, before_akde)
+        assert set(trees) == {quad.meta["name"], akde.meta["name"]}
+        del renderer._methods["akde"]  # the tree is gone: its segment is unlinked
+        assert pool.segments == [quad.meta["name"]]
+        executors._attached(quad, pool._live())
+        assert set(trees) == {quad.meta["name"]}
+    finally:
+        for held in trees.values():
+            held[1].close()
+        pool.close()
+
+
+def test_render_pool_is_one_per_size_until_closed():
+    close_render_pools()
+    first = render_pool(1)
+    assert render_pool(1) is first
+    two = render_pool(2)
+    assert render_pools() == [first, two]
+    close_render_pools()
+    assert first.closed and render_pools() == []
     # A fresh pool is built after close.
-    second = fitted.process_executor(1)
-    assert second is not first
-    fitted.close_executors()
+    second = render_pool(1)
+    assert second is not first and not second.closed
+    close_render_pools()
 
 
 # -- renderer plumbing -------------------------------------------------------
@@ -268,7 +320,7 @@ def test_strict_pool_render_matches_in_process_render(renderer):
             pooled = renderer.render(request.replace(options=pool_opts))
             np.testing.assert_array_equal(in_process, pooled)
     finally:
-        renderer.get_method("quad").close_executors()
+        close_render_pools()
 
 
 def test_anytime_pool_render_matches_in_process_render(renderer):
@@ -286,7 +338,7 @@ def test_anytime_pool_render_matches_in_process_render(renderer):
         np.testing.assert_array_equal(in_process.upper, pooled.upper)
         assert not in_process.degraded and not pooled.degraded
     finally:
-        renderer.get_method("quad").close_executors()
+        close_render_pools()
 
 
 def _break_tile_one(monkeypatch, renderer, tile_size):
@@ -306,7 +358,7 @@ def test_strict_pool_render_reraises_tile_error_and_keeps_stats(
     renderer, monkeypatch
 ):
     fitted = renderer.get_method("quad")
-    fitted.close_executors()
+    close_render_pools()
     _break_tile_one(monkeypatch, renderer, 4)
     before = fitted.stats.as_dict()
     options = RenderOptions(tile_size=4, workers=2)
@@ -315,12 +367,12 @@ def test_strict_pool_render_reraises_tile_error_and_keeps_stats(
             renderer.render(RenderRequest.for_eps(0.05, "quad", options=options))
         assert fitted.stats.as_dict() == before
     finally:
-        fitted.close_executors()
+        close_render_pools()
 
 
 def test_anytime_pool_render_lists_failed_tile(renderer, monkeypatch):
     fitted = renderer.get_method("quad")
-    fitted.close_executors()
+    close_render_pools()
     reference = renderer.render(
         RenderRequest.for_eps(
             0.05, "quad", options=RenderOptions(tile_size=4, anytime=True)
@@ -333,7 +385,7 @@ def test_anytime_pool_render_lists_failed_tile(renderer, monkeypatch):
             RenderRequest.for_eps(0.05, "quad", options=options)
         )
     finally:
-        fitted.close_executors()
+        close_render_pools()
     degraded = outcome.degraded
     assert degraded is not None
     assert [entry["tile"] for entry in degraded.tiles_failed] == [1]
@@ -361,7 +413,7 @@ def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
     from repro.resilience.budget import Budget
 
     fitted = renderer.get_method("quad")
-    fitted.close_executors()
+    close_render_pools()
     reference = renderer.render(
         RenderRequest.for_eps(
             0.05, "quad", options=RenderOptions(tile_size=4, anytime=True)
@@ -411,8 +463,7 @@ def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
         with pytest.raises(InvalidParameterError, match="finite"):
             fifo.render(fifo_request)
     finally:
-        fitted.close_executors()
-        fifo.get_method("quad").close_executors()
+        close_render_pools()
     degraded = outcome.degraded
     assert degraded is not None and degraded.reason == "tile-failures"
     assert [entry["tile"] for entry in degraded.tiles_failed] == [1]
@@ -461,7 +512,140 @@ def test_anytime_process_deadline_degrades_with_valid_envelope():
         assert np.all(np.isfinite(outcome.lower))
         assert np.all(outcome.lower <= outcome.upper)
     finally:
-        renderer.get_method("quad").close_executors()
+        close_render_pools()
+
+
+# -- a pool closed under a run -----------------------------------------------
+
+#: Every tile sleeps in its worker, so a run of many tiles on two workers
+#: is still draining when its pool closes.
+SLOW_MS = 200.0
+SLOW = FaultPlan({FAULT_SLOW_RESPONSE: 1.0}, slow_ms=SLOW_MS)
+EPS_PARAMS = {"eps": 0.05, "atol": 0.0}
+
+
+def _drain_in_thread(pool, renderer, results, name, faults=SLOW, tile_size=2):
+    """Start ``pool.run`` over ``renderer``'s tiles on a daemon thread."""
+    fitted = renderer.get_method("quad")
+    jobs = _tile_jobs(renderer, tile_size)
+
+    def drain():
+        try:
+            results[name] = pool.run(jobs, method=fitted, op="eps", params=EPS_PARAMS,
+                                     faults=faults)
+        except BaseException as error:
+            results[name] = error
+        results[name + "_at"] = time.monotonic()
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    return thread, {job.index for job in jobs}
+
+
+@pytest.mark.parametrize("closer", ["close", "close_render_pools"])
+def test_run_returns_when_its_pool_closes_under_it(renderer, closer):
+    pool = render_pool(2)
+    results = {}
+    thread, indices = _drain_in_thread(pool, renderer, results, "run")
+    try:
+        time.sleep(0.5)  # the workers start and take the first tiles
+        closed_at = time.monotonic()
+        pool.close() if closer == "close" else close_render_pools()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "the run hung after its pool closed"
+    finally:
+        close_render_pools()
+    outcome = results["run"]
+    assert results["run_at"] - closed_at < 1.0
+    assert not outcome.errors and outcome.unrun
+    assert set(outcome.payloads) | outcome.unrun == indices
+    assert not set(outcome.payloads) & outcome.unrun
+
+
+class _GrantOnceThenDeny(PoolSupervisor):
+    """Grants the first rebuild; denies the next once the pool is rebuilt.
+
+    The denial waits until the granted run has resubmitted its lost
+    tiles to the rebuilt pool, so it closes that pool under them.
+    """
+
+    def __init__(self, executor):
+        super().__init__(max_consecutive_rebuilds=1, backoff_s=0.0)
+        self.executor = executor
+        self.asked = 0
+        self.denied_at = None
+        self.grant_lock = threading.Lock()
+
+    def grant(self):
+        with self.grant_lock:
+            self.asked += 1
+            first = self.asked == 1
+        if first:
+            return 0.0
+        deadline = time.monotonic() + 20.0
+        while self.executor._generation == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(0.3)  # the granted run resubmits right after rebuilding
+        self.denied_at = time.monotonic()
+        return None
+
+
+def test_run_returns_when_a_concurrent_denial_closes_its_pool(renderer):
+    tiles = len(_tile_jobs(renderer, 2))
+    # Tile 0's first attempt kills its worker, breaking both runs at
+    # once; no replay kills, and every tile is slow.
+    seed = next(
+        s for s in range(100_000)
+        if fault_fires(s, FAULT_WORKER_KILL, 0, 1, 0.2)
+        and not any(fault_fires(s, FAULT_WORKER_KILL, i, 2, 0.2) for i in range(tiles))
+    )
+    faults = FaultPlan({FAULT_WORKER_KILL: 0.2, FAULT_SLOW_RESPONSE: 1.0}, seed=seed,
+                       slow_ms=SLOW_MS)
+    pool = ProcessTileExecutor(2)
+    supervisor = pool.supervisor = _GrantOnceThenDeny(pool)
+    results = {}
+    threads = []
+    try:
+        for name in ("a", "b"):
+            threads.append(_drain_in_thread(pool, renderer, results, name, faults)[0])
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads), "a run hung"
+    finally:
+        pool.close()
+    denied = [name for name in "ab" if isinstance(results[name], WorkerPoolBrokenError)]
+    assert len(denied) == 1 and "rebuild budget is exhausted" in str(results[denied[0]])
+    [granted] = [name for name in "ab" if name not in denied]
+    outcome = results[granted]
+    assert outcome.rebuilds == 1 and outcome.unrun and not outcome.errors
+    assert results[granted + "_at"] - supervisor.denied_at < 1.0
+
+
+def test_fail_fast_render_raises_when_its_pool_closes(renderer, monkeypatch):
+    # A plan from the environment keeps the render fail-fast.
+    monkeypatch.setenv("REPRO_FAULTS", f"slow_response:1,slow_ms:{SLOW_MS}")
+    request = RenderRequest.for_eps(
+        0.05, "quad", options=RenderOptions(tile_size=2, workers=2)
+    )
+    failures = []
+
+    def render():
+        try:
+            renderer.render(request)
+        except BaseException as error:
+            failures.append(error)
+
+    thread = threading.Thread(target=render, daemon=True)
+    thread.start()
+    try:
+        time.sleep(0.5)
+        close_render_pools()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive(), "the render hung after its pool closed"
+    finally:
+        close_render_pools()
+    [error] = failures
+    assert isinstance(error, WorkerPoolBrokenError) and "unrun" in str(error)
 
 
 def test_service_config_exposes_executor_knobs():

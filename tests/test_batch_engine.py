@@ -19,6 +19,7 @@ from repro.core.engine import QueryStats, RefinementEngine
 from repro.core.exact import exact_density
 from repro.errors import InvalidParameterError, UnsupportedOperationError
 from repro.index.kdtree import KDTree
+from repro.visual.executors import close_render_pools
 from repro.visual.request import RenderOptions, RenderRequest
 
 
@@ -272,7 +273,7 @@ class TestMethodAndRendererIntegration:
                 workers=workers,
             )
         finally:
-            renderer.get_method("quad").close_executors()
+            close_render_pools()
         exact = renderer.render_exact()
         atol = 1e-9 * renderer.weight
         assert image.shape == exact.shape
@@ -292,7 +293,7 @@ class TestMethodAndRendererIntegration:
                 workers=workers,
             )
         finally:
-            renderer.get_method("quad").close_executors()
+            close_render_pools()
         assert np.array_equal(mask, renderer.render_tau(tau, "quad"))
         assert np.array_equal(mask, exact >= tau)
 
@@ -309,7 +310,7 @@ class TestMethodAndRendererIntegration:
                 workers=3,
             )
         finally:
-            method.close_executors()
+            close_render_pools()
         assert method.stats.queries == renderer.grid.num_pixels
         assert method.stats.iterations > 0
 

@@ -29,6 +29,7 @@ from repro.obs.sinks import (
     resolve_sink,
 )
 from repro.obs.trace import Tracer
+from repro.visual.executors import close_render_pools
 from repro.visual.request import RenderOptions, RenderRequest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -423,7 +424,7 @@ class TestRendererIntegration:
             with trace_to() as tracer:
                 renderer.render(RenderRequest.for_tau(1e-9, "quad", options=options))
         finally:
-            renderer.get_method("quad").close_executors()
+            close_render_pools()
         renders = [e for e in tracer.events() if e["event"] == "render"]
         assert renders and renders[0]["workers"] == 2
         # One entry per pool worker, 0.0 for one that ran no tile.

@@ -15,6 +15,7 @@ from repro.core.exact import exact_density
 from repro.core.kde import KernelDensity
 from repro.index.kdtree import KDTree
 from repro.methods.registry import create_method
+from repro.visual.executors import close_render_pools
 
 dataset_strategy = st.fixed_dictionaries(
     {
@@ -199,7 +200,7 @@ def pool_renderers():
     ]
     yield renderers
     for renderer in renderers:
-        renderer.get_method("quad").close_executors()
+        close_render_pools()
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -33,6 +33,7 @@ from repro.resilience import (
     run_tiles,
 )
 from repro.resilience.faults import FAULT_WORKER_KILL, fault_fires
+from repro.visual.executors import close_render_pools
 from repro.visual.kdv import KDVRenderer
 from repro.visual.request import RenderOptions, RenderRequest
 from tests.test_backends_executors import _break_tile_one
@@ -212,7 +213,7 @@ class TestFaultRecovery:
                 renderer, RenderRequest.for_eps(0.05), tile_size=8, workers=2
             )
         finally:
-            renderer.get_method("quad").close_executors()
+            close_render_pools()
         assert pool_supervision_totals()["rebuilds"] > rebuilds
         assert np.array_equal(faulted, reference)
 

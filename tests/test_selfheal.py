@@ -44,6 +44,7 @@ from repro.serve import (
     TileServer,
     TileService,
 )
+from repro.visual.executors import close_render_pools, render_pool
 
 PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 
@@ -230,19 +231,19 @@ class TestSupervisedRecovery:
                 np.asarray(healed.image), np.asarray(baseline.image)
             )
         finally:
-            renderer.get_method("quad").close_executors()
+            close_render_pools()
 
     def test_unsupervised_break_raises_typed_error(self, small_points):
         from repro.visual.kdv import KDVRenderer
 
         renderer = KDVRenderer(np.asarray(small_points), resolution=(24, 20), leaf_size=16)
         try:
-            renderer.get_method("quad").process_executor(2).supervisor = None
+            render_pool(2).supervisor = None
             plan = FaultPlan({FAULT_WORKER_KILL: KILL_RATE}, seed=KILL_SEED)
             with pytest.raises(WorkerPoolBrokenError, match="supervision is disabled"):
                 _process_render(renderer, faults=plan)
         finally:
-            renderer.get_method("quad").close_executors()
+            close_render_pools()
 
 
 @pytest.fixture

@@ -149,8 +149,7 @@ class TestDatasetRegistry:
         monkeypatch.setattr(DatasetEntry, "warm", warm)
         entry = registry.register("demo", small_points)
         assert warmed == [entry] and registry.get("demo") is entry
-        fitted = entry.renderer.get_method("quad")
-        assert fitted.pool_owner is not None
+        assert entry.renderer._methods["quad"].engine is not None
 
     def test_concurrent_registration_publishes_one_entry(self, small_points, monkeypatch):
         from repro.serve.registry import DatasetEntry

@@ -77,7 +77,6 @@ class TestRegistryTiers:
         entry = registry.register("plain", small_points)
         assert entry.coreset_zoom is None
         assert entry.coreset_tier(0) is None
-        entry.close()
 
     def test_register_validates_coreset_parameters(self, small_points):
         registry = DatasetRegistry()
@@ -99,7 +98,6 @@ class TestRegistryTiers:
         assert (t0.zoom, t1.zoom, t2.zoom) == (0, 1, 2)
         assert t1.coreset is t0.coreset and t1.renderer is t0.renderer
         assert t2.coreset is t0.coreset and t2.renderer is t0.renderer
-        entry.close()
 
     def test_stats_expose_tier_summaries(self, coreset_service):
         snapshot = coreset_service.registry.get("crime").as_dict()

@@ -70,7 +70,6 @@ def _timed_best(fn: Callable[[], Any], repeats: int) -> tuple[Any, float]:
 
 def _parallel_scaling(
     renderer: Any,
-    method: Any,
     *,
     eps: float,
     atol: float,
@@ -83,7 +82,8 @@ def _parallel_scaling(
     """Sweep the worker count over the εKDV render.
 
     ``workers=1`` runs the in-process executor; 2, 4 and 8 run the
-    method's process pool. Per-tile refinement is bit-identical across
+    process's render pool of that size, each closed before the next
+    starts, so no two sizes' workers run at once. Per-tile refinement is bit-identical across
     executors and worker counts by construction (the tile partition
     fixes each batch), so besides timing the sweep doubles as a
     cross-executor equality check against the in-process tiled image,
@@ -95,11 +95,13 @@ def _parallel_scaling(
     """
     import numpy as np
 
+    from repro.visual.executors import close_render_pools
     from repro.visual.request import RenderOptions, RenderRequest
 
     def render_eps(options: "RenderOptions") -> Any:
         return renderer.render(RenderRequest.for_eps(eps, "quad", options=options))
 
+    close_render_pools()
     single = RenderOptions(tile_size=tile_size, workers=1)
     reference, base_seconds = _timed_best(lambda: render_eps(single), repeats)
     rows = []
@@ -107,6 +109,7 @@ def _parallel_scaling(
     for workers in SCALING_WORKERS:
         options = RenderOptions(tile_size=tile_size, workers=workers)
         image, seconds = _timed_best(lambda: render_eps(options), repeats)
+        close_render_pools()
         error = np.abs(image - exact)
         within = bool(np.all(error <= eps * exact + atol))
         identical = bool(np.array_equal(image, reference))
@@ -138,11 +141,9 @@ def _parallel_scaling(
         "all_identical_and_within_envelope": ok and tau_identical,
     }
 
-    # Release the process pools (and their shared-memory tree segments)
-    # the sweep spun up on the fitted method.
-    closer = getattr(method, "close_executors", None)
-    if closer is not None:
-        closer()
+    # Release the pool (and its shared-memory tree segments) the τ
+    # check spun up.
+    close_render_pools()
     return section
 
 
@@ -225,6 +226,7 @@ def _coreset_pyramid(
     """
     from repro.data.synthetic import load_dataset
     from repro.serve.service import RenderConfig, ServiceConfig, TileService
+    from repro.visual.executors import close_render_pools
 
     points = load_dataset(dataset, n=n, seed=seed)
     config = ServiceConfig(
@@ -251,6 +253,9 @@ def _coreset_pyramid(
         exact_build_s = timed_register(exact_svc)
         coreset_cold_s, coreset_info = timed_cold_tile(coreset_svc)
         print(f"  pyramid n={n} cold z0 coreset {coreset_cold_s:8.3f}s")
+        # The services share the process's render pool: close it, so the
+        # exact tile pays a pool start too.
+        close_render_pools()
         exact_cold_s, exact_info = timed_cold_tile(exact_svc)
         print(f"  pyramid n={n} cold z0 exact   {exact_cold_s:8.3f}s")
         warm_start = time.perf_counter()
@@ -477,7 +482,7 @@ def run_benchmark(
     scaling_section: dict[str, Any] | None = None
     if scaling:
         scaling_section = _parallel_scaling(
-            renderer, method,
+            renderer,
             eps=eps, atol=atol, exact=exact, tau=tau, scalar_mask=scalar_mask,
             tile_size=tile_size, repeats=repeats,
         )

@@ -12,7 +12,11 @@ the four z=1 tiles) twice over HTTP, and asserts:
   (the multi-level cache actually short-circuits the render);
 * the /stats counters agree with what was observed on the wire;
 * every warm hit reused its cold request's plan (``tiles.plans_reused``
-  equals the warm hits), so a change that silently re-plans fails.
+  equals the warm hits), so a change that silently re-plans fails;
+* a second dataset's pyramid renders on the same pool: ``/stats`` lists
+  one render pool, with at most ``os.cpu_count()`` workers;
+* an append to a dataset while one of its cold tiles renders leaves
+  that tile answering 200 within its deadline.
 
 ``--chaos`` mode — self-healing under worker loss. Boots the service
 with a supervised process pool, renders a fault-free baseline, then
@@ -41,7 +45,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,6 +60,11 @@ MIN_SPEEDUP = 10.0
 DATASET = "crime"
 N_POINTS = 8_000
 TILE_PX = 256
+#: The second dataset of the cache pass, served on the same pool.
+SECOND_DATASET = "home"
+#: A tile of DATASET neither pass rendered: the append lands while it renders.
+APPEND_TILE = (2, 1, 1)
+APPEND_POINTS = 200
 
 # Chaos mode: smaller tiles keep the render (and its replay rounds)
 # fast. The kill rate is paired with a scanned seed whose roll provably
@@ -84,18 +93,32 @@ async def _run_cache() -> None:
         )
     )
     service.registry.register(DATASET, load_dataset(DATASET, n=N_POINTS, seed=0))
+    service.registry.register(
+        SECOND_DATASET, load_dataset(SECOND_DATASET, n=N_POINTS, seed=0)
+    )
     server = await TileServer(service, port=0).start()
     loop = asyncio.get_running_loop()
-    print(f"serve_smoke: server on {server.url}, dataset {DATASET} n={N_POINTS}")
+    print(
+        f"serve_smoke: server on {server.url}, datasets {DATASET} and "
+        f"{SECOND_DATASET} n={N_POINTS}"
+    )
 
-    async def pass_over_pyramid(label: str) -> Tuple[Dict[Tuple[int, int, int], bytes], int, float]:
+    async def fetch(
+        dataset: str, tile: Tuple[int, int, int]
+    ) -> Tuple[int, Dict[str, str], bytes]:
+        z, x, y = tile
+        return await loop.run_in_executor(
+            None, _fetch, f"{server.url}/tile/{dataset}/{z}/{x}/{y}.png"
+        )
+
+    async def pass_over_pyramid(
+        label: str, dataset: str = DATASET
+    ) -> Tuple[Dict[Tuple[int, int, int], bytes], int, float]:
         blobs: Dict[Tuple[int, int, int], bytes] = {}
         hits = 0
         started = time.perf_counter()
         for z, x, y in TILES:
-            status, headers, body = await loop.run_in_executor(
-                None, _fetch, f"{server.url}/tile/{DATASET}/{z}/{x}/{y}.png"
-            )
+            status, headers, body = await fetch(dataset, (z, x, y))
             if status != 200:
                 _fail(f"{label}: tile {z}/{x}/{y} returned {status}: {body[:200]!r}")
             if not body.startswith(PNG_SIGNATURE):
@@ -105,10 +128,19 @@ async def _run_cache() -> None:
             blobs[(z, x, y)] = body
         return blobs, hits, time.perf_counter() - started
 
-    cold, cold_hits, cold_s = await pass_over_pyramid("cold")
-    warm, warm_hits, warm_s = await pass_over_pyramid("warm")
-    await server.stop()
-    service.close()
+    try:
+        cold, cold_hits, cold_s = await pass_over_pyramid("cold")
+        warm, warm_hits, warm_s = await pass_over_pyramid("warm")
+        counters = service.metrics.as_dict()["counters"]
+        __, second_hits, second_s = await pass_over_pyramid("second", SECOND_DATASET)
+        if second_hits != 0:
+            _fail(f"{SECOND_DATASET}: cold pass unexpectedly hit cache ({second_hits} hits)")
+        print(f"serve_smoke: {SECOND_DATASET} cold {second_s:.3f}s")
+        pools = await _pools_on_stats(loop, server.url)
+        await _append_during_render(service, loop, fetch)
+    finally:
+        await server.stop()
+        service.close()
 
     print(
         f"serve_smoke: cold {cold_s:.3f}s ({cold_hits} hits), "
@@ -130,8 +162,8 @@ async def _run_cache() -> None:
             f"(need >= {MIN_SPEEDUP}x)"
         )
 
-    # Cross-check the wire observations against the service's own counters.
-    counters = service.metrics.as_dict()["counters"]
+    # Cross-check the wire observations against the service's own
+    # counters, as they stood after the first dataset's two passes.
     if counters.get("tiles.renders", 0) != len(TILES):
         _fail(
             f"expected exactly {len(TILES)} renders, "
@@ -147,7 +179,54 @@ async def _run_cache() -> None:
     print("serve_smoke: counters agree:", json.dumps(
         {k: v for k, v in sorted(counters.items()) if k.startswith("tiles.")}
     ))
+    print(f"serve_smoke: one render pool for both datasets: {json.dumps(pools)}")
     print("serve_smoke: OK")
+
+
+async def _pools_on_stats(loop: asyncio.AbstractEventLoop, url: str) -> List[Dict[str, object]]:
+    """``/stats`` must list one render pool with at most ``os.cpu_count()`` workers."""
+    status, _, body = await loop.run_in_executor(None, _fetch, f"{url}/stats")
+    if status != 200:
+        _fail(f"/stats returned {status}")
+    pools = json.loads(body.decode("utf-8"))["resilience"]["pools"]
+    cpus = os.cpu_count() or 1
+    if len(pools) != 1:
+        _fail(f"/stats lists {len(pools)} render pools for two datasets, expected one")
+    [pool] = pools
+    if not 1 <= int(pool["workers"]) <= cpus or len(pool["pids"]) > int(pool["workers"]):
+        _fail(f"the render pool runs {pool['pids']} of {pool['workers']} workers on {cpus} CPUs")
+    return [{key: pool[key] for key in ("workers", "pids", "trees")}]
+
+
+async def _append_during_render(
+    service: Any,
+    loop: asyncio.AbstractEventLoop,
+    fetch: Callable[[str, Tuple[int, int, int]], Awaitable[Tuple[int, Dict[str, str], bytes]]],
+) -> None:
+    """Append to DATASET while APPEND_TILE renders; the tile must answer 200."""
+    from repro.data.synthetic import load_dataset
+
+    deadline_s = float(service.config.render.deadline_ms) / 1000.0
+    started = time.perf_counter()
+    request = asyncio.ensure_future(fetch(DATASET, APPEND_TILE))
+    while service.stats()["load"]["in_flight_renders"] == 0 and not request.done():
+        if time.perf_counter() - started > deadline_s:
+            _fail(f"tile {APPEND_TILE} never started rendering")
+        await asyncio.sleep(0.005)
+    extra = load_dataset(DATASET, n=APPEND_POINTS, seed=1)
+    await loop.run_in_executor(None, service.append_points, DATASET, extra)
+    landed_in_flight = not request.done()
+    try:
+        status, _, body = await asyncio.wait_for(request, timeout=deadline_s)
+    except asyncio.TimeoutError:
+        _fail(f"tile {APPEND_TILE} did not answer within its {deadline_s:.0f}s deadline "
+              "after an append landed during its render")
+    elapsed = time.perf_counter() - started
+    if status != 200 or not body.startswith(PNG_SIGNATURE):
+        _fail(f"tile {APPEND_TILE} returned {status} after an append: {body[:200]!r}")
+    if not landed_in_flight:
+        _fail(f"tile {APPEND_TILE} finished before the append landed; nothing was checked")
+    print(f"serve_smoke: append during the render of {APPEND_TILE}: 200 in {elapsed:.3f}s")
 
 
 def _check_wellformed(
