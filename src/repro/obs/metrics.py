@@ -161,11 +161,6 @@ class Histogram:
         if value > self.max:
             self.max = value
 
-    def observe_many(self, values: Iterable[float]) -> None:
-        """Record a batch of observations."""
-        for value in values:
-            self.observe(value)
-
     def observe_array(self, values: Any) -> None:
         """Record a numpy array of observations in one vectorised pass."""
         import numpy as np

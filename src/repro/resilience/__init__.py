@@ -17,8 +17,8 @@ a first-class, well-defined outcome instead of a stack trace:
 * :mod:`repro.resilience.faults` — deterministic seeded process-level
   fault plans (``REPRO_FAULTS=``) so the pool's supervision and
   deadline paths are exercised in CI;
-* :mod:`repro.resilience.runner` — the in-process tile loop and the
-  tile failure rule both executors of
+* :mod:`repro.resilience.runner` — the in-process tile loop, and the
+  tile failure rule and :class:`TileRunReport` both executors of
   :class:`repro.visual.kdv.KDVRenderer` share;
 * :mod:`repro.resilience.supervisor` — :class:`PoolSupervisor` (rebuild
   policy for broken process pools — backoff-capped, storm-bounded) and

@@ -140,7 +140,7 @@ class CancellationToken:
     a fresh one per render (``budget.token()``).
 
     Thread safety: :meth:`cancel` / :meth:`charge` / :meth:`stop_reason`
-    may race across threads (a pool render's cancel watcher, a server's
+    may race across threads (a pool render's wait loop, a server's
     request threads sharing a token). All races are benign
     — the latch is a single attribute store, and the eval counter is
     advisory (a lost increment delays the trip by one tile at worst) —
@@ -180,11 +180,6 @@ class CancellationToken:
     def triggered(self) -> bool:
         """Whether the token has latched (any reason)."""
         return self._cancelled
-
-    @property
-    def kernel_evals_charged(self) -> int:
-        """Kernel evaluations charged so far (across all engines)."""
-        return self._evals
 
     def stop_reason(self, memory_bytes: int = 0) -> Optional[str]:
         """Poll the token: the latched stop reason, or ``None`` (keep going).

@@ -33,7 +33,7 @@ from typing import Any, Dict, Set, Union
 
 import numpy as np
 
-from repro._types import BoolArray, FloatArray, IntArray
+from repro._types import BoolArray, FloatArray
 from repro.errors import CheckpointError, InvalidParameterError
 
 __all__ = ["TileLedger"]
@@ -152,18 +152,6 @@ class TileLedger:
             )
 
     # -- bookkeeping -------------------------------------------------------
-
-    def mark_completed(
-        self,
-        tile: int,
-        pixels: IntArray,
-        lower: FloatArray,
-        upper: FloatArray,
-    ) -> None:
-        """Record tile ``tile`` as fully resolved with its envelopes."""
-        self.lower[pixels] = lower
-        self.upper[pixels] = upper
-        self.completed[tile] = True
 
     def completed_tiles(self) -> Set[int]:
         """Indices of tiles already resolved (the resume skip set)."""

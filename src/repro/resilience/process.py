@@ -10,10 +10,12 @@ over shared memory:
   only cross the process boundary by inheritance, never by per-task
   pickling, which is why the slots exist for the pool's lifetime and
   renders merely *claim* an index;
-* each render claims a slot, and a tiny :class:`CancelWatcher` thread
-  mirrors the parent token into it: whatever trips the token — Ctrl-C,
-  a wall-clock deadline, a spent kernel budget, a programmatic
-  ``cancel()`` — becomes a nonzero byte within ``poll_interval``;
+* each render claims a slot, and the render's own wait loop
+  (:meth:`ProcessTileExecutor.run <repro.visual.executors.ProcessTileExecutor.run>`)
+  copies the parent token into it: whatever trips the token — a
+  wall-clock deadline, a spent kernel budget, a programmatic
+  ``cancel()`` — becomes a nonzero byte within one poll of that loop
+  (20 ms), and a Ctrl-C sets the byte at once;
 * workers wrap the slot in a :class:`SlotCancellationToken`, which the
   refinement engines poll exactly like any other token, so a cancelled
   tile stops at the next frontier pop and returns its best-so-far
@@ -35,7 +37,7 @@ from repro.resilience.budget import STOP_CANCELLED, CancellationToken
 if TYPE_CHECKING:
     import multiprocessing.context
 
-__all__ = ["CancelSlots", "CancelWatcher", "SlotCancellationToken"]
+__all__ = ["CancelSlots", "SlotCancellationToken"]
 
 #: Concurrent renders one pool supports; claims beyond this block on a
 #: previous render releasing its slot (bounded, so no silent failure).
@@ -93,9 +95,6 @@ class CancelSlots:
         """Trip a slot (visible to every attached process)."""
         self.array[slot] = 1
 
-    def is_set(self, slot: int) -> bool:
-        return self.array[slot] != 0
-
 
 class SlotCancellationToken(CancellationToken):
     """Worker-side token that polls a :class:`CancelSlots` byte.
@@ -103,7 +102,7 @@ class SlotCancellationToken(CancellationToken):
     Behaves exactly like a plain token for the engines (latching,
     ``charge`` accounting for the worker's own stats) but additionally
     trips as soon as the parent sets the slot. Budget limits stay
-    parent-enforced — the parent watcher is the single authority, so
+    parent-enforced — the parent's run loop is the single authority, so
     worker and parent cannot disagree about *whether* to stop, only
     observe it a poll apart.
     """
@@ -120,52 +119,3 @@ class SlotCancellationToken(CancellationToken):
             self.cancel(STOP_CANCELLED)
         return super().stop_reason(memory_bytes)
 
-
-class CancelWatcher:
-    """Mirrors a parent token's latch into a shared slot.
-
-    A daemon thread polls ``token.stop_reason()`` every
-    ``poll_interval`` seconds and sets the slot once it latches; the
-    render loop additionally calls :meth:`trip` for immediate
-    propagation (e.g. from a ``KeyboardInterrupt`` handler) without
-    waiting a poll period. Use as a context manager around the render.
-    """
-
-    def __init__(
-        self,
-        slots: CancelSlots,
-        slot: int,
-        token: CancellationToken,
-        poll_interval: float = 0.02,
-    ) -> None:
-        self._slots = slots
-        self._slot = slot
-        self._token = token
-        self._poll_interval = float(poll_interval)
-        self._done = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-
-    def __enter__(self) -> CancelWatcher:
-        self._thread = threading.Thread(
-            target=self._run, name="repro-cancel-watcher", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._done.set()
-        if self._thread is not None:
-            self._thread.join()
-
-    def trip(self) -> None:
-        """Set the slot immediately (bypasses the poll cadence)."""
-        self._slots.set(self._slot)
-
-    def _run(self) -> None:
-        while not self._done.wait(self._poll_interval):
-            if self._token.stop_reason() is not None:
-                self.trip()
-                return
-        # Final check on shutdown so a trip racing the exit still lands.
-        if self._token.stop_reason() is not None:
-            self.trip()

@@ -3,9 +3,10 @@
 :func:`run_tiles` is the in-process executor of the tile driver
 (:meth:`repro.visual.kdv.KDVRenderer.render`). It drains a
 deterministic work list of pixel-index tiles, one at a time, through
-caller-supplied hooks (evaluate / store / completeness test), under the
-same failure rule as the process pool
-(:class:`~repro.visual.executors.ProcessTileExecutor`):
+caller-supplied hooks (evaluate / store), under the same failure rule
+as the process pool
+(:meth:`ProcessTileExecutor.run <repro.visual.executors.ProcessTileExecutor.run>`),
+and both executors return the same :class:`TileRunReport`:
 
 * **A tile fails once.** A tile that raises, or whose envelope is not
   finite (:func:`check_finite_envelope`, which pool workers run too), is
@@ -27,7 +28,7 @@ same failure rule as the process pool
 
 Results are written through ``store`` into caller-owned arrays indexed
 by absolute pixel position, so completion order cannot affect the final
-image bits.
+image bits; ``store`` also says whether the tile resolved completely.
 """
 
 from __future__ import annotations
@@ -59,12 +60,11 @@ if TYPE_CHECKING:
 __all__ = ["TileRunReport", "check_finite_envelope", "run_tiles"]
 
 EvaluateFn = Callable[[Any, "IntArray"], Tuple["FloatArray", "FloatArray"]]
-StoreFn = Callable[[int, "IntArray", "FloatArray", "FloatArray"], None]
-CompleteFn = Callable[["FloatArray", "FloatArray"], bool]
+StoreFn = Callable[[int, "IntArray", "FloatArray", "FloatArray"], bool]
 
 
 class TileRunReport:
-    """What happened to every tile of one resilient run.
+    """What happened to every tile of one run, on either executor.
 
     Attributes
     ----------
@@ -77,19 +77,21 @@ class TileRunReport:
     failed:
         Tiles that raised, as ``{tile: "ErrorType: message"}``.
     unprocessed:
-        Tiles never taken off the queue (cancellation hit first).
-    elapsed_s:
-        Wall-clock seconds of the drain loop.
+        Tiles never evaluated: cancellation hit first, or the pool
+        closed before it ran them.
+    worker_busy:
+        Each pool worker's busy seconds (``0.0`` for a worker that ran
+        no tile); ``None`` for an in-process run.
     """
 
-    __slots__ = ("completed", "partial", "failed", "unprocessed", "elapsed_s")
+    __slots__ = ("completed", "partial", "failed", "unprocessed", "worker_busy")
 
     def __init__(self) -> None:
         self.completed: List[int] = []
         self.partial: List[int] = []
         self.failed: Dict[int, str] = {}
         self.unprocessed: List[int] = []
-        self.elapsed_s = 0.0
+        self.worker_busy: Optional[List[float]] = None
 
     def fail(self, tile: int, error: BaseException) -> None:
         """Record ``tile`` as failed with ``error`` (both executors)."""
@@ -124,7 +126,6 @@ def run_tiles(
     tiles: Sequence[IntArray],
     evaluate: EvaluateFn,
     store: StoreFn,
-    tile_complete: CompleteFn,
     engine: Any,
     *,
     token: CancellationToken,
@@ -146,12 +147,11 @@ def run_tiles(
         side-effect-free apart from engine statistics, and must poll
         ``token`` internally so cancellation reaches mid-tile work.
     store:
-        ``store(tile, pixels, lower, upper)`` — writes results into
-        caller-owned arrays (called for partial results too). Writes
-        are disjoint across tiles; completion order cannot change bits.
-    tile_complete:
-        ``tile_complete(lower, upper) -> bool`` — whether every pixel
-        reached its stopping rule (the ledger-eligibility test).
+        ``store(tile, pixels, lower, upper) -> bool`` — writes results
+        into caller-owned arrays (called for partial results too) and
+        returns whether every pixel reached its stopping rule (the
+        ledger-eligibility test). Writes are disjoint across tiles;
+        completion order cannot change bits.
     engine:
         Handed to ``evaluate`` with every tile.
     token / tracer:
@@ -175,7 +175,6 @@ def run_tiles(
         if skip is None or index not in skip
     )
     report = TileRunReport()
-    start = time.perf_counter()
 
     while queue:
         if token.stop_reason() is not None:
@@ -198,8 +197,7 @@ def run_tiles(
                 raise
             report.fail(tile, err)
             continue
-        store(tile, pixels, lower, upper)
-        if tile_complete(lower, upper):
+        if store(tile, pixels, lower, upper):
             report.completed.append(tile)
         else:
             report.partial.append(tile)
@@ -210,5 +208,4 @@ def run_tiles(
             )
 
     report.unprocessed = sorted(task[0] for task in queue)
-    report.elapsed_s = time.perf_counter() - start
     return report

@@ -5,8 +5,9 @@ and "this dataset keeps failing" from outages into bounded, observable
 recovery procedures:
 
 * :class:`PoolSupervisor` — the rebuild policy a
-  :class:`~repro.visual.executors.ProcessTileExecutor` consults when
-  ``concurrent.futures`` reports a broken pool. It grants (or denies)
+  :class:`~repro.visual.executors.ProcessTileExecutor` consults once
+  per broken generation of its inner pool, however many renders saw
+  the break. It grants (or denies)
   each rebuild, spacing consecutive rebuilds with exponential backoff so
   a crash-looping workload cannot fork-bomb the host, and resets the
   storm counter once a replay round makes progress. The executor owns

@@ -16,26 +16,33 @@ second executor: it drains tiles into worker *processes*:
   :class:`~repro.core.batch_engine.BatchRefinementEngine` — the same
   engine and bounds as in-process rendering, so tile envelopes are
   **bit-identical** to the in-process executor's;
+* :meth:`ProcessTileExecutor.run` takes the renderer's work list and
+  ``store`` hook and returns the
+  :class:`~repro.resilience.runner.TileRunReport` the in-process
+  executor (:func:`~repro.resilience.runner.run_tiles`) returns, under
+  the same failure rule;
 * per-tile :class:`~repro.core.engine.QueryStats` travel back as plain
-  dicts and are merged through the usual ``QueryStats.merge`` ledger;
-  the parent re-emits ``tile`` trace events into the ambient obs sinks
-  (worker processes have no tracer), so observability is unchanged;
+  dicts and are merged into the render's private ledger; the parent
+  re-emits ``tile`` trace events into the ambient obs sinks (worker
+  processes have no tracer), so observability is unchanged;
 * cancellation crosses the process boundary through a shared byte slot
-  (:mod:`repro.resilience.process`): Ctrl-C, deadlines and kernel
-  budgets trip the parent token, a watcher thread mirrors the latch
-  into the slot, and workers stop at their next frontier poll and
-  return valid best-so-far envelopes — no orphaned processes, no
-  zombie work;
+  (:mod:`repro.resilience.process`): the run's wait loop copies the
+  parent token (deadline, kernel budget, ``cancel()``) into the slot
+  every 20 ms and sets it at once on Ctrl-C, and workers stop at their
+  next frontier poll and return valid best-so-far envelopes — no
+  orphaned processes, no zombie work;
 * the pool is **supervised**: when a worker genuinely dies (OOM killer,
   segfault in a native kernel, an injected ``worker_kill`` fault),
-  ``concurrent.futures`` poisons the whole ``ProcessPoolExecutor`` —
-  the executor detects that, consults its
-  :class:`~repro.resilience.supervisor.PoolSupervisor` and *rebuilds*
-  the inner pool, whose fresh workers attach the already-published
-  segments on their first jobs (no re-publication, no re-pack), then
-  replays the tiles whose futures never returned. Rebuild storms are
-  capped with exponential backoff; when the budget is exhausted (or
-  supervision is disabled) a typed
+  ``concurrent.futures`` poisons the whole ``ProcessPoolExecutor``.
+  The first run to see that *generation* of the inner pool broken
+  counts the break, takes one grant from the
+  :class:`~repro.resilience.supervisor.PoolSupervisor`, sleeps its
+  backoff and rebuilds the inner pool, whose fresh workers attach the
+  already-published segments on their first jobs (no re-publication,
+  no re-pack); every run replays the tiles whose futures never
+  returned on the new generation. Rebuild storms are capped with
+  exponential backoff; when the budget is exhausted (or supervision is
+  disabled) the executor closes once and a typed
   :class:`~repro.errors.WorkerPoolBrokenError` surfaces instead of the
   raw ``BrokenProcessPool`` traceback.
 
@@ -75,31 +82,33 @@ from repro.resilience.faults import (
     FaultPlan,
     fault_fires,
 )
-from repro.resilience.process import CancelSlots, CancelWatcher, SlotCancellationToken
-from repro.resilience.runner import check_finite_envelope
+from repro.resilience.process import CancelSlots, SlotCancellationToken
+from repro.resilience.runner import TileRunReport, check_finite_envelope
 from repro.resilience.supervisor import PoolSupervisor
 
 if TYPE_CHECKING:
     from repro._types import FloatArray, IntArray
     from repro.methods.base import IndexedMethod
+    from repro.resilience.runner import StoreFn
 
 __all__ = [
     "ProcessTileExecutor",
     "TileJob",
-    "ProcessRunOutcome",
     "close_render_pools",
     "pool_supervision_totals",
     "render_pool",
     "render_pools",
 ]
 
-#: How often a draining :meth:`ProcessTileExecutor.run` looks for tiles
-#: a pool closed under it cancelled (nothing wakes it for those).
-_CLOSE_POLL_S = 0.05
+#: How often a draining :meth:`ProcessTileExecutor.run` copies its token
+#: into the render's cancellation slot and looks for tiles a pool closed
+#: under it cancelled (nothing wakes it for those).
+_POLL_S = 0.02
 
-# Process-wide supervision ledger. Executor instances are replaced when
-# their rebuild budget is exhausted (close + fresh build on the next
-# render), which would silently zero per-instance counters — these
+# Process-wide supervision ledger: one break per broken pool generation,
+# one rebuild per generation replaced. Executor instances are replaced
+# when their rebuild budget is exhausted (close + fresh build on the
+# next render), which would silently zero per-instance counters — these
 # totals survive replacement so /stats and chaos tests can assert
 # "a break happened and was recovered" across executor lifetimes.
 _TOTALS_LOCK = threading.Lock()
@@ -210,66 +219,6 @@ class TreeSegment(NamedTuple):
     spec: dict[str, Any]
 
 
-class ProcessRunOutcome:
-    """What one :meth:`ProcessTileExecutor.run` produced.
-
-    Attributes
-    ----------
-    payloads:
-        ``{tile_index: (lower, upper)}`` envelope pairs for every tile
-        whose worker returned. Tiles a tripped token cut short still
-        appear here (their envelopes are valid, just looser).
-    errors:
-        ``{tile_index: exception}`` for tiles whose worker raised,
-        non-finite envelopes included. The original exception objects,
-        so strict callers re-raise with the true type.
-    cancelled:
-        Tile indices whose worker observed the cancellation slot and
-        returned early (a subset of ``payloads`` keys).
-    unrun:
-        Tile indices never executed: their future was cancelled before
-        it started (Ctrl-C, or the pool closed under the run), or the
-        pool broke underneath them while the run was being abandoned.
-    stats:
-        All workers' engine counters merged into one
-        :class:`~repro.core.engine.QueryStats`.
-    keyboard_interrupt:
-        ``True`` when a Ctrl-C landed during collection; the run drains
-        outstanding futures before returning, so the caller decides
-        whether to re-raise (strict) or degrade (anytime).
-    worker_seconds:
-        ``{ordinal_worker_id: busy_seconds}`` summed per worker.
-    pool_broken:
-        ``True`` when the pool broke at least once during the run
-        (even if supervision rebuilt it and the run recovered).
-    rebuilds:
-        How many times the pool was rebuilt during this run.
-    """
-
-    __slots__ = (
-        "payloads",
-        "errors",
-        "cancelled",
-        "unrun",
-        "stats",
-        "keyboard_interrupt",
-        "worker_seconds",
-        "pool_broken",
-        "rebuilds",
-    )
-
-    def __init__(self) -> None:
-        self.payloads: dict[int, tuple[FloatArray, FloatArray]] = {}
-        self.errors: dict[int, BaseException] = {}
-        self.cancelled: set[int] = set()
-        self.unrun: set[int] = set()
-        self.stats = QueryStats()
-        self.keyboard_interrupt = False
-        self.worker_seconds: dict[int, float] = {}
-        self.pool_broken = False
-        self.rebuilds = 0
-
-
 # -- worker side -------------------------------------------------------------
 #
 # Module-level state of one worker process. The pool initializer stores
@@ -358,7 +307,7 @@ def _run_tile(
     check: bool,
     fault_spec: Optional[dict[str, Any]] = None,
     attempt: int = 1,
-) -> tuple[int, tuple[FloatArray, FloatArray], dict[str, int], float, bool, int]:
+) -> tuple[tuple[FloatArray, FloatArray], dict[str, int], float, int]:
     """Refine one tile's envelopes on ``segment``'s tree; returns a picklable tuple.
 
     A non-finite envelope raises here, in the worker, through the check
@@ -384,8 +333,7 @@ def _run_tile(
         payload = engine.query_tau_bounds(centers, params["tau"], cancel=token)
     check_finite_envelope(index, *payload)
     seconds = time.perf_counter() - start
-    was_cancelled = bool(token is not None and token.triggered)
-    return index, payload, stats.as_dict(), seconds, was_cancelled, os.getpid()
+    return payload, stats.as_dict(), seconds, os.getpid()
 
 
 def _worker_spec(method: IndexedMethod) -> dict[str, Any]:
@@ -433,7 +381,7 @@ def close_render_pools() -> None:
     """Shut every render pool down and unlink its trees (idempotent).
 
     A render draining a pool returns once its running tiles finish,
-    with its queued tiles listed as unrun; the next pooled render
+    with its queued tiles listed as unprocessed; the next pooled render
     builds a fresh pool.
     """
     with _POOLS_LOCK:
@@ -495,6 +443,8 @@ class ProcessTileExecutor:
         executor. Assign another to tune the storm cap/backoff, or
         ``None`` to turn supervision off (the first break then raises
         :class:`~repro.errors.WorkerPoolBrokenError`).
+    breaks / rebuilds:
+        Generations of the inner pool seen broken, and replaced.
     """
 
     def __init__(self, workers: int) -> None:
@@ -507,8 +457,11 @@ class ProcessTileExecutor:
         self.rebuilds = 0
         self._ctx = _pool_context()
         self._generation = 0
-        # Guards publication, the live list, rebuilds and closing.
+        # Guards publication, the live list, recovery and closing.
         self._lock = threading.Lock()
+        # Signalled when a recovery step ends or the executor closes.
+        self._recovered = threading.Condition(self._lock)
+        self._recovering = False
         self._closed = False
         self._seq = 0
         self._published: weakref.WeakKeyDictionary[Any, _Published] = (
@@ -547,12 +500,13 @@ class ProcessTileExecutor:
         """Shut the pool down and unlink the published trees (idempotent).
 
         A :meth:`run` draining the pool returns once its running tiles
-        finish, with its queued tiles listed as unrun.
+        finish, with its queued tiles listed as unprocessed.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            self._recovered.notify_all()
         self._finalizer()
 
     def _publish(self, method: IndexedMethod) -> TreeSegment | None:
@@ -583,25 +537,59 @@ class ProcessTileExecutor:
             )
             return self._seq, names
 
-    def rebuild(self, observed_generation: int) -> None:
-        """Replace the broken inner pool with a fresh one.
+    def _recover(self, generation: int, lost: int, cause: BaseException) -> bool:
+        """Step the pool past broken ``generation`` once; whether it is open.
 
-        The published segments are **reused**: the new workers attach
-        them on their first jobs — no re-publication, no re-pack of any
-        kd-tree. ``observed_generation`` makes the call race-safe when
-        several concurrent :meth:`run` loops hit the same broken pool:
-        only the first one actually rebuilds.
+        The first run to see ``generation`` broken counts the break,
+        takes one supervisor grant, sleeps its backoff and swaps in a
+        fresh inner pool, whose workers attach the published segments on
+        their first jobs (no re-publication, no re-pack). A run that sees
+        the generation broken later waits for that step and replays on
+        the next generation. A denial (or no supervisor) closes the
+        executor once and raises
+        :class:`~repro.errors.WorkerPoolBrokenError` in the run that
+        asked; the runs waiting on it find the executor closed.
         """
         with self._lock:
-            if self._closed or self._generation != observed_generation:
-                return
-            old = self._box.pool
-            self._box.pool = self._new_pool()
-            self._generation += 1
-            self.rebuilds += 1
+            while self._recovering and self._generation == generation and not self._closed:
+                self._recovered.wait()
+            if self._closed or self._generation != generation:
+                return not self._closed
+            self._recovering = True
+            self.breaks += 1
+        _count_break()
+        old = None
+        try:
+            delay = None if self.supervisor is None else self.supervisor.grant()
+            if delay is None:
+                self.close()
+                if self.supervisor is None:
+                    detail = "supervision is disabled"
+                else:
+                    detail = (
+                        "the rebuild budget is exhausted "
+                        f"({self.supervisor.max_consecutive_rebuilds} "
+                        "consecutive rebuilds without progress)"
+                    )
+                raise WorkerPoolBrokenError(
+                    f"process worker pool broke with {lost} tile(s) in flight and {detail}"
+                ) from cause
+            time.sleep(delay)
+            with self._lock:
+                if not self._closed:
+                    old, self._box.pool = self._box.pool, self._new_pool()
+                    self._generation += 1
+                    self.rebuilds += 1
+        finally:
+            with self._lock:
+                self._recovering = False
+                self._recovered.notify_all()
+        if old is None:
+            return False
         _count_rebuild()
         # The old pool is already broken: don't wait on its corpse.
         old.shutdown(wait=False, cancel_futures=True)
+        return True
 
     def health(self) -> dict[str, Any]:
         """JSON-ready snapshot of pool liveness (for ``/stats``)."""
@@ -630,236 +618,212 @@ class ProcessTileExecutor:
     def run(
         self,
         jobs: list[TileJob],
+        store: StoreFn,
         *,
         method: IndexedMethod,
         op: str,
         params: dict[str, float],
         token: CancellationToken | None = None,
+        fail_fast: bool = True,
+        stats: QueryStats | None = None,
         tracer: Any = None,
-        on_result: Any = None,
         faults: FaultPlan | None = None,
-    ) -> ProcessRunOutcome:
-        """Drain ``jobs``' envelopes through the worker pool; never raises Ctrl-C.
+    ) -> TileRunReport:
+        """Drain ``jobs`` through the worker pool, under the tile failure rule.
 
-        ``method`` is the fitted method whose tree the jobs refine; its
-        tree is published the first time a run names it.
+        The pool counterpart of :func:`repro.resilience.runner.run_tiles`,
+        with the same ``store`` hook, the same failure rule and the same
+        :class:`~repro.resilience.runner.TileRunReport`. ``method`` is
+        the fitted method whose tree the jobs refine; its tree is
+        published the first time a run names it.
 
         Tiles are submitted all at once and drain from the pool's shared
         call queue — idle workers steal the next tile, so an uneven tile
         cost distribution self-balances. Per-tile results stream back
         as they complete:
 
-        * worker stats merge into ``outcome.stats`` and (when ``token``
-          carries a kernel budget) charge the parent token, so budgets
-          account cross-process work exactly like in-process work;
+        * worker stats merge into ``stats`` (the render's private ledger) and
+          charge ``token``, so budgets account cross-process work
+          exactly like in-process work;
         * ``tile`` trace events re-emit in the parent with stable
           ordinal worker ids (pids map to 0..N-1 in first-seen order);
-        * ``on_result(index, payload)`` runs in completion order when
-          given (the tile driver's ``store``).
+        * ``store(index, pixels, lower, upper)`` runs in completion
+          order and says whether the tile resolved completely.
 
-        A ``KeyboardInterrupt`` during collection cancels the token,
-        trips the cancellation slot (workers stop at their next frontier
-        poll), cancels not-yet-started futures, and *waits* for running
-        ones — their best-so-far envelopes are collected and no process
-        is orphaned. The interrupt is reported on the outcome rather
-        than re-raised, because strict and anytime callers disagree on
-        what to do with it (as they do about tile errors).
+        A token that tripped before the run starts leaves every tile
+        unprocessed, as it does in-process. While the run drains, its
+        wait loop copies the token into the render's cancellation slot
+        every 20 ms, so tiles in flight stop at their next frontier poll
+        and land as partial with valid best-so-far envelopes. A Ctrl-C
+        cancels the token with ``STOP_INTERRUPT``, sets the slot at once,
+        cancels the futures no worker took yet and *waits* for running
+        ones, so no process is orphaned.
 
         When the pool **breaks** (a worker died abruptly — OOM killer,
-        segfault, injected ``worker_kill``), supervision kicks in: the
-        supervisor grants a backoff-spaced rebuild, the inner pool is
-        recreated, and the tiles whose futures never returned are
-        resubmitted with a bumped attempt number. Tiles that completed
-        before the break keep their results — no work is redone. When
-        the supervisor denies (storm cap) or supervision is off, the
-        executor closes and a typed
-        :class:`~repro.errors.WorkerPoolBrokenError` is raised; a run
-        whose token already tripped does not rebuild at all (the caller
-        is abandoning the render anyway; the next run rebuilds) and
-        reports lost tiles as ``unrun``.
+        segfault, injected ``worker_kill``), one recovery step per
+        generation (``_recover``) rebuilds it and every run replays its
+        lost tiles there with a bumped attempt number; tiles that
+        completed before the break keep their results. A denied rebuild
+        closes the executor and raises
+        :class:`~repro.errors.WorkerPoolBrokenError` in the run that
+        asked. A run whose token already tripped does not recover (the
+        caller is abandoning the render; the next run recovers) and
+        lists its lost tiles as unprocessed. When the executor
+        **closes** under the run (:meth:`close`,
+        :func:`close_render_pools`, or a denial in a concurrent run),
+        the run returns once its running tiles finish, with the rest
+        unprocessed; on an executor already closed, every tile is.
 
-        When the executor **closes** under the run (:meth:`close`,
-        :func:`close_render_pools`, or a supervisor denial in a
-        concurrent run), the run returns once its running tiles finish,
-        with the rest listed as ``unrun``; on an executor already
-        closed, every tile is.
-
-        ``faults`` is a :class:`~repro.resilience.faults.FaultPlan`;
-        its rolls execute *inside* the workers.
+        With ``fail_fast`` the run then re-raises, in this order: a
+        Ctrl-C, the lowest-indexed tile's own exception (a non-finite
+        envelope included), or :class:`~repro.errors.WorkerPoolBrokenError`
+        for tiles a closing pool never ran. Otherwise every tile that
+        raised is listed as failed. ``faults`` is a
+        :class:`~repro.resilience.faults.FaultPlan`; its rolls execute
+        *inside* the workers.
         """
         from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, CancelledError, wait
 
-        segment = self._publish(method)
-        outcome = ProcessRunOutcome()
-        if not jobs:
-            return outcome
-        if segment is None:
-            outcome.unrun.update(job.index for job in jobs)
-            return outcome
+        report = TileRunReport()
         if token is None:
             token = CancellationToken()
         token.start()
+        if stats is None:
+            stats = QueryStats()
+        segment = self._publish(method)
+        todo = list(jobs)
+        if segment is None or token.stop_reason() is not None:
+            report.unprocessed, todo = [job.index for job in jobs], []
         check = invariants_enabled()
-        fault_spec: dict[str, Any] | None = None
-        if faults is not None and not faults.empty:
-            fault_spec = faults.as_dict()
-        slot = self._slots.claim()
-        pid_to_worker: dict[int, int] = {}
+        fault_spec = None if faults is None or faults.empty else faults.as_dict()
         jobs_by_index = {job.index: job for job in jobs}
-        attempts = {job.index: 1 for job in jobs}
+        attempts = dict.fromkeys(jobs_by_index, 1)
+        errors: dict[int, BaseException] = {}
+        busy: dict[int, float] = {}
+        pid_to_worker: dict[int, int] = {}
+        interrupted = False
+        slot = self._slots.claim()
         try:
-            with CancelWatcher(self._slots, slot, token) as watcher:
-                todo = list(jobs)
-                while todo:
-                    generation = self._generation
-                    pool = self._box.pool
-                    live = self._live()
-                    futures: dict[Any, int] = {}
-                    completed_this_round = 0
-                    broken: BaseException | None = None
-                    lost: set[int] = set()
-                    for position, job in enumerate(todo):
-                        try:
-                            future = pool.submit(
-                                _run_tile,
-                                segment,
-                                live,
-                                job.index,
-                                job.centers,
-                                op,
-                                params,
-                                slot,
-                                check,
-                                fault_spec,
-                                attempts[job.index],
-                            )
-                        except BrokenExecutor as error:
-                            # A worker died fast enough to poison the pool
-                            # mid-submission; nothing submitted this round
-                            # will produce results, so the whole round is
-                            # lost and replays after the rebuild.
-                            broken = error
-                            lost = {job.index for job in todo}
-                            futures.clear()
-                            break
-                        except RuntimeError:
-                            # Shut down under this run: the rest never runs.
-                            if not self._closed:
-                                raise
-                            outcome.unrun.update(job.index for job in todo[position:])
-                            break
-                        futures[future] = job.index
-                    pending = set(futures)
-                    todo = []
-                    while pending:
-                        try:
-                            done, __ = wait(
-                                pending, timeout=_CLOSE_POLL_S, return_when=FIRST_COMPLETED
-                            )
-                            # A closing pool cancels its queued futures
-                            # without waking their waiters, so they are
-                            # collected at the next poll instead.
-                            done |= {future for future in pending if future.cancelled()}
-                            for future in sorted(done, key=futures.__getitem__):
-                                pending.discard(future)
-                                tile_index = futures[future]
-                                try:
-                                    result = future.result()
-                                except CancelledError:
-                                    outcome.unrun.add(tile_index)
-                                    continue
-                                except BrokenExecutor as error:
-                                    broken = error
-                                    lost.add(tile_index)
-                                    continue
-                                except BaseException as error:
-                                    outcome.errors[tile_index] = error
-                                    continue
-                                index, payload, stats_dict, seconds, cancelled, pid = result
-                                completed_this_round += 1
-                                worker_id = pid_to_worker.setdefault(
-                                    pid, len(pid_to_worker)
-                                )
-                                tile_stats = QueryStats()
-                                for field, value in stats_dict.items():
-                                    setattr(tile_stats, field, value)
-                                outcome.stats.merge(tile_stats)
-                                token.charge(tile_stats.point_evaluations)
-                                outcome.payloads[index] = payload
-                                if cancelled:
-                                    outcome.cancelled.add(index)
-                                outcome.worker_seconds[worker_id] = (
-                                    outcome.worker_seconds.get(worker_id, 0.0)
-                                    + seconds
-                                )
-                                if tracer is not None:
-                                    tracer.tile(
-                                        index=index,
-                                        rows=int(payload[0].shape[0]),
-                                        seconds=seconds,
-                                        worker=worker_id,
-                                        op=op,
-                                    )
-                                if on_result is not None:
-                                    on_result(index, payload)
-                            if broken is not None:
-                                # The pool died underneath us: nothing
-                                # still pending produces results.
-                                lost.update(futures[future] for future in pending)
-                                pending.clear()
-                        except KeyboardInterrupt:
-                            outcome.keyboard_interrupt = True
-                            token.cancel(STOP_INTERRUPT)
-                            watcher.trip()
-                            for future in list(pending):
-                                if future.cancel():
-                                    pending.discard(future)
-                                    outcome.unrun.add(futures[future])
-                            # Loop back into the wait for the stragglers:
-                            # they observe the tripped slot and return
-                            # their best-so-far envelopes within a
-                            # frontier pop.
-                            continue
-                    if completed_this_round and self.supervisor is not None:
-                        self.supervisor.note_progress()
-                    if broken is None:
-                        continue
-                    outcome.pool_broken = True
-                    self.breaks += 1
-                    _count_break()
-                    if token.triggered or outcome.keyboard_interrupt or self._closed:
-                        # The render is being abandoned (or the pool was
-                        # closed under it): no rebuild, report the lost
-                        # tiles as unrun so the anytime path degrades
-                        # them. A later run rebuilds a pool left broken.
-                        outcome.unrun.update(lost)
+            while todo:
+                with self._lock:
+                    generation, pool = self._generation, self._box.pool
+                live = self._live()
+                futures: dict[Any, int] = {}
+                broken: BaseException | None = None
+                lost: set[int] = set()
+                for position, job in enumerate(todo):
+                    try:
+                        future = pool.submit(
+                            _run_tile, segment, live, job.index, job.centers, op,
+                            params, slot, check, fault_spec, attempts[job.index],
+                        )
+                    except BrokenExecutor as error:
+                        # A worker died fast enough to poison the pool
+                        # mid-submission; nothing submitted this round
+                        # will produce results, so the whole round is
+                        # lost and replays after the rebuild.
+                        broken = error
+                        lost = {job.index for job in todo}
+                        futures.clear()
                         break
-                    delay = (
-                        self.supervisor.grant()
-                        if self.supervisor is not None
-                        else None
-                    )
-                    if delay is None:
-                        self.close()
-                        if self.supervisor is None:
-                            detail = "supervision is disabled"
-                        else:
-                            detail = (
-                                "the rebuild budget is exhausted "
-                                f"({self.supervisor.max_consecutive_rebuilds} "
-                                "consecutive rebuilds without progress)"
-                            )
-                        raise WorkerPoolBrokenError(
-                            f"process worker pool broke with {len(lost)} "
-                            f"tile(s) in flight and {detail}"
-                        ) from broken
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    self.rebuild(generation)
-                    outcome.rebuilds += 1
-                    for index in lost:
-                        attempts[index] += 1
-                    todo = [jobs_by_index[i] for i in sorted(lost)]
+                    except RuntimeError:
+                        # Shut down under this run: the rest never runs.
+                        if not self._closed:
+                            raise
+                        report.unprocessed.extend(job.index for job in todo[position:])
+                        break
+                    futures[future] = job.index
+                pending = set(futures)
+                progress = False
+                while pending:
+                    try:
+                        if token.stop_reason() is not None:
+                            self._slots.set(slot)
+                        done, __ = wait(pending, timeout=_POLL_S, return_when=FIRST_COMPLETED)
+                        # A closing pool cancels its queued futures
+                        # without waking their waiters, so they are
+                        # collected at the next poll instead.
+                        done |= {future for future in pending if future.cancelled()}
+                        for future in sorted(done, key=futures.__getitem__):
+                            pending.discard(future)
+                            index = futures[future]
+                            try:
+                                result = future.result()
+                            except CancelledError:
+                                report.unprocessed.append(index)
+                                continue
+                            except BrokenExecutor as error:
+                                broken = error
+                                lost.add(index)
+                                continue
+                            except BaseException as error:
+                                errors[index] = error
+                                continue
+                            payload, stats_dict, seconds, pid = result
+                            progress = True
+                            worker = pid_to_worker.setdefault(pid, len(pid_to_worker))
+                            busy[worker] = busy.get(worker, 0.0) + seconds
+                            tile_stats = QueryStats()
+                            for field, value in stats_dict.items():
+                                setattr(tile_stats, field, value)
+                            stats.merge(tile_stats)
+                            token.charge(tile_stats.point_evaluations)
+                            if tracer is not None:
+                                tracer.tile(
+                                    index=index, rows=int(payload[0].shape[0]),
+                                    seconds=seconds, worker=worker, op=op,
+                                )
+                            pixels = jobs_by_index[index].pixels
+                            if store(index, pixels, *payload):
+                                report.completed.append(index)
+                            else:
+                                report.partial.append(index)
+                        if broken is not None:
+                            # The pool died underneath us: nothing
+                            # still pending produces results.
+                            lost.update(futures[future] for future in pending)
+                            pending.clear()
+                    except KeyboardInterrupt:
+                        interrupted = True
+                        token.cancel(STOP_INTERRUPT)
+                        self._slots.set(slot)
+                        for future in list(pending):
+                            if future.cancel():
+                                pending.discard(future)
+                                report.unprocessed.append(futures[future])
+                        # Loop back into the wait for the stragglers:
+                        # they observe the tripped slot and return their
+                        # best-so-far envelopes within a frontier pop.
+                if progress and self.supervisor is not None:
+                    self.supervisor.note_progress()
+                todo = []
+                if broken is None:
+                    continue
+                if token.triggered or not self._recover(generation, len(lost), broken):
+                    report.unprocessed.extend(lost)
+                    break
+                for index in lost:
+                    attempts[index] += 1
+                todo = [jobs_by_index[index] for index in sorted(lost)]
         finally:
             self._slots.release(slot)
-        return outcome
+        if fail_fast:
+            if interrupted:
+                raise KeyboardInterrupt
+            if errors:
+                raise errors[min(errors)]
+            if report.unprocessed and not token.triggered:
+                raise WorkerPoolBrokenError(
+                    f"the render pool closed with {len(report.unprocessed)} tile(s) unrun"
+                )
+        if interrupted and tracer is not None:
+            tracer.recovery(action="cancel", reason=STOP_INTERRUPT)
+        for index in sorted(errors):
+            report.fail(index, errors[index])
+        report.completed.sort()
+        report.partial.sort()
+        report.unprocessed.sort()
+        report.worker_busy = [
+            busy.get(worker, 0.0) for worker in range(max(self.workers, len(busy)))
+        ]
+        return report

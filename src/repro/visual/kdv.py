@@ -36,20 +36,16 @@ from repro.errors import (
     InvalidParameterError,
     TransientTileError,
     UnsupportedOperationError,
-    WorkerPoolBrokenError,
 )
 from repro.methods.base import IndexedMethod, Method
 from repro.methods.registry import create_method
 from repro.obs.runtime import current_tracer, trace_to
-from repro.resilience.budget import (
-    STOP_INTERRUPT,
-    STOP_TILE_FAILURES,
-    CancellationToken,
-)
+from repro.resilience.budget import STOP_TILE_FAILURES, CancellationToken
 from repro.resilience.checkpoint import TileLedger
 from repro.resilience.faults import FaultPlan
 from repro.resilience.result import DegradedResult, RenderOutcome
-from repro.resilience.runner import TileRunReport, run_tiles
+from repro.resilience.runner import run_tiles
+from repro.utils.cache import SingleFlight
 from repro.utils.validation import check_points, check_positive
 from repro.visual.colormap import get_colormap, two_color_map
 from repro.visual.grid import PixelGrid
@@ -149,12 +145,16 @@ class KDVRenderer:
         self.grid = grid
         self.method_options = method_options
         self._methods: dict[str, Method] = {}
+        self._fits: SingleFlight[str, Method] = SingleFlight()
         self._exact_image: FloatArray | None = None
 
     # -- method management -------------------------------------------------
 
     def get_method(self, method: str | Method) -> Method:
-        """Return a fitted method instance (cached per name)."""
+        """Return a fitted method instance (cached per name).
+
+        Concurrent first requests for one name share a single fit.
+        """
         if isinstance(method, Method):
             if method.points is None:
                 method.fit(
@@ -163,6 +163,14 @@ class KDVRenderer:
                 )
             return method
         key = str(method).lower()
+        fitted = self._methods.get(key)
+        if fitted is None:
+            fitted, __ = self._fits.do(key, lambda: self._fit(key))
+        return fitted
+
+    def _fit(self, key: str) -> Method:
+        # A flight that ended between the caller's lookup and this one
+        # has already filled the cache.
         fitted = self._methods.get(key)
         if fitted is None:
             fitted = create_method(key, **self.method_options)
@@ -388,99 +396,6 @@ class KDVRenderer:
             "tile": [int(tile_shape[0]), int(tile_shape[1])],
         }
 
-    def _run_tiles_process(
-        self,
-        pool: ProcessTileExecutor,
-        fitted: IndexedMethod,
-        tile_list: list[IntArray],
-        centers: FloatArray,
-        op: str,
-        params: dict[str, float],
-        *,
-        skip: set[int] | None,
-        token: CancellationToken,
-        tracer: Any,
-        store: Callable[[int, IntArray, FloatArray, FloatArray], None],
-        tile_complete: Callable[[FloatArray, FloatArray], bool],
-        stats: QueryStats,
-        faults: FaultPlan | None,
-        fail_fast: bool,
-    ) -> tuple[TileRunReport, list[float]]:
-        """The pool executor: drain the tiles over the process pool.
-
-        The workers refine ``fitted``'s tree, which the pool publishes
-        the first time a render names it.
-
-        The pool counterpart of :func:`repro.resilience.runner.run_tiles`,
-        under its failure rule: tiles drain from the pool's shared queue,
-        envelopes stream back through ``store`` as they complete, and
-        the parent token's latch (deadline, kernel budget, Ctrl-C)
-        propagates to the workers through the shared cancellation slot —
-        cut-short tiles land as *partial* with valid best-so-far
-        ``(LB, UB)``, never as failures. ``faults`` executes inside the
-        workers; a worker a fault kills triggers the executor's
-        supervised pool rebuild-and-replay. With ``fail_fast`` the
-        lowest-indexed tile's exception (or a Ctrl-C) is re-raised
-        before any stats merge, as is a
-        :class:`~repro.errors.WorkerPoolBrokenError` when the pool
-        closed under the render; otherwise each tile that raised, or
-        whose envelope was not finite, is listed as failed, and each
-        tile the closing pool never ran as unprocessed.
-
-        Returns the :class:`~repro.resilience.runner.TileRunReport` the
-        in-process runner produces, plus each pool worker's busy
-        seconds (``0.0`` for a worker that ran no tile).
-        """
-        from repro.visual.executors import TileJob
-
-        run_start = time.perf_counter()
-        jobs = [
-            TileJob(index, pixels, centers[pixels])
-            for index, pixels in enumerate(tile_list)
-            if skip is None or index not in skip
-        ]
-
-        def on_result(index: int, payload: tuple[FloatArray, FloatArray]) -> None:
-            lo, up = payload
-            store(index, tile_list[index], lo, up)
-
-        outcome = pool.run(
-            jobs, method=fitted, op=op, params=params, token=token,
-            tracer=tracer, on_result=on_result, faults=faults,
-        )
-        if fail_fast:
-            if outcome.keyboard_interrupt:
-                raise KeyboardInterrupt
-            if outcome.errors:
-                raise outcome.errors[min(outcome.errors)]
-            if outcome.unrun:
-                raise WorkerPoolBrokenError(
-                    f"the render pool closed with {len(outcome.unrun)} tile(s) unrun"
-                )
-        stats.merge(outcome.stats)
-        if outcome.keyboard_interrupt and tracer is not None:
-            tracer.recovery(action="cancel", reason=STOP_INTERRUPT)
-        report = TileRunReport()
-        for job in jobs:
-            index = job.index
-            if index in outcome.errors:
-                report.fail(index, outcome.errors[index])
-            elif index in outcome.payloads:
-                lo, up = outcome.payloads[index]
-                if tile_complete(lo, up):
-                    report.completed.append(index)
-                else:
-                    report.partial.append(index)
-            else:
-                report.unprocessed.append(index)
-        report.elapsed_s = time.perf_counter() - run_start
-        seconds = outcome.worker_seconds
-        busy = [
-            seconds.get(worker, 0.0)
-            for worker in range(max(pool.workers, len(seconds)))
-        ]
-        return report, busy
-
     def _render_anytime_impl(
         self,
         fitted: IndexedMethod,
@@ -500,18 +415,19 @@ class KDVRenderer:
         (:func:`~repro.resilience.runner.run_tiles`, sequential) or, with
         ``workers >= 2``, the process's
         :class:`~repro.visual.executors.ProcessTileExecutor` of that
-        size (:func:`~repro.visual.executors.render_pool`). Both write
-        disjoint slices of the same envelope arrays, so the answers are
-        bit-identical across executors, and a complete render equals the
-        strict one.
+        size (:func:`~repro.visual.executors.render_pool`). Both take the
+        same ``store`` hook, which writes disjoint slices of the same
+        envelope arrays, so the answers are bit-identical across
+        executors, and a complete render equals the strict one.
 
-        Both executors follow one failure rule. With ``fail_fast`` (a
-        strict render with no resilience option) the first tile's
-        exception propagates with its own type and the render's work is
-        not merged into ``fitted.stats``. Otherwise every tile that
-        raised, or whose envelope was not finite, is listed in
-        ``tiles_failed``, the other tiles finish, and the work that ran
-        is merged even when the render stops early. No tile is
+        Both executors follow one failure rule and return the same
+        :class:`~repro.resilience.runner.TileRunReport`. With
+        ``fail_fast`` (a strict render with no resilience option) the
+        first tile's exception propagates with its own type and the
+        render's work is not merged into ``fitted.stats``. Otherwise
+        every tile that raised, or whose envelope was not finite, is
+        listed in ``tiles_failed``, the other tiles finish, and the work
+        that ran is merged even when the render stops early. No tile is
         recomputed: refinement is deterministic, so a retry would only
         repeat the failure. A fault plan (``options.faults``, else
         ``REPRO_FAULTS``) executes inside pool workers only.
@@ -541,7 +457,7 @@ class KDVRenderer:
             faults = FaultPlan.from_env()
         pool: ProcessTileExecutor | None = None
         if options.workers is not None and int(options.workers) >= 2:
-            from repro.visual.executors import render_pool
+            from repro.visual.executors import TileJob, render_pool
 
             pool = render_pool(int(options.workers))
 
@@ -611,30 +527,29 @@ class KDVRenderer:
 
         def store(
             index: int, pixels: IntArray, lo: FloatArray, up: FloatArray
-        ) -> None:
+        ) -> bool:
             lower[pixels] = lo
             upper[pixels] = up
-            if bool(resolved_rows(lo, up).all()):
-                completed_flags[index] = True
+            complete = bool(resolved_rows(lo, up).all())
+            completed_flags[index] = complete
+            return complete
 
-        def tile_complete(lo: FloatArray, up: FloatArray) -> bool:
-            return bool(resolved_rows(lo, up).all())
-
-        busy: list[float] | None = None
         merge_stats = not fail_fast
         try:
-            if pool is not None:
-                report, busy = self._run_tiles_process(
-                    pool, fitted, tile_list, centers, op, params, skip=skip,
-                    token=token, tracer=tracer, store=store,
-                    tile_complete=tile_complete, stats=stats,
-                    faults=faults, fail_fast=fail_fast,
+            if pool is None:
+                report = run_tiles(
+                    tile_list, evaluate, store, engine, token=token,
+                    fail_fast=fail_fast, tracer=tracer, skip=skip, op=op,
                 )
             else:
-                report = run_tiles(
-                    tile_list, evaluate, store, tile_complete, engine,
-                    token=token, fail_fast=fail_fast, tracer=tracer,
-                    skip=skip, op=op,
+                jobs = [
+                    TileJob(index, pixels, centers[pixels])
+                    for index, pixels in enumerate(tile_list)
+                    if skip is None or index not in skip
+                ]
+                report = pool.run(
+                    jobs, store, method=fitted, op=op, params=params, token=token,
+                    fail_fast=fail_fast, stats=stats, tracer=tracer, faults=faults,
                 )
             merge_stats = True
         finally:
@@ -707,7 +622,7 @@ class KDVRenderer:
                 tiles=n_tiles,
                 workers=1 if pool is None else pool.workers,
                 seconds=elapsed,
-                worker_busy=busy,
+                worker_busy=report.worker_busy,
             )
 
         return RenderOutcome(
@@ -741,6 +656,7 @@ class KDVRenderer:
         clone.grid = grid
         clone.method_options = self.method_options
         clone._methods = self._methods  # shared: indexes are reusable
+        clone._fits = self._fits
         clone._exact_image = None
         return clone
 

@@ -2,8 +2,10 @@
 
 Unit tests for the GIL-escape layer: the ``publish_tree``/``attach_tree``
 lifecycle (including leak-free teardown), the
-:class:`ProcessTileExecutor` contract (per-tile bit-identity, stats
-merge, cancellation, idempotent close), the renderer-facing plumbing
+:class:`ProcessTileExecutor` contract (per-tile bit-identity through
+the renderer's ``store`` hook, the same ``TileRunReport`` as the
+in-process executor, stats merge, cancellation, idempotent close, one
+recovery step per broken pool generation), the renderer-facing plumbing
 (``RenderOptions`` validation, in-process vs pool parity, one tile
 failure rule for both executors, ``ServiceConfig`` knobs), the
 ``ComputeBackend`` seam the benchmark's traced run wraps, and the
@@ -22,22 +24,28 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.contracts.runtime import checking
+from repro.core import stopping
 from repro.core.backends import ComputeBackend
 from repro.core.bounds import make_bound_provider
+from repro.core.engine import QueryStats
+from repro.data.synthetic import load_dataset
 from repro.errors import InvalidParameterError, WorkerPoolBrokenError
 from repro.index.kdtree import KDTree
 from repro.index.shared import attach_tree, publish_tree
+from repro.resilience.budget import Budget, CancellationToken
 from repro.resilience.faults import (
     FAULT_SLOW_RESPONSE,
     FAULT_WORKER_KILL,
     FaultPlan,
     fault_fires,
 )
+from repro.resilience.runner import run_tiles
 from repro.resilience.supervisor import PoolSupervisor
 from repro.visual.executors import (
     ProcessTileExecutor,
     TileJob,
     close_render_pools,
+    pool_supervision_totals,
     render_pool,
     render_pools,
 )
@@ -162,76 +170,103 @@ def _tile_jobs(renderer, tile_size=4):
     ]
 
 
+EPS_PARAMS = {"eps": 0.05, "atol": 0.0}
+
+
+class RecordingStore:
+    """A ``store`` hook like the renderer's, keeping each tile's envelopes.
+
+    Returns whether every pixel met the ε stopping rule, as the
+    renderer's hook does.
+    """
+
+    def __init__(self, eps=EPS_PARAMS["eps"], atol=EPS_PARAMS["atol"]):
+        self.eps, self.atol = eps, atol
+        self.stored = {}
+
+    def __call__(self, index, pixels, lower, upper):
+        assert index not in self.stored, f"tile {index} stored twice"
+        self.stored[index] = (pixels, lower, upper)
+        return bool(stopping.eps_stop_mask(lower, upper, 1.0 + self.eps, 0.0, self.atol).all())
+
+
+def _ran(report):
+    return set(report.completed) | set(report.partial)
+
+
 def test_process_executor_values_match_sequential_per_tile(renderer):
     fitted = renderer.get_method("quad")
     jobs = _tile_jobs(renderer)
+    store = RecordingStore()
     with ProcessTileExecutor(2) as pool:
-        outcome = pool.run(jobs, method=fitted, op="eps", params={"eps": 0.05, "atol": 0.0})
-    assert not outcome.errors and not outcome.unrun and not outcome.cancelled
-    assert sorted(outcome.payloads) == [job.index for job in jobs]
+        report = pool.run(jobs, store, method=fitted, op="eps", params=EPS_PARAMS)
+    assert not report.failed and not report.unprocessed and not report.partial
+    assert report.completed == [job.index for job in jobs]
+    assert sorted(store.stored) == [job.index for job in jobs]
     for job in jobs:
         reference = fitted.make_batch_engine().query_eps_bounds(
             job.centers, 0.05, atol=0.0
         )
-        np.testing.assert_array_equal(outcome.payloads[job.index][0], reference[0])
-        np.testing.assert_array_equal(outcome.payloads[job.index][1], reference[1])
+        pixels, lower, upper = store.stored[job.index]
+        np.testing.assert_array_equal(pixels, job.pixels)
+        np.testing.assert_array_equal(lower, reference[0])
+        np.testing.assert_array_equal(upper, reference[1])
 
 
 def test_process_executor_merges_worker_stats(renderer):
     fitted = renderer.get_method("quad")
     jobs = _tile_jobs(renderer)
-    from repro.core.engine import QueryStats
-
     sequential = QueryStats()
     engine = fitted.make_batch_engine(sequential)
     for job in jobs:
         engine.query_eps_bounds(job.centers, 0.05, atol=0.0)
+    stats = QueryStats()
     with ProcessTileExecutor(2) as pool:
-        outcome = pool.run(jobs, method=fitted, op="eps", params={"eps": 0.05, "atol": 0.0})
-    assert outcome.stats.as_dict() == sequential.as_dict()
-    assert len(outcome.worker_seconds) >= 1
+        report = pool.run(
+            jobs, RecordingStore(), method=fitted, op="eps", params=EPS_PARAMS, stats=stats
+        )
+    assert stats.as_dict() == sequential.as_dict()
+    assert len(report.worker_busy) == 2 and max(report.worker_busy) > 0.0
 
 
 def test_process_executor_precancelled_token_runs_nothing(renderer):
-    from repro.resilience.budget import CancellationToken
-
     fitted = renderer.get_method("quad")
     jobs = _tile_jobs(renderer)
     token = CancellationToken()
     token.cancel("test-cancel")
+    store = RecordingStore()
     with ProcessTileExecutor(2) as pool:
-        outcome = pool.run(
-            jobs,
-            method=fitted,
-            op="eps",
-            params={"eps": 0.05, "atol": 0.0},
-            token=token,
+        report = pool.run(
+            jobs, store, method=fitted, op="eps", params=EPS_PARAMS, token=token
         )
-    # Every tile either never ran or came back flagged cancelled with a
-    # valid (possibly loose) envelope; none may error.
-    assert not outcome.errors
-    assert outcome.cancelled
-    accounted = set(outcome.payloads) | outcome.unrun
-    assert accounted == {job.index for job in jobs}
-    for payload in outcome.payloads.values():
-        lower, upper = payload[0], payload[1]
-        assert np.all(np.isfinite(lower)) and np.all(lower <= upper)
+    # Like the in-process executor, a run whose token tripped before it
+    # started evaluates no tile: none is stored, none may error.
+    assert not report.failed
+    assert not _ran(report) and store.stored == {}
+    assert report.unprocessed == [job.index for job in jobs]
 
 
 def test_process_executor_close_is_idempotent(renderer):
     fitted = renderer.get_method("quad")
     pool = ProcessTileExecutor(1)
     jobs = _tile_jobs(renderer)
-    pool.run(jobs, method=fitted, op="eps", params={"eps": 0.05, "atol": 0.0})
+    pool.run(jobs, RecordingStore(), method=fitted, op="eps", params=EPS_PARAMS)
     [segment] = pool.segments
     assert not pool.closed
     pool.close()
     assert pool.closed and pool.segments == []
     assert not Path("/dev/shm", segment.lstrip("/")).exists()
     pool.close()
-    # A run on a closed pool runs nothing.
-    outcome = pool.run(jobs, method=fitted, op="eps", params={"eps": 0.05, "atol": 0.0})
-    assert outcome.unrun == {job.index for job in jobs} and not outcome.payloads
+    # A run on a closed pool runs nothing: a resilient run lists every
+    # tile as unprocessed, a fail-fast one raises.
+    store = RecordingStore()
+    report = pool.run(
+        jobs, store, method=fitted, op="eps", params=EPS_PARAMS, fail_fast=False
+    )
+    assert report.unprocessed == [job.index for job in jobs] and not store.stored
+    with pytest.raises(WorkerPoolBrokenError, match="unrun"):
+        pool.run(jobs, store, method=fitted, op="eps", params=EPS_PARAMS)
+    assert not store.stored
 
 
 def test_process_executor_rejects_bad_workers():
@@ -399,6 +434,29 @@ def test_anytime_pool_render_lists_failed_tile(renderer, monkeypatch):
     np.testing.assert_array_equal(outcome.upper[~failed], reference.upper[~failed])
 
 
+def _capture_reports(monkeypatch):
+    """Record the ``TileRunReport`` every executor run returns."""
+    from repro.visual import kdv
+
+    reports = []
+
+    def capture(run):
+        @functools.wraps(run)
+        def wrapper(*args, **kwargs):
+            reports.append(run(*args, **kwargs))
+            return reports[-1]
+
+        return wrapper
+
+    monkeypatch.setattr(kdv, "run_tiles", capture(run_tiles))
+    monkeypatch.setattr(ProcessTileExecutor, "run", capture(ProcessTileExecutor.run))
+    return reports
+
+
+def _report_fields(report):
+    return report.completed, report.partial, report.failed, report.unprocessed
+
+
 @pytest.mark.parametrize("workers", [None, 2], ids=["in-process", "pool"])
 def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
     """Both executors fail a tile once, under the same rule.
@@ -407,10 +465,11 @@ def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
     one (and a strict one then raises); a fail-fast render re-raises
     the tile's own exception and leaves ``stats`` unchanged; a
     non-finite envelope fails its tile like an exception does, and a
-    non-finite centre is rejected before any tile starts.
+    non-finite centre is rejected before any tile starts. A kernel
+    budget spent before the tiles start leaves every tile unprocessed.
+    Each rule yields the same report on both executors.
     """
     from repro.errors import TransientTileError
-    from repro.resilience.budget import Budget
 
     fitted = renderer.get_method("quad")
     close_render_pools()
@@ -420,6 +479,8 @@ def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
         )
     )
     _break_tile_one(monkeypatch, renderer, 4)
+    reports = _capture_reports(monkeypatch)
+    n_tiles = len(list(renderer.grid.tiles(4)))
     fifo = KDVRenderer(make_points(), resolution=(12, 10), leaf_size=16, ordering="fifo")
     centers = fifo.grid.centers()
     # Pixel (5, 0), in tile 1: finite, but so far out that its bounds
@@ -433,6 +494,19 @@ def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
                 options=RenderOptions(tile_size=4, workers=workers, anytime=True),
             )
         )
+        [failure_report] = reports
+        spent = {}
+        for executor in (None, workers):
+            token = Budget(max_kernel_evals=1).token()
+            token.charge(1)  # the budget is spent before any tile starts
+            spent[executor] = renderer.render(
+                RenderRequest.for_eps(
+                    0.05, "quad",
+                    options=RenderOptions(
+                        tile_size=4, workers=executor, anytime=True, cancel=token
+                    ),
+                )
+            ), reports[-1]
         with pytest.raises(TransientTileError, match="lost 1 tile"):
             renderer.render(
                 RenderRequest.for_eps(
@@ -477,6 +551,21 @@ def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
     np.testing.assert_array_equal(outcome.upper[~failed], reference.upper[~failed])
     assert [entry["tile"] for entry in nan_outcome.degraded.tiles_failed] == [1]
     assert "non-finite bound envelope" in nan_outcome.degraded.tiles_failed[0]["error"]
+    # The reports behind those outcomes are the same on both executors.
+    assert _report_fields(failure_report) == (
+        [index for index in range(n_tiles) if index != 1],
+        [],
+        {1: failure_report.failed[1]},
+        [],
+    )
+    assert failure_report.failed[1].startswith("InvalidParameterError: queries must be")
+    for spent_outcome, spent_report in spent.values():
+        assert spent_outcome.degraded.reason == "kernel-budget"
+        assert spent_outcome.degraded.tiles_completed == 0
+        np.testing.assert_array_equal(spent_outcome.lower, spent[None][0].lower)
+        np.testing.assert_array_equal(spent_outcome.upper, spent[None][0].upper)
+    assert _report_fields(spent[workers][1]) == _report_fields(spent[None][1])
+    assert _report_fields(spent[None][1]) == ([], [], {}, list(range(n_tiles)))
 
 
 def test_ball_tree_with_workers_raises_before_any_tile(monkeypatch):
@@ -521,18 +610,25 @@ def test_anytime_process_deadline_degrades_with_valid_envelope():
 #: is still draining when its pool closes.
 SLOW_MS = 200.0
 SLOW = FaultPlan({FAULT_SLOW_RESPONSE: 1.0}, slow_ms=SLOW_MS)
-EPS_PARAMS = {"eps": 0.05, "atol": 0.0}
 
 
-def _drain_in_thread(pool, renderer, results, name, faults=SLOW, tile_size=2):
-    """Start ``pool.run`` over ``renderer``'s tiles on a daemon thread."""
+def _drain_in_thread(
+    pool, renderer, results, name, faults=SLOW, tile_size=2, params=EPS_PARAMS, **run
+):
+    """Start a resilient ``pool.run`` over ``renderer``'s tiles on a daemon thread.
+
+    ``results[name]`` gets the report (or the exception) and
+    ``results[name + "_store"]`` the recording ``store``.
+    """
     fitted = renderer.get_method("quad")
     jobs = _tile_jobs(renderer, tile_size)
+    store = results[name + "_store"] = RecordingStore(params["eps"], params["atol"])
 
     def drain():
         try:
-            results[name] = pool.run(jobs, method=fitted, op="eps", params=EPS_PARAMS,
-                                     faults=faults)
+            results[name] = pool.run(jobs, store, method=fitted, op="eps",
+                                     params=params, faults=faults, fail_fast=False,
+                                     **run)
         except BaseException as error:
             results[name] = error
         results[name + "_at"] = time.monotonic()
@@ -555,54 +651,50 @@ def test_run_returns_when_its_pool_closes_under_it(renderer, closer):
         assert not thread.is_alive(), "the run hung after its pool closed"
     finally:
         close_render_pools()
-    outcome = results["run"]
+    report = results["run"]
     assert results["run_at"] - closed_at < 1.0
-    assert not outcome.errors and outcome.unrun
-    assert set(outcome.payloads) | outcome.unrun == indices
-    assert not set(outcome.payloads) & outcome.unrun
+    assert not report.failed and report.unprocessed
+    assert _ran(report) | set(report.unprocessed) == indices
+    assert not _ran(report) & set(report.unprocessed)
+    assert set(results["run_store"].stored) == _ran(report)
 
 
 class _GrantOnceThenDeny(PoolSupervisor):
-    """Grants the first rebuild; denies the next once the pool is rebuilt.
+    """Grants the first rebuild and denies the second, slowly.
 
-    The denial waits until the granted run has resubmitted its lost
-    tiles to the rebuilt pool, so it closes that pool under them.
+    The denial waits a moment first, so the other run is waiting on
+    the recovery step (or draining) when the denial closes the pool.
     """
 
-    def __init__(self, executor):
+    def __init__(self):
         super().__init__(max_consecutive_rebuilds=1, backoff_s=0.0)
-        self.executor = executor
         self.asked = 0
         self.denied_at = None
-        self.grant_lock = threading.Lock()
 
     def grant(self):
-        with self.grant_lock:
-            self.asked += 1
-            first = self.asked == 1
-        if first:
+        self.asked += 1
+        if self.asked == 1:
             return 0.0
-        deadline = time.monotonic() + 20.0
-        while self.executor._generation == 0 and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.3)  # the granted run resubmits right after rebuilding
+        time.sleep(0.3)
         self.denied_at = time.monotonic()
         return None
 
 
 def test_run_returns_when_a_concurrent_denial_closes_its_pool(renderer):
-    tiles = len(_tile_jobs(renderer, 2))
-    # Tile 0's first attempt kills its worker, breaking both runs at
-    # once; no replay kills, and every tile is slow.
+    # Tile 0's first attempt kills its worker, breaking generation 0
+    # under both runs; one grant rebuilds it, and one of the first
+    # tiles' replays kills a worker again, breaking generation 1. Every
+    # tile is slow, so both runs are still draining.
     seed = next(
         s for s in range(100_000)
         if fault_fires(s, FAULT_WORKER_KILL, 0, 1, 0.2)
-        and not any(fault_fires(s, FAULT_WORKER_KILL, i, 2, 0.2) for i in range(tiles))
+        and not fault_fires(s, FAULT_WORKER_KILL, 0, 2, 0.2)
+        and any(fault_fires(s, FAULT_WORKER_KILL, i, 2, 0.2) for i in range(1, 4))
     )
     faults = FaultPlan({FAULT_WORKER_KILL: 0.2, FAULT_SLOW_RESPONSE: 1.0}, seed=seed,
                        slow_ms=SLOW_MS)
     pool = ProcessTileExecutor(2)
-    supervisor = pool.supervisor = _GrantOnceThenDeny(pool)
+    supervisor = pool.supervisor = _GrantOnceThenDeny()
     results = {}
     threads = []
     try:
@@ -616,9 +708,100 @@ def test_run_returns_when_a_concurrent_denial_closes_its_pool(renderer):
     denied = [name for name in "ab" if isinstance(results[name], WorkerPoolBrokenError)]
     assert len(denied) == 1 and "rebuild budget is exhausted" in str(results[denied[0]])
     [granted] = [name for name in "ab" if name not in denied]
-    outcome = results[granted]
-    assert outcome.rebuilds == 1 and outcome.unrun and not outcome.errors
+    report = results[granted]
+    # One grant per broken generation: two breaks, one rebuild, one denial.
+    assert supervisor.asked == 2 and pool.breaks == 2
+    assert pool.rebuilds == 1 and report.unprocessed and not report.failed
     assert results[granted + "_at"] - supervisor.denied_at < 1.0
+
+
+def test_concurrent_runs_recover_a_broken_pool_once_per_generation():
+    """Four runs on one pool share each recovery step instead of each taking one.
+
+    Every run sees every break of the pool it shares. Were each run to
+    take a grant for the break it saw, four runs would spend the
+    supervisor's storm cap four times as fast and the later ones would
+    sleep ever longer backoffs: the pool would close and tiles would
+    fail that recover when the runs go one at a time. At a 30 % kill
+    rate a run of six breaks without a finished tile between them is
+    likely enough, even for one run alone, that the default storm cap
+    would decide the test by luck; the cap is raised so that what is
+    checked is the accounting: one break, one grant and one rebuild per
+    broken generation.
+    """
+    renderer = KDVRenderer(load_dataset("crime", n=4_000, seed=0), resolution=(64, 64))
+    renderer.get_method("quad")
+    seed = next(s for s in range(100_000) if fault_fires(s, FAULT_WORKER_KILL, 0, 1, 0.3))
+    faults = FaultPlan({FAULT_WORKER_KILL: 0.3}, seed=seed)
+    pool = ProcessTileExecutor(2)
+    pool.supervisor = PoolSupervisor(max_consecutive_rebuilds=1_000, backoff_s=0.0)
+    before = pool_supervision_totals()
+    results = {}
+    names = "abcd"
+    try:
+        threads = [
+            _drain_in_thread(pool, renderer, results, name, faults, tile_size=16)[0]
+            for name in names
+        ]
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads), "a run hung"
+        assert not pool.closed
+    finally:
+        pool.close()
+    tiles = list(range(len(_tile_jobs(renderer, 16))))
+    for name in names:
+        assert _report_fields(results[name]) == (tiles, [], {}, [])
+    after = pool_supervision_totals()
+    assert pool.breaks >= 1
+    assert pool.breaks == pool.rebuilds == pool.supervisor.total_rebuilds
+    assert after["breaks"] - before["breaks"] == pool.breaks
+    assert after["rebuilds"] - before["rebuilds"] == pool.rebuilds
+
+
+def test_cancel_from_another_thread_stops_tiles_mid_refinement():
+    """The run loop itself copies a cancelled token into the workers' slot.
+
+    Every tile takes seconds to refine. The token is cancelled while
+    both workers are inside their first tiles: those stop at their next
+    frontier pop, the queued ones stop before their first, and the run
+    returns within a few poll intervals, listing them all as partial. No
+    thread watches the token.
+    """
+    renderer = KDVRenderer(load_dataset("crime", n=40_000, seed=0), resolution=(128, 128))
+    fitted = renderer.get_method("quad")
+    jobs = _tile_jobs(renderer, 64)
+    params = {"eps": 1e-6, "atol": 0.0}
+    pool = ProcessTileExecutor(2)
+    token = CancellationToken()
+    results = {}
+    try:
+        # Start the workers and attach the tree, so the timed run refines at once.
+        pool.run(jobs[:1], RecordingStore(), method=fitted, op="eps",
+                 params={"eps": 0.5, "atol": 0.0})
+        thread, indices = _drain_in_thread(
+            pool, renderer, results, "run", faults=None, tile_size=64, params=params,
+            token=token,
+        )
+        watchers = set()
+        started = time.monotonic()
+        while thread.is_alive():
+            watchers |= {t.name for t in threading.enumerate() if "watcher" in t.name}
+            if not token.triggered and time.monotonic() - started > 0.3:
+                cancelled_at = time.monotonic()
+                token.cancel()
+            time.sleep(0.005)
+        thread.join(timeout=30.0)
+    finally:
+        pool.close()
+    report = results["run"]
+    assert watchers == set()
+    assert results["run_at"] - cancelled_at < 0.5
+    assert not report.failed and not report.completed and not report.unprocessed
+    assert set(report.partial) == indices
+    for pixels, lower, upper in results["run_store"].stored.values():
+        assert np.all(np.isfinite(lower)) and np.all(lower <= upper)
+        assert not stopping.eps_stop_mask(lower, upper, 1.0 + params["eps"], 0.0, 0.0).all()
 
 
 def test_fail_fast_render_raises_when_its_pool_closes(renderer, monkeypatch):

@@ -8,7 +8,8 @@ method. These tests pin its contract:
 
 * workers start from a fork server, so a pool starts even while another
   thread of the parent holds the stdin lock;
-* concurrent first renders start one pool and publish each tree once;
+* concurrent first renders start one pool, fit each method once and
+  publish each tree once;
 * every dataset, zoom and kd-tree method renders on that one pool, with
   the bytes of an in-process render;
 * register, append and remove never start or stop a worker; a replaced
@@ -212,6 +213,32 @@ def test_concurrent_first_tiles_share_the_dataset_pool(small_points, published):
     finally:
         svc.close()
     assert not any(_segment_exists(name) for name in published)
+
+
+def test_concurrent_first_method_tiles_fit_and_publish_once(
+    small_points, published, monkeypatch
+):
+    from repro.visual import kdv
+
+    fits = []
+    create = kdv.create_method
+
+    def slow_create(name, **options):
+        fits.append(name)
+        threading.Event().wait(0.2)  # widen the window between lookup and fill
+        return create(name, **options)
+
+    monkeypatch.setattr(kdv, "create_method", slow_create)
+    svc = _service(render_workers=2)
+    try:
+        svc.registry.register("crime", small_points, coreset_zoom=3)
+        fits.clear()  # registration fits the serving method
+        # Four first ?method=akde tiles of zoom 3: one fit, one tree.
+        _race(lambda i: svc.get_tile("crime", 3, i, 2, method="akde"))
+        assert fits == ["akde"]
+        assert len(published) == 1 and _the_pool().segments == published
+    finally:
+        svc.close()
 
 
 def test_two_datasets_share_one_pool(small_points, smooth_points):

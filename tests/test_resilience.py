@@ -225,7 +225,7 @@ class TestFaultRecovery:
 
         with pytest.raises(CheckpointError):
             run_tiles(
-                tiles, evaluate, lambda *a: None, lambda lo, up: True,
+                tiles, evaluate, lambda *a: True,
                 lambda worker_id: None, token=CancellationToken(),
             )
 

@@ -26,11 +26,18 @@ firing bursts of tile requests, and asserts:
 * every chaos-phase response is well-formed: a PNG 200 or a structured
   JSON error carrying a stable ``code`` field (no hangs, no half-written
   bodies);
-* degraded 200s carry ``X-Repro-Degraded`` + ``Cache-Control: no-store``;
+* degraded 200s carry ``X-Repro-Degraded`` + ``Cache-Control: no-store``
+  (each chaos-phase response's status and degrade reason is printed);
 * the pool actually broke and was rebuilt (``resilience.pool_breaks`` and
   ``resilience.pool_rebuilds`` >= 1 in ``/stats``);
 * after the faults are cleared, tiles render fresh again and are
-  bit-identical to the fault-free baseline.
+  bit-identical to the fault-free baseline;
+* every break without a rebuild failed a render: ``/stats``
+  ``pool_breaks`` exceeds ``pool_rebuilds`` by at most the number of
+  chaos-phase requests whose render failed (degraded ``render_failed``
+  or an error status). The pool takes one recovery step per broken
+  generation, so a break left unrebuilt is a denied rebuild, and each
+  denial fails the render that asked for it.
 
 Exits 0 on success, 1 on any violated expectation. Run as::
 
@@ -305,22 +312,32 @@ async def _run_chaos() -> None:
         breaks_before = pool_supervision_totals()["breaks"]
         degraded_seen = 0
         error_seen = 0
+        render_failed = 0
         os.environ["REPRO_FAULTS"] = f"worker_kill:{CHAOS_KILL_RATE},seed:{seed}"
-        for _ in range(CHAOS_ROUNDS):
+        for chaos_round in range(CHAOS_ROUNDS):
             service.invalidate_dataset(DATASET)  # force real renders
             results = await asyncio.gather(*(fetch(tile) for tile in TILES))
             for tile, (status, headers, body) in zip(TILES, results):
                 _check_wellformed("chaos", tile, status, headers, body)
+                degraded = headers.get("X-Repro-Degraded")
+                print(
+                    f"serve_smoke[chaos]: round {chaos_round} tile {tile}: "
+                    f"{status} {degraded or 'fresh'}"
+                )
                 if status != 200:
                     error_seen += 1
-                elif headers.get("X-Repro-Degraded"):
+                    render_failed += 1
+                elif degraded:
                     degraded_seen += 1
+                    if degraded.endswith(";render_failed"):
+                        render_failed += 1
         os.environ.pop("REPRO_FAULTS", None)
 
         totals = pool_supervision_totals()
         print(
             f"serve_smoke[chaos]: breaks={totals['breaks']} rebuilds={totals['rebuilds']} "
-            f"degraded_responses={degraded_seen} error_responses={error_seen}"
+            f"degraded_responses={degraded_seen} error_responses={error_seen} "
+            f"failed_renders={render_failed}"
         )
         if totals["breaks"] <= breaks_before:
             _fail("chaos phase never broke the worker pool (fault injection inert?)")
@@ -354,6 +371,13 @@ async def _run_chaos() -> None:
             _fail(f"/stats resilience.pool_breaks < 1: {resilience!r}")
         if resilience.get("pool_rebuilds", 0) < 1:
             _fail(f"/stats resilience.pool_rebuilds < 1: {resilience!r}")
+        unrebuilt = resilience["pool_breaks"] - resilience["pool_rebuilds"]
+        if unrebuilt > render_failed:
+            _fail(
+                f"{unrebuilt} pool break(s) were never rebuilt but only {render_failed} "
+                "chaos-phase render(s) failed: a break was counted more than once, "
+                "or a rebuild was denied without failing a render"
+            )
         print(
             "serve_smoke[chaos]: /stats resilience:",
             json.dumps({k: resilience[k] for k in ("pool_breaks", "pool_rebuilds", "draining")}),
