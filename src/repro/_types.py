@@ -1,14 +1,13 @@
-"""Shared type aliases and structural protocols for the public API.
+"""Shared type aliases for the public API.
 
 Centralising these keeps annotations consistent across the package and
-gives the duck-typed seams (kd-tree nodes versus ball-tree nodes, kernel
-name-or-instance arguments) a machine-checked structural contract
-instead of a comment.
+gives the duck-typed seams (kernel name-or-instance arguments, point
+arguments in any accepted form) one spelling.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -24,7 +23,6 @@ __all__ = [
     "BoundPair",
     "KernelLike",
     "PointLike",
-    "BoundingRegion",
 ]
 
 #: 2-D point sets, query batches, density vectors — everything numeric.
@@ -39,31 +37,3 @@ BoundPair = tuple[float, float]
 KernelLike = Union[str, "Kernel"]
 #: A single query point in any accepted form.
 PointLike = Union[Sequence[float], FloatArray]
-
-
-class BoundingRegion(Protocol):
-    """Structural contract of an index node's bounding region.
-
-    :class:`repro.index.rectangle.Rectangle` and
-    :class:`repro.index.balltree.Ball` both satisfy it, which is the
-    duck-typed seam that lets every bound provider run unchanged on
-    either index.
-    """
-
-    def min_sq_dist(self, query: Sequence[float]) -> float:
-        """Minimum squared distance from ``query`` to the region."""
-        ...
-
-    def max_sq_dist(self, query: Sequence[float]) -> float:
-        """Maximum squared distance from ``query`` to the region."""
-        ...
-
-    def sq_dist_range_batch(
-        self, columns: Sequence[FloatArray]
-    ) -> tuple[FloatArray, FloatArray]:
-        """Vectorised ``(min_sq_dist, max_sq_dist)`` over query columns."""
-        ...
-
-    def distance_interval(self, query: Sequence[float]) -> tuple[float, float]:
-        """``(min_dist, max_dist)`` plain (non-squared) distances."""
-        ...

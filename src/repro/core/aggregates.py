@@ -182,99 +182,6 @@ class NodeAggregates:
             total_weight=total_weight,
         )
 
-    def recentered(self, new_center: Sequence[float]) -> NodeAggregates:
-        """The same moments expressed relative to ``new_center``.
-
-        Uses the exact translation formulas for each moment (with shift
-        ``s = c_old - c_new``, so centred points gain ``+ s``); needed to
-        merge sibling aggregates whose centroids differ.
-        """
-        new_center = [float(value) for value in new_center]
-        if len(new_center) != self.dims:
-            raise InvalidParameterError("new_center has wrong dimensionality")
-        s = [old - new for old, new in zip(self.center, new_center)]
-        s_sq = sum(value * value for value in s)
-        dims = self.dims
-        # Every "count" in the translation formulas is sum of w_i.
-        n = self.total_weight
-        a = self.a
-        v = self.v
-        c = self.c
-        s_dot_a = sum(s[j] * a[j] for j in range(dims))
-        s_dot_v = sum(s[j] * v[j] for j in range(dims))
-        # C s (matrix-vector) and s^T C s.
-        c_s = [0.0] * dims
-        index = 0
-        for i in range(dims):
-            row = 0.0
-            for j in range(dims):
-                row += c[index] * s[j]
-                index += 1
-            c_s[i] = row
-        s_c_s = sum(s[i] * c_s[i] for i in range(dims))
-        new_a = [a[j] + n * s[j] for j in range(dims)]
-        new_b = self.b + 2.0 * s_dot_a + n * s_sq
-        new_v = [
-            v[j]
-            + self.b * s[j]
-            + 2.0 * c_s[j]
-            + 2.0 * s_dot_a * s[j]
-            + s_sq * a[j]
-            + n * s_sq * s[j]
-            for j in range(dims)
-        ]
-        new_h = (
-            self.h
-            + 4.0 * s_c_s
-            + n * s_sq * s_sq
-            + 4.0 * s_dot_v
-            + 2.0 * s_sq * self.b
-            + 4.0 * s_sq * s_dot_a
-        )
-        new_c = list(c)
-        index = 0
-        for i in range(dims):
-            for j in range(dims):
-                new_c[index] += s[i] * a[j] + a[i] * s[j] + n * s[i] * s[j]
-                index += 1
-        return NodeAggregates(
-            n=self.n, center=new_center, a=new_a, b=new_b, v=new_v, h=new_h,
-            c=new_c, dims=dims, total_weight=self.total_weight,
-        )
-
-    @classmethod
-    def merged(cls, left: NodeAggregates, right: NodeAggregates) -> NodeAggregates:
-        """Aggregates of the union of two disjoint point sets.
-
-        The merged centroid is the size-weighted mean of the children's;
-        both children are re-centred onto it before summing.
-        """
-        if left.dims != right.dims:
-            raise InvalidParameterError("cannot merge aggregates of different dims")
-        total = left.n + right.n
-        weight_total = left.total_weight + right.total_weight
-        # Two zero-weight sides merge about their unweighted centroid,
-        # as from_points centres a zero-weight node.
-        wl, wr, scale = (
-            (left.total_weight, right.total_weight, weight_total)
-            if weight_total > 0.0
-            else (left.n, right.n, total)
-        )
-        center = [(wl * cl + wr * cr) / scale for cl, cr in zip(left.center, right.center)]
-        left = left.recentered(center)
-        right = right.recentered(center)
-        return cls(
-            n=total,
-            total_weight=weight_total,
-            center=center,
-            a=[x + y for x, y in zip(left.a, right.a)],
-            b=left.b + right.b,
-            v=[x + y for x, y in zip(left.v, right.v)],
-            h=left.h + right.h,
-            c=[x + y for x, y in zip(left.c, right.c)],
-            dims=left.dims,
-        )
-
     def sum_sq_dists(self, q: Sequence[float]) -> float:
         """``sum_i w_i dist(q, p_i)^2`` in O(d) time (w_i = 1 unweighted).
 

@@ -82,8 +82,7 @@ class BatchRefinementEngine:
     Parameters
     ----------
     tree:
-        A fitted :class:`~repro.index.kdtree.KDTree` (or
-        :class:`~repro.index.balltree.BallTree`).
+        A fitted :class:`~repro.index.kdtree.KDTree`.
     provider:
         The :class:`~repro.core.bounds.base.BoundProvider` supplying
         per-node bounds; only the scalar interface is required — the

@@ -107,9 +107,7 @@ class QueryStats(CounterGroup):
     pattern is concurrency-safe: every worker/tile engine accumulates
     into its own ``QueryStats`` and the owner merges the per-worker
     objects afterwards, instead of sharing one mutable counter object
-    across threads. A stats block can be folded into a
-    :class:`~repro.obs.metrics.MetricsRegistry` with
-    ``registry.absorb_group("engine", stats)``.
+    across threads.
 
     Attributes
     ----------

@@ -35,7 +35,6 @@ __all__ = [
     "scott_bandwidth",
     "silverman_bandwidth",
     "scott_gamma",
-    "default_weight",
     "cv_bandwidth",
     "gamma_for_radius",
     "H_FLOOR",
@@ -119,16 +118,6 @@ def scott_gamma(
     if kernel.uses_squared_distance:
         return clamp_gamma(1.0 / (2.0 * h * h))
     return clamp_gamma(1.0 / h)
-
-
-def default_weight(n: int) -> float:
-    """The uniform weight ``w = 1 / n`` making ``F_P`` a mean density."""
-    if n <= 0:
-        raise_from = None
-        from repro.errors import InvalidParameterError
-
-        raise InvalidParameterError(f"n must be positive, got {n}") from raise_from
-    return 1.0 / float(n)
 
 
 def cv_bandwidth(

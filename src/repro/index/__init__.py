@@ -2,6 +2,5 @@
 
 from repro.index.rectangle import Rectangle
 from repro.index.kdtree import KDTree, KDTreeNode
-from repro.index.balltree import Ball, BallTree
 
-__all__ = ["Rectangle", "KDTree", "KDTreeNode", "Ball", "BallTree"]
+__all__ = ["Rectangle", "KDTree", "KDTreeNode"]

@@ -37,7 +37,6 @@ from repro.utils.validation import check_points
 
 if TYPE_CHECKING:
     from repro._types import FloatArray, IntArray, PointLike
-    from repro.index.balltree import Ball
 
 __all__ = ["KDTree", "KDTreeNode", "build_arrays", "nodes_from_arrays"]
 
@@ -91,7 +90,7 @@ class KDTreeNode:
 
     def __init__(
         self,
-        rect: Rectangle | Ball,
+        rect: Rectangle,
         agg: NodeAggregates | None,
         depth: int,
         node_id: int,

@@ -10,7 +10,6 @@ endpoints come from the minimum and maximum Euclidean distance between
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -180,14 +179,6 @@ class Rectangle:
             min_sq += near
             max_sq += far
         return min_sq, max_sq
-
-    def distance_interval(self, query: Sequence[float]) -> tuple[float, float]:
-        """Return ``(min_dist, max_dist)`` — plain (non-squared) distances."""
-        return math.sqrt(self.min_sq_dist(query)), math.sqrt(self.max_sq_dist(query))
-
-    def widest_dimension(self) -> int:
-        """Index of the dimension with the largest extent (split heuristic)."""
-        return int(np.argmax(self.high - self.low))
 
     def __repr__(self) -> str:
         return f"Rectangle(low={self.low.tolist()}, high={self.high.tolist()})"

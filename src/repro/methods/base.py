@@ -35,7 +35,6 @@ from repro.utils.validation import check_points, check_positive
 if TYPE_CHECKING:
     from repro._types import BoolArray, FloatArray, KernelLike, PointLike
     from repro.core.engine import BoundTrace, QueryStats
-    from repro.index.balltree import BallTree
 
 __all__ = ["Method", "IndexedMethod"]
 
@@ -231,40 +230,29 @@ class IndexedMethod(Method):
         self,
         leaf_size: int = DEFAULT_LEAF_SIZE,
         ordering: str = "gap",
-        index: str = "kd",
         engine: str = "scalar",
     ) -> None:
         super().__init__()
         from repro.errors import InvalidParameterError
 
-        if index not in ("kd", "ball"):
-            raise InvalidParameterError(f"index must be 'kd' or 'ball', got {index!r}")
         if engine not in ("scalar", "batch"):
             raise InvalidParameterError(
                 f"engine must be 'scalar' or 'batch', got {engine!r}"
             )
         self.leaf_size = leaf_size
         self.ordering = ordering
-        self.index = index
         self.engine_mode = engine
         self.provider_options: dict[str, Any] = {}
-        self.tree: KDTree | BallTree | None = None
+        self.tree: KDTree | None = None
         self.engine: RefinementEngine | None = None
         self.batch_engine: BatchRefinementEngine | None = None
 
     def _fit_impl(self) -> None:
         from repro.core.bounds import make_bound_provider
 
-        if self.index == "ball":
-            from repro.index.balltree import BallTree
-
-            self.tree = BallTree(
-                self.points, leaf_size=self.leaf_size, weights=self.point_weights
-            )
-        else:
-            self.tree = KDTree(
-                self.points, leaf_size=self.leaf_size, weights=self.point_weights
-            )
+        self.tree = KDTree(
+            self.points, leaf_size=self.leaf_size, weights=self.point_weights
+        )
         provider = make_bound_provider(
             self.provider_name,
             self.kernel,

@@ -41,15 +41,13 @@ class QUADMethod(IndexedMethod):
     )
 
     def __init__(
-        self, leaf_size=None, ordering="gap", tangent="mean", index="kd",
-        engine="scalar",
+        self, leaf_size=None, ordering="gap", tangent="mean", engine="scalar",
     ):
         from repro.index.kdtree import DEFAULT_LEAF_SIZE
 
         super().__init__(
             leaf_size=DEFAULT_LEAF_SIZE if leaf_size is None else leaf_size,
             ordering=ordering,
-            index=index,
             engine=engine,
         )
         self.tangent = tangent

@@ -263,11 +263,6 @@ class MetricsRegistry:
             histogram = self.histograms[name] = Histogram(name, bounds)
         return histogram
 
-    def absorb_group(self, prefix: str, group: CounterGroup) -> None:
-        """Snapshot a :class:`CounterGroup` into ``<prefix>.<field>`` counters."""
-        for field, value in group.as_dict().items():
-            self.counter(f"{prefix}.{field}").add(value)
-
     def merge(self, other: MetricsRegistry) -> MetricsRegistry:
         """Fold another registry into this one; returns ``self``."""
         for name, counter in other.counters.items():

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from repro._types import BoolArray, FloatArray
+from repro.errors import DeadlineExceededError, TransientTileError
+from repro.resilience.budget import STOP_INTERRUPT, STOP_TILE_FAILURES
 
 __all__ = ["DegradedResult", "RenderOutcome"]
 
@@ -131,9 +135,8 @@ class RenderOutcome:
     degraded:
         :class:`DegradedResult` when the render stopped early (or lost
         tiles), ``None`` for a complete run.
-    stats / checkpoint_path:
-        Optional extras: merged query-stats dict and the checkpoint the
-        run wrote (for ``--resume-from``).
+    checkpoint_path:
+        The checkpoint the run wrote (for ``--resume-from``), if any.
     """
 
     __slots__ = (
@@ -142,7 +145,6 @@ class RenderOutcome:
         "upper",
         "resolved",
         "degraded",
-        "stats",
         "checkpoint_path",
     )
 
@@ -153,7 +155,6 @@ class RenderOutcome:
         upper: FloatArray,
         resolved: BoolArray,
         degraded: Optional[DegradedResult] = None,
-        stats: Optional[Dict[str, int]] = None,
         checkpoint_path: Optional[str] = None,
     ) -> None:
         self.image = image
@@ -161,13 +162,43 @@ class RenderOutcome:
         self.upper = upper
         self.resolved = resolved
         self.degraded = degraded
-        self.stats = stats
         self.checkpoint_path = checkpoint_path
 
     @property
     def complete(self) -> bool:
         """Whether the render ran to full completion."""
         return self.degraded is None
+
+    def raise_if_stopped(self, subject: str) -> None:
+        """Raise what a strict render raises for this run's stop reason.
+
+        A complete run returns. One that lost tiles
+        (``STOP_TILE_FAILURES``) raises
+        :class:`~repro.errors.TransientTileError`, and one stopped by
+        Ctrl-C (``STOP_INTERRUPT``) re-raises :class:`KeyboardInterrupt`.
+        Any other stop (deadline, kernel or memory budget, cancellation)
+        raises :class:`~repro.errors.DeadlineExceededError` naming the
+        reason, with the best-so-far :attr:`image` as its
+        ``partial_values``. ``subject`` opens the message, e.g.
+        ``"eps render"``.
+        """
+        degraded = self.degraded
+        if degraded is None:
+            return
+        if degraded.reason == STOP_TILE_FAILURES:
+            raise TransientTileError(
+                f"{subject} lost "
+                f"{degraded.tiles_total - degraded.tiles_completed} tile(s)"
+            )
+        if degraded.reason == STOP_INTERRUPT:
+            raise KeyboardInterrupt
+        raise DeadlineExceededError(
+            f"{subject} stopped on {degraded.reason!r} with "
+            f"{degraded.pixels_resolved}/{degraded.pixels_total} pixels resolved",
+            partial_values=np.asarray(self.image),
+            pixels_resolved=degraded.pixels_resolved,
+            pixels_total=degraded.pixels_total,
+        )
 
     def __repr__(self) -> str:
         state = "complete" if self.complete else repr(self.degraded)

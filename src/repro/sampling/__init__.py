@@ -3,13 +3,7 @@
 from repro.sampling.morton import morton_codes, interleave_bits
 from repro.sampling.zorder_sample import zorder_sample, sample_size_for_eps
 from repro.sampling.random_sample import random_sample
-from repro.sampling.coreset import (
-    Coreset,
-    grid_coreset,
-    coreset_for_delta,
-    pyramid_cell_size,
-    build_pyramid,
-)
+from repro.sampling.coreset import Coreset, grid_coreset, coreset_for_delta
 
 __all__ = [
     "morton_codes",
@@ -20,6 +14,4 @@ __all__ = [
     "Coreset",
     "grid_coreset",
     "coreset_for_delta",
-    "pyramid_cell_size",
-    "build_pyramid",
 ]

@@ -29,8 +29,8 @@ see docs/bounds.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -45,8 +45,6 @@ __all__ = [
     "Coreset",
     "grid_coreset",
     "coreset_for_delta",
-    "pyramid_cell_size",
-    "build_pyramid",
 ]
 
 #: Grid-refinement iterations before giving up and returning the
@@ -244,52 +242,3 @@ def coreset_for_delta(
     else:
         point_weights = np.ascontiguousarray(point_weights, dtype=np.float64)
     return _identity_coreset(points, point_weights, weight)
-
-
-def pyramid_cell_size(extent: float, zoom: int, tile_px: int) -> float:
-    """Sub-pixel grid cell size for a zoom level.
-
-    At zoom ``z`` the world spans ``2^z`` tiles of ``tile_px`` pixels,
-    so one pixel covers ``extent / (2^z * tile_px)`` data units; points
-    snapped within one pixel are visually indistinguishable at that
-    zoom, which is why the pyramid starts refinement there.
-    """
-    extent = check_positive(extent, "extent")
-    if zoom < 0:
-        raise InvalidParameterError(f"zoom must be >= 0, got {zoom}")
-    if tile_px < 1:
-        raise InvalidParameterError(f"tile_px must be >= 1, got {tile_px}")
-    return extent / float((1 << int(zoom)) * int(tile_px))
-
-
-def build_pyramid(
-    points: "FloatArray",
-    kernel: "KernelLike",
-    gamma: float,
-    weight: float,
-    *,
-    zooms: Sequence[int],
-    tile_px: int,
-    delta_cap: float,
-    point_weights: "FloatArray | None" = None,
-) -> Dict[int, Coreset]:
-    """Per-zoom coresets for every zoom level in ``zooms``.
-
-    Each zoom starts from the pixel-sized grid for that level
-    (:func:`pyramid_cell_size` over the dataset's larger bounding-box
-    span) and refines until ``delta_z <= delta_cap``, so low zooms get
-    aggressive compression and the error budget stays uniform across
-    the pyramid.
-    """
-    points = check_points(points)
-    span = points.max(axis=0) - points.min(axis=0)
-    extent = float(max(span.max(), np.finfo(np.float64).tiny))
-    pyramid: Dict[int, Coreset] = {}
-    for zoom in sorted(set(int(z) for z in zooms)):
-        pyramid[zoom] = coreset_for_delta(
-            points, kernel, gamma, weight,
-            cell_size=pyramid_cell_size(extent, zoom, tile_px),
-            delta_cap=delta_cap,
-            point_weights=point_weights,
-        )
-    return pyramid

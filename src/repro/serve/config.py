@@ -143,18 +143,15 @@ class ResilienceConfig:
     """The degrade-don't-fail surface.
 
     ``degraded_serving`` turns the whole overload policy on/off (off
-    restores strict raise semantics everywhere); ``stale_bytes`` /
-    ``stale_ttl_s`` bound the last-known-good tile store;
-    ``breaker_threshold`` / ``breaker_reset_s`` parameterise each
-    dataset's circuit breaker; ``drain_s`` bounds how long
+    restores strict raise semantics everywhere); ``breaker_threshold`` /
+    ``breaker_reset_s`` parameterise each dataset's circuit breaker;
+    ``drain_s`` bounds how long
     :meth:`~repro.serve.service.TileService.close` waits for in-flight
     requests before shutting the pools down.
     """
 
     queue_limit: int = 32
     degraded_serving: bool = True
-    stale_bytes: int = 16 * 1024 * 1024
-    stale_ttl_s: Optional[float] = 300.0
     breaker_threshold: int = 5
     breaker_reset_s: float = 30.0
     drain_s: float = 5.0
@@ -163,14 +160,6 @@ class ResilienceConfig:
         if int(self.queue_limit) < 1:
             raise InvalidParameterError(
                 f"queue_limit must be >= 1, got {self.queue_limit!r}"
-            )
-        if int(self.stale_bytes) < 1:
-            raise InvalidParameterError(
-                f"stale_cache_bytes must be >= 1, got {self.stale_bytes!r}"
-            )
-        if self.stale_ttl_s is not None and not float(self.stale_ttl_s) > 0.0:
-            raise InvalidParameterError(
-                f"stale_ttl_s must be > 0 (or None), got {self.stale_ttl_s!r}"
             )
         if int(self.breaker_threshold) < 1:
             raise InvalidParameterError(

@@ -51,10 +51,10 @@ __all__ = ["CoresetTier", "DatasetEntry", "DatasetRegistry"]
 #: ``eps_effective = eps - delta_z`` stays positive.
 DEFAULT_CORESET_DELTA_CAP = 0.01
 
-#: Default pixel-tile edge assumed by the pyramid's cell sizing; matches
+#: Pixel-tile edge assumed by the pyramid's cell sizing; matches
 #: :data:`repro.serve.tiles.DEFAULT_TILE_PX`. A larger value only makes
 #: the coreset finer (more conservative), never less accurate.
-DEFAULT_CORESET_TILE_PX = 256
+CORESET_TILE_PX = 256
 
 #: ε of the colour-range probe (:meth:`DatasetEntry.coarse_density`):
 #: its peak upper bound lies within ``1 + PROBE_EPS`` of the exact peak.
@@ -115,7 +115,6 @@ class DatasetEntry:
         method: str,
         coreset_zoom: Optional[int] = None,
         coreset_delta_cap: float = DEFAULT_CORESET_DELTA_CAP,
-        coreset_tile_px: int = DEFAULT_CORESET_TILE_PX,
     ) -> None:
         if coreset_zoom is not None and int(coreset_zoom) < 1:
             raise InvalidParameterError(
@@ -132,7 +131,6 @@ class DatasetEntry:
         self.created_at = time.time()
         self.coreset_zoom = None if coreset_zoom is None else int(coreset_zoom)
         self.coreset_delta_cap = float(coreset_delta_cap)
-        self.coreset_tile_px = int(coreset_tile_px)
         self._gamma_given = gamma_given
         self._lock = threading.RLock()
         # Serializes appends (each builds on the previous one's points)
@@ -156,7 +154,7 @@ class DatasetEntry:
         tiers: Dict[int, CoresetTier] = {}
         previous: Optional[CoresetTier] = None
         for zoom in range(self.coreset_zoom):
-            start_cell = zoom_cell_size(renderer.grid, zoom, self.coreset_tile_px)
+            start_cell = zoom_cell_size(renderer.grid, zoom, CORESET_TILE_PX)
             if previous is not None and previous.coreset.cell_size <= start_cell:
                 # Successive zooms halve the starting cell, so each
                 # zoom's halving sequence is a suffix of the previous
@@ -404,7 +402,6 @@ class DatasetRegistry:
         grid: Optional["PixelGrid"] = None,
         coreset_zoom: Optional[int] = None,
         coreset_delta_cap: float = DEFAULT_CORESET_DELTA_CAP,
-        coreset_tile_px: int = DEFAULT_CORESET_TILE_PX,
         shards: int = 1,
         **method_options: Any,
     ) -> DatasetEntry:
@@ -449,7 +446,6 @@ class DatasetRegistry:
             method=str(method).lower(),
             coreset_zoom=coreset_zoom,
             coreset_delta_cap=coreset_delta_cap,
-            coreset_tile_px=coreset_tile_px,
         )
         entry.warm()
         with self._lock:

@@ -80,14 +80,14 @@ from repro.errors import (
     DeadlineExceededError,
     InvalidParameterError,
     ServiceOverloadedError,
-    TransientTileError,
     UnknownNameError,
     UnsupportedKernelError,
     UnsupportedOperationError,
 )
 from repro.methods.base import IndexedMethod
 from repro.obs.metrics import DEFAULT_SECONDS_BOUNDS, MetricsRegistry
-from repro.resilience.budget import STOP_TILE_FAILURES, Budget
+from repro.resilience.budget import Budget
+from repro.resilience.result import RenderOutcome
 from repro.resilience.supervisor import CircuitBreaker
 from repro.serve.config import (
     CacheConfig,
@@ -110,6 +110,8 @@ if TYPE_CHECKING:
 __all__ = [
     "PLAN_MEMO_ENTRIES",
     "RENDER_TILE_SIZE",
+    "STALE_CACHE_BYTES",
+    "STALE_CACHE_TTL_S",
     "CacheConfig",
     "RenderConfig",
     "ResilienceConfig",
@@ -128,6 +130,11 @@ RENDER_TILE_SIZE = 64
 #: Most tile plans :meth:`TileService.plan_tile` keeps for reuse (about
 #: 2.25 KB each, so ~4.5 MiB when full); least recently used go first.
 PLAN_MEMO_ENTRIES = 2048
+
+#: Byte budget and time-to-live of the stale cache, the last-known-good
+#: tile store the degrade ladder falls back to.
+STALE_CACHE_BYTES = 16 * 1024 * 1024
+STALE_CACHE_TTL_S = 300.0
 
 #: Resolution of the coarse density probe that fixes each dataset's
 #: colour normalisation range (see ``TileService._entry_vmax``).
@@ -258,8 +265,7 @@ class TileService:
         self._vmax_lock = threading.Lock()
         self._vmax_flight: SingleFlight[str, float] = SingleFlight()
         self._stale: LRUCache[TileKey, bytes] = LRUCache(
-            max_bytes=int(resilience.stale_bytes),
-            ttl_s=resilience.stale_ttl_s,
+            max_bytes=STALE_CACHE_BYTES, ttl_s=STALE_CACHE_TTL_S
         )
         # Keyed by the entry itself: a removed dataset's breaker goes
         # with its entry, and a re-registered id starts closed.
@@ -407,11 +413,11 @@ class TileService:
             RenderOptions(
                 tile_size=RENDER_TILE_SIZE,
                 anytime=True,
-                # Every kd-tree renders on the process's pool, whatever
-                # its method and version; ball trees render in-process.
-                workers=self.render_workers if fitted.index == "kd" else 1,
+                # Every indexed method renders on the process's pool,
+                # whatever its version.
+                workers=self.render_workers,
             )
-            if isinstance(fitted, IndexedMethod)
+            if indexed
             else RenderOptions()
         )
         resolved = request.replace(options=options).resolve(renderer)
@@ -745,30 +751,16 @@ class TileService:
         )
         options = plan.resolved.options.replace(budget=budget, envelope=envelope)
         outcome = plan.renderer.render(plan.resolved.replace(options=options))
-        degraded = outcome.degraded  # type: ignore[union-attr]
-        if degraded is not None:
+        assert isinstance(outcome, RenderOutcome)
+        if outcome.degraded is not None:
             self.metrics.counter("tiles.degraded").add(1)
-            if degraded.reason == STOP_TILE_FAILURES:
-                raise TransientTileError(
-                    f"tile {plan.tile} lost "
-                    f"{degraded.tiles_total - degraded.tiles_completed} "
-                    "tile batch(es)"
-                )
-            raise DeadlineExceededError(
-                f"tile {plan.tile} exceeded its deadline "
-                f"({plan.deadline_ms} ms): stopped on {degraded.reason!r} with "
-                f"{degraded.pixels_resolved}/{degraded.pixels_total} pixels "
-                "resolved; partial tiles are never cached as fresh",
-                # The anytime render's best-so-far image (envelope
-                # midpoints / conservative tau mask) rides on the error
-                # so the degrade ladder can serve it without paying for
-                # a second render.
-                partial_values=np.asarray(outcome.image),  # type: ignore[union-attr]
-                pixels_resolved=degraded.pixels_resolved,
-                pixels_total=degraded.pixels_total,
-            )
-        lower = np.asarray(outcome.lower).reshape(-1)  # type: ignore[union-attr]
-        upper = np.asarray(outcome.upper).reshape(-1)  # type: ignore[union-attr]
+        # A partial tile is never cached as fresh. Its best-so-far image
+        # (envelope midpoints / conservative tau mask) rides on the
+        # DeadlineExceededError, so the degrade ladder can serve it
+        # without paying for a second render.
+        outcome.raise_if_stopped(f"tile {plan.tile}")
+        lower = np.asarray(outcome.lower).reshape(-1)
+        upper = np.asarray(outcome.upper).reshape(-1)
         held = envelope if envelope is not None else self.cache.get_bounds(plan.bounds_key)
         if held is None:
             if self._storable(plan):
@@ -776,7 +768,7 @@ class TileService:
         else:
             np.maximum(held[0], lower, out=held[0])
             np.minimum(held[1], upper, out=held[1])
-        return np.asarray(outcome.image)  # type: ignore[union-attr]
+        return np.asarray(outcome.image)
 
     def _encode(self, plan: TilePlan, values: np.ndarray) -> bytes:
         """Colour-map + PNG-encode a value array (deterministic bytes)."""

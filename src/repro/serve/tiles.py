@@ -70,8 +70,8 @@ def zoom_cell_size(base: PixelGrid, z: int, tile_px: int = DEFAULT_TILE_PX) -> f
 
     The larger viewport span divided by ``2^z * tile_px`` — the natural
     starting cell size for the coreset pyramid
-    (:func:`repro.sampling.coreset.build_pyramid`): points snapped
-    within one rendered pixel of zoom ``z`` are visually
+    (:meth:`repro.serve.registry.DatasetEntry._build_coreset_tiers`):
+    points snapped within one rendered pixel of zoom ``z`` are visually
     indistinguishable at that zoom and every zoom below it.
     """
     z = int(z)

@@ -429,10 +429,9 @@ class ProcessTileExecutor:
         Worker process count (>= 1).
 
     :meth:`run` publishes the tree of the method it is given the first
-    time (ball trees have no shared-memory packing and raise
-    :class:`~repro.errors.InvalidParameterError`); the segment is
-    unlinked once the tree is gone or the executor closes, and a render
-    in flight holds its method, so its tree's segment outlives it.
+    time; the segment is unlinked once the tree is gone or the executor
+    closes, and a render in flight holds its method, so its tree's
+    segment outlives it.
     Most callers want the process's shared pool, :func:`render_pool`.
 
     Attributes

@@ -32,11 +32,7 @@ from repro.core.engine import QueryStats
 from repro.core.exact import exact_density
 from repro.core.kernels import get_kernel
 from repro.data.bandwidth import scott_gamma
-from repro.errors import (
-    InvalidParameterError,
-    TransientTileError,
-    UnsupportedOperationError,
-)
+from repro.errors import InvalidParameterError, UnsupportedOperationError
 from repro.methods.base import IndexedMethod, Method
 from repro.methods.registry import create_method
 from repro.obs.runtime import current_tracer, trace_to
@@ -227,10 +223,15 @@ class KDVRenderer:
         option sends it through the tile driver
         (:meth:`_render_anytime_impl`): in-process, or over the
         process's render pool when ``workers >= 2``. A strict render (not
-        ``anytime``) is the same run followed by a raise when tiles were
-        lost; with no resilience option it fails fast — the first tile
-        exception propagates with its own type and ``fitted.stats`` is
-        left unchanged.
+        ``anytime``) is the same run followed by a raise whenever it
+        stopped early
+        (:meth:`~repro.resilience.result.RenderOutcome.raise_if_stopped`):
+        :class:`~repro.errors.TransientTileError` for lost tiles,
+        ``KeyboardInterrupt`` for a Ctrl-C, and
+        :class:`~repro.errors.DeadlineExceededError` for a tripped
+        budget or a cancelled token. With no resilience option it fails
+        fast — the first tile exception propagates with its own type
+        and ``fitted.stats`` is left unchanged.
 
         A request targeting a different ``grid`` renders through a
         shared-index clone (:meth:`with_grid`), so viewport/tile
@@ -279,12 +280,7 @@ class KDVRenderer:
             )
         if options.anytime:
             return outcome
-        degraded = outcome.degraded
-        if degraded is not None and degraded.reason == STOP_TILE_FAILURES:
-            raise TransientTileError(
-                f"{op} render lost {degraded.tiles_total - degraded.tiles_completed} tile(s); "
-                "render with anytime=True for the partial envelopes"
-            )
+        outcome.raise_if_stopped(f"{op} render")
         if op == OP_EPS:
             return outcome.image
         mask: BoolArray = outcome.image.astype(bool)
@@ -631,7 +627,6 @@ class KDVRenderer:
             upper=self.grid.to_image(upper),
             resolved=self.grid.to_image(resolved_mask),
             degraded=degraded,
-            stats=None,
             checkpoint_path=(
                 None if options.checkpoint is None else str(options.checkpoint)
             ),

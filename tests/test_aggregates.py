@@ -63,44 +63,6 @@ class TestNumericalStability:
         assert agg.sum_sq_dists(q) == pytest.approx(d2, rel=1e-6)
 
 
-class TestRecenterAndMerge:
-    def test_recentered_preserves_identities(self):
-        rng = np.random.default_rng(2)
-        points = rng.normal(size=(40, 3))
-        agg = NodeAggregates.from_points(points)
-        moved = agg.recentered([10.0, -5.0, 2.0])
-        q = rng.normal(size=3)
-        d2, d4 = brute_sums(points, q)
-        assert moved.sum_sq_dists(q.tolist()) == pytest.approx(d2, rel=1e-9)
-        assert moved.sum_quartic_dists(q.tolist()) == pytest.approx(d4, rel=1e-8)
-
-    def test_recentered_rejects_wrong_dims(self):
-        agg = NodeAggregates.from_points([[0.0, 0.0]])
-        with pytest.raises(InvalidParameterError):
-            agg.recentered([0.0])
-
-    def test_merged_equals_from_points_of_union(self):
-        rng = np.random.default_rng(3)
-        left = rng.normal(size=(30, 2)) + 5.0
-        right = rng.normal(size=(20, 2)) - 5.0
-        merged = NodeAggregates.merged(
-            NodeAggregates.from_points(left), NodeAggregates.from_points(right)
-        )
-        direct = NodeAggregates.from_points(np.vstack([left, right]))
-        assert merged.n == direct.n
-        q = [1.5, -0.5]
-        assert merged.sum_sq_dists(q) == pytest.approx(direct.sum_sq_dists(q), rel=1e-9)
-        assert merged.sum_quartic_dists(q) == pytest.approx(
-            direct.sum_quartic_dists(q), rel=1e-8
-        )
-
-    def test_merged_rejects_dim_mismatch(self):
-        a = NodeAggregates.from_points([[0.0, 0.0]])
-        b = NodeAggregates.from_points([[0.0, 0.0, 0.0]])
-        with pytest.raises(InvalidParameterError):
-            NodeAggregates.merged(a, b)
-
-
 class TestValidation:
     def test_from_points_rejects_empty(self):
         with pytest.raises(InvalidParameterError):

@@ -568,22 +568,6 @@ def test_one_failure_rule_for_both_executors(renderer, monkeypatch, workers):
     assert _report_fields(spent[None][1]) == ([], [], {}, list(range(n_tiles)))
 
 
-def test_ball_tree_with_workers_raises_before_any_tile(monkeypatch):
-    from repro.core.batch_engine import BatchRefinementEngine
-
-    renderer = KDVRenderer(make_points(), resolution=(12, 10), index="ball")
-    ran = []
-    monkeypatch.setattr(
-        BatchRefinementEngine,
-        "query_eps_bounds",
-        lambda self, *args, **kwargs: ran.append(1),
-    )
-    options = RenderOptions(tile_size=4, workers=2)
-    with pytest.raises(InvalidParameterError):
-        renderer.render(RenderRequest.for_eps(0.05, "quad", options=options))
-    assert ran == []
-
-
 def test_anytime_process_deadline_degrades_with_valid_envelope():
     from repro.resilience.budget import Budget
 

@@ -34,7 +34,6 @@ from repro.core.bounds import make_bound_provider
 from repro.core.bounds.base import EXP_NEG_XMAX
 from repro.core.bounds.quadratic import _DEGENERATE_WIDTH, _MIN_GAP_FRACTION
 from repro.core.kernels import get_kernel
-from repro.index.balltree import BallTree
 from repro.index.kdtree import KDTree
 
 RTOL = 1e-12
@@ -189,19 +188,17 @@ def assert_batch_matches_scalar(provider, tree, queries):
     grid=st.sampled_from([1, 8, 64]),
     weights=st.sampled_from(["none", "uniform", "skewed"]),
     leaf_size=st.sampled_from([1, 2, 8]),
-    index=st.sampled_from(["kd", "ball"]),
     gamma=st.sampled_from([0.02, 0.5, 3.0, 40.0]),
     m=st.integers(1, 24),
     layout=st.sampled_from(["C", "F", "strided"]),
 )
 def test_batch_bounds_match_scalar(
     name, kernel, options, seed, n, dims, duplicate_frac, grid, weights, leaf_size,
-    index, gamma, m, layout
+    gamma, m, layout
 ):
     points = _points(seed, n, dims, int(duplicate_frac * n), grid)
     point_weights = _weights(seed, n, weights)
-    tree_type = KDTree if index == "kd" else BallTree
-    tree = tree_type(points, leaf_size=leaf_size, weights=point_weights)
+    tree = KDTree(points, leaf_size=leaf_size, weights=point_weights)
     weight = 1.0 / (n if point_weights is None else float(point_weights.sum()))
     provider = make_bound_provider(name, get_kernel(kernel), gamma, weight, **options)
     queries = _layout(_queries(points, gamma, seed, m), layout)

@@ -19,13 +19,7 @@ from repro.core.exact import exact_density
 from repro.core.kernels import KERNEL_REGISTRY, get_kernel
 from repro.errors import InvalidParameterError
 from repro.methods.zorder import ZOrderMethod
-from repro.sampling.coreset import (
-    Coreset,
-    build_pyramid,
-    coreset_for_delta,
-    grid_coreset,
-    pyramid_cell_size,
-)
+from repro.sampling.coreset import coreset_for_delta, grid_coreset
 
 KERNELS = sorted(KERNEL_REGISTRY)
 
@@ -144,25 +138,6 @@ class TestCoresetForDelta:
             points, "gaussian", 1.0, weight, cell_size=2.0, delta_cap=0.001
         )
         assert loose.m <= tight.m
-
-
-class TestPyramid:
-    def test_cell_size_halves_per_zoom(self):
-        sizes = [pyramid_cell_size(10.0, z, 256) for z in range(4)]
-        for prev, nxt in zip(sizes, sizes[1:]):
-            assert nxt == pytest.approx(prev / 2.0)
-
-    def test_build_pyramid_covers_requested_zooms_with_uniform_cap(self):
-        points = make_points()
-        weight = 1.0 / len(points)
-        pyramid = build_pyramid(
-            points, "gaussian", 1.0, weight,
-            zooms=range(3), tile_px=64, delta_cap=0.01,
-        )
-        assert sorted(pyramid) == [0, 1, 2]
-        for coreset in pyramid.values():
-            assert isinstance(coreset, Coreset)
-            assert coreset.delta_z <= 0.01
 
 
 class TestZOrderCoresetMode:

@@ -11,12 +11,15 @@ from repro.errors import (
     UnsupportedKernelError,
     UnsupportedOperationError,
 )
+from repro.index.kdtree import KDTree
 from repro.methods import (
     METHOD_REGISTRY,
     available_methods,
     capability_table,
     create_method,
 )
+from repro.methods.quad import QUADMethod
+from repro.visual.kdv import KDVRenderer
 
 ALL_METHODS = sorted(METHOD_REGISTRY)
 
@@ -52,6 +55,23 @@ class TestRegistry:
         # leaf_size is meaningless for zorder; it must be dropped, not crash.
         method = create_method("zorder", leaf_size=128, delta=0.2)
         assert method.delta == 0.2
+
+    def test_leftover_index_option_still_runs_on_the_kd_tree(self, fitted_world):
+        # index= left the method options in 7.0; an old sweep
+        # configuration naming it still renders, on the kd-tree.
+        points = fitted_world[0]
+        with pytest.raises(TypeError):
+            QUADMethod(index="ball")
+        renderer = KDVRenderer(points, resolution=(24, 18))
+        images = []
+        for method in (
+            create_method("quad", index="ball", leaf_size=16),
+            create_method("quad", leaf_size=16),
+        ):
+            renderer.get_method(method)
+            assert isinstance(method.tree, KDTree)
+            images.append(renderer.render_eps(0.01, method))
+        np.testing.assert_array_equal(images[0], images[1])
 
     def test_capability_table_matches_paper_table6(self):
         table = capability_table()

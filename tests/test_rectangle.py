@@ -59,11 +59,6 @@ class TestDistances:
         rect = Rectangle([0.0, 0.0], [1.0, 1.0])
         assert rect.max_sq_dist([2.0, 0.5]) == pytest.approx(4.0 + 0.25)
 
-    def test_distance_interval_ordering(self):
-        rect = Rectangle([0.0, 0.0], [1.0, 2.0])
-        low, high = rect.distance_interval([5.0, 5.0])
-        assert 0.0 <= low <= high
-
     def test_degenerate_point_rectangle(self):
         rect = Rectangle([1.0, 1.0], [1.0, 1.0])
         assert rect.min_sq_dist([2.0, 1.0]) == pytest.approx(1.0)
@@ -80,12 +75,6 @@ class TestDistances:
             q = rng.normal(scale=3.0, size=3)
             brute_max = float(((corners - q) ** 2).sum(axis=1).max())
             assert rect.max_sq_dist(q.tolist()) == pytest.approx(brute_max)
-
-
-class TestWidestDimension:
-    def test_picks_largest_extent(self):
-        rect = Rectangle([0.0, 0.0, 0.0], [1.0, 5.0, 2.0])
-        assert rect.widest_dimension() == 1
 
 
 @given(

@@ -20,15 +20,23 @@ import numpy as np
 import pytest
 
 from repro.core.exact import exact_density
-from repro.errors import CheckpointError, InvalidParameterError
+from repro.errors import (
+    CheckpointError,
+    DeadlineExceededError,
+    InvalidParameterError,
+    TransientTileError,
+)
 from repro.resilience import (
     STOP_CANCELLED,
     STOP_DEADLINE,
+    STOP_INTERRUPT,
     STOP_KERNEL_BUDGET,
     STOP_TILE_FAILURES,
     Budget,
     CancellationToken,
+    DegradedResult,
     FaultPlan,
+    RenderOutcome,
     TileLedger,
     run_tiles,
 )
@@ -185,6 +193,58 @@ class TestDeadlinePartialRender:
         # Undecided pixels render cold: no false positives vs the
         # complete reference mask.
         assert not (partial & ~reference).any()
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["in-process", "pool"])
+    @pytest.mark.parametrize("op", ["eps", "tau"])
+    def test_strict_render_raises_when_its_budget_trips(self, renderer, op, workers):
+        # A strict render whose budget trips raises instead of returning
+        # its partial image; the error carries that image, which equals
+        # the same render's anytime image.
+        if op == "eps":
+            request = RenderRequest.for_eps(0.01)
+        else:
+            mu, sigma = renderer.density_stats()
+            request = RenderRequest.for_tau(mu + 0.1 * sigma)
+
+        def spent_token():
+            token = Budget(max_kernel_evals=1).token()
+            token.charge(1)
+            return token
+
+        try:
+            anytime = tiled(
+                renderer, request, tile_size=8, workers=workers,
+                cancel=spent_token(), anytime=True,
+            )
+            with pytest.raises(DeadlineExceededError, match="kernel-budget") as caught:
+                tiled(renderer, request, tile_size=8, workers=workers, cancel=spent_token())
+        finally:
+            close_render_pools()
+        assert anytime.degraded.reason == STOP_KERNEL_BUDGET
+        error = caught.value
+        np.testing.assert_array_equal(error.partial_values, anytime.image)
+        assert error.pixels_resolved == anytime.degraded.pixels_resolved
+        assert error.pixels_total == renderer.grid.num_pixels
+
+    @pytest.mark.parametrize(
+        "reason,raised",
+        [
+            (STOP_TILE_FAILURES, TransientTileError),
+            (STOP_INTERRUPT, KeyboardInterrupt),
+            (STOP_DEADLINE, DeadlineExceededError),
+            (STOP_CANCELLED, DeadlineExceededError),
+        ],
+    )
+    def test_each_stop_reason_raises_its_strict_error(self, reason, raised):
+        image = np.zeros((2, 3))
+        degraded = DegradedResult(
+            reason=reason, pixels_total=6, pixels_resolved=2, worst_gap=1.0,
+            tiles_total=2, tiles_completed=1,
+        )
+        RenderOutcome(image, image, image, image > 0).raise_if_stopped("eps render")
+        outcome = RenderOutcome(image, image, image, image > 0, degraded=degraded)
+        with pytest.raises(raised):
+            outcome.raise_if_stopped("eps render")
 
     def test_anytime_complete_matches_strict_path(self, renderer):
         strict = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)

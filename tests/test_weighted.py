@@ -8,7 +8,6 @@ from repro.core.aggregates import NodeAggregates
 from repro.core.exact import exact_density
 from repro.core.kde import KernelDensity
 from repro.errors import InvalidParameterError, UnsupportedOperationError
-from repro.index.balltree import BallTree
 from repro.index.kdtree import KDTree
 from repro.visual.kdv import KDVRenderer
 
@@ -66,25 +65,6 @@ class TestWeightedAggregates:
         assert agg.a == agg.v == [0.0, 0.0] and agg.c == [0.0] * 4
         assert agg.b == agg.h == 0.0
         assert agg.sum_sq_dists([7.0, 7.0]) == agg.sum_quartic_dists([7.0, 7.0]) == 0.0
-        positive = NodeAggregates.from_points(points, [1.0, 2.0, 0.5])
-        merged = NodeAggregates.merged(agg, agg)
-        assert merged.total_weight == 0.0 and merged.center == [3.0, 1.0]
-        joined = NodeAggregates.merged(agg, positive)
-        assert joined.center == pytest.approx(positive.center)
-        assert joined.total_weight == positive.total_weight
-
-    def test_weighted_merge_matches_union(self, weighted_world):
-        points, weights = weighted_world
-        left = NodeAggregates.from_points(points[:200], weights[:200])
-        right = NodeAggregates.from_points(points[200:], weights[200:])
-        merged = NodeAggregates.merged(left, right)
-        direct = NodeAggregates.from_points(points, weights)
-        q = points[7].tolist()
-        assert merged.total_weight == pytest.approx(direct.total_weight)
-        assert merged.sum_sq_dists(q) == pytest.approx(direct.sum_sq_dists(q), rel=1e-9)
-        assert merged.sum_quartic_dists(q) == pytest.approx(
-            direct.sum_quartic_dists(q), rel=1e-7
-        )
 
 
 class TestWeightedExact:
@@ -105,10 +85,9 @@ class TestWeightedExact:
 
 
 class TestWeightedTrees:
-    @pytest.mark.parametrize("tree_cls", [KDTree, BallTree])
-    def test_leaf_weights_aligned(self, tree_cls, weighted_world):
+    def test_leaf_weights_aligned(self, weighted_world):
         points, weights = weighted_world
-        tree = tree_cls(points, leaf_size=32, weights=weights)
+        tree = KDTree(points, leaf_size=32, weights=weights)
         for leaf in tree.leaves():
             np.testing.assert_array_equal(leaf.weights, weights[leaf.indices])
             assert leaf.agg.total_weight == pytest.approx(weights[leaf.indices].sum())
@@ -135,10 +114,9 @@ class TestZeroWeightRegions:
         points = rng.normal(size=(5000, 2))
         return points, np.where(points[:, 0] < -0.5, 0.0, 1.0)
 
-    @pytest.mark.parametrize("tree_cls", [KDTree, BallTree])
-    def test_trees_build_with_zero_weight_nodes(self, tree_cls, masked):
+    def test_trees_build_with_zero_weight_nodes(self, masked):
         points, weights = masked
-        tree = tree_cls(points[:200], leaf_size=8, weights=weights[:200])
+        tree = KDTree(points[:200], leaf_size=8, weights=weights[:200])
         empty = [node for node in tree.nodes() if node.agg.total_weight == 0.0]
         assert empty
         for node in empty:
