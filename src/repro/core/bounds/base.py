@@ -202,48 +202,58 @@ class BoundProvider(ABC):
             )
         return lowers, uppers
 
+    def _leaf_kernel_block(
+        self, node: KDTreeNode, queries: FloatArray, queries_sq: FloatArray
+    ) -> FloatArray:
+        """Kernel values of every ``(query, leaf point)`` pair, one buffer.
+
+        The distance form mirrors :meth:`leaf_exact` kernel for kernel —
+        for unsquared-distance kernels the direct form makes each entry
+        bit-identical to the scalar evaluation of the same pair (see
+        :mod:`repro.core.distances`); squared-distance kernels keep the
+        BLAS expanded form, whose noise the τ tie guard absorbs.
+
+        The expanded form is evaluated inside the matmul's result:
+        ``G *= -2; G += ||q||^2; G += ||p||^2`` is
+        ``||q||^2 - 2 G + ||p||^2`` float for float (``a - b`` is
+        ``a + (-b)`` and IEEE addition commutes), and the kernel then
+        runs in place on it. So a leaf visit allocates one ``(m, n)``
+        block instead of one per operation, each of which a large batch
+        pays for in fresh, page-faulting memory.
+        """
+        if self.kernel.uses_squared_distance:
+            block = queries @ node.points.T
+            block *= -2.0
+            block += queries_sq[:, None]
+            block += node.sq_norms
+            np.maximum(block, 0.0, out=block)
+        else:
+            block = sq_dists_to_batch(queries, node.points)
+        return self.kernel.evaluate(block, self.gamma, out=block)
+
+    def _leaf_sums(self, node: KDTreeNode, values: FloatArray) -> FloatArray:
+        """Weighted row sums of a :meth:`_leaf_kernel_block`."""
+        if node.weights is not None:
+            return self.weight * (values @ node.weights)
+        result: FloatArray = self.weight * values.sum(axis=1)
+        return result
+
     def leaf_exact_batch(self, node: KDTreeNode, queries: FloatArray,
                          queries_sq: FloatArray) -> FloatArray:
         """Exact weighted kernel sums of a leaf for an ``(m, d)`` batch.
 
         Vectorised over both queries and leaf points: one ``(m, n)``
-        distance matrix per leaf visit. The distance form mirrors
-        :meth:`leaf_exact` kernel for kernel — for unsquared-distance
-        kernels the direct form makes each entry bit-identical to the
-        scalar evaluation of the same pair (see
-        :mod:`repro.core.distances`); squared-distance kernels keep the
-        BLAS expanded form, whose noise the τ tie guard absorbs.
+        kernel block per leaf visit (:meth:`_leaf_kernel_block`).
         """
-        if self.kernel.uses_squared_distance:
-            sq_dists = (
-                queries_sq[:, None] - 2.0 * (queries @ node.points.T) + node.sq_norms
-            )
-            np.maximum(sq_dists, 0.0, out=sq_dists)
-        else:
-            sq_dists = sq_dists_to_batch(queries, node.points)
-        values = self.kernel.evaluate(sq_dists, self.gamma)
-        if node.weights is not None:
-            return self.weight * (values @ node.weights)
-        result: FloatArray = self.weight * values.sum(axis=1)
-        return result
+        return self._leaf_sums(node, self._leaf_kernel_block(node, queries, queries_sq))
 
     def checked_leaf_exact_batch(
         self, node: KDTreeNode, queries: FloatArray, queries_sq: FloatArray
     ) -> FloatArray:
         """:meth:`leaf_exact_batch` with the kernel-value contract validated."""
-        if self.kernel.uses_squared_distance:
-            sq_dists = (
-                queries_sq[:, None] - 2.0 * (queries @ node.points.T) + node.sq_norms
-            )
-            np.maximum(sq_dists, 0.0, out=sq_dists)
-        else:
-            sq_dists = sq_dists_to_batch(queries, node.points)
-        values = self.kernel.evaluate(sq_dists, self.gamma)
+        values = self._leaf_kernel_block(node, queries, queries_sq)
         check_kernel_values(values, kernel=self.kernel.name)
-        if node.weights is not None:
-            return self.weight * (values @ node.weights)
-        result: FloatArray = self.weight * values.sum(axis=1)
-        return result
+        return self._leaf_sums(node, values)
 
     def x_interval(self, node: KDTreeNode, q: PointLike) -> tuple[float, float]:
         """The scaled-distance interval ``[xmin, xmax]`` of a node.

@@ -47,10 +47,18 @@ def sq_dists_to_batch(queries: FloatArray, points: FloatArray) -> FloatArray:
 
     Same per-dimension accumulation order as :func:`sq_dists_to_point`,
     so entry ``[k, i]`` is bit-identical to the scalar call for query
-    ``k`` — elementwise ufuncs round independently of array shape.
+    ``k`` — elementwise ufuncs round independently of array shape. The
+    first dimension's square is written straight into the result
+    (``0 + s == s`` for ``s >= 0``) and every later one goes through one
+    scratch block, so the call allocates at most two ``(m, n)`` arrays
+    whatever the dimension (``d >= 1``).
     """
-    sq = np.zeros((queries.shape[0], points.shape[0]), dtype=np.float64)
-    for j in range(queries.shape[1]):
-        diff = queries[:, j, None] - points[None, :, j]
-        sq += diff * diff
+    sq = np.subtract(queries[:, 0, None], points[None, :, 0])
+    np.multiply(sq, sq, out=sq)
+    if queries.shape[1] > 1:
+        diff = np.empty_like(sq)
+        for j in range(1, queries.shape[1]):
+            np.subtract(queries[:, j, None], points[None, :, j], out=diff)
+            np.multiply(diff, diff, out=diff)
+            sq += diff
     return sq

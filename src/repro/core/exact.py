@@ -86,13 +86,13 @@ def exact_density(
             f"queries have {queries.shape[1]} dims but points have {points.shape[1]}"
         )
     out = np.empty(queries.shape[0], dtype=np.float64)
-    # Direct-form distances (see repro.core.distances) hold one extra
-    # (chunk, n) temporary per dimension; shrink the chunk accordingly.
+    # Direct-form distances (see repro.core.distances) hold a second
+    # (chunk, n) scratch block while they accumulate; the kernel then
+    # runs in place on the distances.
     budget = max(1, max_elements // (points.shape[1] + 1))
     for rows in chunk_slices(queries.shape[0], points.shape[0], max_elements=budget):
-        block = queries[rows]
-        sq_dists = sq_dists_to_batch(block, points)
-        values = kernel.evaluate(sq_dists, gamma)
+        sq_dists = sq_dists_to_batch(queries[rows], points)
+        values = kernel.evaluate(sq_dists, gamma, out=sq_dists)
         if point_weights is None:
             out[rows] = weight * values.sum(axis=1)
         else:

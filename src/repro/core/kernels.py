@@ -69,6 +69,17 @@ GAMMA_MIN = 1e-150
 GAMMA_MAX = 1e150
 
 
+def _buffers(x: FloatArray | float, out: FloatArray | None) -> tuple[FloatArray, FloatArray]:
+    """``x`` as a float64 array, and ``out`` or a fresh array shaped like it.
+
+    Every kernel computes into the second array with ``out=`` ufuncs, so
+    an in-place call (``out`` is ``x``) allocates nothing of that shape
+    and a scalar ``x`` still yields a (0-d) array.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    return x, np.empty_like(x) if out is None else out
+
+
 def clamp_gamma(gamma: float) -> float:
     """Clamp a bandwidth parameter into ``[GAMMA_MIN, GAMMA_MAX]``.
 
@@ -101,10 +112,13 @@ class Kernel(ABC):
     in_paper: bool = True
 
     @abstractmethod
-    def profile(self, x: FloatArray | float) -> FloatArray:
+    def profile(self, x: FloatArray | float, out: FloatArray | None = None) -> FloatArray:
         """Evaluate the profile ``k(x)`` element-wise for ``x >= 0``.
 
-        Accepts scalars or numpy arrays; returns a numpy array.
+        Accepts scalars or numpy arrays; returns a numpy array. With
+        ``out`` (a float64 array shaped like ``x``, which may be ``x``
+        itself) the values are written there and no temporary of that
+        shape is allocated.
         """
 
     @abstractmethod
@@ -147,7 +161,12 @@ class Kernel(ABC):
             return gamma * dist * dist
         return gamma * dist
 
-    def evaluate(self, sq_dists: FloatArray | float, gamma: float) -> FloatArray:
+    def evaluate(
+        self,
+        sq_dists: FloatArray | float,
+        gamma: float,
+        out: FloatArray | None = None,
+    ) -> FloatArray:
         """Kernel values from **squared** Euclidean distances, vectorised.
 
         Parameters
@@ -156,8 +175,13 @@ class Kernel(ABC):
             Array of squared distances ``dist(q, p_i)**2``.
         gamma:
             Positive bandwidth parameter.
+        out:
+            Optional float64 array shaped like ``sq_dists`` for the
+            values; ``out=sq_dists`` evaluates in place, allocating
+            nothing of that shape. The values are the same floats either
+            way.
         """
-        sq_dists = np.asarray(sq_dists, dtype=np.float64)
+        sq_dists, out = _buffers(sq_dists, out)
         # Clip the distance term so ``gamma * distance`` cannot overflow
         # for extreme gamma (see GAMMA_MAX): beyond ``cap`` the profile
         # is exactly zero (compact support) or below ~1e-308 (exp
@@ -170,10 +194,12 @@ class Kernel(ABC):
         if limit <= 0.0:
             limit = math.inf
         if self.uses_squared_distance:
-            x = gamma * np.minimum(sq_dists, limit)
+            np.minimum(sq_dists, limit, out=out)
         else:
-            x = gamma * np.minimum(np.sqrt(sq_dists), limit)
-        return self.profile(x)
+            np.sqrt(sq_dists, out=out)
+            np.minimum(out, limit, out=out)
+        out *= gamma
+        return self.profile(out, out=out)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -185,12 +211,12 @@ class GaussianKernel(Kernel):
     name = "gaussian"
     uses_squared_distance = True
 
-    def profile(self, x: FloatArray | float) -> FloatArray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.minimum(x, _EXP_NEG_XMAX)
+    def profile(self, x: FloatArray | float, out: FloatArray | None = None) -> FloatArray:
+        x, out = _buffers(x, out)
+        np.minimum(x, _EXP_NEG_XMAX, out=out)
         np.negative(out, out=out)
-        # lint: allow-unclipped-exp -- ``out`` is the np.minimum-clipped
-        # copy from two lines up, negated in place (saves a temporary).
+        # lint: allow-unclipped-exp -- ``out`` holds the np.minimum-clipped
+        # values from two lines up, negated in place.
         return np.exp(out, out=out)
 
     def profile_scalar(self, x: float) -> float:
@@ -207,12 +233,12 @@ class ExponentialKernel(Kernel):
 
     name = "exponential"
 
-    def profile(self, x: FloatArray | float) -> FloatArray:
-        x = np.asarray(x, dtype=np.float64)
-        out = np.minimum(x, _EXP_NEG_XMAX)
+    def profile(self, x: FloatArray | float, out: FloatArray | None = None) -> FloatArray:
+        x, out = _buffers(x, out)
+        np.minimum(x, _EXP_NEG_XMAX, out=out)
         np.negative(out, out=out)
-        # lint: allow-unclipped-exp -- ``out`` is the np.minimum-clipped
-        # copy from two lines up, negated in place (saves a temporary).
+        # lint: allow-unclipped-exp -- ``out`` holds the np.minimum-clipped
+        # values from two lines up, negated in place.
         return np.exp(out, out=out)
 
     def profile_scalar(self, x: float) -> float:
@@ -232,8 +258,10 @@ class TriangularKernel(Kernel):
     def support_xmax(self) -> float:
         return 1.0
 
-    def profile(self, x: FloatArray | float) -> FloatArray:
-        return np.maximum(1.0 - np.asarray(x, dtype=np.float64), 0.0)
+    def profile(self, x: FloatArray | float, out: FloatArray | None = None) -> FloatArray:
+        x, out = _buffers(x, out)
+        np.subtract(1.0, x, out=out)
+        return np.maximum(out, 0.0, out=out)
 
     def profile_scalar(self, x: float) -> float:
         return 1.0 - x if x < 1.0 else 0.0
@@ -255,9 +283,15 @@ class CosineKernel(Kernel):
     def support_xmax(self) -> float:
         return math.pi / 2.0
 
-    def profile(self, x: FloatArray | float) -> FloatArray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.where(x <= math.pi / 2.0, np.cos(np.minimum(x, math.pi / 2.0)), 0.0)
+    def profile(self, x: FloatArray | float, out: FloatArray | None = None) -> FloatArray:
+        x, out = _buffers(x, out)
+        # Zero beyond pi/2 and at NaN; the mask is taken before ``out``,
+        # possibly ``x`` itself, is overwritten.
+        outside = np.logical_not(x <= math.pi / 2.0)
+        np.minimum(x, math.pi / 2.0, out=out)
+        np.cos(out, out=out)
+        np.copyto(out, 0.0, where=outside)
+        return out
 
     def profile_scalar(self, x: float) -> float:
         return math.cos(x) if x <= math.pi / 2.0 else 0.0
@@ -283,9 +317,11 @@ class EpanechnikovKernel(Kernel):
     def support_xmax(self) -> float:
         return 1.0
 
-    def profile(self, x: FloatArray | float) -> FloatArray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.maximum(1.0 - x * x, 0.0)
+    def profile(self, x: FloatArray | float, out: FloatArray | None = None) -> FloatArray:
+        x, out = _buffers(x, out)
+        np.multiply(x, x, out=out)
+        np.subtract(1.0, out, out=out)
+        return np.maximum(out, 0.0, out=out)
 
     def profile_scalar(self, x: float) -> float:
         return 1.0 - x * x if x < 1.0 else 0.0
@@ -311,10 +347,12 @@ class QuarticKernel(Kernel):
     def support_xmax(self) -> float:
         return 1.0
 
-    def profile(self, x: FloatArray | float) -> FloatArray:
-        x = np.asarray(x, dtype=np.float64)
-        inside = np.maximum(1.0 - x * x, 0.0)
-        return inside * inside
+    def profile(self, x: FloatArray | float, out: FloatArray | None = None) -> FloatArray:
+        x, out = _buffers(x, out)
+        np.multiply(x, x, out=out)
+        np.subtract(1.0, out, out=out)
+        np.maximum(out, 0.0, out=out)
+        return np.multiply(out, out, out=out)
 
     def profile_scalar(self, x: float) -> float:
         if x >= 1.0:

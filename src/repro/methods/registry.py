@@ -19,6 +19,7 @@ __all__ = [
     "METHOD_REGISTRY",
     "canonical_method_options",
     "create_method",
+    "method_option_names",
     "available_methods",
     "capability_table",
 ]
@@ -82,6 +83,21 @@ def canonical_method_options(
             for key, value in options.items()
             if key in accepted
         )
+    )
+
+
+def method_option_names() -> frozenset[str]:
+    """Every keyword some method constructor in :data:`METHOD_REGISTRY` declares.
+
+    An option outside this set reaches no method through
+    :func:`create_method` — most likely a misspelling — so callers that
+    store options for later (``DatasetRegistry.register``) reject it.
+    """
+    return frozenset(
+        name
+        for cls in METHOD_REGISTRY.values()
+        for name in inspect.signature(cls.__init__).parameters
+        if name != "self"
     )
 
 

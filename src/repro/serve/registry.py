@@ -35,6 +35,7 @@ import numpy as np
 from repro.core.engine import QueryStats
 from repro.errors import DatasetNotFoundError, InvalidParameterError
 from repro.methods.base import IndexedMethod
+from repro.methods.registry import method_option_names
 from repro.sampling.coreset import Coreset, coreset_for_delta
 from repro.serve.tiles import zoom_cell_size
 from repro.visual.kdv import KDVRenderer
@@ -59,6 +60,15 @@ CORESET_TILE_PX = 256
 #: ε of the colour-range probe (:meth:`DatasetEntry.coarse_density`):
 #: its peak upper bound lies within ``1 + PROBE_EPS`` of the exact peak.
 PROBE_EPS = 0.01
+
+#: The probe's ε schedule: every probe pixel is refined to the first ε,
+#: and only the pixels that may still hold the peak to each later one.
+PROBE_EPS_SCHEDULE = (1.0, 0.1, PROBE_EPS)
+
+#: Edge of the square probe-grid blocks the probe refines, one engine
+#: call per block and ε: a small block keeps its shared frontier near
+#: its own pixels.
+PROBE_BLOCK_PX = 32
 
 #: The indexed method the colour probe fits when the serving method
 #: (``exact``, ``zorder``) has no tree to refine.
@@ -221,18 +231,23 @@ class DatasetEntry:
         return fitted
 
     def coarse_density(
-        self, centers: "FloatArray", renderer: Optional[KDVRenderer] = None
-    ) -> "FloatArray":
-        """Upper bounds of the exact density at ``centers`` — the colour probe.
+        self, grid: "PixelGrid", renderer: Optional[KDVRenderer] = None
+    ) -> float:
+        """The colour ceiling of ``grid``: a peak query on the exact density.
 
-        Refines the exact tree of :meth:`_probe_method` to ε =
-        :data:`PROBE_EPS` in this process and returns each pixel's upper
-        bound: never below the exact density and within
-        ``1 + PROBE_EPS`` of it, so its peak is a colour ceiling no
-        probed pixel exceeds. ``renderer`` is the exact renderer of the
-        version to probe (one from :meth:`snapshot`); by default the
-        current one. The probe's work is merged into the method's
-        ``stats``.
+        Branch and bound over the exact tree of :meth:`_probe_method`, in
+        this process. Each :data:`PROBE_BLOCK_PX`-square block of
+        ``grid`` is refined with one engine call per ε of
+        :data:`PROBE_EPS_SCHEDULE`. After each call, a pixel whose upper
+        bound is below the best lower bound seen so far drops out: its
+        exact density is below that of the pixel holding the lower
+        bound, so it cannot be the peak. The largest upper bound left is
+        therefore never below the exact density of any pixel of
+        ``grid`` and within ``1 + PROBE_EPS`` of the largest (or within
+        the atol every served ε tile resolves to). ``renderer`` is the
+        exact renderer of the version to probe (one from
+        :meth:`snapshot`); by default the current one. The probe's work
+        is merged into the method's ``stats``.
         """
         with self._lock:
             if renderer is None:
@@ -240,12 +255,22 @@ class DatasetEntry:
             weight = float(renderer.weight)
             fitted = self._probe_method(renderer)
         stats = QueryStats()
-        # The atol every served ε tile resolves to (RenderRequest.resolve).
-        __, upper = fitted.make_batch_engine(stats).query_eps_bounds(
-            centers, PROBE_EPS, atol=1e-9 * weight
-        )
+        engine = fitted.make_batch_engine(stats)
+        centers = grid.centers()
+        upper = np.full(centers.shape[0], np.inf)
+        best_lower = 0.0
+        for eps in PROBE_EPS_SCHEDULE:
+            for block in grid.tiles(PROBE_BLOCK_PX):
+                rows = block[upper[block] >= best_lower]
+                if rows.size:
+                    # The atol every served ε tile resolves to
+                    # (RenderRequest.resolve).
+                    lower, upper[rows] = engine.query_eps_bounds(
+                        centers[rows], eps, atol=1e-9 * weight
+                    )
+                    best_lower = max(best_lower, float(lower.max()))
         fitted.stats.merge(stats)
-        return upper
+        return float(upper.max())
 
     @property
     def points(self) -> "FloatArray":
@@ -420,7 +445,9 @@ class DatasetRegistry:
         ``shards`` is accepted for callers written against 4.x and
         otherwise ignored: it must be >= 1, and every dataset is served
         whole, under one circuit breaker. Other keywords are the
-        method's options (``leaf_size=`` ...).
+        method's options (``leaf_size=`` ...); one that no method
+        constructor declares (:func:`~repro.methods.registry.method_option_names`)
+        raises :class:`~repro.errors.InvalidParameterError`.
 
         The entry is published only once warm: a request that finds it
         also finds its serving method fitted. Registration starts no
@@ -429,6 +456,11 @@ class DatasetRegistry:
         """
         if int(shards) < 1:
             raise InvalidParameterError(f"shards must be >= 1, got {shards!r}")
+        unknown = sorted(set(method_options) - method_option_names())
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown option(s) {', '.join(unknown)}: no method declares them"
+            )
         dataset_id = str(dataset_id)
         if not dataset_id or "/" in dataset_id:
             raise InvalidParameterError(

@@ -136,8 +136,9 @@ PLAN_MEMO_ENTRIES = 2048
 STALE_CACHE_BYTES = 16 * 1024 * 1024
 STALE_CACHE_TTL_S = 300.0
 
-#: Resolution of the coarse density probe that fixes each dataset's
-#: colour normalisation range (see ``TileService._entry_vmax``).
+#: Width of the probe grid over the base viewport whose density peak
+#: fixes each dataset's colour normalisation range (see
+#: ``TileService._entry_vmax``).
 _VMAX_GRID_WIDTH = 64
 
 
@@ -784,9 +785,9 @@ class TileService:
     def _entry_vmax(self, plan: TilePlan) -> float:
         """Colour normalisation ceiling of the plan's dataset version.
 
-        The peak upper bound of a coarse density probe over the base
-        viewport (:meth:`~repro.serve.registry.DatasetEntry.coarse_density`)
-        of that version's exact tree — one shared range per dataset
+        The peak query of a coarse probe grid over the base viewport
+        (:meth:`~repro.serve.registry.DatasetEntry.coarse_density`) on
+        that version's exact tree — one shared range per dataset
         version, so adjacent tiles (and zoom levels) colour consistently
         instead of each tile normalising to its own maximum. Cached per
         versioned id while the version is current; deterministic, so
@@ -806,10 +807,7 @@ class TileService:
             return cached
         base = plan.entry.base_grid
         coarse = base.scaled(_VMAX_GRID_WIDTH / float(base.width))
-        values = np.asarray(
-            plan.entry.coarse_density(coarse.centers(), plan.exact_renderer)
-        )
-        vmax = float(values.max()) if values.size else 1.0
+        vmax = plan.entry.coarse_density(coarse, plan.exact_renderer)
         if vmax <= 0.0:
             vmax = 1.0
         with self._vmax_lock:

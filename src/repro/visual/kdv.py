@@ -34,7 +34,7 @@ from repro.core.kernels import get_kernel
 from repro.data.bandwidth import scott_gamma
 from repro.errors import InvalidParameterError, UnsupportedOperationError
 from repro.methods.base import IndexedMethod, Method
-from repro.methods.registry import create_method
+from repro.methods.registry import canonical_method_options, create_method
 from repro.obs.runtime import current_tracer, trace_to
 from repro.resilience.budget import STOP_TILE_FAILURES, CancellationToken
 from repro.resilience.checkpoint import TileLedger
@@ -359,8 +359,9 @@ class KDVRenderer:
 
         Two renders with equal signatures produce bit-identical tile
         values (dataset, kernel, bandwidth, grid geometry, method and
-        its options, operation parameters, and the tile partitioning
-        that defines tile indices), so resuming across them is safe.
+        the options its constructor takes, operation parameters, and the
+        tile partitioning that defines tile indices), so resuming across
+        them is safe.
         It hashes the whole point array, so only renders that write or
         resume a checkpoint build it.
         """
@@ -383,10 +384,9 @@ class KDVRenderer:
                 [float(v) for v in self.grid.high],
             ],
             "method": fitted.name,
-            "method_options": {
-                key: repr(value)
-                for key, value in sorted(self.method_options.items())
-            },
+            "method_options": dict(
+                canonical_method_options(fitted.name, self.method_options)
+            ),
             "op": op,
             "params": params,
             "tile": [int(tile_shape[0]), int(tile_shape[1])],

@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core.exact import exact_density
 from repro.serve import RenderConfig, ServiceConfig, TileService
 from repro.visual import executors
 from repro.visual.executors import close_render_pools, render_pool, render_pools
@@ -299,7 +300,9 @@ def test_tile_bytes_match_in_process_rendering(small_points, monkeypatch):
     try:
         entry = pooled.registry.register("crime", small_points, coreset_zoom=2)
         inline.registry.register("crime", small_points, coreset_zoom=2)
-        tau = float(np.median(entry.coarse_density(entry.base_grid.centers())))
+        r = entry.renderer
+        centers = entry.base_grid.scaled(0.25).centers()
+        tau = float(np.median(exact_density(r.points, centers, r.kernel, r.gamma, r.weight)))
         for tile in [(0, 0, 0), (2, 1, 1)]:  # a coreset tier tile, an exact tile
             for params in ({"eps": 0.05}, {"tau": tau}):
                 assert (

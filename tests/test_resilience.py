@@ -331,6 +331,28 @@ class TestCheckpointResume:
                 tile_size=8, resume_from=str(ckpt), anytime=True,
             )
 
+    def test_checkpoint_resumes_across_options_no_constructor_takes(
+        self, renderer, tmp_path
+    ):
+        # ``index=`` reaches no constructor (the options are filtered as
+        # in the request fingerprint), so the two renderers render the
+        # same values and share a checkpoint signature.
+        reference = tiled(renderer, RenderRequest.for_eps(0.05), tile_size=8)
+        leftover = KDVRenderer(small_points(), resolution=(40, 30), index="ball")
+        ckpt = tmp_path / "render.npz"
+        partial = tiled(
+            leftover, RenderRequest.for_eps(0.05),
+            tile_size=8, anytime=True,
+            budget=Budget(max_kernel_evals=4000), checkpoint=str(ckpt),
+        )
+        assert not partial.complete
+        resumed = tiled(
+            renderer, RenderRequest.for_eps(0.05),
+            tile_size=8, resume_from=str(ckpt), anytime=True,
+        )
+        assert resumed.complete
+        assert np.array_equal(resumed.image, reference)
+
     def test_signature_built_only_for_checkpoints(
         self, renderer, tmp_path, monkeypatch
     ):

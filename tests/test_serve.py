@@ -171,6 +171,14 @@ class TestDatasetRegistry:
         assert registry.get("demo") is winner[0]
         assert registry.get("demo").points.shape[0] == 300
 
+    def test_register_rejects_an_option_no_method_declares(self, small_points):
+        registry = DatasetRegistry()
+        with pytest.raises(InvalidParameterError, match="coreset_zom"):
+            registry.register("demo", small_points, coreset_zom=3)
+        assert "demo" not in registry
+        entry = registry.register("demo", small_points, leaf_size=16, delta=0.5)
+        assert entry.renderer.method_options == {"leaf_size": 16, "delta": 0.5}
+
     def test_append_validates_shape(self, small_points):
         registry = DatasetRegistry()
         registry.register("demo", small_points)
@@ -314,13 +322,13 @@ class TestTileService:
             probe_lock = threading.Lock()
             original = DatasetEntry.coarse_density
 
-            def slow_probe(entry, centers, renderer):
+            def slow_probe(entry, grid, renderer):
                 with probe_lock:
                     probes.append(entry.versioned_id())
                 # Hold the probe open long enough that the second first
                 # tile arrives while it runs.
                 threading.Event().wait(0.3)
-                return original(entry, centers, renderer)
+                return original(entry, grid, renderer)
 
             monkeypatch.setattr(DatasetEntry, "coarse_density", slow_probe)
             used = []
@@ -450,6 +458,69 @@ class TestTileService:
         finally:
             svc.close()
 
+    @pytest.mark.parametrize("kernel", ["gaussian", "triangular"])
+    @pytest.mark.parametrize("shape", ["duplicates", "one_cluster", "flat"])
+    def test_peak_query_ceiling_bounds_the_exact_peak_on_adversarial_maps(
+        self, shape, kernel
+    ):
+        from repro.core.exact import exact_density
+        from repro.serve.service import _VMAX_GRID_WIDTH
+
+        rng = np.random.default_rng(11)
+        if shape == "duplicates":  # 12 sites, 25 copies each
+            points = np.repeat(rng.uniform(0.0, 1.0, size=(12, 2)), 25, axis=0)
+        elif shape == "one_cluster":  # a tight cluster over sparse noise
+            points = np.vstack(
+                [rng.normal(0.5, 0.002, size=(300, 2)), rng.uniform(0.0, 1.0, size=(20, 2))]
+            )
+        else:  # a lattice: a flat density with many near-peak pixels
+            axis = np.linspace(0.0, 1.0, 20)
+            points = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        entry = DatasetRegistry().register("map", points, kernel=kernel)
+        grid = entry.base_grid.scaled(_VMAX_GRID_WIDTH / float(entry.base_grid.width))
+        renderer = entry.renderer
+        exact_peak = float(
+            exact_density(
+                renderer.points, grid.centers(), kernel, renderer.gamma, renderer.weight
+            ).max()
+        )
+        ceiling = entry.coarse_density(grid)
+        assert exact_peak <= ceiling <= 1.01 * exact_peak
+
+    def test_two_services_agree_on_the_colour_range(self, small_points):
+        services = [
+            TileService(
+                config=ServiceConfig(
+                    render=RenderConfig(tile_px=8, eps=0.1, workers=1, deadline_ms=None)
+                )
+            )
+            for __ in range(2)
+        ]
+        try:
+            ranges = []
+            for svc in services:
+                svc.registry.register("crime", small_points)
+                ranges.append(svc._entry_vmax(svc.plan_tile("crime", 0, 0, 0)))
+            assert ranges[0] == ranges[1] > 0.0
+        finally:
+            for svc in services:
+                svc.close()
+
+    def test_peak_query_work_per_probe_pixel_on_a_40k_map(self):
+        from repro.contracts import checking
+        from repro.data.synthetic import load_dataset
+        from repro.serve.service import _VMAX_GRID_WIDTH
+
+        entry = DatasetRegistry().register("map", load_dataset("crime", n=40_000, seed=3))
+        grid = entry.base_grid.scaled(_VMAX_GRID_WIDTH / float(entry.base_grid.width))
+        stats = entry._probe_method(entry.renderer).stats
+        before = stats.node_evaluations
+        # Work counts do not depend on invariant checking; skip its cost.
+        with checking(False):
+            entry.coarse_density(grid)
+        # Refining every probe pixel to PROBE_EPS took ~1,200 a pixel.
+        assert (stats.node_evaluations - before) / grid.num_pixels <= 300
+
     def test_colour_probe_runs_once_per_dataset_version(self, small_points, monkeypatch):
         from repro.serve.registry import DatasetEntry
 
@@ -463,9 +534,9 @@ class TestTileService:
             probes = []
             original = DatasetEntry.coarse_density
 
-            def recording_probe(entry, centers, renderer):
+            def recording_probe(entry, grid, renderer):
                 probes.append(entry.versioned_id())
-                return original(entry, centers, renderer)
+                return original(entry, grid, renderer)
 
             monkeypatch.setattr(DatasetEntry, "coarse_density", recording_probe)
             for tile in [(0, 0, 0), (1, 0, 0), (1, 1, 1)]:

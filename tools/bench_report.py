@@ -15,7 +15,9 @@ comparison meaningful:
   brute-force exact density (up to the renderer's default ``atol``);
 * the τKDV masks of both schedules are identical, pixel for pixel;
 * every kd-tree node's rectangle and aggregates match its members
-  (``index_build``, which also times the build).
+  (``index_build``, which also times the build);
+* the leaf scan (``leaf_scan``) returns the same floats as its
+  expression form and allocates about one kernel block per call.
 
 The script exits non-zero if any validation fails, so CI can run it as
 a smoke job (``--smoke`` shrinks the workload to seconds).
@@ -55,6 +57,16 @@ SMOKE_WORKLOAD = {"n": 1500, "resolution": (80, 60)}
 #: Worker counts swept by the parallel-scaling section: 1 renders
 #: in-process, 2 or more on the method's process pool.
 SCALING_WORKERS = (1, 2, 4, 8)
+
+#: Query batch sizes of the leaf_scan section. The tile driver scans
+#: leaves with up to 64 x 64 = 4,096 rows, fewer as pixels retire.
+LEAF_SCAN_ROWS = (256, 1024, 4096)
+
+#: The most one leaf scan may allocate, in ``(rows, leaf points)``
+#: float64 blocks: the kernel block itself plus the row sums. The bound
+#: adds one ufunc buffer (``np.getbufsize()`` float64s), which numpy's
+#: broadcasting in-place additions allocate whatever the batch size.
+LEAF_SCAN_PEAK_BLOCKS = 1.25
 
 
 def _timed_best(fn: Callable[[], Any], repeats: int) -> tuple[Any, float]:
@@ -369,6 +381,94 @@ def _index_build(
     return {"repeats": repeats, "trees": results, "index_aggregates_ok": all_ok}
 
 
+def _expression_form_leaf_sums(provider: Any, node: Any, queries: Any, queries_sq: Any) -> Any:
+    """The Gaussian leaf scan written one expression per step: the reference.
+
+    A fresh array per operation, as the scan was written before it ran
+    in place; ``leaf_scan`` checks that the two agree float for float.
+    """
+    import numpy as np
+
+    sq = queries_sq[:, None] - 2.0 * (queries @ node.points.T) + node.sq_norms
+    np.maximum(sq, 0.0, out=sq)
+    x = provider.gamma * np.minimum(sq, 708.0 * (1.0 + 1e-9) / provider.gamma)
+    return provider.weight * np.exp(-np.minimum(x, 708.0)).sum(axis=1)
+
+
+def _leaf_scan(renderer: Any, *, repeats: int = 3) -> dict[str, Any]:
+    """Time and trace ``ComputeBackend.leaf_exact_batch`` on one full leaf.
+
+    The leaf is the fullest of a kd-tree over the workload's points at
+    the serving leaf size; the queries are the workload grid's pixel
+    centres, repeated to each of :data:`LEAF_SCAN_ROWS` rows. Per batch
+    size: the best-of-``repeats`` microseconds per call, the
+    ``tracemalloc`` peak of one call against the
+    :data:`LEAF_SCAN_PEAK_BLOCKS` bound, and whether the values equal
+    :func:`_expression_form_leaf_sums` bit for bit.
+    """
+    import tracemalloc
+
+    import numpy as np
+
+    from repro.core.backends import ComputeBackend
+    from repro.core.bounds import make_bound_provider
+    from repro.index.kdtree import DEFAULT_LEAF_SIZE, KDTree
+
+    tree = KDTree(renderer.points, leaf_size=DEFAULT_LEAF_SIZE)
+    leaf = max(tree.leaves(), key=lambda node: node.size)
+    provider = make_bound_provider("quad", "gaussian", renderer.gamma, renderer.weight)
+    backend = ComputeBackend()
+    centers = renderer.grid.centers()
+    rows_report = []
+    ok = True
+    for rows in LEAF_SCAN_ROWS:
+        queries = np.ascontiguousarray(np.resize(centers, (rows, centers.shape[1])))
+        queries_sq = np.einsum("ij,ij->i", queries, queries)
+
+        def scan() -> Any:
+            return backend.leaf_exact_batch(provider, leaf, queries, queries_sq)
+
+        identical = bool(
+            np.array_equal(
+                scan(), _expression_form_leaf_sums(provider, leaf, queries, queries_sq)
+            )
+        )
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scan()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        calls = 20 * max(LEAF_SCAN_ROWS) // rows
+
+        def run() -> None:
+            for __ in range(calls):
+                scan()
+
+        __, seconds = _timed_best(run, repeats)
+        bound = int((LEAF_SCAN_PEAK_BLOCKS * rows * leaf.size + np.getbufsize()) * 8)
+        ok &= identical and peak <= bound
+        us_per_call = seconds / calls * 1e6
+        print(f"  leaf scan rows={rows:<5d} {us_per_call:9.1f} us/call  peak {peak} B")
+        rows_report.append({
+            "rows": rows,
+            "us_per_call": round(us_per_call, 2),
+            "ns_per_pair": round(us_per_call * 1e3 / (rows * leaf.size), 3),
+            "peak_bytes": int(peak),
+            "peak_bytes_bound": bound,
+            "bit_identical": identical,
+        })
+    return {
+        "kernel": "gaussian",
+        "leaf_points": int(leaf.size),
+        "repeats": repeats,
+        "cpu_count": os.cpu_count(),
+        "batches": rows_report,
+        "leaf_scan_ok": ok,
+    }
+
+
 def run_benchmark(
     n: int,
     resolution: tuple[int, int],
@@ -465,6 +565,8 @@ def run_benchmark(
         dataset=dataset, seed=seed,
     )
 
+    leaf_scan_section = _leaf_scan(renderer)
+
     pyramid_section: dict[str, Any] | None = None
     if pyramid_n is not None:
         pyramid_section = _coreset_pyramid(
@@ -542,11 +644,13 @@ def run_benchmark(
         "coreset_parity": parity_section,
         "coreset_pyramid": pyramid_section,
         "index_build": index_section,
+        "leaf_scan": leaf_scan_section,
         "validation": {
             "eps_envelope": envelope,
             "tau_masks_identical": masks_identical,
             "coreset_parity_ok": parity_section["within_delta"],
             "index_aggregates_ok": index_section["index_aggregates_ok"],
+            "leaf_scan_ok": leaf_scan_section["leaf_scan_ok"],
             "parallel_scaling_ok": (
                 None if scaling_section is None
                 else scaling_section["all_identical_and_within_envelope"]
@@ -638,6 +742,11 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             "a kd-tree node's rectangle or aggregates do not match its "
             "members (see the index_build section)"
+        )
+    if not report["validation"]["leaf_scan_ok"]:
+        failures.append(
+            "the leaf scan changed a value or allocated more than "
+            f"{LEAF_SCAN_PEAK_BLOCKS} blocks (see the leaf_scan section)"
         )
     if report["validation"]["parallel_scaling_ok"] is False:
         failures.append(
