@@ -58,7 +58,7 @@ from repro.visual.streaming import StreamingKDV
 if TYPE_CHECKING:
     from repro._types import PointLike
 
-__version__ = "7.1.0"
+__version__ = "7.2.0"
 
 
 def render(

@@ -49,7 +49,11 @@ from repro.errors import InvalidParameterError
 if TYPE_CHECKING:
     from repro._types import FloatArray, IntArray, PointLike
 
-__all__ = ["NodeAggregates", "segment_aggregates"]
+    #: A node constant: a float for one node, or a ``(J, 1)`` column
+    #: holding it for each of ``J`` stacked nodes (see :func:`moment_sums`).
+    Constant = float | FloatArray
+
+__all__ = ["NodeAggregates", "moment_sums", "segment_aggregates"]
 
 
 class NodeAggregates:
@@ -217,34 +221,13 @@ class NodeAggregates:
         # negative residue when every point coincides with q.
         return value if value > 0.0 else 0.0
 
-    def _batch_terms(
-        self, columns: Sequence[FloatArray]
-    ) -> tuple[list[FloatArray], list[FloatArray], FloatArray, FloatArray]:
-        """Per-row terms shared by the batched moment sums.
-
-        Returns the centred query columns ``s_j``, their squares,
-        ``||s||^2`` and ``2 s . a`` (the factor 2 folded into ``a``,
-        which scales exactly), each summed over ``j`` in the order of
-        the scalar loops.
-        """
-        center = self.center
-        a = self.a
-        shifted = [column - c for column, c in zip(columns, center)]
-        squares = [s * s for s in shifted]
-        q_sq = squares[0]  # read-only below, so aliasing is harmless at d = 1
-        dot_a2 = shifted[0] * (2.0 * a[0])
-        for j in range(1, self.dims):
-            q_sq = q_sq + squares[j]
-            dot_a2 += shifted[j] * (2.0 * a[j])
-        return shifted, squares, q_sq, dot_a2
-
     def sq_dist_sum_batch(self, columns: Sequence[FloatArray]) -> FloatArray:
         """Vectorised :meth:`sum_sq_dists` over query columns.
 
         ``columns[j]`` holds coordinate ``j`` of every query (for an
         ``(m, d)`` batch, ``tuple(queries.T)``).
         """
-        __, __, q_sq, dot_a2 = self._batch_terms(columns)
+        __, __, q_sq, dot_a2 = _centred_terms(columns, self.center, self.a)
         value = q_sq * self.total_weight
         value -= dot_a2
         value += self.b
@@ -255,49 +238,16 @@ class NodeAggregates:
     ) -> tuple[FloatArray, FloatArray]:
         """``(sum_sq_dists, sum_quartic_dists)`` over query columns (Lemma 3).
 
-        Both sums share one pass over the centred columns. Terms are
-        added in the order of the scalar methods; the quadratic form
-        ``q^T C q`` uses the symmetric row expansion of the 2-D fast
-        path (``C`` is symmetric), so for ``d = 2`` the results equal
-        the scalar ones bit for bit.
+        Terms are added in the order of the scalar methods; the
+        quadratic form ``q^T C q`` uses the symmetric row expansion of
+        the 2-D fast path (``C`` is symmetric), so for ``d = 2`` the
+        results equal the scalar ones bit for bit. See
+        :func:`moment_sums`, which also evaluates a stack of nodes.
         """
-        shifted, squares, q_sq, dot_a2 = self._batch_terms(columns)
-        dims = self.dims
-        v = self.v
-        c = self.c
-        weighted_sq = q_sq * self.total_weight
-        sq_sum = weighted_sq - dot_a2
-        sq_sum += self.b
-        np.maximum(sq_sum, 0.0, out=sq_sum)
-
-        # W q^4 - 4 q^2 (q.a) - 4 q.v + 2 q^2 b + h + 4 q^T C q, with the
-        # constant factors folded into the moments (exact power-of-2
-        # scalings).
-        quartic = weighted_sq
-        quartic *= q_sq
-        term = q_sq * dot_a2
-        term *= 2.0
-        quartic -= term
-        np.multiply(shifted[0], 4.0 * v[0], out=term)
-        for j in range(1, dims):
-            term += shifted[j] * (4.0 * v[j])
-        quartic -= term
-        np.multiply(q_sq, 2.0 * self.b, out=term)
-        quartic += term
-        quartic += self.h
-        # Row i contributes c_ii s_i^2 + sum_{j > i} 2 c_ij s_i s_j.
-        form = squares[0] * (4.0 * c[0])
-        for i in range(dims):
-            if i:
-                np.multiply(squares[i], 4.0 * c[i * dims + i], out=term)
-                form += term
-            for j in range(i + 1, dims):
-                np.multiply(shifted[i], shifted[j], out=term)
-                term *= 8.0 * c[i * dims + j]
-                form += term
-        quartic += form
-        np.maximum(quartic, 0.0, out=quartic)
-        return sq_sum, quartic
+        return moment_sums(
+            columns, self.total_weight, self.center, self.a, self.b, self.v,
+            self.h, self.c,
+        )
 
     def sum_quartic_dists(self, q: Sequence[float]) -> float:
         """``sum_i w_i dist(q, p_i)^4`` in O(d^2) time (Lemma 3)."""
@@ -350,6 +300,82 @@ class NodeAggregates:
 
     def __repr__(self) -> str:
         return f"NodeAggregates(n={self.n}, dims={self.dims})"
+
+
+def _centred_terms(
+    columns: Sequence[FloatArray], center: Sequence[Constant], a: Sequence[Constant]
+) -> tuple[list[FloatArray], list[FloatArray], FloatArray, FloatArray]:
+    """Per-row terms shared by the batched moment sums.
+
+    Returns the centred query columns ``s_j``, their squares,
+    ``||s||^2`` and ``2 s . a`` (the factor 2 folded into ``a``,
+    which scales exactly), each summed over ``j`` in the order of
+    the scalar loops.
+    """
+    shifted = [column - c for column, c in zip(columns, center)]
+    squares = [s * s for s in shifted]
+    q_sq = squares[0]  # read-only below, so aliasing is harmless at d = 1
+    dot_a2 = shifted[0] * (2.0 * a[0])
+    for j in range(1, len(center)):
+        q_sq = q_sq + squares[j]
+        dot_a2 += shifted[j] * (2.0 * a[j])
+    return shifted, squares, q_sq, dot_a2
+
+
+def moment_sums(
+    columns: Sequence[FloatArray],
+    total_weight: Constant,
+    center: Sequence[Constant],
+    a: Sequence[Constant],
+    b: Constant,
+    v: Sequence[Constant],
+    h: Constant,
+    c: Sequence[Constant],
+) -> tuple[FloatArray, FloatArray]:
+    """``(sum_sq_dists, sum_quartic_dists)`` of one node or a stack (Lemma 3).
+
+    The constants are a node's :class:`NodeAggregates` fields, as
+    floats, giving ``(m,)`` rows over the query columns; or ``(J, 1)``
+    columns of ``J`` nodes' fields, giving ``(J, m)`` blocks whose row
+    ``k`` is node ``k``'s one-node result bit for bit (elementwise
+    ufuncs round the same whatever the operand shapes). Both sums share
+    one pass over the centred columns.
+    """
+    shifted, squares, q_sq, dot_a2 = _centred_terms(columns, center, a)
+    dims = len(center)
+    weighted_sq = q_sq * total_weight
+    sq_sum = weighted_sq - dot_a2
+    sq_sum += b
+    np.maximum(sq_sum, 0.0, out=sq_sum)
+
+    # W q^4 - 4 q^2 (q.a) - 4 q.v + 2 q^2 b + h + 4 q^T C q, with the
+    # constant factors folded into the moments (exact power-of-2
+    # scalings).
+    quartic = weighted_sq
+    quartic *= q_sq
+    term = q_sq * dot_a2
+    term *= 2.0
+    quartic -= term
+    np.multiply(shifted[0], 4.0 * v[0], out=term)
+    for j in range(1, dims):
+        term += shifted[j] * (4.0 * v[j])
+    quartic -= term
+    np.multiply(q_sq, 2.0 * b, out=term)
+    quartic += term
+    quartic += h
+    # Row i contributes c_ii s_i^2 + sum_{j > i} 2 c_ij s_i s_j.
+    form = squares[0] * (4.0 * c[0])
+    for i in range(dims):
+        if i:
+            np.multiply(squares[i], 4.0 * c[i * dims + i], out=term)
+            form += term
+        for j in range(i + 1, dims):
+            np.multiply(shifted[i], shifted[j], out=term)
+            term *= 8.0 * c[i * dims + j]
+            form += term
+    quartic += form
+    np.maximum(quartic, 0.0, out=quartic)
+    return sq_sum, quartic
 
 
 def segment_aggregates(

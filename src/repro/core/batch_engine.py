@@ -16,7 +16,13 @@ pixel batch against one shared frontier instead:
   amortising the per-node Python cost over the batch width;
 * pixels whose ε/τ stopping test fires **retire** from the active set
   immediately, so converged pixels stop paying for the stragglers'
-  refinement.
+  refinement;
+* τ refinement takes *wide* steps (:func:`tau_step_width`): a step pops
+  several nodes and bounds all their children in one stacked call
+  (:meth:`~repro.core.bounds.base.BoundProvider.node_bounds_stacked`),
+  because at the few hundred open pixels of a τ tile a bound call is
+  mostly fixed numpy cost. τ masks do not depend on the schedule; ε
+  values do, so ε keeps one node per step.
 
 Priorities are kept *lazily*: a stored priority is the gap sum at push
 time, an upper bound on the true gap sum because per-pixel gaps are
@@ -58,11 +64,16 @@ if TYPE_CHECKING:
 
     from repro._types import BoolArray, FloatArray, IntArray
     from repro.core.bounds.base import BoundProvider
-    from repro.index.kdtree import KDTree, KDTreeNode
+    from repro.index.kdtree import KDTree
     from repro.obs.trace import Tracer
     from repro.resilience.budget import CancellationToken
 
-__all__ = ["BatchRefinementEngine"]
+__all__ = ["BatchRefinementEngine", "tau_step_width"]
+
+#: The τ step width rule (:func:`tau_step_width`): a step pops at most
+#: ``TAU_STEP_NODES`` frontier nodes, and fewer once their children's
+#: stacked bound call would pass ``TAU_STEP_ROWS`` rows.
+TAU_STEP_NODES, TAU_STEP_ROWS = 32, 16_384
 
 
 def _require_finite(queries: FloatArray) -> None:
@@ -74,6 +85,18 @@ def _require_finite(queries: FloatArray) -> None:
     """
     if not np.isfinite(queries).all():
         raise InvalidParameterError("queries must be finite (no NaN or inf coordinates)")
+
+
+def tau_step_width(n_active: int) -> int:
+    """Frontier nodes one τ refinement step pops at ``n_active`` active rows.
+
+    A node-bound call on a few hundred rows is mostly fixed numpy cost,
+    so τ steps pop several nodes and bound all their children in one
+    call of about ``TAU_STEP_ROWS`` rows. τ masks do not depend on the
+    refinement schedule (the τ tie guard), so the width changes no mask;
+    ε refinement keeps one node per step, because its values do.
+    """
+    return max(1, min(TAU_STEP_NODES, TAU_STEP_ROWS // (2 * n_active)))
 
 
 class BatchRefinementEngine:
@@ -161,6 +184,7 @@ class BatchRefinementEngine:
         stop_rows: Callable[[FloatArray, FloatArray], BoolArray],
         tracer: Tracer | None = None,
         cancel: CancellationToken | None = None,
+        width: Callable[[int], int] | None = None,
     ) -> tuple[FloatArray, FloatArray, dict[str, Any] | None]:
         """Refine until every pixel's ``stop_rows(lb, ub)`` test fires.
 
@@ -173,13 +197,25 @@ class BatchRefinementEngine:
 
         ``cancel`` (a cooperative
         :class:`~repro.resilience.budget.CancellationToken`) is polled
-        once per frontier pop with the frontier's memory estimate; a
+        once per refinement step with the frontier's memory estimate; a
         tripped token breaks the loop, leaving still-active rows with
         their current — valid but not fully tightened — intervals (the
         exhausted-collapse below is skipped for an interrupted loop, as
         it is only correct for a drained frontier). Polling has no
         effect on the refinement schedule, so a token that never trips
         leaves every result bit-identical to no token at all.
+
+        With ``width=None`` each step pops one frontier node and bounds
+        its two children in two calls. A ``width`` rule (τ passes
+        :func:`tau_step_width`) makes steps wide: a step pops up to
+        ``width(n_active)`` nodes, re-scores them in one operation,
+        bounds all their children in one stacked call
+        (:meth:`~repro.core.backends.ComputeBackend.node_bounds_stacked`),
+        scans the popped leaves and updates the heap sums once. Work
+        counts and traced depths grow per popped node, and wide-step
+        heap entries keep their rows compacted to the rows active when
+        they were pushed, so a step allocates in proportion to its
+        active rows, not to the batch.
         """
         provider = self.provider
         stats = self.stats
@@ -205,6 +241,11 @@ class BatchRefinementEngine:
         leaf_exact = partial(
             backend.checked_leaf_exact_batch if check else backend.leaf_exact_batch,
             provider,
+        )
+        stacked_bounds = partial(
+            backend.checked_node_bounds_stacked if check else backend.node_bounds_stacked,
+            provider,
+            self.tree,
         )
         bound_name = type(provider).__name__
 
@@ -249,110 +290,216 @@ class BatchRefinementEngine:
 
         gap_ordered = self.ordering == "gap"
         counter = 0
-        heap: list[tuple[float, int, KDTreeNode, FloatArray, FloatArray]] = []
+        # A heap entry is (priority, counter, node, lb rows, ub rows),
+        # plus, in wide steps, the active rows its bounds were taken on
+        # (None for the root's full-width rows).
+        heap: list[tuple[Any, ...]] = []
         if n_active:
             priority = -float((cur_ub - cur_lb).sum()) if gap_ordered else 0.0
-            heap.append((priority, counter, root, root_lb, root_ub))
+            entry: tuple[Any, ...] = (priority, counter, root, root_lb, root_ub)
+            heap.append(entry if width is None else entry + (None,))
+        # Floats the heap entries hold in wide steps, for the estimate below.
+        stored = 2 * m
 
         interrupted = False
         while heap and n_active:
             if cancel is not None:
-                # Frontier memory estimate: each heap entry carries two
-                # full-width float64 rows, the batch d + 5 more (queries,
+                # Frontier memory estimate: the heap entries' bound rows
+                # (two full-width float64 rows each, or their compacted
+                # rows in wide steps), the batch d + 5 more rows (queries,
                 # norms, results, root bounds), and the active rows d + 10
                 # compacted ones (queries, norms, interval, accumulators,
                 # row index).
-                memory = ((len(heap) * 2 + dims + 5) * m + (dims + 10) * n_active) * 8
+                if width is None:
+                    stored = len(heap) * 2 * m
+                memory = (stored + (dims + 5) * m + (dims + 10) * n_active) * 8
                 if cancel.stop_reason(memory) is not None:
                     interrupted = True
                     break
-            # Frontier entries hold full-width rows, valid on the rows
-            # that were active when they were pushed (a superset of the
-            # current ones, because the active set only shrinks).
-            entry = heappop(heap)
-            node_lb = entry[3][active]
-            node_ub = entry[4][active]
-            if gap_ordered:
-                # Lazy priorities: stored gap sums were computed over a
-                # superset of the current active set, so they never
-                # underestimate. Re-score the popped candidate and push
-                # it back if it no longer beats the runner-up. Written as
-                # ``not >`` so a NaN gap sum (finite queries whose bounds
-                # overflow) keeps the candidate instead of cycling forever.
-                while heap:
-                    fresh = -float((node_ub - node_lb).sum())
-                    if not fresh > heap[0][0]:
-                        break
-                    heappush(heap, (fresh, entry[1], entry[2], entry[3], entry[4]))
-                    entry = heappop(heap)
-                    node_lb = entry[3][active]
-                    node_ub = entry[4][active]
-            node = entry[2]
+            if width is None:
+                # Frontier entries hold full-width rows, valid on the rows
+                # that were active when they were pushed (a superset of the
+                # current ones, because the active set only shrinks).
+                entry = heappop(heap)
+                node_lb = entry[3][active]
+                node_ub = entry[4][active]
+                if gap_ordered:
+                    # Lazy priorities: stored gap sums were computed over a
+                    # superset of the current active set, so they never
+                    # underestimate. Re-score the popped candidate and push
+                    # it back if it no longer beats the runner-up. Written as
+                    # ``not >`` so a NaN gap sum (finite queries whose bounds
+                    # overflow) keeps the candidate instead of cycling forever.
+                    while heap:
+                        fresh = -float((node_ub - node_lb).sum())
+                        if not fresh > heap[0][0]:
+                            break
+                        heappush(heap, (fresh, entry[1], entry[2], entry[3], entry[4]))
+                        entry = heappop(heap)
+                        node_lb = entry[3][active]
+                        node_ub = entry[4][active]
+                node = entry[2]
 
-            stats.iterations += n_active
-            if tracer is not None:
-                assert depth is not None
-                depth[active] += 1
-                pops += 1
-                tracer.frontier(n_active)
-                if steps:
-                    tracer.batch_step(
-                        node=node.node_id,
-                        leaf=node.is_leaf,
-                        n_active=n_active,
-                        gap_sum=float((node_ub - node_lb).sum()),
-                    )
-            if node.is_leaf:
-                # Leaves get a row-major copy: BLAS sums a one-point
-                # leaf's products in a layout-dependent order.
-                exact = leaf_exact(
-                    node, np.ascontiguousarray(columns.T, dtype=np.float64), active_sq
-                )
-                stats.leaf_evaluations += n_active
-                stats.point_evaluations += node.agg.n * n_active
-                if cancel is not None:
-                    cancel.charge(node.agg.n * n_active)
-                if check:
-                    for row in range(n_active):
-                        check_leaf_containment(
-                            float(exact[row]),
-                            float(node_lb[row]),
-                            float(node_ub[row]),
-                            bound=bound_name,
+                stats.iterations += n_active
+                if tracer is not None:
+                    assert depth is not None
+                    depth[active] += 1
+                    pops += 1
+                    tracer.frontier(n_active)
+                    if steps:
+                        tracer.batch_step(
                             node=node.node_id,
-                            query=batch[int(active[row])],
+                            leaf=node.is_leaf,
+                            n_active=n_active,
+                            gap_sum=float((node_ub - node_lb).sum()),
                         )
-                exact_acc = _kahan_add(exact_acc, exact_comp, exact)
-                delta_lb = np.negative(node_lb, out=node_lb)
-                delta_ub = np.negative(node_ub, out=node_ub)
-            else:
-                left = node.left
-                right = node.right
-                queries_a = columns.T
-                left_lb, left_ub = node_bounds(left, queries_a, active_sq)
-                right_lb, right_ub = node_bounds(right, queries_a, active_sq)
-                stats.node_evaluations += 2 * n_active
-                for child, child_lb, child_ub in (
-                    (left, left_lb, left_ub),
-                    (right, right_lb, right_ub),
-                ):
-                    counter += 1
-                    priority = (
-                        -float((child_ub - child_lb).sum())
-                        if gap_ordered
-                        else float(counter)
+                if node.is_leaf:
+                    # Leaves get a row-major copy: BLAS sums a one-point
+                    # leaf's products in a layout-dependent order.
+                    exact = leaf_exact(
+                        node, np.ascontiguousarray(columns.T, dtype=np.float64), active_sq
                     )
-                    # Rows outside the active set are never read (the
-                    # active set only shrinks), so they stay unset.
-                    full_lb = np.empty(m, dtype=np.float64)
-                    full_ub = np.empty(m, dtype=np.float64)
-                    full_lb[active] = child_lb
-                    full_ub[active] = child_ub
-                    heappush(heap, (priority, counter, child, full_lb, full_ub))
-                delta_lb = left_lb + right_lb
-                delta_lb -= node_lb
-                delta_ub = left_ub + right_ub
-                delta_ub -= node_ub
+                    stats.leaf_evaluations += n_active
+                    stats.point_evaluations += node.agg.n * n_active
+                    if cancel is not None:
+                        cancel.charge(node.agg.n * n_active)
+                    if check:
+                        for row in range(n_active):
+                            check_leaf_containment(
+                                float(exact[row]),
+                                float(node_lb[row]),
+                                float(node_ub[row]),
+                                bound=bound_name,
+                                node=node.node_id,
+                                query=batch[int(active[row])],
+                            )
+                    exact_acc = _kahan_add(exact_acc, exact_comp, exact)
+                    delta_lb = np.negative(node_lb, out=node_lb)
+                    delta_ub = np.negative(node_ub, out=node_ub)
+                else:
+                    left = node.left
+                    right = node.right
+                    queries_a = columns.T
+                    left_lb, left_ub = node_bounds(left, queries_a, active_sq)
+                    right_lb, right_ub = node_bounds(right, queries_a, active_sq)
+                    stats.node_evaluations += 2 * n_active
+                    for child, child_lb, child_ub in (
+                        (left, left_lb, left_ub),
+                        (right, right_lb, right_ub),
+                    ):
+                        counter += 1
+                        priority = (
+                            -float((child_ub - child_lb).sum())
+                            if gap_ordered
+                            else float(counter)
+                        )
+                        # Rows outside the active set are never read (the
+                        # active set only shrinks), so they stay unset.
+                        full_lb = np.empty(m, dtype=np.float64)
+                        full_ub = np.empty(m, dtype=np.float64)
+                        full_lb[active] = child_lb
+                        full_ub[active] = child_ub
+                        heappush(heap, (priority, counter, child, full_lb, full_ub))
+                    delta_lb = left_lb + right_lb
+                    delta_lb -= node_lb
+                    delta_ub = left_ub + right_ub
+                    delta_ub -= node_ub
+            else:
+                # One wide step (see the docstring); it ends with the
+                # heap-sum deltas and names its last node for the checks.
+                step = width(n_active)
+                popped = [heappop(heap) for __ in range(min(step, len(heap)))]
+                stored -= sum(2 * entry[3].shape[0] for entry in popped)
+                node_lb, node_ub = _popped_rows(popped, active)
+                if gap_ordered:
+                    # Lazy priorities, as above, for all popped nodes in
+                    # one operation: push back those that no longer beat
+                    # the runner-up, but always keep the widest.
+                    gaps = (node_ub - node_lb).sum(axis=1)
+                    runner = heap[0][0] if heap else np.inf
+                    stale = -gaps > runner
+                    if stale.all():
+                        stale[int(np.argmax(gaps))] = False
+                    if stale.any():
+                        for k in np.flatnonzero(stale):
+                            entry = popped[k]
+                            fresh = -float(gaps[k])
+                            heappush(
+                                heap, (fresh, entry[1], entry[2], node_lb[k], node_ub[k], active)
+                            )
+                        stored += 2 * n_active * int(stale.sum())
+                        keep = ~stale
+                        popped = [entry for entry, kept in zip(popped, keep) if kept]
+                        node_lb = node_lb[keep]
+                        node_ub = node_ub[keep]
+                nodes = [entry[2] for entry in popped]
+                stats.iterations += len(nodes) * n_active
+                if tracer is not None:
+                    assert depth is not None
+                    depth[active] += len(nodes)
+                    pops += len(nodes)
+                    for k, node in enumerate(nodes):
+                        tracer.frontier(n_active)
+                        if steps:
+                            tracer.batch_step(
+                                node=node.node_id,
+                                leaf=node.is_leaf,
+                                n_active=n_active,
+                                gap_sum=float((node_ub[k] - node_lb[k]).sum()),
+                            )
+                popped_lb = node_lb.sum(axis=0)
+                popped_ub = node_ub.sum(axis=0)
+                children = [
+                    child
+                    for node in nodes
+                    if not node.is_leaf
+                    for child in (node.left, node.right)
+                ]
+                if children:
+                    child_lb, child_ub = stacked_bounds(children, columns.T, active_sq)
+                    stats.node_evaluations += len(children) * n_active
+                    if gap_ordered:
+                        priorities = (child_ub - child_lb).sum(axis=1)
+                    for k, child in enumerate(children):
+                        counter += 1
+                        priority = (
+                            -float(priorities[k]) if gap_ordered else float(counter)
+                        )
+                        heappush(
+                            heap, (priority, counter, child, child_lb[k], child_ub[k], active)
+                        )
+                    stored += 2 * n_active * len(children)
+                    delta_lb = child_lb.sum(axis=0)
+                    delta_lb -= popped_lb
+                    delta_ub = child_ub.sum(axis=0)
+                    delta_ub -= popped_ub
+                else:
+                    delta_lb = np.negative(popped_lb, out=popped_lb)
+                    delta_ub = np.negative(popped_ub, out=popped_ub)
+                rows: FloatArray | None = None
+                for k, node in enumerate(nodes):
+                    if not node.is_leaf:
+                        continue
+                    if rows is None:
+                        # Row-major, as in the one-node step above.
+                        rows = np.ascontiguousarray(columns.T, dtype=np.float64)
+                    exact = leaf_exact(node, rows, active_sq)
+                    stats.leaf_evaluations += n_active
+                    stats.point_evaluations += node.agg.n * n_active
+                    if cancel is not None:
+                        cancel.charge(node.agg.n * n_active)
+                    if check:
+                        for row in range(n_active):
+                            check_leaf_containment(
+                                float(exact[row]),
+                                float(node_lb[k, row]),
+                                float(node_ub[k, row]),
+                                bound=bound_name,
+                                node=node.node_id,
+                                query=batch[int(active[row])],
+                            )
+                    exact_acc = _kahan_add(exact_acc, exact_comp, exact)
+                node = nodes[-1]
             heap_lb = _kahan_add(heap_lb, heap_lb_comp, delta_lb)
             heap_ub = _kahan_add(heap_ub, heap_ub_comp, delta_ub)
 
@@ -557,7 +704,7 @@ class BatchRefinementEngine:
 
         tracer = current_tracer()
         lb, ub, observation = self._refine_batch(
-            queries, stop_rows, tracer=tracer, cancel=cancel
+            queries, stop_rows, tracer=tracer, cancel=cancel, width=tau_step_width
         )
         tight = stopping.tau_tight_mask(lb, ub, shifted)
         if cancel is not None and cancel.triggered:
@@ -661,6 +808,36 @@ class BatchRefinementEngine:
             raise InvalidParameterError(f"tau must be finite, got {shifted!r}")
         lb, ub = self._tau_refined(queries, shifted, cancel)
         return lb + float(offset), ub + float(offset)
+
+
+def _popped_rows(
+    popped: list[tuple[Any, ...]], active: IntArray
+) -> tuple[FloatArray, FloatArray]:
+    """Wide-step heap entries' bounds on the ``active`` rows, as ``(k, n)`` blocks.
+
+    An entry's rows belong to the active rows it was pushed on (its last
+    field; ``None`` for the whole batch). Those are a sorted superset of
+    the current ones, which are found in them by binary search, once per
+    distinct set.
+    """
+    lower = np.empty((len(popped), active.shape[0]), dtype=np.float64)
+    upper = np.empty_like(lower)
+    positions: dict[int, IntArray] = {}
+    for k, entry in enumerate(popped):
+        pushed_on = entry[5]
+        if pushed_on is active:
+            lower[k] = entry[3]
+            upper[k] = entry[4]
+            continue
+        if pushed_on is None:
+            index = active
+        else:
+            index = positions.get(id(pushed_on))
+            if index is None:
+                index = positions[id(pushed_on)] = np.searchsorted(pushed_on, active)
+        np.take(entry[3], index, out=lower[k])
+        np.take(entry[4], index, out=upper[k])
+    return lower, upper
 
 
 def _kahan_add(acc: FloatArray, comp: FloatArray, delta: FloatArray) -> FloatArray:

@@ -35,8 +35,10 @@ from repro.errors import UnsupportedKernelError
 from repro.utils.validation import check_positive
 
 if TYPE_CHECKING:
+    from typing import Sequence
+
     from repro._types import BoundPair, FloatArray, KernelLike, PointLike
-    from repro.index.kdtree import KDTreeNode
+    from repro.index.kdtree import KDTree, KDTreeNode
 
 __all__ = ["BoundProvider", "make_bound_provider"]
 
@@ -190,6 +192,51 @@ class BoundProvider(ABC):
         checking is enabled, mirroring :meth:`checked_node_bounds`.
         """
         lowers, uppers = self.node_bounds_batch(node, queries, queries_sq)
+        self._check_pairs(node, lowers, uppers, queries)
+        return lowers, uppers
+
+    def node_bounds_stacked(
+        self,
+        tree: KDTree,
+        nodes: Sequence[KDTreeNode],
+        queries: FloatArray,
+        queries_sq: FloatArray,
+    ) -> tuple[FloatArray, FloatArray]:
+        """``(LB, UB)`` of ``J`` nodes of ``tree``: ``(J, m)`` blocks.
+
+        Row ``k`` is ``node_bounds_batch(nodes[k], queries, queries_sq)``.
+        This default stacks one call per node, so every provider serves
+        the batched engine's wide τ steps; the Gaussian QUAD provider
+        overrides it with one pass over all ``J`` nodes.
+        """
+        m = queries.shape[0]
+        lowers = np.empty((len(nodes), m), dtype=np.float64)
+        uppers = np.empty((len(nodes), m), dtype=np.float64)
+        for k, node in enumerate(nodes):
+            lowers[k], uppers[k] = self.node_bounds_batch(node, queries, queries_sq)
+        return lowers, uppers
+
+    def checked_node_bounds_stacked(
+        self,
+        tree: KDTree,
+        nodes: Sequence[KDTreeNode],
+        queries: FloatArray,
+        queries_sq: FloatArray,
+    ) -> tuple[FloatArray, FloatArray]:
+        """:meth:`node_bounds_stacked` with every pair contract-validated."""
+        lowers, uppers = self.node_bounds_stacked(tree, nodes, queries, queries_sq)
+        for node, lower_row, upper_row in zip(nodes, lowers, uppers):
+            self._check_pairs(node, lower_row, upper_row, queries)
+        return lowers, uppers
+
+    def _check_pairs(
+        self,
+        node: KDTreeNode,
+        lowers: FloatArray,
+        uppers: FloatArray,
+        queries: FloatArray,
+    ) -> None:
+        """Validate one node's pair on every query row (bound-order contract)."""
         bound = type(self).__name__
         node_id = node.node_id
         for i in range(queries.shape[0]):
@@ -200,7 +247,6 @@ class BoundProvider(ABC):
                 node=node_id,
                 query=queries[i].tolist(),
             )
-        return lowers, uppers
 
     def _leaf_kernel_block(
         self, node: KDTreeNode, queries: FloatArray, queries_sq: FloatArray

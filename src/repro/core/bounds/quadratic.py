@@ -44,11 +44,22 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.aggregates import moment_sums
 from repro.core.bounds.base import BoundProvider
+from repro.index.rectangle import sq_dist_ranges
 
 if TYPE_CHECKING:
-    from repro._types import BoolArray, BoundPair, FloatArray, KernelLike, PointLike
-    from repro.index.kdtree import KDTreeNode
+    from typing import Sequence
+
+    from repro._types import (
+        BoolArray,
+        BoundPair,
+        FloatArray,
+        IntArray,
+        KernelLike,
+        PointLike,
+    )
+    from repro.index.kdtree import KDTree, KDTreeNode
 
 __all__ = ["QuadraticBoundProvider"]
 
@@ -59,6 +70,11 @@ _DEGENERATE_WIDTH = 1e-12
 #: error is amplified by (width / gap)^2, so this cap keeps the induced
 #: relative error below ~1e-10 (see node_bounds).
 _MIN_GAP_FRACTION = 2e-3
+
+
+def _columns(field: FloatArray, ids: IntArray) -> list[FloatArray]:
+    """Rows ``ids`` of a per-node ``(nodes, k)`` field as ``k`` ``(J, 1)`` columns."""
+    return list(np.ascontiguousarray(field[ids].T, dtype=np.float64)[:, :, None])
 
 
 def optimal_upper_curvature(xmin: float, xmax: float) -> float:
@@ -222,13 +238,84 @@ class QuadraticBoundProvider(BoundProvider):
                 np.zeros(m, dtype=np.float64),
                 np.zeros(m, dtype=np.float64),
             )
-        gamma = self.gamma
-        weight = self.weight
         columns = tuple(queries.T)
         xmin, xmax = node.rect.sq_dist_range_batch(columns)
+        x_sum, x2_sum = agg.moment_sums_batch(columns)
+        return self._bounds_from_sums(n, xmin, xmax, x_sum, x2_sum)
+
+    def node_bounds_stacked(
+        self,
+        tree: KDTree,
+        nodes: Sequence[KDTreeNode],
+        queries: FloatArray,
+        queries_sq: FloatArray,
+    ) -> tuple[FloatArray, FloatArray]:
+        """:meth:`node_bounds_batch` of ``J`` nodes in one pass: ``(J, m)`` blocks.
+
+        Row ``k`` equals ``node_bounds_batch(nodes[k], ...)`` bit for
+        bit. The nodes' rectangles and moments are gathered from
+        ``tree.arrays`` by ``node_id`` as ``(J, 1)`` columns and run
+        through the same formulas (:func:`~repro.index.rectangle.sq_dist_ranges`,
+        :func:`~repro.core.aggregates.moment_sums`,
+        :meth:`_bounds_from_sums`), whose elementwise operations round
+        the same whatever the operand shapes. Zero-weight nodes give
+        zero rows. One node keeps the plain-float constants of
+        :meth:`node_bounds_batch`, the faster form for one node.
+        """
+        m = queries.shape[0]
+        if len(nodes) == 1:
+            lower, upper = self.node_bounds_batch(nodes[0], queries, queries_sq)
+            return lower.reshape(1, m), upper.reshape(1, m)
+        if m == 0:
+            return (
+                np.zeros((len(nodes), 0), dtype=np.float64),
+                np.zeros((len(nodes), 0), dtype=np.float64),
+            )
+        arrays = tree.arrays
+        ids = np.array([node.node_id for node in nodes], dtype=np.int64)
+        n = arrays["agg_tw"][ids, None]
+        empty = n[:, 0] <= 0.0
+        if empty.any():
+            # Any positive weight keeps their rows finite until zeroed.
+            n = np.where(empty[:, None], 1.0, n)
+        columns = tuple(queries.T)
+        xmin, xmax = sq_dist_ranges(
+            columns, _columns(arrays["rect_low"], ids), _columns(arrays["rect_high"], ids)
+        )
+        x_sum, x2_sum = moment_sums(
+            columns,
+            n,
+            _columns(arrays["agg_center"], ids),
+            _columns(arrays["agg_a"], ids),
+            arrays["agg_b"][ids, None],
+            _columns(arrays["agg_v"], ids),
+            arrays["agg_h"][ids, None],
+            _columns(arrays["agg_c"], ids),
+        )
+        lower, upper = self._bounds_from_sums(n, xmin, xmax, x_sum, x2_sum)
+        if empty.any():
+            lower[empty] = 0.0
+            upper[empty] = 0.0
+        return lower, upper
+
+    def _bounds_from_sums(
+        self,
+        n: float | FloatArray,
+        xmin: FloatArray,
+        xmax: FloatArray,
+        x_sum: FloatArray,
+        x2_sum: FloatArray,
+    ) -> tuple[FloatArray, FloatArray]:
+        """The QUAD pair from squared-distance ranges and moment sums.
+
+        ``n`` is the node's total weight (positive): a float with
+        ``(m,)`` rows, or a ``(J, 1)`` column with ``(J, m)`` blocks.
+        Every argument array is overwritten.
+        """
+        gamma = self.gamma
+        weight = self.weight
         xmin *= gamma
         xmax *= gamma
-        x_sum, x2_sum = agg.moment_sums_batch(columns)
         x_sum *= gamma
         x2_sum *= gamma * gamma
         exp_neg = self.kernel.profile  # Gaussian: exp(-x), clamped
@@ -298,7 +385,8 @@ class QuadraticBoundProvider(BoundProvider):
         line_lower: FloatArray | None = None
         if line.any():
             t_line = t[line]
-            line_lower = (weight * exp_t[line]) * ((1.0 + t_line) * n - x_sum[line])
+            n_line = n if isinstance(n, float) else np.broadcast_to(n, t.shape)[line]
+            line_lower = (weight * exp_t[line]) * ((1.0 + t_line) * n_line - x_sum[line])
             gap[line] = 1.0
 
         al = xmax - 1.0

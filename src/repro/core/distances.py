@@ -25,7 +25,11 @@ import numpy as np
 if TYPE_CHECKING:
     from repro._types import FloatArray
 
-__all__ = ["sq_dists_to_point", "sq_dists_to_batch"]
+__all__ = ["SCRATCH_ELEMENTS", "sq_dists_to_point", "sq_dists_to_batch"]
+
+#: Size of :func:`sq_dists_to_batch`'s accumulation scratch, in float64s
+#: (128 KiB): small enough to stay in the allocator's reused memory.
+SCRATCH_ELEMENTS = 16_384
 
 
 def sq_dists_to_point(points: FloatArray, q: FloatArray) -> FloatArray:
@@ -49,16 +53,24 @@ def sq_dists_to_batch(queries: FloatArray, points: FloatArray) -> FloatArray:
     so entry ``[k, i]`` is bit-identical to the scalar call for query
     ``k`` — elementwise ufuncs round independently of array shape. The
     first dimension's square is written straight into the result
-    (``0 + s == s`` for ``s >= 0``) and every later one goes through one
-    scratch block, so the call allocates at most two ``(m, n)`` arrays
-    whatever the dimension (``d >= 1``).
+    (``0 + s == s`` for ``s >= 0``) and every later one goes through a
+    scratch of at most :data:`SCRATCH_ELEMENTS` floats (one row, if a
+    row holds more), a band of rows at a time. So the call allocates one
+    ``(m, n)`` block plus that scratch whatever the dimension
+    (``d >= 1``): a scratch as large as the block would be fresh,
+    page-faulting memory on every large call.
     """
     sq = np.subtract(queries[:, 0, None], points[None, :, 0])
     np.multiply(sq, sq, out=sq)
     if queries.shape[1] > 1:
-        diff = np.empty_like(sq)
-        for j in range(1, queries.shape[1]):
-            np.subtract(queries[:, j, None], points[None, :, j], out=diff)
-            np.multiply(diff, diff, out=diff)
-            sq += diff
+        m, n = sq.shape
+        rows = max(1, SCRATCH_ELEMENTS // max(n, 1))
+        scratch = np.empty((min(m, rows), n), dtype=np.float64)
+        for first in range(0, m, rows):
+            band = sq[first : first + rows]
+            diff = scratch[: band.shape[0]]
+            for j in range(1, queries.shape[1]):
+                np.subtract(queries[first : first + rows, j, None], points[None, :, j], out=diff)
+                np.multiply(diff, diff, out=diff)
+                band += diff
     return sq

@@ -287,7 +287,8 @@ class CosineKernel(Kernel):
         x, out = _buffers(x, out)
         # Zero beyond pi/2 and at NaN; the mask is taken before ``out``,
         # possibly ``x`` itself, is overwritten.
-        outside = np.logical_not(x <= math.pi / 2.0)
+        outside = np.less_equal(x, math.pi / 2.0, out=np.empty(out.shape, dtype=bool))
+        np.logical_not(outside, out=outside)
         np.minimum(x, math.pi / 2.0, out=out)
         np.cos(out, out=out)
         np.copyto(out, 0.0, where=outside)

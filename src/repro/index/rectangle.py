@@ -19,7 +19,7 @@ from repro.errors import InvalidParameterError
 if TYPE_CHECKING:
     from repro._types import FloatArray, PointLike
 
-__all__ = ["Rectangle"]
+__all__ = ["Rectangle", "sq_dist_ranges"]
 
 
 class Rectangle:
@@ -171,20 +171,36 @@ class Rectangle:
         both distances. Per axis the terms, and their summation order,
         are those of the scalar methods.
         """
-        low = self._low_list
-        high = self._high_list
-        min_sq, max_sq = _axis_sq_dists(columns[0], low[0], high[0])
-        for j in range(1, self.dims):
-            near, far = _axis_sq_dists(columns[j], low[j], high[j])
-            min_sq += near
-            max_sq += far
-        return min_sq, max_sq
+        return sq_dist_ranges(columns, self._low_list, self._high_list)
 
     def __repr__(self) -> str:
         return f"Rectangle(low={self.low.tolist()}, high={self.high.tolist()})"
 
 
-def _axis_sq_dists(column: FloatArray, low: float, high: float) -> tuple[FloatArray, FloatArray]:
+def sq_dist_ranges(
+    columns: Sequence[FloatArray],
+    low: Sequence[float] | Sequence[FloatArray],
+    high: Sequence[float] | Sequence[FloatArray],
+) -> tuple[FloatArray, FloatArray]:
+    """``(min_sq_dist, max_sq_dist)`` from query columns to one box or a stack.
+
+    ``low[j]`` and ``high[j]`` bound axis ``j``: floats for one box,
+    giving ``(m,)`` rows (:meth:`Rectangle.sq_dist_range_batch`), or
+    ``(J, 1)`` columns for ``J`` boxes, giving ``(J, m)`` blocks whose
+    row ``k`` is box ``k``'s one-box result bit for bit (elementwise
+    ufuncs round the same whatever the operand shapes).
+    """
+    min_sq, max_sq = _axis_sq_dists(columns[0], low[0], high[0])
+    for j in range(1, len(low)):
+        near, far = _axis_sq_dists(columns[j], low[j], high[j])
+        min_sq += near
+        max_sq += far
+    return min_sq, max_sq
+
+
+def _axis_sq_dists(
+    column: FloatArray, low: float | FloatArray, high: float | FloatArray
+) -> tuple[FloatArray, FloatArray]:
     """Squared nearest and farthest distances to ``[low, high]`` along one axis."""
     below = low - column  # > 0 where the query lies below the box
     above = column - high  # > 0 where it lies above

@@ -406,7 +406,8 @@ class KDVRenderer:
 
         Every pixel starts at the root node's ``(LB, UB)`` envelope (or,
         for a τ render, at ``options.envelope``: the pixels it settles
-        keep it, the rest refine in full-size batches of open pixels),
+        keep it, the rest refine in contiguous batches of open pixels,
+        at most a tile's worth each and one or more per pool worker),
         then the tiles refine through one of two executors: in-process
         (:func:`~repro.resilience.runner.run_tiles`, sequential) or, with
         ``workers >= 2``, the process's
@@ -473,11 +474,14 @@ class KDVRenderer:
             open_pixels = np.flatnonzero(
                 ~stopping.tau_settled_mask(lower, upper, params["tau"])
             )
+            # Contiguous chunks of near-equal size, at most a tile's
+            # pixels each and at least one per pool worker: row-major
+            # order makes each a horizontal band of the grid.
             batch = tile_shape[0] * tile_shape[1]
-            tile_list = [
-                open_pixels[first : first + batch]
-                for first in range(0, open_pixels.size, batch)
-            ]
+            chunks = -(-open_pixels.size // batch)
+            if pool is not None:
+                chunks = min(max(chunks, pool.workers), open_pixels.size)
+            tile_list = np.array_split(open_pixels, chunks) if chunks else []
         n_tiles = len(tile_list)
         completed_flags = np.zeros(n_tiles, dtype=bool)
 

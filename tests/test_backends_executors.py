@@ -888,6 +888,16 @@ def test_linter_flags_direct_batch_dispatch(tmp_path):
     assert any("backend-dispatch" in v.rule for v in violations)
 
 
+@pytest.mark.parametrize("name", ["node_bounds_stacked", "checked_node_bounds_stacked"])
+def test_linter_flags_direct_stacked_dispatch(tmp_path, name):
+    source = (
+        "def f(provider, tree, nodes, q, qs):\n"
+        f"    return provider.{name}(tree, nodes, q, qs)\n"
+    )
+    violations = _lint(tmp_path, source)
+    assert any("backend-dispatch" in v.rule for v in violations)
+
+
 def test_linter_backend_dispatch_marker_suppresses(tmp_path):
     source = (
         "def f(provider, node, q, qs):\n"

@@ -34,6 +34,7 @@ from repro.core.bounds import make_bound_provider
 from repro.core.bounds.base import EXP_NEG_XMAX
 from repro.core.bounds.quadratic import _DEGENERATE_WIDTH, _MIN_GAP_FRACTION
 from repro.core.kernels import get_kernel
+from repro.errors import InvariantViolation
 from repro.index.kdtree import KDTree
 
 RTOL = 1e-12
@@ -228,3 +229,133 @@ def test_empty_batch():
             tree.root, np.empty((0, 2), dtype=np.float64), np.empty(0, dtype=np.float64)
         )
         assert lowers.shape == uppers.shape == (0,)
+
+
+# -- stacked node bounds ------------------------------------------------------
+
+#: Providers with the default stacking fallback (one call per node), next
+#: to the two Gaussian QUAD tangents that bound a stack in one pass.
+STACK_PROVIDERS = PROVIDERS + [
+    ("quad", "triangular", {}),
+    ("quad", "epanechnikov", {}),
+]
+
+
+def _stack_weights(seed, points, kind):
+    """``_weights`` plus ``zero``: points left of the origin weigh nothing,
+    so whole subtrees have zero total weight."""
+    if kind != "zero":
+        return _weights(seed, points.shape[0], kind)
+    weights = np.ones(points.shape[0], dtype=np.float64)
+    weights[points[:, 0] < 0.0] = 0.0
+    if not weights.any():
+        weights[0] = 1.0
+    return weights
+
+
+def assert_stack_matches_nodes(provider, tree, nodes, queries):
+    """Every stacked row is the one-node call's row, bit for bit."""
+    queries_sq = np.einsum("ij,ij->i", queries, queries)
+    lowers, uppers = provider.node_bounds_stacked(tree, nodes, queries, queries_sq)
+    assert lowers.shape == uppers.shape == (len(nodes), queries.shape[0])
+    for k, node in enumerate(nodes):
+        lower, upper = provider.node_bounds_batch(node, queries, queries_sq)
+        assert lowers[k].tobytes() == lower.tobytes(), (node.node_id, k)
+        assert uppers[k].tobytes() == upper.tobytes(), (node.node_id, k)
+
+
+@pytest.mark.parametrize("name,kernel,options", STACK_PROVIDERS)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(1, 48),
+    dims=st.sampled_from([1, 2, 3]),
+    duplicate_frac=st.sampled_from([0.0, 0.5, 0.9]),
+    grid=st.sampled_from([1, 8, 64]),
+    weights=st.sampled_from(["none", "uniform", "skewed", "zero"]),
+    leaf_size=st.sampled_from([1, 2, 8]),
+    gamma=st.sampled_from([0.02, 0.5, 3.0, 40.0]),
+    m=st.integers(1, 24),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    stack=st.sampled_from([1, 2, 7, 32]),
+)
+def test_stacked_bounds_equal_one_node_calls(
+    name, kernel, options, seed, n, dims, duplicate_frac, grid, weights, leaf_size,
+    gamma, m, layout, stack
+):
+    points = _points(seed, n, dims, int(duplicate_frac * n), grid)
+    point_weights = _stack_weights(seed, points, weights)
+    tree = KDTree(points, leaf_size=leaf_size, weights=point_weights)
+    weight = 1.0 / (n if point_weights is None else float(point_weights.sum()))
+    provider = make_bound_provider(name, get_kernel(kernel), gamma, weight, **options)
+    queries = _layout(_queries(points, gamma, seed, m), layout)
+    every = list(_nodes(tree))
+    picks = np.random.default_rng(seed + 3).integers(len(every), size=stack)
+    nodes = [every[int(i)] for i in picks]
+    if any(node.agg.total_weight <= 0.0 for node in nodes):
+        event("zero-weight node")
+    assert_stack_matches_nodes(provider, tree, nodes, queries)
+
+
+@pytest.mark.parametrize("tangent", ["mean", "midpoint"])
+def test_stacks_reach_every_quadratic_branch(tangent):
+    """All four closed-form branches, and zero-weight nodes, inside stacks."""
+    points = _points(3, 40, 2, 20, 8)
+    skewed = _weights(3, 40, "skewed")
+    zeroed = skewed.copy()
+    zeroed[points[:, 0] < -0.5] = 0.0
+    base = _queries(points, 3.0, 3, 24)
+    for point_weights in (skewed, zeroed):
+        tree = KDTree(points, leaf_size=1, weights=point_weights)
+        provider = make_bound_provider(
+            "quad", get_kernel("gaussian"), 3.0, 1.0 / float(point_weights.sum()),
+            tangent=tangent,
+        )
+        every = list(_nodes(tree))
+        for layout in ("C", "F", "strided"):
+            queries = _layout(base, layout)
+            if point_weights is skewed and tangent == "mean":
+                branches = assert_batch_matches_scalar(provider, tree, queries)
+                assert branches == {"far-field", "degenerate", "tangent-line", "parabola"}
+            for stack in (2, 7, 32):
+                for first in range(0, len(every), stack):
+                    assert_stack_matches_nodes(
+                        provider, tree, every[first : first + stack], queries
+                    )
+    assert any(node.agg.total_weight <= 0.0 for node in every)
+
+
+def test_checked_stack_validates_every_pair():
+    from repro.core.backends import ComputeBackend
+    from repro.core.bounds.quadratic import QuadraticBoundProvider
+
+    class Inverted(QuadraticBoundProvider):
+        def node_bounds_stacked(self, tree, nodes, queries, queries_sq):
+            lowers, uppers = super().node_bounds_stacked(tree, nodes, queries, queries_sq)
+            return uppers + 1.0, lowers
+
+    points = _points(5, 30, 2, 0, 8)
+    tree = KDTree(points, leaf_size=4)
+    queries = _queries(points, 0.5, 5, 6)
+    queries_sq = np.einsum("ij,ij->i", queries, queries)
+    nodes = list(_nodes(tree))[:5]
+    backend = ComputeBackend()
+    good = make_bound_provider("quad", get_kernel("gaussian"), 0.5, 1.0 / 30)
+    plain = backend.node_bounds_stacked(good, tree, nodes, queries, queries_sq)
+    checked = backend.checked_node_bounds_stacked(good, tree, nodes, queries, queries_sq)
+    for got, want in zip(checked, plain):
+        np.testing.assert_array_equal(got, want)
+    bad = Inverted(get_kernel("gaussian"), 0.5, 1.0 / 30)
+    with pytest.raises(InvariantViolation):
+        backend.checked_node_bounds_stacked(bad, tree, nodes, queries, queries_sq)
+
+
+def test_empty_stacked_batch():
+    tree = KDTree(_points(0, 10, 2, 0, 8), leaf_size=2)
+    nodes = list(_nodes(tree))[:3]
+    for name, kernel, options in STACK_PROVIDERS:
+        provider = make_bound_provider(name, get_kernel(kernel), 1.0, 0.1, **options)
+        lowers, uppers = provider.node_bounds_stacked(
+            tree, nodes, np.empty((0, 2), dtype=np.float64), np.empty(0, dtype=np.float64)
+        )
+        assert lowers.shape == uppers.shape == (3, 0)

@@ -149,11 +149,11 @@ def _traced_peak(fn):
 
 @pytest.mark.parametrize(
     ("kernel", "blocks"),
-    [("gaussian", 1.25), ("exponential", 2.25), ("cosine", 2.25)],
+    [("gaussian", 1.25), ("exponential", 1.25), ("cosine", 1.25)],
 )
 def test_a_large_leaf_scan_allocates_one_block(kernel, blocks):
     # The expanded (squared-distance) form lives in the matmul's result;
-    # the direct form adds one scratch block while it accumulates.
+    # the direct form accumulates through a 128 KiB scratch, 1/16 block.
     rows, n = 4096, 64
     provider = make_bound_provider("baseline", kernel, GAMMA)
     node, queries, queries_sq = _leaf_and_queries(rows, n=n)

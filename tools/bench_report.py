@@ -17,7 +17,10 @@ comparison meaningful:
 * every kd-tree node's rectangle and aggregates match its members
   (``index_build``, which also times the build);
 * the leaf scan (``leaf_scan``) returns the same floats as its
-  expression form and allocates about one kernel block per call.
+  expression form and allocates about one kernel block per call;
+* τ renders from a cached ε envelope (``tau_steps``) give the same
+  masks with wide refinement steps as with one node per step, for at
+  most 1.15 times the work per open pixel.
 
 The script exits non-zero if any validation fails, so CI can run it as
 a smoke job (``--smoke`` shrinks the workload to seconds).
@@ -61,6 +64,29 @@ SCALING_WORKERS = (1, 2, 4, 8)
 #: Query batch sizes of the leaf_scan section. The tile driver scans
 #: leaves with up to 64 x 64 = 4,096 rows, fewer as pixels retire.
 LEAF_SCAN_ROWS = (256, 1024, 4096)
+
+#: ``(kernel, rows)`` cases of the leaf_scan section: the expanded
+#: (squared-distance) form at every batch size, and the direct form of the
+#: unsquared-distance kernels at the largest, where its 128 KiB scratch is
+#: a sixteenth of the block (a smaller scan's scratch may be its whole
+#: block, in memory the allocator reuses).
+LEAF_SCAN_CASES = tuple(("gaussian", rows) for rows in LEAF_SCAN_ROWS) + (
+    ("exponential", max(LEAF_SCAN_ROWS)),
+)
+
+#: The tau_steps section's map (points at the serving leaf size, grid):
+#: param_sweep's 20k points on one 256-px tile, and on a CI-sized grid.
+#: Far smaller trees are a poor model: a 4k-point tree has 63 leaves, and
+#: 32-node steps drain most of it in a few steps.
+TAU_STEPS_FULL = {"n": 20_000, "resolution": (256, 256)}
+TAU_STEPS_SMOKE = {"n": 20_000, "resolution": (128, 128)}
+
+#: Exact-density quantiles of the tau_steps section's thresholds.
+TAU_STEPS_QUANTILES = (0.5, 0.75, 0.9, 0.97)
+
+#: The most node or point evaluations per open pixel the wide τ steps may
+#: spend, as a multiple of one node per step (the tau_steps gate).
+TAU_STEPS_WORK_BOUND = 1.15
 
 #: The most one leaf scan may allocate, in ``(rows, leaf points)``
 #: float64 blocks: the kernel block itself plus the row sums. The bound
@@ -382,17 +408,27 @@ def _index_build(
 
 
 def _expression_form_leaf_sums(provider: Any, node: Any, queries: Any, queries_sq: Any) -> Any:
-    """The Gaussian leaf scan written one expression per step: the reference.
+    """A leaf scan written one expression per step: the reference.
 
     A fresh array per operation, as the scan was written before it ran
-    in place; ``leaf_scan`` checks that the two agree float for float.
+    in place: the Gaussian's expanded distances, or the direct form's
+    per-dimension sum for an unsquared-distance kernel. ``leaf_scan``
+    checks that the two agree float for float.
     """
     import numpy as np
 
-    sq = queries_sq[:, None] - 2.0 * (queries @ node.points.T) + node.sq_norms
-    np.maximum(sq, 0.0, out=sq)
-    x = provider.gamma * np.minimum(sq, 708.0 * (1.0 + 1e-9) / provider.gamma)
-    return provider.weight * np.exp(-np.minimum(x, 708.0)).sum(axis=1)
+    if provider.kernel.name == "gaussian":
+        sq = queries_sq[:, None] - 2.0 * (queries @ node.points.T) + node.sq_norms
+        np.maximum(sq, 0.0, out=sq)
+        x = provider.gamma * np.minimum(sq, 708.0 * (1.0 + 1e-9) / provider.gamma)
+        return provider.weight * np.exp(-np.minimum(x, 708.0)).sum(axis=1)
+    diff = queries[:, None, 0] - node.points[None, :, 0]
+    sq = diff * diff
+    for j in range(1, queries.shape[1]):
+        diff = queries[:, None, j] - node.points[None, :, j]
+        sq = sq + diff * diff
+    values = provider.kernel.evaluate(sq, provider.gamma)
+    return provider.weight * values.sum(axis=1)
 
 
 def _leaf_scan(renderer: Any, *, repeats: int = 3) -> dict[str, Any]:
@@ -400,11 +436,11 @@ def _leaf_scan(renderer: Any, *, repeats: int = 3) -> dict[str, Any]:
 
     The leaf is the fullest of a kd-tree over the workload's points at
     the serving leaf size; the queries are the workload grid's pixel
-    centres, repeated to each of :data:`LEAF_SCAN_ROWS` rows. Per batch
-    size: the best-of-``repeats`` microseconds per call, the
-    ``tracemalloc`` peak of one call against the
-    :data:`LEAF_SCAN_PEAK_BLOCKS` bound, and whether the values equal
-    :func:`_expression_form_leaf_sums` bit for bit.
+    centres, repeated to each case's rows. Per case of
+    :data:`LEAF_SCAN_CASES`: the best-of-``repeats``
+    microseconds per call, the ``tracemalloc`` peak of one call against
+    the :data:`LEAF_SCAN_PEAK_BLOCKS` bound, and whether the values
+    equal :func:`_expression_form_leaf_sums` bit for bit.
     """
     import tracemalloc
 
@@ -416,12 +452,12 @@ def _leaf_scan(renderer: Any, *, repeats: int = 3) -> dict[str, Any]:
 
     tree = KDTree(renderer.points, leaf_size=DEFAULT_LEAF_SIZE)
     leaf = max(tree.leaves(), key=lambda node: node.size)
-    provider = make_bound_provider("quad", "gaussian", renderer.gamma, renderer.weight)
     backend = ComputeBackend()
     centers = renderer.grid.centers()
     rows_report = []
     ok = True
-    for rows in LEAF_SCAN_ROWS:
+    for kernel, rows in LEAF_SCAN_CASES:
+        provider = make_bound_provider("quad", kernel, renderer.gamma, renderer.weight)
         queries = np.ascontiguousarray(np.resize(centers, (rows, centers.shape[1])))
         queries_sq = np.einsum("ij,ij->i", queries, queries)
 
@@ -450,8 +486,12 @@ def _leaf_scan(renderer: Any, *, repeats: int = 3) -> dict[str, Any]:
         bound = int((LEAF_SCAN_PEAK_BLOCKS * rows * leaf.size + np.getbufsize()) * 8)
         ok &= identical and peak <= bound
         us_per_call = seconds / calls * 1e6
-        print(f"  leaf scan rows={rows:<5d} {us_per_call:9.1f} us/call  peak {peak} B")
+        print(
+            f"  leaf scan {kernel:<11s} rows={rows:<5d} {us_per_call:9.1f} us/call  "
+            f"peak {peak} B"
+        )
         rows_report.append({
+            "kernel": kernel,
             "rows": rows,
             "us_per_call": round(us_per_call, 2),
             "ns_per_pair": round(us_per_call * 1e3 / (rows * leaf.size), 3),
@@ -460,12 +500,124 @@ def _leaf_scan(renderer: Any, *, repeats: int = 3) -> dict[str, Any]:
             "bit_identical": identical,
         })
     return {
-        "kernel": "gaussian",
         "leaf_points": int(leaf.size),
         "repeats": repeats,
         "cpu_count": os.cpu_count(),
         "batches": rows_report,
         "leaf_scan_ok": ok,
+    }
+
+
+def _tau_steps(
+    n: int,
+    resolution: tuple[int, int],
+    *,
+    dataset: str,
+    seed: int,
+    eps: float,
+    repeats: int,
+) -> dict[str, Any]:
+    """τ renders from a cached ε envelope: one node per step against wide steps.
+
+    The tile service starts a τ tile from the envelope its ε render
+    left, so only the open pixels (those the envelope does not settle)
+    refine. On an ``n``-point map at the serving leaf size and tile
+    partition (``RENDER_TILE_SIZE``, whatever ``--tile-size`` says), per
+    threshold (the :data:`TAU_STEPS_QUANTILES` of the exact density),
+    the in-process render runs with one frontier node per step
+    (``tau_step_width`` off, the ε schedule) and with the width rule of
+    :func:`repro.core.batch_engine.tau_step_width`. Records the best-of-
+    ``repeats`` milliseconds, node and point evaluations per open pixel,
+    and whether the masks are identical. ``tau_steps_ok`` holds when
+    every mask is and the wide steps spend at most
+    :data:`TAU_STEPS_WORK_BOUND` times the evaluations per open pixel.
+    """
+    from contextlib import nullcontext
+    from unittest import mock
+
+    import numpy as np
+
+    from repro.core import batch_engine, stopping
+    from repro.data.synthetic import load_dataset
+    from repro.serve.service import RENDER_TILE_SIZE as tile_size
+    from repro.visual.kdv import KDVRenderer
+    from repro.visual.request import RenderOptions, RenderRequest
+
+    renderer = KDVRenderer(load_dataset(dataset, n=n, seed=seed), resolution=resolution)
+    method = renderer.get_method("quad")
+    envelope = renderer.render(
+        RenderRequest.for_eps(
+            eps, "quad", options=RenderOptions(tile_size=tile_size, anytime=True)
+        )
+    )
+    lower = envelope.lower.reshape(-1)
+    upper = envelope.upper.reshape(-1)
+    exact = renderer.render_exact().reshape(-1)
+    options = RenderOptions(tile_size=tile_size, envelope=(lower, upper))
+    thresholds = []
+    totals = {"one": [0.0, 0, 0], "wide": [0.0, 0, 0]}
+    all_identical = True
+    for quantile in TAU_STEPS_QUANTILES:
+        tau = float(np.quantile(exact, quantile))
+        open_pixels = int((~stopping.tau_settled_mask(lower, upper, tau)).sum())
+        request = RenderRequest.for_tau(tau, "quad", options=options)
+        row: dict[str, Any] = {"quantile": quantile, "tau": tau, "open_pixels": open_pixels}
+        masks = {}
+        for label in ("one", "wide"):
+            patch = (
+                mock.patch.object(batch_engine, "tau_step_width", None)
+                if label == "one"
+                else nullcontext()
+            )
+            with patch:
+                method.stats.reset()
+                masks[label], seconds = _timed_best(lambda: renderer.render(request), repeats)
+                stats = method.stats.as_dict()
+            runs = max(repeats, 1)
+            nodes = stats["node_evaluations"] / runs
+            points = stats["point_evaluations"] / runs
+            per_pixel = max(open_pixels, 1)
+            row[label] = {
+                "ms": round(seconds * 1e3, 3),
+                "node_evals_per_open_px": round(nodes / per_pixel, 2),
+                "point_evals_per_open_px": round(points / per_pixel, 2),
+            }
+            total = totals[label]
+            total[0] += seconds
+            total[1] += nodes
+            total[2] += points
+        identical = bool(np.array_equal(masks["one"], masks["wide"]))
+        all_identical &= identical
+        row["masks_identical"] = identical
+        thresholds.append(row)
+        print(
+            f"  tau steps q={quantile:<5} open={open_pixels:<6d} "
+            f"one {row['one']['ms']:8.1f} ms  wide {row['wide']['ms']:8.1f} ms  "
+            f"identical={identical}"
+        )
+    node_ratio = totals["wide"][1] / max(totals["one"][1], 1)
+    point_ratio = totals["wide"][2] / max(totals["one"][2], 1)
+    return {
+        "n": n,
+        "resolution": list(resolution),
+        "eps": eps,
+        "tile_size": tile_size,
+        "repeats": repeats,
+        "cpu_count": os.cpu_count(),
+        "step_nodes": batch_engine.TAU_STEP_NODES,
+        "step_rows": batch_engine.TAU_STEP_ROWS,
+        "thresholds": thresholds,
+        "one_ms": round(totals["one"][0] * 1e3, 3),
+        "wide_ms": round(totals["wide"][0] * 1e3, 3),
+        "node_evals_ratio": round(node_ratio, 4),
+        "point_evals_ratio": round(point_ratio, 4),
+        "work_bound": TAU_STEPS_WORK_BOUND,
+        "masks_identical": all_identical,
+        "tau_steps_ok": bool(
+            all_identical
+            and node_ratio <= TAU_STEPS_WORK_BOUND
+            and point_ratio <= TAU_STEPS_WORK_BOUND
+        ),
     }
 
 
@@ -484,6 +636,8 @@ def run_benchmark(
     pyramid_n: int | None = None,
     pyramid_zoom: int = 3,
     coreset_delta_cap: float = 0.01,
+    tau_steps_n: int = TAU_STEPS_FULL["n"],
+    tau_steps_resolution: tuple[int, int] = TAU_STEPS_FULL["resolution"],
 ) -> dict[str, Any]:
     """Run the scalar/batched comparison; return the report dictionary."""
     import numpy as np
@@ -566,6 +720,10 @@ def run_benchmark(
     )
 
     leaf_scan_section = _leaf_scan(renderer)
+    tau_steps_section = _tau_steps(
+        tau_steps_n, tau_steps_resolution, dataset=dataset, seed=seed, eps=0.05,
+        repeats=max(repeats, 3),
+    )
 
     pyramid_section: dict[str, Any] | None = None
     if pyramid_n is not None:
@@ -645,12 +803,14 @@ def run_benchmark(
         "coreset_pyramid": pyramid_section,
         "index_build": index_section,
         "leaf_scan": leaf_scan_section,
+        "tau_steps": tau_steps_section,
         "validation": {
             "eps_envelope": envelope,
             "tau_masks_identical": masks_identical,
             "coreset_parity_ok": parity_section["within_delta"],
             "index_aggregates_ok": index_section["index_aggregates_ok"],
             "leaf_scan_ok": leaf_scan_section["leaf_scan_ok"],
+            "tau_steps_ok": tau_steps_section["tau_steps_ok"],
             "parallel_scaling_ok": (
                 None if scaling_section is None
                 else scaling_section["all_identical_and_within_envelope"]
@@ -702,6 +862,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     workload = SMOKE_WORKLOAD if args.smoke else FULL_WORKLOAD
+    tau_steps = TAU_STEPS_SMOKE if args.smoke else TAU_STEPS_FULL
     report = run_benchmark(
         n=workload["n"],
         resolution=workload["resolution"],
@@ -715,6 +876,8 @@ def main(argv: list[str] | None = None) -> int:
         pyramid_n=(
             None if args.smoke or args.no_pyramid else args.pyramid_n
         ),
+        tau_steps_n=tau_steps["n"],
+        tau_steps_resolution=tau_steps["resolution"],
     )
     report["smoke"] = args.smoke
 
@@ -747,6 +910,12 @@ def main(argv: list[str] | None = None) -> int:
         failures.append(
             "the leaf scan changed a value or allocated more than "
             f"{LEAF_SCAN_PEAK_BLOCKS} blocks (see the leaf_scan section)"
+        )
+    if not report["validation"]["tau_steps_ok"]:
+        failures.append(
+            "wide tau steps changed a mask or spent more than "
+            f"{TAU_STEPS_WORK_BOUND}x the evaluations per open pixel of one "
+            "node per step (see the tau_steps section)"
         )
     if report["validation"]["parallel_scaling_ok"] is False:
         failures.append(

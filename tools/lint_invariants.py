@@ -50,11 +50,11 @@ that keep that contract auditable:
     — or the precise type — instead; the rare deliberate case carries
     ``# lint: allow-bare-except``.
 ``backend-dispatch``
-    No direct ``node_bounds_batch`` / ``leaf_exact_batch`` (or their
-    ``checked_`` variants) calls outside ``core/backends/`` and
-    ``core/bounds/``, and no direct ``kernel.evaluate(...)`` calls
-    outside those plus ``core/exact.py`` (the reference scan the
-    bounds are validated against). Engine and renderer code must route
+    No direct ``node_bounds_batch`` / ``node_bounds_stacked`` /
+    ``leaf_exact_batch`` (or their ``checked_`` variants) calls outside
+    ``core/backends/`` and ``core/bounds/``, and no direct
+    ``kernel.evaluate(...)`` calls outside those plus ``core/exact.py``
+    (the reference scan the bounds are validated against). Engine and renderer code must route
     batched evaluations through the engine's
     :class:`~repro.core.backends.base.ComputeBackend`, the one seam
     where invariant checking is selected and where the benchmark's
@@ -458,8 +458,10 @@ def _check_legacy_render(
 _BACKEND_DISPATCH_CALLS = frozenset(
     {
         "node_bounds_batch",
+        "node_bounds_stacked",
         "leaf_exact_batch",
         "checked_node_bounds_batch",
+        "checked_node_bounds_stacked",
         "checked_leaf_exact_batch",
     }
 )
